@@ -137,18 +137,33 @@ def threshold_bounds(curve: PfCurve, target: float) -> Optional[tuple[float, flo
     return float(curve.thresholds[below[0]]), float(curve.thresholds[below[-1]])
 
 
-def run_epoch(epoch: SampledSignal, code: ChipSequence, plan: FrequencyPlan,
-              spec: IntegrationSpec, threshold: float) -> AcqResult:
-    """Acquire one epoch with the given integration strategy."""
+def run_strategies(epoch: SampledSignal, code: ChipSequence,
+                   plan: FrequencyPlan, specs: Sequence[IntegrationSpec],
+                   threshold: float) -> list[AcqResult]:
+    """Acquire one epoch with every strategy in specs, one result per spec.
+
+    The unit grids depend only on the epoch and the plan, so they are
+    computed once and every strategy integrates the same grids.  All specs
+    must share one span (the plan is built for it).
+    """
+    spans = {spec.total_ms for spec in specs}
+    if len(spans) != 1:
+        raise ValueError(f"specs must share one span, got {sorted(spans)} ms")
     n = samples_per_code(code, epoch.sample_rate)
-    m = spec.unit_count
+    m = specs[0].unit_count
     if len(epoch.samples) < m * n:
         raise ValueError(
             f"epoch at t={epoch.t0} has {len(epoch.samples)} samples, "
-            f"needs {m * n} for {spec.total_ms} ms integration")
+            f"needs {m * n} for {specs[0].total_ms} ms integration")
     grids = process_units(epoch, code, plan, count=m)
-    det = integrate(grids, spec.strategy)
-    return acquire(det, threshold=threshold)
+    return [acquire(integrate(grids, spec.strategy), threshold=threshold)
+            for spec in specs]
+
+
+def run_epoch(epoch: SampledSignal, code: ChipSequence, plan: FrequencyPlan,
+              spec: IntegrationSpec, threshold: float) -> AcqResult:
+    """Acquire one epoch with the given integration strategy."""
+    return run_strategies(epoch, code, plan, [spec], threshold)[0]
 
 
 def acquisition_timeline(pass_epochs: Sequence[SampledSignal],
@@ -156,6 +171,7 @@ def acquisition_timeline(pass_epochs: Sequence[SampledSignal],
                          threshold: float,
                          code: ChipSequence | None = None,
                          doppler_slack_hz: float = 0.0,
+                         results: list[AcqResult] | None = None,
                          ) -> tuple[list[AcqResult], list[EpochLabel], TimelineSummary]:
     """Run one strategy over every epoch of a pass and summarize.
 
@@ -165,13 +181,16 @@ def acquisition_timeline(pass_epochs: Sequence[SampledSignal],
     cadence inferred from the stream.  doppler_slack_hz loosens the labeling
     tolerance for strategies whose Doppler resolution stays at the 1 ms unit
     width (magnitude-combined grids do not sharpen with total span).
+    results, one per epoch, are this strategy's acquisitions when the caller
+    has already run them (see run_strategies); they are computed otherwise.
     """
     epochs = list(pass_epochs)
     if not epochs:
         raise ValueError("empty epoch stream")
     if code is None:
         code = generate_code(epochs[0].truth.prn_id)
-    results = [run_epoch(e, code, plan, spec, threshold) for e in epochs]
+    if results is None:
+        results = [run_epoch(e, code, plan, spec, threshold) for e in epochs]
     truths = [truth_from_epoch(e, code) for e in epochs]
     n = samples_per_code(code, epochs[0].sample_rate)
     labels = label_epochs(results, truths, plan,

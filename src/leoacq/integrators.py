@@ -102,13 +102,21 @@ def integrate_pre_guess(grids: list[CorrelationGrid]) -> DetectionGrid:
 
     The sign of unit m is +1 iff adding it grows the running sum magnitude
     strictly, else -1 (the first unit is +1 by convention; only the relative
-    pattern matters under the outer magnitude).
+    pattern matters under the outer magnitude).  |a+s| > |a-s| is tested in
+    its equivalent form Re(a*conj(s)) > 0, which needs no complex temporaries.
     """
     _check_grids(grids)
     acc = grids[0].values.copy()
+    dot = np.empty(acc.shape)
+    sign = np.empty(acc.shape)
     for g in grids[1:]:
         s = g.values
-        sign = np.where(np.abs(acc + s) > np.abs(acc - s), 1.0, -1.0)
+        np.multiply(acc.real, s.real, out=dot)
+        np.multiply(acc.imag, s.imag, out=sign)
+        dot += sign
+        np.greater(dot, 0.0, out=sign)
+        sign *= 2.0
+        sign -= 1.0
         acc += sign * s
     return _result(np.abs(acc), grids, Strategy.PRE_GUESS)
 

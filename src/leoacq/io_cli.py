@@ -27,8 +27,8 @@ from .signal_synth import SampledSignal, SynthParams, synthesize_pass_signal
 from .acq_core import make_plan, samples_per_code
 from .integrators import IntegrationSpec, Strategy, strategy_valid_at
 from .eval_harness import (EpochLabel, PfCurve, acquisition_timeline,
-                           label_epochs, pf_sweep, threshold_bounds,
-                           truth_from_epoch)
+                           label_epochs, pf_sweep, run_strategies,
+                           threshold_bounds, truth_from_epoch)
 from .detector import AcqResult
 
 
@@ -501,26 +501,44 @@ def _cmd_acquire(args) -> int:
     return 0
 
 
+def _run_matrix(config: ScenarioConfig):
+    """Run every valid (strategy, span) of the config over its pass.
+
+    Yields (strategy, total_ms, results, labels, summary) in config order.
+    Each epoch is correlated once per span: the strategies at that span all
+    integrate the same unit grids.
+    """
+    epochs = pass_epochs(config)
+    code = generate_code(config.prn_id)
+    combos = list(config.run_combos())
+    by_span: dict[int, list[IntegrationSpec]] = {}
+    for strategy, t_ms in combos:
+        by_span.setdefault(t_ms, []).append(IntegrationSpec(strategy, t_ms))
+    plans, results = {}, {}
+    for t_ms, specs in by_span.items():
+        plans[t_ms] = make_plan(config.intermediate_freq, config.half_span, t_ms)
+        per_epoch = [run_strategies(e, code, plans[t_ms], specs, config.threshold)
+                     for e in epochs]
+        for k, spec in enumerate(specs):
+            results[spec.strategy, t_ms] = [r[k] for r in per_epoch]
+    for strategy, t_ms in combos:
+        yield (strategy, t_ms, *acquisition_timeline(
+            epochs, IntegrationSpec(strategy, t_ms), plans[t_ms],
+            config.threshold, code=code, results=results[strategy, t_ms]))
+
+
 def _cmd_sweep(args) -> int:
     config = _load_config(args)
     os.makedirs(args.out_dir, exist_ok=True)
-    epochs = pass_epochs(config)
-    code = generate_code(config.prn_id)
     thresholds = config.threshold_grid()
     bounds_entries = []
-    first = True
-    for strategy, t_ms in config.run_combos():
-        spec = IntegrationSpec(strategy=strategy, total_ms=t_ms)
-        plan = make_plan(config.intermediate_freq, config.half_span, t_ms)
-        results, labels, _ = acquisition_timeline(
-            epochs, spec, plan, config.threshold, code=code)
+    for strategy, t_ms, results, labels, _ in _run_matrix(config):
         curve = pf_sweep(results, labels, thresholds)
         csv = pf_curve_rows(curve)
         _write_text(os.path.join(
             args.out_dir, f"pf_curve_{strategy.value}_{t_ms}ms.csv"), csv)
-        if first:
+        if not bounds_entries:
             _write_text(os.path.join(args.out_dir, "pf_curve.csv"), csv)
-            first = False
         bounds_entries.append((strategy, t_ms,
                                threshold_bounds(curve, args.pf_target)))
     _write_text(os.path.join(args.out_dir, "bounds.csv"),
@@ -532,15 +550,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_duration(args) -> int:
     config = _load_config(args)
-    epochs = pass_epochs(config)
-    code = generate_code(config.prn_id)
-    entries = []
-    for strategy, t_ms in config.run_combos():
-        spec = IntegrationSpec(strategy=strategy, total_ms=t_ms)
-        plan = make_plan(config.intermediate_freq, config.half_span, t_ms)
-        _, _, summary = acquisition_timeline(
-            epochs, spec, plan, config.threshold, code=code)
-        entries.append((strategy, t_ms, summary.success_s, summary.decided_s))
+    entries = [(strategy, t_ms, summary.success_s, summary.decided_s)
+               for strategy, t_ms, _, _, summary in _run_matrix(config)]
     _write_text(args.out, duration_rows(entries))
     print(f"wrote {len(entries)} duration rows to {args.out}")
     return 0

@@ -7,11 +7,17 @@ exercised where accuracy claims demand them.
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from leoacq.acq_core import FrequencyPlan, make_plan
 from leoacq.integrators import CorrelationGrid, DetectionGrid, IntegrationSpec, Strategy
 from leoacq.prn_code import generate_code
 from leoacq.signal_synth import SampledSignal, SynthParams, synthesize
+
+# CPU speed on shared hosts drifts between runs, so per-example deadlines
+# would fail examples at random.
+settings.register_profile("leoacq", deadline=None)
+settings.load_profile("leoacq")
 
 # fast profile: 1 sample/chip
 FS_FAST = 1.023e6

@@ -3,15 +3,16 @@
 import numpy as np
 import pytest
 
+from leoacq import eval_harness
 from leoacq.acq_core import make_plan, samples_per_code
 from leoacq.detector import AcqResult
 from leoacq.eval_harness import (EpochLabel, EpochTruth, PfCurve,
                                  acquisition_timeline, cyclic_distance,
                                  label_epochs, pf_sweep, run_epoch,
-                                 threshold_bounds, truth_code_phase,
-                                 truth_from_epoch)
+                                 run_strategies, threshold_bounds,
+                                 truth_code_phase, truth_from_epoch)
 from leoacq.geometry import PassSample, PassScenario
-from leoacq.integrators import IntegrationSpec, Strategy
+from leoacq.integrators import IntegrationSpec, Strategy, strategy_valid_at
 from leoacq.signal_synth import synthesize_pass_signal
 
 from conftest import FS_FAST, FIF_FAST, fast_params, plan_for, synth_units
@@ -78,6 +79,25 @@ class TestLabeling:
             truth = truth_from_epoch(sig, code1)
             label = label_epochs([res], [truth], PLAN1, FIF_FAST, 1023)[0]
             assert label.estimate_ok
+
+
+class TestRunStrategies:
+    @pytest.mark.parametrize("total_ms", [1, 5, 20])
+    def test_equals_one_run_epoch_per_strategy(self, code1, total_ms):
+        sig, _ = synth_units(20, code1, d0=700.0, cn0=42.0, seed=9)
+        plan = plan_for(total_ms)
+        specs = [IntegrationSpec(s, total_ms) for s in Strategy
+                 if strategy_valid_at(s, total_ms)]
+        shared = run_strategies(sig, code1, plan, specs, threshold=2.5)
+        assert shared == [run_epoch(sig, code1, plan, spec, threshold=2.5)
+                          for spec in specs]
+
+    def test_specs_must_share_span(self, code1):
+        sig, _ = synth_units(5, code1)
+        specs = [IntegrationSpec(Strategy.COHERENT, 1),
+                 IntegrationSpec(Strategy.COHERENT, 5)]
+        with pytest.raises(ValueError, match="one span"):
+            run_strategies(sig, code1, plan_for(1), specs, threshold=2.5)
 
 
 class TestPfSweep:
@@ -187,6 +207,15 @@ class TestTimeline:
         spec = IntegrationSpec(Strategy.COHERENT, total_ms=1)
         _, _, summary = acquisition_timeline(epochs, spec, PLAN1, threshold=2.5)
         assert summary.success_s == 12.0
+
+    def test_given_results_are_labelled_not_recomputed(self, code1, monkeypatch):
+        epochs = list(synthesize_pass_signal(
+            _flat_scenario(3), fast_params(cn0=50.0, duration=2e-3, seed=4)))
+        spec = IntegrationSpec(Strategy.NON_COHERENT, total_ms=2)
+        expected = acquisition_timeline(epochs, spec, PLAN1, threshold=2.5)
+        monkeypatch.setattr(eval_harness, "process_units", None)
+        assert acquisition_timeline(epochs, spec, PLAN1, threshold=2.5,
+                                    results=expected[0]) == expected
 
     def test_empty_stream(self):
         spec = IntegrationSpec(Strategy.COHERENT, total_ms=1)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from leoacq.acq_core import make_plan, process_unit, process_units
 from leoacq.detector import decide, mtsmr
@@ -104,6 +106,63 @@ class TestAlgebraicIdentities:
         grids, z, cell = _signed_units([1] * 20)
         out = integrate_alternate_half_bit(grids)
         assert out.values[cell] == pytest.approx(10 * abs(z), rel=1e-12)
+
+
+@st.composite
+def unit_values(draw, min_units=1):
+    """(M, bins, samples) complex unit values with magnitudes in [0.5, 2].
+
+    Bounded magnitudes keep the running sums within a small factor of each
+    unit, so the rounding of |a+s| and |a-s| stays far below the near-tie
+    tolerance used by the pre-guess property.
+    """
+    shape = (draw(st.integers(min_units, 6)), draw(st.integers(1, 3)),
+             draw(st.integers(1, 8)))
+    mag = draw(hnp.arrays(np.float64, shape, elements=st.floats(0.5, 2.0)))
+    phase = draw(hnp.arrays(np.float64, shape,
+                            elements=st.floats(-np.pi, np.pi)))
+    return mag * np.exp(1j * phase)
+
+
+# Re(a*conj(s)) within this fraction of |a||s| is a near tie: there the
+# magnitude comparison |a+s| > |a-s| can round either way.
+NEAR_TIE = 1e-12
+# Coherent is compared with an independent sum; rounding may differ by this
+# fraction of the summed magnitudes.
+SUM_RTOL = 1e-12
+
+
+def _pre_guess_magnitude_rule(values):
+    """Pre-guess with the |a+s| > |a-s| sign rule, plus a mask of the cells
+    that met a near tie at some unit."""
+    acc = values[0].copy()
+    near_tie = np.zeros(acc.shape, dtype=bool)
+    for s in values[1:]:
+        near_tie |= (np.abs((acc * np.conj(s)).real)
+                     <= NEAR_TIE * np.abs(acc) * np.abs(s))
+        acc += np.where(np.abs(acc + s) > np.abs(acc - s), 1.0, -1.0) * s
+    return np.abs(acc), near_tie
+
+
+class TestProperties:
+    @given(unit_values(min_units=2))
+    def test_pre_guess_sign_rule_matches_magnitude_rule(self, values):
+        ref, near_tie = _pre_guess_magnitude_rule(values)
+        got = integrate_pre_guess(grids_from_values(values)).values
+        assert np.array_equal(got[~near_tie], ref[~near_tie])
+
+    @given(unit_values())
+    def test_coherent_is_magnitude_of_sum(self, values):
+        got = integrate_coherent(grids_from_values(values)).values
+        ref = np.abs(values.sum(axis=0))
+        assert np.all(np.abs(got - ref) <= SUM_RTOL * np.abs(values).sum(axis=0))
+
+    @given(unit_values())
+    def test_noncoherent_at_least_coherent(self, values):
+        grids = grids_from_values(values)
+        nc = integrate_noncoherent(grids).values
+        co = integrate_coherent(grids).values
+        assert np.all(nc >= co * (1.0 - SUM_RTOL))
 
 
 class TestInvariances:

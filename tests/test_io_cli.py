@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from leoacq import eval_harness
 from leoacq.io_cli import (ReadRangeError, SampleFileMeta, ScenarioConfig,
                            TruncatedFileError, UnknownFormatError, cli,
                            read_samples, read_truth_sidecar, write_samples,
@@ -279,6 +280,25 @@ class TestCli:
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "strategy,total_ms,success_s,decided_s"
         assert len(lines) == 5  # 2 strategies x 2 durations
+
+    @pytest.mark.parametrize("command, out_flag",
+                             [("duration", "--out"), ("sweep", "--out-dir")])
+    def test_each_epoch_correlated_once_per_span(self, strong_config, tmp_path,
+                                                 monkeypatch, capsys, command,
+                                                 out_flag):
+        calls = []
+        process_units = eval_harness.process_units
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return process_units(*args, **kwargs)
+
+        monkeypatch.setattr(eval_harness, "process_units", counted)
+        assert cli([command, "--config", strong_config,
+                    out_flag, str(tmp_path / "out")]) == 0
+        config = ScenarioConfig.from_file(strong_config)
+        spans = {t_ms for _, t_ms in config.run_combos()}
+        assert len(calls) == len(config.scenario().samples) * len(spans)
 
     def test_pipeline_determinism(self, strong_config, tmp_path, capsys):
         d1, d2 = tmp_path / "a", tmp_path / "b"
