@@ -13,6 +13,7 @@ phase relationships that coherent and differential integration rely on.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -66,23 +67,15 @@ def samples_per_code(code: ChipSequence, sample_rate: float) -> int:
     return round(sample_rate * code.code_length / code.chip_rate)
 
 
-# Mixing tables are pure functions of (plan, length, sample rate); cache the
-# big complex exponentials so repeated units reuse them.
-_MIX_CACHE: dict = {}
-_MIX_CACHE_MAX_ELEMENTS = 8_000_000  # ~128 MB of complex128
-
-
+# A mixing table is a pure function of (plan, length, sample rate).  One
+# cached table is enough: every caller correlates all epochs of one span (one
+# plan) before moving to the next, so older tables would never be hit again.
+@functools.lru_cache(maxsize=1)
 def _mixing_table(plan: FrequencyPlan, n: int, sample_rate: float) -> np.ndarray:
-    key = (plan, n, sample_rate)
-    table = _MIX_CACHE.get(key)
-    if table is None:
-        freqs = plan.center + np.asarray(plan.bins)
-        t = np.arange(n) / sample_rate
-        table = np.exp(-2j * np.pi * np.outer(freqs, t))
-        while _MIX_CACHE and (sum(v.size for v in _MIX_CACHE.values())
-                              + table.size > _MIX_CACHE_MAX_ELEMENTS):
-            _MIX_CACHE.pop(next(iter(_MIX_CACHE)))
-        _MIX_CACHE[key] = table
+    freqs = plan.center + np.asarray(plan.bins)
+    t = np.arange(n) / sample_rate
+    table = np.exp(-2j * np.pi * np.outer(freqs, t))
+    table.flags.writeable = False  # shared by every caller
     return table
 
 
@@ -93,28 +86,12 @@ def _code_fft(code: ChipSequence, sample_rate: float) -> np.ndarray:
 def process_unit(signal: SampledSignal, code: ChipSequence,
                  plan: FrequencyPlan) -> CorrelationGrid:
     """Correlate one unit (one code period) against all Doppler bins."""
-    return _process_unit(signal.samples, signal.t0, signal.sample_rate,
-                         code, plan, _code_fft(code, signal.sample_rate))
-
-
-def _process_unit(x, t0, fs, code, plan, code_fft) -> CorrelationGrid:
-    n = samples_per_code(code, fs)
-    if len(x) != n:
+    n = samples_per_code(code, signal.sample_rate)
+    if len(signal.samples) != n:
         raise ValueError(
-            f"unit length mismatch: got {len(x)} samples, one code period "
-            f"is {n} at {fs} Hz")
-    table = _mixing_table(plan, n, fs)
-    mixed = table * x
-    spec = scipy.fft.fft(mixed, axis=1, workers=_FFT_WORKERS)
-    spec *= code_fft
-    values = scipy.fft.ifft(spec, axis=1, workers=_FFT_WORKERS)
-    if t0 != 0.0:
-        # Fold in the local-oscillator phase accumulated up to this unit's
-        # start so the LO is continuous across units.
-        freqs = plan.center + np.asarray(plan.bins)
-        values *= np.exp(-2j * np.pi * ((freqs * t0) % 1.0))[:, None]
-    return CorrelationGrid(values=values, plan=plan, samples_per_code=n,
-                           samples_per_chip=round(fs / code.chip_rate))
+            f"unit length mismatch: got {len(signal.samples)} samples, one "
+            f"code period is {n} at {signal.sample_rate} Hz")
+    return process_units(signal, code, plan)[0]
 
 
 def process_units(signal: SampledSignal, code: ChipSequence,
@@ -122,7 +99,8 @@ def process_units(signal: SampledSignal, code: ChipSequence,
     """Split a multi-millisecond signal into consecutive units and process each.
 
     All grids share the same plan; unit m starts count*m samples into the
-    signal with its start time advanced accordingly.
+    signal with its start time advanced accordingly.  Each unit's grid is one
+    forward and one inverse FFT over the mixed (bins, n) matrix.
     """
     fs = signal.sample_rate
     n = samples_per_code(code, fs)
@@ -135,7 +113,21 @@ def process_units(signal: SampledSignal, code: ChipSequence,
                 f"the {n}-sample unit")
     elif count > m_total:
         raise ValueError(f"signal too short for {count} units of {n} samples")
+    table = _mixing_table(plan, n, fs)
     code_fft = _code_fft(code, fs)
-    return [_process_unit(signal.samples[m * n:(m + 1) * n],
-                          signal.t0 + m * n / fs, fs, code, plan, code_fft)
-            for m in range(count)]
+    freqs = plan.center + np.asarray(plan.bins)
+    samples_per_chip = round(fs / code.chip_rate)
+    grids = []
+    for m in range(count):
+        t0 = signal.t0 + m * n / fs
+        spec = scipy.fft.fft(table * signal.samples[m * n:(m + 1) * n],
+                             axis=1, workers=_FFT_WORKERS)
+        spec *= code_fft
+        values = scipy.fft.ifft(spec, axis=1, workers=_FFT_WORKERS)
+        if t0 != 0.0:
+            # Fold in the local-oscillator phase accumulated up to this unit's
+            # start so the LO is continuous across units.
+            values *= np.exp(-2j * np.pi * ((freqs * t0) % 1.0))[:, None]
+        grids.append(CorrelationGrid(values=values, plan=plan, samples_per_code=n,
+                                     samples_per_chip=samples_per_chip))
+    return grids

@@ -150,7 +150,7 @@ def run_strategies(epoch: SampledSignal, code: ChipSequence,
     if len(spans) != 1:
         raise ValueError(f"specs must share one span, got {sorted(spans)} ms")
     n = samples_per_code(code, epoch.sample_rate)
-    m = specs[0].unit_count
+    m = specs[0].total_ms
     if len(epoch.samples) < m * n:
         raise ValueError(
             f"epoch at t={epoch.t0} has {len(epoch.samples)} samples, "

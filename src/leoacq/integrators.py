@@ -34,24 +34,35 @@ class Strategy(enum.Enum):
     ALTERNATE_HALF_BIT = "alternatehalfbit"
 
 
+def span_error(strategy: Strategy, total_ms) -> str | None:
+    """Why strategy is undefined over total_ms 1 ms units, or None if it is
+    defined there.  This is the one span-validity rule: specs, integrators
+    and configs all ask it."""
+    if not isinstance(total_ms, (int, np.integer)) or total_ms < 1:
+        return (f"a span must be a whole number of at least one 1 ms unit, "
+                f"got {total_ms!r}")
+    if strategy is Strategy.DIFFERENTIAL and total_ms < 2:
+        return f"differential integration needs at least two units, got {total_ms}"
+    if strategy is Strategy.ALTERNATE_HALF_BIT and total_ms % (2 * BLOCK_UNITS):
+        return (f"alternate half-bit needs a multiple of {2 * BLOCK_UNITS} "
+                f"units, got {total_ms}")
+    return None
+
+
+def strategy_valid_at(strategy: Strategy, total_ms: int) -> bool:
+    """Whether a strategy is mathematically defined for this span."""
+    return span_error(strategy, total_ms) is None
+
+
 @dataclass
 class IntegrationSpec:
     strategy: Strategy
     total_ms: int
-    unit_ms: int = 1
 
     def __post_init__(self):
-        if self.total_ms % self.unit_ms != 0:
-            raise ValueError(
-                f"total_ms {self.total_ms} not a multiple of unit_ms {self.unit_ms}")
-        if (self.strategy is Strategy.ALTERNATE_HALF_BIT
-                and self.total_ms % (2 * BLOCK_UNITS * self.unit_ms) != 0):
-            raise ValueError(
-                "alternate half-bit needs total_ms to be a multiple of 20")
-
-    @property
-    def unit_count(self) -> int:
-        return self.total_ms // self.unit_ms
+        reason = span_error(self.strategy, self.total_ms)
+        if reason:
+            raise ValueError(reason)
 
 
 @dataclass
@@ -64,9 +75,8 @@ class DetectionGrid:
     samples_per_chip: int
 
 
-def _check_grids(grids: list[CorrelationGrid]) -> None:
-    if not grids:
-        raise ValueError("need at least one unit grid")
+def _check_grids(grids: list[CorrelationGrid], strategy: Strategy) -> None:
+    IntegrationSpec(strategy, len(grids))  # raises if the span is undefined
     first = grids[0]
     for g in grids[1:]:
         if g.plan != first.plan or g.values.shape != first.values.shape:
@@ -81,7 +91,7 @@ def _result(values: np.ndarray, grids, strategy: Strategy) -> DetectionGrid:
 
 def integrate_noncoherent(grids: list[CorrelationGrid]) -> DetectionGrid:
     """Sum of unit magnitudes per cell."""
-    _check_grids(grids)
+    _check_grids(grids, Strategy.NON_COHERENT)
     acc = np.abs(grids[0].values)
     for g in grids[1:]:
         acc += np.abs(g.values)
@@ -90,7 +100,7 @@ def integrate_noncoherent(grids: list[CorrelationGrid]) -> DetectionGrid:
 
 def integrate_coherent(grids: list[CorrelationGrid]) -> DetectionGrid:
     """Magnitude of the complex sum per cell."""
-    _check_grids(grids)
+    _check_grids(grids, Strategy.COHERENT)
     acc = grids[0].values.copy()
     for g in grids[1:]:
         acc += g.values
@@ -105,7 +115,7 @@ def integrate_pre_guess(grids: list[CorrelationGrid]) -> DetectionGrid:
     pattern matters under the outer magnitude).  |a+s| > |a-s| is tested in
     its equivalent form Re(a*conj(s)) > 0, which needs no complex temporaries.
     """
-    _check_grids(grids)
+    _check_grids(grids, Strategy.PRE_GUESS)
     acc = grids[0].values.copy()
     dot = np.empty(acc.shape)
     sign = np.empty(acc.shape)
@@ -123,9 +133,7 @@ def integrate_pre_guess(grids: list[CorrelationGrid]) -> DetectionGrid:
 
 def integrate_differential(grids: list[CorrelationGrid]) -> DetectionGrid:
     """Magnitude of the sum of adjacent conjugate products (M-1 terms)."""
-    _check_grids(grids)
-    if len(grids) < 2:
-        raise ValueError("differential integration needs at least two units")
+    _check_grids(grids, Strategy.DIFFERENTIAL)
     acc = np.conj(grids[0].values) * grids[1].values
     for m in range(2, len(grids)):
         acc += np.conj(grids[m - 1].values) * grids[m].values
@@ -139,13 +147,9 @@ def integrate_alternate_half_bit(grids: list[CorrelationGrid]) -> DetectionGrid:
     parities is guaranteed transition-free inside its blocks; the cellwise
     larger of the two non-coherent accumulations is the detection value.
     """
-    _check_grids(grids)
-    m = len(grids)
-    if m % (2 * BLOCK_UNITS) != 0:
-        raise ValueError(
-            f"alternate half-bit needs a multiple of {2 * BLOCK_UNITS} units, got {m}")
+    _check_grids(grids, Strategy.ALTERNATE_HALF_BIT)
     parity_acc = [np.zeros(grids[0].values.shape), np.zeros(grids[0].values.shape)]
-    for b in range(m // BLOCK_UNITS):
+    for b in range(len(grids) // BLOCK_UNITS):
         block = grids[b * BLOCK_UNITS].values.copy()
         for g in grids[b * BLOCK_UNITS + 1:(b + 1) * BLOCK_UNITS]:
             block += g.values
@@ -166,13 +170,3 @@ _INTEGRATORS = {
 def integrate(grids: list[CorrelationGrid], strategy: Strategy) -> DetectionGrid:
     """Dispatch to the named strategy."""
     return _INTEGRATORS[strategy](grids)
-
-
-def strategy_valid_at(strategy: Strategy, total_ms: int, unit_ms: int = 1) -> bool:
-    """Whether a strategy is mathematically defined for this span."""
-    m = total_ms // unit_ms
-    if strategy is Strategy.DIFFERENTIAL:
-        return m >= 2
-    if strategy is Strategy.ALTERNATE_HALF_BIT:
-        return m % (2 * BLOCK_UNITS) == 0 and m > 0
-    return m >= 1

@@ -3,9 +3,10 @@
 Binary sample formats are little-endian; integer formats carry samples
 scaled to [-1, 1) by the type's max magnitude, and the -iq variants
 interleave I then Q per sample.  A synthesized sample file is accompanied
-by a plain-text key=value truth sidecar (<name>.truth) that records the
-file layout and the per-epoch synthesis truth, which is enough to label
-acquisition results without re-synthesizing.
+by a JSON truth sidecar (<name>.truth) that records the file layout and
+each epoch's start time and SynthParams, which is enough to label
+acquisition results without re-synthesizing.  Sidecars in the older
+key=value text form are rejected with a data error (exit 2).
 
 Subcommands: synth, pass, acquire, sweep, duration.  Exit codes: 0 success,
 1 usage error, 2 data error.
@@ -17,18 +18,17 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from .prn_code import generate_code
 from .geometry import simulate_pass, PassScenario
 from .signal_synth import SampledSignal, SynthParams, synthesize_pass_signal
-from .acq_core import make_plan, samples_per_code
-from .integrators import IntegrationSpec, Strategy, strategy_valid_at
+from .acq_core import make_plan
+from .integrators import IntegrationSpec, Strategy, span_error, strategy_valid_at
 from .eval_harness import (EpochLabel, PfCurve, acquisition_timeline,
-                           label_epochs, pf_sweep, run_strategies,
-                           threshold_bounds, truth_from_epoch)
+                           pf_sweep, run_strategies, threshold_bounds)
 from .detector import AcqResult
 
 
@@ -64,7 +64,6 @@ class SampleFileMeta:
     sample_rate: float
     intermediate_freq: float
     format: str = "float32-real"
-    byte_order: str = "little"
     t0: float = 0.0
 
     def __post_init__(self):
@@ -72,8 +71,6 @@ class SampleFileMeta:
             raise UnknownFormatError(
                 f"unknown sample format {self.format!r}; "
                 f"supported: {', '.join(sorted(_FORMATS))}")
-        if self.byte_order != "little":
-            raise UnknownFormatError("only little-endian files are supported")
 
     @property
     def bytes_per_sample(self) -> int:
@@ -105,7 +102,7 @@ def read_samples(path, meta: SampleFileMeta, offset: int = 0,
     if scale is not None:
         vals /= scale
     if is_iq:
-        vals = vals[0::2] + 1j * vals[1::2]
+        vals = vals.view(np.complex128)
     return SampledSignal(samples=vals, sample_rate=meta.sample_rate,
                          t0=meta.t0 + offset / meta.sample_rate)
 
@@ -118,10 +115,7 @@ def write_samples(signal: SampledSignal, path, meta: SampleFileMeta) -> int:
     if not np.all(np.isfinite(x)):
         raise ValueError("signal contains non-finite samples")
     if is_iq:
-        x = x.astype(np.complex128)
-        flat = np.empty(2 * len(x), dtype=np.float64)
-        flat[0::2] = x.real
-        flat[1::2] = x.imag
+        flat = x.astype(np.complex128).view(np.float64)
     else:
         if np.iscomplexobj(x):
             raise ValueError(
@@ -143,95 +137,38 @@ def write_samples(signal: SampledSignal, path, meta: SampleFileMeta) -> int:
 # Truth sidecar
 # ---------------------------------------------------------------------------
 
-def _fmt(v) -> str:
-    if v is None:
-        return "none"
-    if isinstance(v, bool):
-        return str(int(v))
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def write_truth_sidecar(path, meta: SampleFileMeta, epochs: list[SampledSignal],
-                        chip_rate: float, code_length: int,
                         epoch_step: float) -> None:
-    """Record the file layout plus the per-epoch synthesis truth."""
-    base = epochs[0].truth
-    spe = len(epochs[0].samples)
-    lines = [
-        f"format={meta.format}",
-        f"sample_rate={_fmt(meta.sample_rate)}",
-        f"intermediate_freq={_fmt(meta.intermediate_freq)}",
-        f"t0={_fmt(meta.t0)}",
-        f"prn_id={base.prn_id}",
-        f"carrier_freq={_fmt(base.carrier_freq)}",
-        f"chip_rate={_fmt(chip_rate)}",
-        f"code_length={code_length}",
-        f"bit_phase0={_fmt(base.bit_phase0)}",
-        f"duration={_fmt(base.duration)}",
-        f"epoch_step={_fmt(epoch_step)}",
-        f"samples_per_epoch={spe}",
-        f"epoch_count={len(epochs)}",
-    ]
-    for k, e in enumerate(epochs):
-        p = e.truth
-        bits = ("" if p.data_bits is None
-                else ",".join(str(int(b)) for b in np.asarray(p.data_bits)))
-        lines += [
-            f"epoch.{k}.t={_fmt(e.t0)}",
-            f"epoch.{k}.doppler0={_fmt(p.doppler0)}",
-            f"epoch.{k}.doppler_rate={_fmt(p.doppler_rate)}",
-            f"epoch.{k}.amplitude={_fmt(p.amplitude)}",
-            f"epoch.{k}.cn0={_fmt(p.cn0)}",
-            f"epoch.{k}.code_phase0={_fmt(p.code_phase0)}",
-            f"epoch.{k}.seed={p.seed}",
-            f"epoch.{k}.data_bits={bits}",
-        ]
+    """Record the file layout plus each epoch's start time and SynthParams."""
+    record = {**asdict(meta), "epoch_step": epoch_step,
+              "samples_per_epoch": len(epochs[0].samples),
+              "epoch_count": len(epochs),
+              "epochs": [{"t": e.t0, **asdict(e.truth)} for e in epochs]}
     with open(path, "w", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write(json.dumps(record, default=np.ndarray.tolist))  # data_bits arrays
 
 
 def read_truth_sidecar(path) -> tuple[dict, list[dict]]:
-    """Parse a truth sidecar into a header dict and per-epoch dicts."""
-    kv = {}
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, val = line.partition("=")
-            kv[key] = val
-    header = {
-        "format": kv["format"],
-        "sample_rate": float(kv["sample_rate"]),
-        "intermediate_freq": float(kv["intermediate_freq"]),
-        "t0": float(kv["t0"]),
-        "prn_id": int(kv["prn_id"]),
-        "carrier_freq": float(kv["carrier_freq"]),
-        "chip_rate": float(kv["chip_rate"]),
-        "code_length": int(kv["code_length"]),
-        "bit_phase0": float(kv["bit_phase0"]),
-        "duration": float(kv["duration"]),
-        "epoch_step": float(kv["epoch_step"]),
-        "samples_per_epoch": int(kv["samples_per_epoch"]),
-        "epoch_count": int(kv["epoch_count"]),
-    }
-    epochs = []
-    for k in range(header["epoch_count"]):
-        pre = f"epoch.{k}."
-        bits_str = kv[pre + "data_bits"]
-        epochs.append({
-            "t": float(kv[pre + "t"]),
-            "doppler0": float(kv[pre + "doppler0"]),
-            "doppler_rate": float(kv[pre + "doppler_rate"]),
-            "amplitude": float(kv[pre + "amplitude"]),
-            "cn0": None if kv[pre + "cn0"] == "none" else float(kv[pre + "cn0"]),
-            "code_phase0": float(kv[pre + "code_phase0"]),
-            "seed": int(kv[pre + "seed"]),
-            "data_bits": (None if bits_str == "" else
-                          np.array([float(b) for b in bits_str.split(",")])),
-        })
+    """Parse a truth sidecar into a header dict and per-epoch dicts.
+
+    Each epoch dict holds "t" plus every SynthParams field, data_bits as an
+    array or None.
+    """
+    try:
+        with open(path) as f:
+            header = json.load(f)
+    except json.JSONDecodeError as e:
+        raise SampleFileError(
+            f"{path}: not a JSON truth sidecar ({e}); re-run synth to "
+            f"regenerate it") from e
+    epochs = header.pop("epochs")
+    keys = {"t"} | {f.name for f in fields(SynthParams)}
+    for e in epochs:
+        if e.keys() != keys:
+            raise SampleFileError(f"{path}: epoch fields {sorted(e)} are not "
+                                  f"t plus the SynthParams fields")
+        if e["data_bits"] is not None:
+            e["data_bits"] = np.array(e["data_bits"], dtype=np.float64)
     return header, epochs
 
 
@@ -269,11 +206,21 @@ class ScenarioConfig:
     sample_format: str = "float32-real"
 
     def __post_init__(self):
+        for name, entries in (("strategies", self.strategies),
+                              ("total_ms", self.total_ms)):
+            if not entries or len(set(entries)) != len(entries):
+                raise ValueError(f"{name} must be a non-empty list without "
+                                 f"repeats, got {entries!r}")
         for name in self.strategies:
             if name not in _STRATEGY_NAMES:
                 raise ValueError(
                     f"unknown strategy {name!r}; "
                     f"supported: {', '.join(sorted(_STRATEGY_NAMES))}")
+        for t_ms in self.total_ms:
+            # coherent is defined at every valid span
+            reason = span_error(Strategy.COHERENT, t_ms)
+            if reason:
+                raise ValueError(f"total_ms: {reason}")
         if self.data_bits not in ("ones", "random"):
             raise ValueError("data_bits must be 'ones' or 'random'")
         if self.threshold <= 0:
@@ -285,6 +232,10 @@ class ScenarioConfig:
         if self.sample_format not in _FORMATS:
             raise UnknownFormatError(f"unknown sample format {self.sample_format!r}")
         generate_code(self.prn_id)  # validates the PRN id
+        if next(self.run_combos(), None) is None:
+            raise ValueError(
+                f"no strategy in strategies {self.strategies} is defined at "
+                f"any span in total_ms {self.total_ms}")
 
     @classmethod
     def from_file(cls, path) -> "ScenarioConfig":
@@ -367,6 +318,10 @@ def duration_rows(entries: list[tuple[Strategy, int, float, float]]) -> str:
 
 
 def _write_text(path, text: str) -> None:
+    """Write text to path, or to stdout when path is None."""
+    if path is None:
+        sys.stdout.write(text)
+        return
     with open(path, "w", newline="\n") as f:
         f.write(text)
 
@@ -440,9 +395,7 @@ def _cmd_synth(args) -> int:
         samples=np.concatenate([e.samples for e in epochs]),
         sample_rate=config.sample_rate, t0=epochs[0].t0)
     clipped = write_samples(stream, args.out, meta)
-    code = generate_code(config.prn_id)
     write_truth_sidecar(args.out + ".truth", meta, epochs,
-                        chip_rate=code.chip_rate, code_length=code.code_length,
                         epoch_step=config.epoch_step)
     msg = (f"wrote {len(epochs)} epochs x {len(epochs[0].samples)} samples "
            f"({fmt}) to {args.out}")
@@ -454,48 +407,28 @@ def _cmd_synth(args) -> int:
 
 def _cmd_pass(args) -> int:
     config = _load_config(args)
-    csv = config.scenario().to_csv()
-    if args.out:
-        _write_text(args.out, csv)
-    else:
-        sys.stdout.write(csv)
+    _write_text(args.out, config.scenario().to_csv())
     return 0
 
 
 def _cmd_acquire(args) -> int:
-    header, epoch_truths = read_truth_sidecar(args.samples + ".truth")
-    meta = SampleFileMeta(sample_rate=header["sample_rate"],
-                          intermediate_freq=header["intermediate_freq"],
-                          format=header["format"], t0=header["t0"])
     strategy = _STRATEGY_NAMES[args.strategy]
-    if not strategy_valid_at(strategy, args.total_ms):
-        raise ValueError(
-            f"strategy {args.strategy} is not defined at {args.total_ms} ms")
     spec = IntegrationSpec(strategy=strategy, total_ms=args.total_ms)
-    plan = make_plan(header["intermediate_freq"], args.half_span, args.total_ms)
+    header, epoch_truths = read_truth_sidecar(args.samples + ".truth")
+    meta = SampleFileMeta(**{f.name: header[f.name] for f in fields(SampleFileMeta)})
+    plan = make_plan(meta.intermediate_freq, args.half_span, args.total_ms)
 
     spe = header["samples_per_epoch"]
     epochs = []
-    for k, tru in enumerate(epoch_truths):
+    for k, truth in enumerate(epoch_truths):
         sig = read_samples(args.samples, meta, offset=k * spe, count=spe)
-        sig.t0 = tru["t"]
-        sig.truth = SynthParams(
-            prn_id=header["prn_id"], sample_rate=header["sample_rate"],
-            intermediate_freq=header["intermediate_freq"],
-            carrier_freq=header["carrier_freq"], amplitude=tru["amplitude"],
-            code_phase0=tru["code_phase0"], doppler0=tru["doppler0"],
-            doppler_rate=tru["doppler_rate"], data_bits=tru["data_bits"],
-            bit_phase0=header["bit_phase0"], cn0=tru["cn0"],
-            duration=header["duration"], seed=tru["seed"])
+        sig.t0 = truth.pop("t")
+        sig.truth = SynthParams(**truth)
         epochs.append(sig)
 
     results, labels, summary = acquisition_timeline(
         epochs, spec, plan, args.threshold)
-    csv = timeline_rows(results, labels, strategy, args.total_ms)
-    if args.out:
-        _write_text(args.out, csv)
-    else:
-        sys.stdout.write(csv)
+    _write_text(args.out, timeline_rows(results, labels, strategy, args.total_ms))
     print(f"success {summary.success_s!r} s, decided {summary.decided_s!r} s",
           file=sys.stderr)
     return 0
@@ -575,8 +508,7 @@ def cli(argv) -> int:
         return int(e.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (SampleFileError, OSError, ValueError, KeyError,
-            json.JSONDecodeError) as e:
+    except (SampleFileError, OSError, ValueError, KeyError) as e:
         print(f"leoacq {args.command}: error: {e}", file=sys.stderr)
         return 2
 

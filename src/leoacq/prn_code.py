@@ -4,13 +4,13 @@ The transmitted navigation signal is BPSK-spread with a 1023-chip Gold code
 at 1.023 Mchip/s (one period per millisecond), generated from the classic
 pair of 10-stage linear feedback shift registers.  The actual code family of
 the target satellite is not public, so the GPS C/A family (PRN 1..37) is
-used as a stand-in; chip rate and length are carried on the sequence object
-so other families can be substituted.
+used as a stand-in; the chip rate is carried on the sequence object and the
+length is that of its chips, so other families can be substituted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,17 +42,15 @@ class ChipSequence:
     prn_id: int
     chips: np.ndarray
     chip_rate: float = CHIP_RATE
-    code_length: int = field(default=0)
 
     def __post_init__(self):
         self.chips = np.asarray(self.chips, dtype=np.float64)
-        if self.code_length == 0:
-            self.code_length = len(self.chips)
-        if self.code_length != len(self.chips):
-            raise ValueError(
-                f"code_length {self.code_length} != number of chips {len(self.chips)}")
         if not np.all(np.abs(self.chips) == 1.0):
             raise ValueError("chips must all be +1 or -1")
+
+    @property
+    def code_length(self) -> int:
+        return len(self.chips)
 
     @property
     def period_s(self) -> float:

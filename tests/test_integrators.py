@@ -10,7 +10,8 @@ from leoacq.detector import decide, mtsmr
 from leoacq.integrators import (IntegrationSpec, Strategy, integrate,
                                 integrate_alternate_half_bit,
                                 integrate_coherent, integrate_differential,
-                                integrate_noncoherent, integrate_pre_guess)
+                                integrate_noncoherent, integrate_pre_guess,
+                                strategy_valid_at)
 from leoacq.signal_synth import SampledSignal, noise_sigma, synthesize
 
 from conftest import (FS_FULL, FIF_FULL, FS_FAST, FIF_FAST, fast_params,
@@ -225,8 +226,25 @@ class TestErrors:
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="multiple of 20"):
             IntegrationSpec(Strategy.ALTERNATE_HALF_BIT, total_ms=30)
-        with pytest.raises(ValueError, match="multiple of unit_ms"):
-            IntegrationSpec(Strategy.COHERENT, total_ms=5, unit_ms=2)
+        with pytest.raises(ValueError, match="whole number"):
+            IntegrationSpec(Strategy.COHERENT, total_ms=2.5)
+
+
+    @pytest.mark.parametrize("total_ms", range(42))
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_one_span_rule(self, strategy, total_ms):
+        # strategy_valid_at, IntegrationSpec and the integrator agree.
+        def accepts(build):
+            try:
+                build()
+            except ValueError:
+                return False
+            return True
+
+        valid = strategy_valid_at(strategy, total_ms)
+        assert accepts(lambda: IntegrationSpec(strategy, total_ms)) == valid
+        grids = grids_from_values([np.ones((2, 4))] * total_ms) if total_ms else []
+        assert accepts(lambda: integrate(grids, strategy)) == valid
 
 
 class TestSynthesizedOrdering:

@@ -1,16 +1,21 @@
 """Sample-file I/O, scenario config, and CLI tests."""
 
 import json
+import tempfile
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from leoacq import eval_harness
 from leoacq.io_cli import (ReadRangeError, SampleFileMeta, ScenarioConfig,
                            TruncatedFileError, UnknownFormatError, cli,
                            read_samples, read_truth_sidecar, write_samples,
                            write_truth_sidecar)
-from leoacq.signal_synth import SampledSignal, synthesize
+from leoacq.signal_synth import SampledSignal, SynthParams, synthesize
 
 from conftest import FS_FAST, FIF_FAST, fast_params
 
@@ -109,6 +114,98 @@ class TestSampleFiles:
             write_samples(_sig(np.array([np.nan])), tmp_path / "x.bin", _meta())
 
 
+def _round_trip(signal, fmt):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "x.bin"
+        clipped = write_samples(signal, path, _meta(fmt))
+        return read_samples(path, _meta(fmt)).samples, clipped
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+float32s = st.floats(allow_nan=False, allow_infinity=False, width=32)
+unit_interval = st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+class TestSampleFileProperties:
+    @given(hnp.arrays(np.float32, st.integers(0, 64), elements=float32s))
+    def test_float32_real_round_trip_bitwise(self, vals):
+        x = vals.astype(np.float64)
+        back, _ = _round_trip(_sig(x), "float32-real")
+        assert back.tobytes() == x.tobytes()
+
+    @given(hnp.arrays(np.float32, st.tuples(st.integers(0, 64), st.just(2)),
+                      elements=float32s))
+    def test_float32_iq_round_trip_bitwise(self, pairs):
+        x = pairs.astype(np.float64).view(np.complex128).ravel()
+        back, _ = _round_trip(_sig(x), "float32-iq")
+        assert back.tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("fmt", ["int8-real", "int16-real",
+                                     "int8-iq", "int16-iq"])
+    @given(data=st.data())
+    def test_integer_round_trip_within_half_lsb(self, fmt, data):
+        # Inside the format's range the error is at most half an LSB.
+        # Samples that round past the largest code saturate there and are
+        # counted as clipped.
+        n = data.draw(st.integers(0, 64))
+        x = data.draw(hnp.arrays(np.float64, n, elements=unit_interval))
+        if fmt.endswith("-iq"):
+            x = x + 1j * data.draw(hnp.arrays(np.float64, n,
+                                              elements=unit_interval))
+        scale = {"int8": 128.0, "int16": 32768.0}[fmt.split("-")[0]]
+        top = (scale - 1) / scale
+        back, clipped = _round_trip(_sig(x), fmt)
+        parts = [(x, back)] if not fmt.endswith("-iq") else [
+            (x.real, back.real), (x.imag, back.imag)]
+        saturated = 0
+        for want, got in parts:
+            over = np.round(want * scale) > scale - 1
+            saturated += np.count_nonzero(over)
+            assert np.all(np.abs(got - want)[~over] <= 0.5 / scale)
+            assert np.all(got[over] == top)
+        assert clipped == saturated
+
+
+synth_params = st.builds(
+    SynthParams,
+    prn_id=st.integers(1, 37), sample_rate=finite, intermediate_freq=finite,
+    carrier_freq=finite, amplitude=finite, code_phase0=finite,
+    doppler0=finite, doppler_rate=finite,
+    data_bits=st.none() | hnp.arrays(np.float64, st.integers(1, 8),
+                                     elements=st.sampled_from([1.0, -1.0])),
+    bit_phase0=finite, cn0=st.none() | finite, duration=finite,
+    seed=st.integers(0, 2 ** 64 - 1))
+
+EXTREMES = SynthParams(
+    prn_id=37, sample_rate=1.7976931348623157e308, intermediate_freq=-0.0,
+    carrier_freq=5e-324, amplitude=-1.7976931348623157e308,
+    code_phase0=2.2250738585072014e-308, doppler0=-0.0, doppler_rate=0.1,
+    data_bits=np.array([-1.0, 1.0, -1.0]), bit_phase0=-5e-324, cn0=None,
+    duration=1e-3, seed=2 ** 64 - 1)
+
+
+class TestTruthSidecarProperties:
+    @given(st.lists(st.tuples(finite, synth_params), min_size=1, max_size=4))
+    @example([(-0.0, EXTREMES), (1.0, SynthParams())])
+    def test_synth_params_round_trip(self, epochs):
+        signals = [SampledSignal(samples=np.zeros(3), sample_rate=1.0, t0=t,
+                                 truth=p) for t, p in epochs]
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "x.bin.truth"
+            write_truth_sidecar(path, _meta(), signals, epoch_step=1.0)
+            header, truths = read_truth_sidecar(path)
+        assert header["epoch_count"] == len(epochs)
+        for (t, want), truth in zip(epochs, truths):
+            assert repr(truth.pop("t")) == repr(t)
+            got = SynthParams(**truth)
+            for f in fields(SynthParams):
+                a, b = getattr(got, f.name), getattr(want, f.name)
+                if f.name == "data_bits" and b is not None:
+                    assert np.array_equal(a, b)
+                else:
+                    assert repr(a) == repr(b), f.name
+
+
 class TestTruthSidecar:
     def test_round_trip(self, tmp_path):
         epochs = []
@@ -120,8 +217,7 @@ class TestTruthSidecar:
             e.t0 = float(k)
             epochs.append(e)
         path = tmp_path / "x.bin.truth"
-        write_truth_sidecar(path, _meta(), epochs, chip_rate=1.023e6,
-                            code_length=1023, epoch_step=1.0)
+        write_truth_sidecar(path, _meta(), epochs, epoch_step=1.0)
         header, truths = read_truth_sidecar(path)
         assert header["epoch_count"] == 3
         assert header["sample_rate"] == FS_FAST
@@ -135,7 +231,7 @@ class TestTruthSidecar:
         e = synthesize(fast_params(cn0=None, duration=1e-3))
         e.t0 = 0.0
         path = tmp_path / "y.truth"
-        write_truth_sidecar(path, _meta(), [e], 1.023e6, 1023, 1.0)
+        write_truth_sidecar(path, _meta(), [e], 1.0)
         _, truths = read_truth_sidecar(path)
         assert truths[0]["cn0"] is None
         assert truths[0]["data_bits"] is None
@@ -178,6 +274,24 @@ class TestScenarioConfig:
         assert (Strategy.DIFFERENTIAL, 20) in combos
         assert (Strategy.ALTERNATE_HALF_BIT, 1) not in combos
         assert (Strategy.ALTERNATE_HALF_BIT, 20) in combos
+
+    @pytest.mark.parametrize("command, out_flag",
+                             [("duration", "--out"), ("sweep", "--out-dir")])
+    @pytest.mark.parametrize("overrides, field_name", [
+        (dict(strategies=["coherent", "coherent"]), "strategies"),
+        (dict(total_ms=[1, 1]), "total_ms"),
+        (dict(total_ms=[5.0]), "total_ms"),
+        (dict(total_ms=[0]), "total_ms"),
+        (dict(strategies=[]), "strategies"),
+        (dict(strategies=["differential"], total_ms=[1]), "total_ms"),
+    ])
+    def test_bad_lists_exit_two(self, tmp_path, capsys, command, out_flag,
+                                overrides, field_name):
+        config = self._write(tmp_path, **overrides)
+        out = tmp_path / "out"
+        assert cli([command, "--config", str(config), out_flag, str(out)]) == 2
+        assert field_name in capsys.readouterr().err
+        assert not out.exists()
 
     def test_threshold_grid_forms(self, tmp_path):
         config = ScenarioConfig.from_file(self._write(
@@ -315,6 +429,30 @@ class TestCli:
                     "--seed", "2"]) == 0
         assert ((d1 / "pf_curve.csv").read_bytes()
                 != (d2 / "pf_curve.csv").read_bytes())
+
+    def test_acquire_old_key_value_sidecar_exits_two(self, strong_config,
+                                                     tmp_path, capsys):
+        samples = str(tmp_path / "pass.bin")
+        assert cli(["synth", "--config", strong_config, "--out", samples]) == 0
+        with open(samples + ".truth", "w") as f:
+            f.write("format=float32-real\nsample_rate=1023000.0\n")
+        capsys.readouterr()
+        assert cli(["acquire", "--samples", samples]) == 2
+        assert samples + ".truth" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("strategy, total_ms, reason", [
+        ("alternatehalfbit", "10", "multiple of 20"),
+        ("differential", "1", "at least two"),
+    ])
+    def test_acquire_undefined_span_exits_two(self, strong_config, tmp_path,
+                                              capsys, strategy, total_ms,
+                                              reason):
+        samples = str(tmp_path / "pass.bin")
+        assert cli(["synth", "--config", strong_config, "--out", samples]) == 0
+        capsys.readouterr()
+        assert cli(["acquire", "--samples", samples, "--strategy", strategy,
+                    "--total-ms", total_ms]) == 2
+        assert reason in capsys.readouterr().err
 
     def test_bad_config_json_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
