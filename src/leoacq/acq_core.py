@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .prn_code import ChipSequence, sample_code
+from .prn_code import ChipSequence, sample_code, samples_per_code
 from .signal_synth import SampledSignal
 
 _FFT_WORKERS = -1  # all cores; per-row transforms, deterministic
@@ -31,7 +31,6 @@ class FrequencyPlan:
     """Trial Doppler offsets around a mixing center frequency."""
 
     center: float       # Hz, absolute (typically the IF)
-    half_span: float    # Hz
     bin_width: float    # Hz
     bins: tuple         # Doppler offsets relative to center, ascending
 
@@ -49,22 +48,17 @@ def make_plan(center: float, half_span: float, total_coh_ms: int) -> FrequencyPl
     bin_width = 500.0 / total_coh_ms
     n_side = math.ceil(half_span / bin_width)
     bins = tuple((k - n_side) * bin_width for k in range(2 * n_side + 1))
-    return FrequencyPlan(center=center, half_span=half_span,
-                         bin_width=bin_width, bins=bins)
+    return FrequencyPlan(center=center, bin_width=bin_width, bins=bins)
 
 
 @dataclass
 class CorrelationGrid:
-    """Complex correlation values over (Doppler bin, code-phase sample)."""
+    """Values over (Doppler bin, code-phase sample): one 1 ms unit's complex
+    correlations, or the non-negative detection values integrated from them."""
 
-    values: np.ndarray          # shape (len(plan.bins), samples_per_code)
+    values: np.ndarray          # shape (len(plan.bins), samples per code)
     plan: FrequencyPlan
-    samples_per_code: int
     samples_per_chip: int
-
-
-def samples_per_code(code: ChipSequence, sample_rate: float) -> int:
-    return round(sample_rate * code.code_length / code.chip_rate)
 
 
 # A mixing table is a pure function of (plan, length, sample rate).  One
@@ -112,7 +106,10 @@ def process_units(signal: SampledSignal, code: ChipSequence,
                 f"signal length {len(signal.samples)} is not a multiple of "
                 f"the {n}-sample unit")
     elif count > m_total:
-        raise ValueError(f"signal too short for {count} units of {n} samples")
+        raise ValueError(
+            f"signal at t={signal.t0} is too short: it has "
+            f"{len(signal.samples)} samples and needs {count * n} for "
+            f"{count} units")
     table = _mixing_table(plan, n, fs)
     code_fft = _code_fft(code, fs)
     freqs = plan.center + np.asarray(plan.bins)
@@ -128,6 +125,6 @@ def process_units(signal: SampledSignal, code: ChipSequence,
             # Fold in the local-oscillator phase accumulated up to this unit's
             # start so the LO is continuous across units.
             values *= np.exp(-2j * np.pi * ((freqs * t0) % 1.0))[:, None]
-        grids.append(CorrelationGrid(values=values, plan=plan, samples_per_code=n,
+        grids.append(CorrelationGrid(values=values, plan=plan,
                                      samples_per_chip=samples_per_chip))
     return grids

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrators import DetectionGrid
+from .acq_core import CorrelationGrid
 
 DEFAULT_MTSMR_THRESHOLD = 2.5
 
@@ -33,10 +33,9 @@ class AcqResult:
     mtsmr: float
     mtmr: float
     decided: bool
-    threshold_used: float
 
 
-def peak(grid: DetectionGrid) -> tuple[int, int, float]:
+def peak(grid: CorrelationGrid) -> tuple[int, int, float]:
     """Global argmax over (bin, sample); ties break to lowest bin then sample."""
     v = grid.values
     if v.size == 0:
@@ -54,7 +53,7 @@ def _cyclic_window_mask(n: int, center: int, half_width: int) -> np.ndarray:
     return mask
 
 
-def mtsmr(grid: DetectionGrid, l_spc: int) -> float:
+def mtsmr(grid: CorrelationGrid, l_spc: int) -> float:
     """Maximum-to-second-maximum ratio.
 
     The runner-up search runs over the peak's Doppler row, excluding code
@@ -74,7 +73,7 @@ def mtsmr(grid: DetectionGrid, l_spc: int) -> float:
     return r_max / r_sub
 
 
-def mtmr(grid: DetectionGrid, l_spc: int) -> float:
+def mtmr(grid: CorrelationGrid, l_spc: int) -> float:
     """Maximum-to-mean ratio.
 
     The mean excludes cells within one Doppler bin AND within l_spc code
@@ -101,11 +100,11 @@ def decide(indicator_value: float, threshold: float = DEFAULT_MTSMR_THRESHOLD) -
     return indicator_value >= threshold
 
 
-def acquire(grid: DetectionGrid, l_spc: int | None = None,
+def acquire(grid: CorrelationGrid,
             threshold: float = DEFAULT_MTSMR_THRESHOLD) -> AcqResult:
-    """Peak search plus both indicators plus the MTSMR threshold decision."""
-    if l_spc is None:
-        l_spc = grid.samples_per_chip
+    """Peak search, both indicators (excluding one chip around the peak)
+    and the MTSMR threshold decision."""
+    l_spc = grid.samples_per_chip
     i_max, j_max, _ = peak(grid)
     ratio = mtsmr(grid, l_spc)
     return AcqResult(
@@ -114,5 +113,4 @@ def acquire(grid: DetectionGrid, l_spc: int | None = None,
         mtsmr=ratio,
         mtmr=mtmr(grid, l_spc),
         decided=decide(ratio, threshold),
-        threshold_used=threshold,
     )

@@ -19,9 +19,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .prn_code import ChipSequence, generate_code
+from .prn_code import ChipSequence, generate_code, samples_per_code
 from .signal_synth import SampledSignal, SynthParams
-from .acq_core import FrequencyPlan, process_units, samples_per_code
+from .acq_core import FrequencyPlan, process_units
 from .integrators import IntegrationSpec, integrate
 from .detector import AcqResult, acquire
 
@@ -55,8 +55,6 @@ class PfCurve:
 class TimelineSummary:
     success_s: float
     decided_s: float
-    first_ok_t: Optional[float]
-    last_ok_t: Optional[float]
 
 
 def truth_code_phase(params: SynthParams, n_samples: int,
@@ -86,16 +84,16 @@ def cyclic_distance(a: float, b: float, n: int) -> float:
 
 def label_epochs(results: Sequence[AcqResult], truths: Sequence[EpochTruth],
                  plan: FrequencyPlan, intermediate_freq: float,
-                 n_samples: int, doppler_slack_hz: float = 0.0) -> list[EpochLabel]:
+                 n_samples: int) -> list[EpochLabel]:
     """Label each epoch: estimate correct iff Doppler within half a search
-    bin (plus optional slack) and code phase within one sample, cyclically."""
+    bin and code phase within one sample, cyclically."""
     if len(results) != len(truths):
         raise ValueError(
             f"{len(results)} results vs {len(truths)} truth epochs")
     labels = []
     for res, tru in zip(results, truths):
         doppler_est = (plan.center - intermediate_freq) + res.doppler_hat
-        dopp_ok = abs(doppler_est - tru.doppler) <= plan.bin_width / 2.0 + doppler_slack_hz
+        dopp_ok = abs(doppler_est - tru.doppler) <= plan.bin_width / 2.0
         code_ok = cyclic_distance(res.code_phase_hat,
                                   tru.code_phase_samples, n_samples) <= 1.0
         labels.append(EpochLabel(t=tru.t, truth_doppler=tru.doppler,
@@ -149,13 +147,7 @@ def run_strategies(epoch: SampledSignal, code: ChipSequence,
     spans = {spec.total_ms for spec in specs}
     if len(spans) != 1:
         raise ValueError(f"specs must share one span, got {sorted(spans)} ms")
-    n = samples_per_code(code, epoch.sample_rate)
-    m = specs[0].total_ms
-    if len(epoch.samples) < m * n:
-        raise ValueError(
-            f"epoch at t={epoch.t0} has {len(epoch.samples)} samples, "
-            f"needs {m * n} for {specs[0].total_ms} ms integration")
-    grids = process_units(epoch, code, plan, count=m)
+    grids = process_units(epoch, code, plan, count=specs[0].total_ms)
     return [acquire(integrate(grids, spec.strategy), threshold=threshold)
             for spec in specs]
 
@@ -170,7 +162,6 @@ def acquisition_timeline(pass_epochs: Sequence[SampledSignal],
                          spec: IntegrationSpec, plan: FrequencyPlan,
                          threshold: float,
                          code: ChipSequence | None = None,
-                         doppler_slack_hz: float = 0.0,
                          results: list[AcqResult] | None = None,
                          ) -> tuple[list[AcqResult], list[EpochLabel], TimelineSummary]:
     """Run one strategy over every epoch of a pass and summarize.
@@ -178,9 +169,7 @@ def acquisition_timeline(pass_epochs: Sequence[SampledSignal],
     Success duration counts truth-correct epochs (the desk-scale analog of
     Doppler-continuity checking); the threshold-based decided duration is
     reported separately.  Durations are epoch counts scaled by the epoch
-    cadence inferred from the stream.  doppler_slack_hz loosens the labeling
-    tolerance for strategies whose Doppler resolution stays at the 1 ms unit
-    width (magnitude-combined grids do not sharpen with total span).
+    cadence inferred from the stream.
     results, one per epoch, are this strategy's acquisitions when the caller
     has already run them (see run_strategies); they are computed otherwise.
     """
@@ -194,14 +183,10 @@ def acquisition_timeline(pass_epochs: Sequence[SampledSignal],
     truths = [truth_from_epoch(e, code) for e in epochs]
     n = samples_per_code(code, epochs[0].sample_rate)
     labels = label_epochs(results, truths, plan,
-                          epochs[0].truth.intermediate_freq, n,
-                          doppler_slack_hz=doppler_slack_hz)
+                          epochs[0].truth.intermediate_freq, n)
     step = epochs[1].t0 - epochs[0].t0 if len(epochs) > 1 else 1.0
-    ok_ts = [l.t for l in labels if l.estimate_ok]
     summary = TimelineSummary(
-        success_s=len(ok_ts) * step,
+        success_s=sum(1 for l in labels if l.estimate_ok) * step,
         decided_s=sum(1 for r in results if r.decided) * step,
-        first_ok_t=ok_ts[0] if ok_ts else None,
-        last_ok_t=ok_ts[-1] if ok_ts else None,
     )
     return results, labels, summary

@@ -42,14 +42,6 @@ class PassScenario:
     epoch_step: float
     samples: list[PassSample]
 
-    def to_csv(self) -> str:
-        lines = ["t_s,range_m,elev_deg,vrad_mps,doppler_hz,doppler_rate_hzps,path_loss_db"]
-        for s in self.samples:
-            lines.append(f"{s.t!r},{s.range_m!r},{s.elevation_deg!r},"
-                         f"{s.radial_velocity!r},{s.doppler!r},"
-                         f"{s.doppler_rate!r},{s.path_loss_db!r}")
-        return "\n".join(lines) + "\n"
-
 
 def doppler_shift(carrier_freq: float, radial_velocity: float) -> float:
     """Doppler shift f * v / c; positive when the range is closing."""
@@ -99,12 +91,15 @@ def simulate_pass(orbit_height: float, elevation_mask: float = 10.0,
     sits at a fixed cross-track angular offset from the orbit plane.  The
     sample grid is symmetric about the point of closest approach, so for a
     directly-overhead pass the zenith sample has range == orbit_height
-    exactly.  Samples are emitted only while elevation >= elevation_mask.
+    exactly.  Samples are emitted only while elevation >= elevation_mask,
+    and there must be at least two: radial velocity is a finite difference.
     """
     if not 200e3 < orbit_height < 2000e3:
         raise ValueError(f"orbit height {orbit_height} m outside (200 km, 2000 km)")
     if not 0 <= elevation_mask < 90:
         raise ValueError(f"elevation mask {elevation_mask} outside [0, 90)")
+    if not epoch_step > 0:
+        raise ValueError(f"epoch_step must be positive, got {epoch_step}")
 
     re = EARTH_RADIUS
     r_orb = re + orbit_height
@@ -123,6 +118,10 @@ def simulate_pass(orbit_height: float, elevation_mask: float = 10.0,
     # about closest approach (k = 0).
     theta_vis = math.acos(min(1.0, math.cos(psi_max) / math.cos(beta)))
     k_max = int(math.floor(theta_vis / (omega * epoch_step)))
+    if k_max < 1:
+        raise ValueError(f"epoch_step {epoch_step} s leaves one epoch above the "
+                         f"{elevation_mask} deg elevation_mask; a pass needs "
+                         f"at least two epochs")
     k = np.arange(-k_max, k_max + 1)
     theta = omega * epoch_step * k
 

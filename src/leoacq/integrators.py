@@ -17,11 +17,11 @@ deterministic regardless of how callers schedule the work.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .acq_core import CorrelationGrid, FrequencyPlan
+from .acq_core import CorrelationGrid
 
 BLOCK_UNITS = 10  # alternate half-bit block length in units (10 ms)
 
@@ -65,16 +65,6 @@ class IntegrationSpec:
             raise ValueError(reason)
 
 
-@dataclass
-class DetectionGrid:
-    """Non-negative detection values, same shape as the unit grids."""
-
-    values: np.ndarray
-    spec: IntegrationSpec
-    plan: FrequencyPlan
-    samples_per_chip: int
-
-
 def _check_grids(grids: list[CorrelationGrid], strategy: Strategy) -> None:
     IntegrationSpec(strategy, len(grids))  # raises if the span is undefined
     first = grids[0]
@@ -83,31 +73,25 @@ def _check_grids(grids: list[CorrelationGrid], strategy: Strategy) -> None:
             raise ValueError("unit grids must share plan and shape")
 
 
-def _result(values: np.ndarray, grids, strategy: Strategy) -> DetectionGrid:
-    spec = IntegrationSpec(strategy=strategy, total_ms=len(grids))
-    return DetectionGrid(values=values, spec=spec, plan=grids[0].plan,
-                         samples_per_chip=grids[0].samples_per_chip)
-
-
-def integrate_noncoherent(grids: list[CorrelationGrid]) -> DetectionGrid:
+def integrate_noncoherent(grids: list[CorrelationGrid]) -> CorrelationGrid:
     """Sum of unit magnitudes per cell."""
     _check_grids(grids, Strategy.NON_COHERENT)
     acc = np.abs(grids[0].values)
     for g in grids[1:]:
         acc += np.abs(g.values)
-    return _result(acc, grids, Strategy.NON_COHERENT)
+    return replace(grids[0], values=acc)
 
 
-def integrate_coherent(grids: list[CorrelationGrid]) -> DetectionGrid:
+def integrate_coherent(grids: list[CorrelationGrid]) -> CorrelationGrid:
     """Magnitude of the complex sum per cell."""
     _check_grids(grids, Strategy.COHERENT)
     acc = grids[0].values.copy()
     for g in grids[1:]:
         acc += g.values
-    return _result(np.abs(acc), grids, Strategy.COHERENT)
+    return replace(grids[0], values=np.abs(acc))
 
 
-def integrate_pre_guess(grids: list[CorrelationGrid]) -> DetectionGrid:
+def integrate_pre_guess(grids: list[CorrelationGrid]) -> CorrelationGrid:
     """Coherent sum with a per-unit sign hypothesis, decided per cell.
 
     The sign of unit m is +1 iff adding it grows the running sum magnitude
@@ -128,19 +112,19 @@ def integrate_pre_guess(grids: list[CorrelationGrid]) -> DetectionGrid:
         sign *= 2.0
         sign -= 1.0
         acc += sign * s
-    return _result(np.abs(acc), grids, Strategy.PRE_GUESS)
+    return replace(grids[0], values=np.abs(acc))
 
 
-def integrate_differential(grids: list[CorrelationGrid]) -> DetectionGrid:
+def integrate_differential(grids: list[CorrelationGrid]) -> CorrelationGrid:
     """Magnitude of the sum of adjacent conjugate products (M-1 terms)."""
     _check_grids(grids, Strategy.DIFFERENTIAL)
     acc = np.conj(grids[0].values) * grids[1].values
     for m in range(2, len(grids)):
         acc += np.conj(grids[m - 1].values) * grids[m].values
-    return _result(np.abs(acc), grids, Strategy.DIFFERENTIAL)
+    return replace(grids[0], values=np.abs(acc))
 
 
-def integrate_alternate_half_bit(grids: list[CorrelationGrid]) -> DetectionGrid:
+def integrate_alternate_half_bit(grids: list[CorrelationGrid]) -> CorrelationGrid:
     """Coherent 10 ms blocks, odd/even block sets accumulated separately.
 
     With bit transitions possible only every 20 ms, one of the two block
@@ -154,8 +138,8 @@ def integrate_alternate_half_bit(grids: list[CorrelationGrid]) -> DetectionGrid:
         for g in grids[b * BLOCK_UNITS + 1:(b + 1) * BLOCK_UNITS]:
             block += g.values
         parity_acc[b % 2] += np.abs(block)
-    return _result(np.maximum(parity_acc[0], parity_acc[1]),
-                   grids, Strategy.ALTERNATE_HALF_BIT)
+    return replace(grids[0],
+                   values=np.maximum(parity_acc[0], parity_acc[1]))
 
 
 _INTEGRATORS = {
@@ -167,6 +151,6 @@ _INTEGRATORS = {
 }
 
 
-def integrate(grids: list[CorrelationGrid], strategy: Strategy) -> DetectionGrid:
+def integrate(grids: list[CorrelationGrid], strategy: Strategy) -> CorrelationGrid:
     """Dispatch to the named strategy."""
     return _INTEGRATORS[strategy](grids)

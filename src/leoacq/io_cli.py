@@ -1,4 +1,4 @@
-"""Raw sample file I/O, scenario configuration, CSV emitters, and the CLI.
+"""Raw sample file I/O, scenario configuration, CSV output, and the CLI.
 
 Binary sample formats are little-endian; integer formats carry samples
 scaled to [-1, 1) by the type's max magnitude, and the -iq variants
@@ -15,10 +15,12 @@ Subcommands: synth, pass, acquire, sweep, duration.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import csv
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -27,9 +29,8 @@ from .geometry import simulate_pass, PassScenario
 from .signal_synth import SampledSignal, SynthParams, synthesize_pass_signal
 from .acq_core import make_plan
 from .integrators import IntegrationSpec, Strategy, span_error, strategy_valid_at
-from .eval_harness import (EpochLabel, PfCurve, acquisition_timeline,
-                           pf_sweep, run_strategies, threshold_bounds)
-from .detector import AcqResult
+from .eval_harness import (acquisition_timeline, pf_sweep, run_strategies,
+                           threshold_bounds)
 
 
 class SampleFileError(Exception):
@@ -178,6 +179,10 @@ def read_truth_sidecar(path) -> tuple[dict, list[dict]]:
 
 _STRATEGY_NAMES = {s.value: s for s in Strategy}
 
+# ScenarioConfig field annotation -> the JSON value types it accepts
+_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,),
+               "float | None": (int, float, type(None)), "list": (list,)}
+
 
 @dataclass
 class ScenarioConfig:
@@ -206,21 +211,21 @@ class ScenarioConfig:
     sample_format: str = "float32-real"
 
     def __post_init__(self):
-        for name, entries in (("strategies", self.strategies),
-                              ("total_ms", self.total_ms)):
-            if not entries or len(set(entries)) != len(entries):
-                raise ValueError(f"{name} must be a non-empty list without "
-                                 f"repeats, got {entries!r}")
         for name in self.strategies:
-            if name not in _STRATEGY_NAMES:
+            if not isinstance(name, str) or name not in _STRATEGY_NAMES:
                 raise ValueError(
-                    f"unknown strategy {name!r}; "
+                    f"strategies: unknown strategy {name!r}; "
                     f"supported: {', '.join(sorted(_STRATEGY_NAMES))}")
         for t_ms in self.total_ms:
             # coherent is defined at every valid span
             reason = span_error(Strategy.COHERENT, t_ms)
             if reason:
                 raise ValueError(f"total_ms: {reason}")
+        for name, entries in (("strategies", self.strategies),
+                              ("total_ms", self.total_ms)):
+            if not entries or len(set(entries)) != len(entries):
+                raise ValueError(f"{name} must be a non-empty list without "
+                                 f"repeats, got {entries!r}")
         if self.data_bits not in ("ones", "random"):
             raise ValueError("data_bits must be 'ones' or 'random'")
         if self.threshold <= 0:
@@ -239,8 +244,21 @@ class ScenarioConfig:
 
     @classmethod
     def from_file(cls, path) -> "ScenarioConfig":
+        """Load a JSON object whose keys are field names with values of the
+        field's type (a JSON number for a float field)."""
         with open(path) as f:
-            return cls(**json.load(f))
+            record = json.load(f)
+        if not isinstance(record, dict):
+            raise ValueError(f"{path}: a config must be a JSON object")
+        types = {f.name: f.type for f in fields(cls)}
+        for key, value in record.items():
+            if key not in types:
+                raise ValueError(f"{path}: unknown config key {key!r}")
+            if (isinstance(value, bool)
+                    or not isinstance(value, _JSON_TYPES[types[key]])):
+                raise ValueError(f"{path}: {key} must be {types[key]}, "
+                                 f"got {value!r}")
+        return cls(**record)
 
     def base_synth_params(self) -> SynthParams:
         return SynthParams(
@@ -279,51 +297,18 @@ def pass_epochs(config: ScenarioConfig) -> list[SampledSignal]:
 
 
 # ---------------------------------------------------------------------------
-# CSV emitters (decimal-point floats, header row, \n line endings)
+# CSV output
 # ---------------------------------------------------------------------------
 
-def timeline_rows(results: list[AcqResult], labels: list[EpochLabel],
-                  strategy: Strategy, total_ms: int) -> str:
-    lines = ["t_s,strategy,total_ms,doppler_hz,code_phase_samples,mtsmr,mtmr,decided,ok"]
-    for r, l in zip(results, labels):
-        lines.append(f"{l.t!r},{strategy.value},{total_ms},{float(r.doppler_hat)!r},"
-                     f"{r.code_phase_hat},{float(r.mtsmr)!r},{float(r.mtmr)!r},"
-                     f"{int(r.decided)},{int(l.estimate_ok)}")
-    return "\n".join(lines) + "\n"
-
-
-def pf_curve_rows(curve: PfCurve) -> str:
-    lines = ["threshold,pf,miss_rate,false_alarm_rate"]
-    for k in range(len(curve.thresholds)):
-        lines.append(f"{float(curve.thresholds[k])!r},{float(curve.pf[k])!r},"
-                     f"{float(curve.miss_rate[k])!r},{float(curve.false_alarm_rate[k])!r}")
-    return "\n".join(lines) + "\n"
-
-
-def bounds_rows(entries: list[tuple[Strategy, int, tuple | None]]) -> str:
-    lines = ["strategy,total_ms,lower,upper"]
-    for strat, t_ms, bounds in entries:
-        if bounds is None:
-            lines.append(f"{strat.value},{t_ms},none,none")
-        else:
-            lines.append(f"{strat.value},{t_ms},{bounds[0]!r},{bounds[1]!r}")
-    return "\n".join(lines) + "\n"
-
-
-def duration_rows(entries: list[tuple[Strategy, int, float, float]]) -> str:
-    lines = ["strategy,total_ms,success_s,decided_s"]
-    for strat, t_ms, success_s, decided_s in entries:
-        lines.append(f"{strat.value},{t_ms},{float(success_s)!r},{float(decided_s)!r}")
-    return "\n".join(lines) + "\n"
-
-
-def _write_text(path, text: str) -> None:
-    """Write text to path, or to stdout when path is None."""
-    if path is None:
-        sys.stdout.write(text)
-        return
-    with open(path, "w", newline="\n") as f:
-        f.write(text)
+def write_csv(path, header: str, rows) -> None:
+    """Write a comma-separated header and then rows as CSV with \n line
+    endings, to path or to stdout when path is None.  Python floats are
+    written as their repr."""
+    with (contextlib.nullcontext(sys.stdout) if path is None
+          else open(path, "w", newline="")) as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header.split(","))
+        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +392,9 @@ def _cmd_synth(args) -> int:
 
 def _cmd_pass(args) -> int:
     config = _load_config(args)
-    _write_text(args.out, config.scenario().to_csv())
+    write_csv(args.out, "t_s,range_m,elev_deg,vrad_mps,doppler_hz,"
+              "doppler_rate_hzps,path_loss_db",
+              map(astuple, config.scenario().samples))
     return 0
 
 
@@ -428,7 +415,12 @@ def _cmd_acquire(args) -> int:
 
     results, labels, summary = acquisition_timeline(
         epochs, spec, plan, args.threshold)
-    _write_text(args.out, timeline_rows(results, labels, strategy, args.total_ms))
+    write_csv(args.out, "t_s,strategy,total_ms,doppler_hz,code_phase_samples,"
+              "mtsmr,mtmr,decided,ok",
+              ([l.t, strategy.value, args.total_ms, float(r.doppler_hat),
+                r.code_phase_hat, float(r.mtsmr), float(r.mtmr),
+                int(r.decided), int(l.estimate_ok)]
+               for r, l in zip(results, labels)))
     print(f"success {summary.success_s!r} s, decided {summary.decided_s!r} s",
           file=sys.stderr)
     return 0
@@ -464,29 +456,32 @@ def _cmd_sweep(args) -> int:
     config = _load_config(args)
     os.makedirs(args.out_dir, exist_ok=True)
     thresholds = config.threshold_grid()
-    bounds_entries = []
+    bounds = []
     for strategy, t_ms, results, labels, _ in _run_matrix(config):
         curve = pf_sweep(results, labels, thresholds)
-        csv = pf_curve_rows(curve)
-        _write_text(os.path.join(
-            args.out_dir, f"pf_curve_{strategy.value}_{t_ms}ms.csv"), csv)
-        if not bounds_entries:
-            _write_text(os.path.join(args.out_dir, "pf_curve.csv"), csv)
-        bounds_entries.append((strategy, t_ms,
-                               threshold_bounds(curve, args.pf_target)))
-    _write_text(os.path.join(args.out_dir, "bounds.csv"),
-                bounds_rows(bounds_entries))
+        rows = np.column_stack((curve.thresholds, curve.pf, curve.miss_rate,
+                                curve.false_alarm_rate)).tolist()
+        names = [f"pf_curve_{strategy.value}_{t_ms}ms.csv"]
+        if not bounds:
+            names.append("pf_curve.csv")
+        for name in names:
+            write_csv(os.path.join(args.out_dir, name),
+                      "threshold,pf,miss_rate,false_alarm_rate", rows)
+        lower_upper = threshold_bounds(curve, args.pf_target) or ("none", "none")
+        bounds.append([strategy.value, t_ms, *lower_upper])
+    write_csv(os.path.join(args.out_dir, "bounds.csv"),
+              "strategy,total_ms,lower,upper", bounds)
     print(f"wrote pf curves and bounds for "
-          f"{len(bounds_entries)} strategy/duration combos to {args.out_dir}")
+          f"{len(bounds)} strategy/duration combos to {args.out_dir}")
     return 0
 
 
 def _cmd_duration(args) -> int:
     config = _load_config(args)
-    entries = [(strategy, t_ms, summary.success_s, summary.decided_s)
-               for strategy, t_ms, _, _, summary in _run_matrix(config)]
-    _write_text(args.out, duration_rows(entries))
-    print(f"wrote {len(entries)} duration rows to {args.out}")
+    rows = [[strategy.value, t_ms, summary.success_s, summary.decided_s]
+            for strategy, t_ms, _, _, summary in _run_matrix(config)]
+    write_csv(args.out, "strategy,total_ms,success_s,decided_s", rows)
+    print(f"wrote {len(rows)} duration rows to {args.out}")
     return 0
 
 

@@ -52,11 +52,6 @@ class ChipSequence:
     def code_length(self) -> int:
         return len(self.chips)
 
-    @property
-    def period_s(self) -> float:
-        """Duration of one code period in seconds."""
-        return self.code_length / self.chip_rate
-
 
 def generate_code(prn_id: int) -> ChipSequence:
     """Generate one period of the Gold code for the given PRN.
@@ -81,20 +76,19 @@ def generate_code(prn_id: int) -> ChipSequence:
     return ChipSequence(prn_id=prn_id, chips=out)
 
 
-def sample_code(code: ChipSequence, sample_rate: float,
-                code_phase: float = 0.0,
-                code_rate_scale: float = 1.0) -> np.ndarray:
+def samples_per_code(code: ChipSequence, sample_rate: float) -> int:
+    """Samples in one code period (one 1 ms unit) at the given rate."""
+    return round(sample_rate * code.code_length / code.chip_rate)
+
+
+def sample_code(code: ChipSequence, sample_rate: float) -> np.ndarray:
     """Resample one code period at the receiver sampling rate.
 
-    Sample k holds the chip at index floor(k * chip_rate * code_rate_scale
-    / sample_rate + code_phase) mod code_length, i.e. a phase-accumulator
-    NCO with fractional phases resolved by nearest-lower chip.  The output
-    covers exactly one unit duration (code_length / chip_rate seconds).
+    Sample k holds the chip at index floor(k * chip_rate / sample_rate),
+    the nearest-lower chip.  The output covers exactly one unit duration
+    (samples_per_code samples).
     """
     if not np.isfinite(sample_rate) or sample_rate <= 0:
         raise ValueError(f"sample_rate must be finite and positive, got {sample_rate}")
-    n = round(sample_rate * code.code_length / code.chip_rate)
-    k = np.arange(n)
-    idx = np.floor(k * (code.chip_rate * code_rate_scale / sample_rate)
-                   + code_phase).astype(np.int64) % code.code_length
-    return code.chips[idx]
+    k = np.arange(samples_per_code(code, sample_rate))
+    return code.chips[np.floor(k * (code.chip_rate / sample_rate)).astype(np.int64)]

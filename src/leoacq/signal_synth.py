@@ -48,9 +48,6 @@ class SampledSignal:
     t0: float = 0.0
     truth: Optional[SynthParams] = None
 
-    def __len__(self):
-        return len(self.samples)
-
 
 def noise_sigma(cn0: float, amplitude: float, sample_rate: float) -> float:
     """Noise standard deviation for a target C/N0 (dB-Hz).
@@ -123,7 +120,6 @@ def synthesize(params: SynthParams, code: ChipSequence | None = None) -> Sampled
 
 
 def synthesize_pass_signal(scenario: PassScenario, base: SynthParams,
-                           code: ChipSequence | None = None,
                            random_bits: bool = False):
     """Yield one signal epoch per scenario sample.
 
@@ -136,8 +132,7 @@ def synthesize_pass_signal(scenario: PassScenario, base: SynthParams,
     """
     if not scenario.samples:
         raise ValueError("empty pass scenario")
-    if code is None:
-        code = generate_code(base.prn_id)
+    code = generate_code(base.prn_id)
     loss_min = min(s.path_loss_db for s in scenario.samples)
     n_bits = int(base.duration * 1e3 / BIT_PERIOD_MS) + 2
     for k, s in enumerate(scenario.samples):

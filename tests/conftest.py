@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from leoacq.acq_core import FrequencyPlan, make_plan
-from leoacq.integrators import CorrelationGrid, DetectionGrid, IntegrationSpec, Strategy
+from leoacq.acq_core import CorrelationGrid, FrequencyPlan, make_plan
 from leoacq.prn_code import generate_code
 from leoacq.signal_synth import SampledSignal, SynthParams, synthesize
 
@@ -53,7 +52,7 @@ def noise_only_signal(rng, sigma, n, fs=FS_FAST) -> SampledSignal:
 
 def dummy_plan(n_bins=3) -> FrequencyPlan:
     side = n_bins // 2
-    return FrequencyPlan(center=0.0, half_span=side * 500.0, bin_width=500.0,
+    return FrequencyPlan(center=0.0, bin_width=500.0,
                          bins=tuple((k - side) * 500.0 for k in range(n_bins)))
 
 
@@ -63,17 +62,14 @@ def grids_from_values(value_arrays, plan=None, samples_per_chip=1):
     if plan is None:
         plan = dummy_plan(arrays[0].shape[0])
     return [CorrelationGrid(values=a, plan=plan,
-                            samples_per_code=a.shape[1],
                             samples_per_chip=samples_per_chip)
             for a in arrays]
 
 
-def detection_grid_from(values, samples_per_chip=1,
-                        strategy=Strategy.NON_COHERENT) -> DetectionGrid:
+def detection_grid_from(values, samples_per_chip=1) -> CorrelationGrid:
     v = np.atleast_2d(np.asarray(values, dtype=np.float64))
-    return DetectionGrid(values=v, spec=IntegrationSpec(strategy, total_ms=1),
-                         plan=dummy_plan(v.shape[0]),
-                         samples_per_chip=samples_per_chip)
+    return CorrelationGrid(values=v, plan=dummy_plan(v.shape[0]),
+                           samples_per_chip=samples_per_chip)
 
 
 def synth_units(m, code, d0=1000.0, cn0=None, seed=0, fs=FS_FAST,

@@ -72,7 +72,7 @@ class TestProcessUnit:
         assert plan.bins[i] == 1000.0
         assert j == 1000
         assert grid.samples_per_chip == 4
-        assert grid.samples_per_code == 4092
+        assert grid.values.shape[1] == 4092
 
     def test_unit_length_error(self, code1):
         sig = SampledSignal(samples=np.zeros(1000), sample_rate=FS_FAST)
@@ -192,5 +192,5 @@ class TestAccuracy:
         for d0 in np.linspace(-800.0, 800.0, 7):
             sig, _ = synth_units(1, code1, d0=float(d0), fs=FS_FULL, fif=FIF_FULL)
             grid = process_unit(sig, code1, plan)
-            i = int(np.argmax(np.abs(grid.values))) // grid.samples_per_code
+            i = int(np.argmax(np.abs(grid.values))) // grid.values.shape[1]
             assert abs(plan.bins[i] - d0) <= 250.0

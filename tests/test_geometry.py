@@ -138,13 +138,16 @@ class TestSimulatePass:
         with pytest.raises(ValueError, match="orbit height"):
             simulate_pass(100e3)
 
-    def test_csv_format(self, pass645):
-        csv = pass645.to_csv()
-        lines = csv.split("\n")
-        assert lines[0] == ("t_s,range_m,elev_deg,vrad_mps,doppler_hz,"
-                            "doppler_rate_hzps,path_loss_db")
-        assert len(lines) == len(pass645.samples) + 2  # header + rows + trailing
-        assert lines[-1] == ""
-        first = lines[1].split(",")
-        assert float(first[0]) == 0.0
-        assert float(first[1]) == pytest.approx(pass645.samples[0].range_m)
+    @pytest.mark.parametrize("step", [0.0, -5.0, float("nan")])
+    def test_bad_epoch_step(self, step):
+        with pytest.raises(ValueError, match="epoch_step must be positive"):
+            simulate_pass(645e3, epoch_step=step)
+
+    def test_single_epoch_pass_names_its_cause(self):
+        # only the zenith epoch clears an 80 deg mask at a 60 s step
+        with pytest.raises(ValueError, match="at least two epochs") as e:
+            simulate_pass(645e3, elevation_mask=80.0, epoch_step=60.0)
+        assert "epoch_step" in str(e.value)
+        assert "elevation_mask" in str(e.value)
+        assert len(simulate_pass(645e3, elevation_mask=70.0,
+                                 epoch_step=20.0).samples) == 3

@@ -1,0 +1,40 @@
+"""Every name a leoacq module imports is read somewhere in that module.
+
+No linter runs over the package, so this is the guard against imports left
+behind when the code that used them is deleted.  Re-exports in
+``__init__.py`` and ``from __future__`` imports are exempt.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import leoacq
+
+MODULES = sorted(p for p in Path(leoacq.__file__).parent.glob("*.py")
+                 if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by an import statement and never loaded."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    loaded = {n.id for n in ast.walk(tree)
+              if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return sorted(imported - loaded)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_guard_sees_an_unused_import():
+    assert unused_imports("import os\nfrom sys import argv, path\n"
+                          "print(path)\n") == ["argv", "os"]

@@ -343,4 +343,3 @@ class TestSynthesizedOrdering:
                              (Strategy.DIFFERENTIAL, integrate_differential)):
             assert np.array_equal(integrate(grids, strategy).values,
                                   op(grids).values)
-            assert integrate(grids, strategy).spec.strategy is strategy

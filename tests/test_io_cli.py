@@ -61,7 +61,7 @@ class TestSampleFiles:
         path = tmp_path / "empty.bin"
         assert write_samples(_sig(np.zeros(0)), path, _meta()) == 0
         assert path.stat().st_size == 0
-        assert len(read_samples(path, _meta())) == 0
+        assert len(read_samples(path, _meta()).samples) == 0
 
     def test_iq_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -284,6 +284,10 @@ class TestScenarioConfig:
         (dict(total_ms=[0]), "total_ms"),
         (dict(strategies=[]), "strategies"),
         (dict(strategies=["differential"], total_ms=[1]), "total_ms"),
+        (dict(strategy=["coherent"]), "strategy"),
+        (dict(strategies=[["coherent"]]), "strategies"),
+        (dict(total_ms=[[1]]), "total_ms"),
+        (dict(threshold="2.5"), "threshold"),
     ])
     def test_bad_lists_exit_two(self, tmp_path, capsys, command, out_flag,
                                 overrides, field_name):
@@ -333,6 +337,31 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.startswith("t_s,range_m,elev_deg,")
         assert len(out.strip().split("\n")) > 3
+
+    def test_pass_csv_file_bytes(self, strong_config, tmp_path):
+        out = tmp_path / "pass.csv"
+        assert cli(["pass", "--config", strong_config, "--out", str(out)]) == 0
+        samples = ScenarioConfig.from_file(strong_config).scenario().samples
+        s = samples[1]
+        lines = out.read_bytes().split(b"\n")
+        assert lines[0] == (b"t_s,range_m,elev_deg,vrad_mps,doppler_hz,"
+                            b"doppler_rate_hzps,path_loss_db")
+        assert lines[2] == (f"{s.t!r},{s.range_m!r},{s.elevation_deg!r},"
+                            f"{s.radial_velocity!r},{s.doppler!r},"
+                            f"{s.doppler_rate!r},{s.path_loss_db!r}").encode()
+        assert len(lines) == len(samples) + 2 and lines[-1] == b""
+
+    def test_single_epoch_pass_exits_two(self, strong_config, tmp_path,
+                                         capsys):
+        config = tmp_path / "one_epoch.json"
+        config.write_text(json.dumps({
+            **json.loads(Path(strong_config).read_text()),
+            "elevation_mask": 80.0, "epoch_step": 60.0}))
+        assert cli(["duration", "--config", str(config),
+                    "--out", str(tmp_path / "d.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "epoch_step" in err and "elevation_mask" in err
+        assert "at least two epochs" in err
 
     def test_synth_acquire_end_to_end(self, strong_config, tmp_path, capsys):
         samples = str(tmp_path / "pass.bin")
@@ -395,6 +424,26 @@ class TestCli:
         assert lines[0] == "strategy,total_ms,success_s,decided_s"
         assert len(lines) == 5  # 2 strategies x 2 durations
 
+    def test_sweep_unreachable_target_bounds_none(self, strong_config,
+                                                  tmp_path, capsys):
+        # no epoch reaches an MTSMR of 1000, so every correct epoch is a
+        # miss and pf stays above the target at both thresholds
+        config = tmp_path / "high_thresholds.json"
+        config.write_text(json.dumps({
+            **json.loads(Path(strong_config).read_text()),
+            "pf_thresholds": [1e3, 2e3]}))
+        out_dir = tmp_path / "sweep"
+        assert cli(["sweep", "--config", str(config), "--out-dir",
+                    str(out_dir), "--pf-target", "0.1"]) == 0
+        assert (out_dir / "bounds.csv").read_bytes() == (
+            b"strategy,total_ms,lower,upper\n"
+            b"coherent,1,none,none\ncoherent,5,none,none\n"
+            b"noncoherent,1,none,none\nnoncoherent,5,none,none\n")
+        rows = [line.split(",") for line in
+                (out_dir / "pf_curve.csv").read_text().splitlines()[1:]]
+        assert [r[0] for r in rows] == ["1000.0", "2000.0"]
+        assert all(r[1] == r[2] and r[3] == "0.0" for r in rows)
+
     @pytest.mark.parametrize("command, out_flag",
                              [("duration", "--out"), ("sweep", "--out-dir")])
     def test_each_epoch_correlated_once_per_span(self, strong_config, tmp_path,
@@ -456,5 +505,6 @@ class TestCli:
 
     def test_bad_config_json_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        assert cli(["pass", "--config", str(bad)]) == 2
+        for text in ("{not json", "[1, 2]"):
+            bad.write_text(text)
+            assert cli(["pass", "--config", str(bad)]) == 2

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from leoacq.prn_code import CHIP_RATE, CODE_LENGTH, ChipSequence, generate_code, sample_code
+from leoacq.prn_code import (CHIP_RATE, CODE_LENGTH, ChipSequence, generate_code,
+                             sample_code, samples_per_code)
 
 
 def _lfsr_oracle_prn(tap1, tap2):
@@ -52,7 +53,6 @@ def test_code_length_is_one_register_period():
     assert code.code_length == 1023
     assert len(code.chips) == 1023
     assert code.chip_rate == CHIP_RATE
-    assert code.period_s == pytest.approx(1e-3)
 
 
 def test_matches_independent_lfsr_oracle():
@@ -94,41 +94,13 @@ def test_sample_code_integer_oversampling(code1):
     assert np.array_equal(out, np.repeat(code1.chips, 4))
 
 
-def test_sample_code_half_period_rotation(code1):
-    base = sample_code(code1, 4 * CHIP_RATE, code_phase=0.0)
-    shifted = sample_code(code1, 4 * CHIP_RATE, code_phase=CODE_LENGTH / 2)
-    assert np.array_equal(shifted, np.roll(base, -2046))
-
-
-@pytest.mark.parametrize("phase_chips", [1.0, 100.0, 511.5, 1022.75])
-def test_cyclic_shift_property(code1, phase_chips):
-    # Whenever phase * fs / chip_rate is an integer the output is a rotation.
-    fs = 4 * CHIP_RATE
-    shift = phase_chips * fs / CHIP_RATE
-    assert shift == int(shift)
-    base = sample_code(code1, fs)
-    assert np.array_equal(sample_code(code1, fs, code_phase=phase_chips),
-                          np.roll(base, -int(shift)))
-
-
-def test_code_doppler_scale_accumulates_phase(code1):
-    # Phase-accumulator arithmetic: after one period the scaled NCO leads by
-    # code_length * (scale - 1) chips.
-    fs = 4 * CHIP_RATE
-    n = round(fs * 1e-3)
-    scale = 1.0 + 5e-6
-    lead = n * CHIP_RATE * (scale - 1.0) / fs
-    assert lead == pytest.approx(CODE_LENGTH * 5e-6, rel=1e-12)
-
-    # Behaviourally: starting just below a chip boundary, the accumulated
-    # lead flips the sampled chip index late in the period.
-    base = sample_code(code1, fs, code_phase=0.9975)
-    drifted = sample_code(code1, fs, code_phase=0.9975, code_rate_scale=scale)
-    diff = np.flatnonzero(base != drifted)
-    assert diff.size > 0
-    # boundary crossing expected once the lead covers the 0.0025-chip gap
-    expected_k = 0.0025 / (CHIP_RATE * (scale - 1.0) / fs)
-    assert abs(diff[0] - expected_k) <= 8
+def test_sample_code_non_integer_rate(code1):
+    # 2.5 samples per chip: one unit of samples, nearest-lower chip each
+    fs = 2.5 * CHIP_RATE
+    out = sample_code(code1, fs)
+    assert len(out) == samples_per_code(code1, fs) == 2558
+    k = np.arange(len(out))
+    assert np.array_equal(out, code1.chips[(k * 2 // 5)])
 
 
 def test_sample_code_rejects_bad_rate(code1):

@@ -36,7 +36,7 @@ class TestSynthesize:
     def test_first_sample_is_zero(self):
         sig = synthesize(full_params(doppler0=0.0))
         assert sig.samples[0] == 0.0
-        assert len(sig) == round(1e-3 * FS_FULL)
+        assert len(sig.samples) == round(1e-3 * FS_FULL)
 
     def test_despread_spectrum_peaks_at_if_plus_doppler(self, code1):
         sig = synthesize(full_params(doppler0=1000.0, duration=1e-3))
