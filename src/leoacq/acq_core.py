@@ -94,7 +94,8 @@ def process_units(signal: SampledSignal, code: ChipSequence,
 
     All grids share the same plan; unit m starts count*m samples into the
     signal with its start time advanced accordingly.  Each unit's grid is one
-    forward and one inverse FFT over the mixed (bins, n) matrix.
+    forward and one inverse FFT over the mixed (bins, n) matrix, both done
+    in that matrix's memory.
     """
     fs = signal.sample_rate
     n = samples_per_code(code, fs)
@@ -117,10 +118,13 @@ def process_units(signal: SampledSignal, code: ChipSequence,
     grids = []
     for m in range(count):
         t0 = signal.t0 + m * n / fs
-        spec = scipy.fft.fft(table * signal.samples[m * n:(m + 1) * n],
-                             axis=1, workers=_FFT_WORKERS)
-        spec *= code_fft
-        values = scipy.fft.ifft(spec, axis=1, workers=_FFT_WORKERS)
+        # The mixed product is transformed in place and becomes the grid:
+        # one (bins, n) allocation per unit.
+        values = scipy.fft.fft(table * signal.samples[m * n:(m + 1) * n],
+                               axis=1, workers=_FFT_WORKERS, overwrite_x=True)
+        values *= code_fft
+        values = scipy.fft.ifft(values, axis=1, workers=_FFT_WORKERS,
+                                overwrite_x=True)
         if t0 != 0.0:
             # Fold in the local-oscillator phase accumulated up to this unit's
             # start so the LO is continuous across units.

@@ -39,7 +39,6 @@ class PassSample:
 class PassScenario:
     """Time series of link geometry over one visibility window."""
 
-    epoch_step: float
     samples: list[PassSample]
 
 
@@ -145,4 +144,4 @@ def simulate_pass(orbit_height: float, elevation_mask: float = 10.0,
                           doppler_rate=float(dopp_rate[i]),
                           path_loss_db=float(loss[i]))
                for i in range(len(k))]
-    return PassScenario(epoch_step=epoch_step, samples=samples)
+    return PassScenario(samples=samples)

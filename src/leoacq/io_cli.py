@@ -18,6 +18,8 @@ import argparse
 import contextlib
 import csv
 import json
+import math
+import numbers
 import os
 import sys
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
@@ -226,6 +228,18 @@ class ScenarioConfig:
             if not entries or len(set(entries)) != len(entries):
                 raise ValueError(f"{name} must be a non-empty list without "
                                  f"repeats, got {entries!r}")
+        t = self.pf_thresholds
+        if not t or not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                            and math.isfinite(v) for v in t):
+            raise ValueError(f"pf_thresholds must be a non-empty list of "
+                             f"finite numbers, got {t!r}")
+        if self._pf_is_range():
+            if not t[2] > 0:
+                raise ValueError(f"pf_thresholds: the range [lo, hi, step] "
+                                 f"needs a positive step, got {t!r}")
+        elif any(b <= a for a, b in zip(t, t[1:])):
+            raise ValueError(f"pf_thresholds must be strictly ascending, "
+                             f"got {t!r}")
         if self.data_bits not in ("ones", "random"):
             raise ValueError("data_bits must be 'ones' or 'random'")
         if self.threshold <= 0:
@@ -273,9 +287,15 @@ class ScenarioConfig:
                              self.cross_track_offset_deg, self.epoch_step,
                              self.carrier_freq)
 
+    def _pf_is_range(self) -> bool:
+        """Whether pf_thresholds reads as [lo, hi, step] rather than a list:
+        three entries, the last below the span of the first two."""
+        t = self.pf_thresholds
+        return len(t) == 3 and t[2] < t[1] - t[0]
+
     def threshold_grid(self) -> np.ndarray:
         t = self.pf_thresholds
-        if len(t) == 3 and t[2] < t[1] - t[0]:
+        if self._pf_is_range():
             lo, hi, step = t
             return np.round(np.arange(lo, hi + step / 2, step), 10)
         return np.asarray(t, dtype=np.float64)

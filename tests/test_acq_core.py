@@ -1,9 +1,13 @@
 """Parallel code-phase search tests."""
 
+import functools
+
 import numpy as np
 import pytest
+import scipy.fft
 
-from leoacq.acq_core import make_plan, process_unit, process_units, samples_per_code
+from leoacq.acq_core import (_mixing_table, make_plan, process_unit,
+                             process_units, samples_per_code)
 from leoacq.detector import mtsmr
 from leoacq.integrators import integrate_noncoherent
 from leoacq.prn_code import ChipSequence, generate_code
@@ -157,6 +161,69 @@ class TestProcessUnits:
         sig, _ = synth_units(3, code1)
         grids = process_units(sig, code1, plan_for(1))
         assert all(g.plan is grids[0].plan for g in grids)
+
+
+def _wrap_fft(monkeypatch, wrapper):
+    """Replace scipy.fft.fft and ifft, where process_units looks them up, by
+    wrapper(name, original, x, *args, **kwargs)."""
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(scipy.fft, name, functools.partial(
+            wrapper, name, getattr(scipy.fft, name)))
+
+
+class TestInPlaceTransforms:
+    """Each unit's mixed matrix is transformed in its own memory."""
+
+    @staticmethod
+    def _units(code1):
+        sig, _ = synth_units(3, code1, d0=700.0, cn0=45.0, seed=4,
+                             fs=FS_FULL, fif=FIF_FULL)
+        return sig, make_plan(FIF_FULL, 2e3, 3)
+
+    def test_equals_fresh_buffer_transforms(self, code1, monkeypatch):
+        sig, plan = self._units(code1)
+        got = process_units(sig, code1, plan)
+
+        def fresh(name, original, x, *args, **kwargs):
+            kwargs["overwrite_x"] = False
+            return original(x, *args, **kwargs)
+
+        _wrap_fft(monkeypatch, fresh)
+        ref = process_units(sig, code1, plan)
+        assert len(got) == len(ref) == 3
+        for g, r in zip(got, ref):
+            assert np.array_equal(g.values, r.values)
+
+    def test_inputs_unchanged(self, code1):
+        sig, plan = self._units(code1)
+        samples = sig.samples.copy()
+        n = samples_per_code(code1, sig.sample_rate)
+        table = _mixing_table(plan, n, sig.sample_rate)
+        before = table.copy()
+        process_units(sig, code1, plan)
+        assert np.array_equal(sig.samples, samples)
+        assert _mixing_table(plan, n, sig.sample_rate) is table
+        assert not table.flags.writeable
+        assert np.array_equal(table, before)
+
+    def test_fft_rows_per_call(self, code1, monkeypatch):
+        # The benchmark's traced run (perfbench, --trace 1) wraps the same
+        # two functions and requires bins x units 2-D rows each way inside
+        # every process_units call, and a list of the unit grids back.
+        rows = {"fft": 0, "ifft": 0}
+
+        def counted(name, original, x, *args, **kwargs):
+            out = original(x, *args, **kwargs)
+            if out.ndim == 2:
+                rows[name] += out.shape[0]
+            return out
+
+        _wrap_fft(monkeypatch, counted)
+        sig, _ = synth_units(4, code1)
+        plan = plan_for(1)
+        grids = process_units(sig, code1, plan, count=3)
+        assert isinstance(grids, list) and len(grids) == 3
+        assert rows == {"fft": 3 * len(plan.bins), "ifft": 3 * len(plan.bins)}
 
 
 class TestAccuracy:

@@ -168,7 +168,7 @@ def _flat_scenario(n, doppler=300.0, step=1.0):
                           radial_velocity=0.0, doppler=doppler,
                           doppler_rate=0.0, path_loss_db=150.0)
                for k in range(n)]
-    return PassScenario(epoch_step=step, samples=samples)
+    return PassScenario(samples=samples)
 
 
 class TestTimeline:

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from leoacq.acq_core import make_plan, process_unit, process_units
 from leoacq.detector import decide, mtsmr
-from leoacq.integrators import (IntegrationSpec, Strategy, integrate,
+from leoacq.integrators import (_SLAB_CELLS, IntegrationSpec, Strategy,
+                                _alternate_half_bit, _coherent, _differential,
+                                _noncoherent, _pre_guess, integrate,
                                 integrate_alternate_half_bit,
                                 integrate_coherent, integrate_differential,
                                 integrate_noncoherent, integrate_pre_guess,
@@ -164,6 +166,56 @@ class TestProperties:
         nc = integrate_noncoherent(grids).values
         co = integrate_coherent(grids).values
         assert np.all(nc >= co * (1.0 - SUM_RTOL))
+
+    @given(unit_values(),
+           st.lists(st.sampled_from([1.0, -1.0]), min_size=1, max_size=8))
+    def test_pre_guess_undoes_sign_flips(self, values, signs):
+        # Units b_m * u: every sign decision restores b_0, so the sum is
+        # M * b_0 * u, the most any sign pattern can reach.
+        u = values[0]
+        grids = grids_from_values([b * u for b in signs])
+        got = integrate_pre_guess(grids).values
+        expected = len(signs) * np.abs(u)
+        assert np.all(np.abs(got - expected) <= SUM_RTOL * expected)
+        assert np.all(got >= integrate_coherent(grids).values)
+
+
+# Each public integrator and the kernel it runs over row slabs.
+_KERNELS = [(integrate_noncoherent, _noncoherent),
+            (integrate_coherent, _coherent),
+            (integrate_pre_guess, _pre_guess),
+            (integrate_differential, _differential),
+            (integrate_alternate_half_bit, _alternate_half_bit)]
+
+
+@st.composite
+def slab_cut_units(draw, integrator):
+    """(M, bins, n) complex units whose bins cut the row slabs unevenly.
+
+    n runs from one cell to above _SLAB_CELLS (one row per slab); bins
+    includes 1, a prime and counts that are not a multiple of the slab
+    height, capped near three slabs to keep the arrays small.
+    """
+    n = draw(st.sampled_from([1, 3, 1023, 4092, _SLAB_CELLS,
+                              _SLAB_CELLS + 5]))
+    height = max(1, _SLAB_CELLS // n)
+    bins = draw(st.one_of(st.sampled_from([1, 7, height + 1]),
+                          st.integers(1, 3 * height + 1)))
+    m = 20 if integrator is integrate_alternate_half_bit else draw(
+        st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = (m, bins, n)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestSlabs:
+    @pytest.mark.parametrize("integrator, kernel", _KERNELS)
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_slabs_equal_whole_grid(self, integrator, kernel, data):
+        values = data.draw(slab_cut_units(integrator))
+        got = integrator(grids_from_values(values)).values
+        assert np.array_equal(got, kernel(list(values)))
 
 
 class TestInvariances:

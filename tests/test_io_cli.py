@@ -297,6 +297,31 @@ class TestScenarioConfig:
         assert field_name in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, out_flag",
+                             [("duration", "--out"), ("sweep", "--out-dir")])
+    @pytest.mark.parametrize("pf_thresholds", [
+        [1.0, 6.0, 0.0], [1.0, 6.0, -0.5], [3.0, 2.0, 1.0], [1.0, 1.0], [],
+        [1.0, "a"], [1.0, True], [1.0, None], [1.0, float("nan")],
+        [1.0, float("inf"), 0.5],
+    ])
+    def test_bad_pf_thresholds_exit_two_before_correlating(
+            self, tmp_path, capsys, monkeypatch, command, out_flag,
+            pf_thresholds):
+        calls = []
+        monkeypatch.setattr(eval_harness, "process_units",
+                            lambda *args, **kwargs: calls.append(args))
+        config = self._write(tmp_path, pf_thresholds=pf_thresholds)
+        out = tmp_path / "out"
+        assert cli([command, "--config", str(config), out_flag, str(out)]) == 2
+        assert "pf_thresholds" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
+    def test_default_threshold_grid(self):
+        grid = ScenarioConfig().threshold_grid()
+        assert np.array_equal(grid, np.round(np.arange(1.0, 6.025, 0.05), 10))
+        assert len(grid) == 101 and grid[0] == 1.0 and grid[-1] == 6.0
+
     def test_threshold_grid_forms(self, tmp_path):
         config = ScenarioConfig.from_file(self._write(
             tmp_path, pf_thresholds=[1.0, 3.0, 0.5]))

@@ -122,7 +122,7 @@ def _flat_scenario(n, rng_m=1000e3, doppler=0.0):
                           radial_velocity=0.0, doppler=doppler,
                           doppler_rate=0.0, path_loss_db=150.0)
                for k in range(n)]
-    return PassScenario(epoch_step=1.0, samples=samples)
+    return PassScenario(samples=samples)
 
 
 class TestPassSignal:
@@ -175,4 +175,4 @@ class TestPassSignal:
 
     def test_empty_scenario(self):
         with pytest.raises(ValueError, match="empty"):
-            list(synthesize_pass_signal(PassScenario(1.0, []), fast_params()))
+            list(synthesize_pass_signal(PassScenario([]), fast_params()))
