@@ -2,7 +2,8 @@
 
 import json
 import tempfile
-from dataclasses import fields
+import tracemalloc
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -10,12 +11,14 @@ import pytest
 from hypothesis import example, given, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from leoacq import eval_harness
-from leoacq.io_cli import (ReadRangeError, SampleFileMeta, ScenarioConfig,
-                           TruncatedFileError, UnknownFormatError, cli,
-                           read_samples, read_truth_sidecar, write_samples,
+from leoacq import eval_harness, io_cli, signal_synth
+from leoacq.io_cli import (_FORMATS, ReadRangeError, SampleFileMeta,
+                           ScenarioConfig, TruncatedFileError,
+                           UnknownFormatError, cli, pass_epochs, read_samples,
+                           read_truth_sidecar, write_samples,
                            write_truth_sidecar)
-from leoacq.signal_synth import SampledSignal, SynthParams, synthesize
+from leoacq.signal_synth import (SampledSignal, SynthParams, synthesize,
+                                 synthesize_pass_signal)
 
 from conftest import FS_FAST, FIF_FAST, fast_params
 
@@ -26,6 +29,10 @@ def _meta(fmt="float32-real", fs=FS_FAST):
 
 def _sig(samples, fs=FS_FAST):
     return SampledSignal(samples=np.asarray(samples), sample_rate=fs)
+
+
+# a small write chunk for tests, so that short signals span several chunks
+CHUNK = 8
 
 
 class TestSampleFiles:
@@ -79,9 +86,14 @@ class TestSampleFiles:
         assert np.array_equal(back.samples.real, [0.5, -0.25])
         assert np.array_equal(back.samples.imag, [0.0, 0.0])
 
-    def test_complex_to_real_format_rejected(self, tmp_path):
+    def test_complex_to_real_format_rejected(self, tmp_path, monkeypatch):
+        # checked before the file is opened: an existing file keeps its bytes
+        monkeypatch.setattr(io_cli, "_CHUNK_SAMPLES", CHUNK)
+        path = tmp_path / "x.bin"
+        path.write_bytes(b"old bytes")
         with pytest.raises(ValueError, match="complex"):
-            write_samples(_sig(np.array([1j])), tmp_path / "x.bin", _meta())
+            write_samples(_sig(np.full(3 * CHUNK + 1, 1j)), path, _meta())
+        assert path.read_bytes() == b"old bytes"
 
     def test_offset_and_count_read(self, tmp_path):
         vals = np.arange(32, dtype=np.float32).astype(np.float64)
@@ -109,9 +121,33 @@ class TestSampleFiles:
         with pytest.raises(ReadRangeError, match="outside"):
             read_samples(path, _meta(), offset=10, count=10)
 
-    def test_nonfinite_rejected(self, tmp_path):
+    def test_nonfinite_rejected(self, tmp_path, monkeypatch):
+        # a NaN in the last chunk: nothing is written, the old file stays
+        monkeypatch.setattr(io_cli, "_CHUNK_SAMPLES", CHUNK)
+        path = tmp_path / "x.bin"
+        path.write_bytes(b"old bytes")
         with pytest.raises(ValueError, match="non-finite"):
-            write_samples(_sig(np.array([np.nan])), tmp_path / "x.bin", _meta())
+            write_samples(_sig(np.r_[np.zeros(3 * CHUNK), np.nan]), path,
+                          _meta("int16-real"))
+        assert path.read_bytes() == b"old bytes"
+
+
+def _reference_write(signal, path, meta) -> int:
+    """write_samples as a one-shot quantiser: the whole signal at once."""
+    dtype, scale, is_iq = _FORMATS[meta.format]
+    x = np.asarray(signal.samples)
+    flat = (x.astype(np.complex128).view(np.float64) if is_iq
+            else x.astype(np.float64))
+    clipped = 0
+    if scale is None:
+        out = flat.astype(dtype)
+    else:
+        scaled = np.round(flat * scale)
+        info = np.iinfo(dtype)
+        clipped = int(np.count_nonzero((scaled < info.min) | (scaled > info.max)))
+        out = np.clip(scaled, info.min, info.max).astype(dtype)
+    out.tofile(path)
+    return clipped
 
 
 def _round_trip(signal, fmt):
@@ -164,6 +200,28 @@ class TestSampleFileProperties:
             assert np.all(np.abs(got - want)[~over] <= 0.5 / scale)
             assert np.all(got[over] == top)
         assert clipped == saturated
+
+
+class TestChunkedWriter:
+    @given(fmt=st.sampled_from(sorted(_FORMATS)), data=st.data())
+    def test_equals_one_shot_reference(self, fmt, data):
+        # [-3, 3] drives the integer formats into clipping
+        n = data.draw(st.integers(0, 3 * CHUNK + 5))
+        dtypes = [np.float64, np.float32] + (
+            [np.complex128, np.complex64] if _FORMATS[fmt][2] else [])
+        dtype = np.dtype(data.draw(st.sampled_from(dtypes)))
+        values = st.floats(-3.0, 3.0, width=32)
+        x = data.draw(hnp.arrays(np.float64, n, elements=values))
+        if dtype.kind == "c":
+            x = x + 1j * data.draw(hnp.arrays(np.float64, n, elements=values))
+        x = x.astype(dtype)
+        with tempfile.TemporaryDirectory() as d, \
+                pytest.MonkeyPatch.context() as mp:
+            mp.setattr(io_cli, "_CHUNK_SAMPLES", CHUNK)
+            got, want = Path(d) / "chunked.bin", Path(d) / "one_shot.bin"
+            assert (write_samples(_sig(x), got, _meta(fmt))
+                    == _reference_write(_sig(x), want, _meta(fmt)))
+            assert got.read_bytes() == want.read_bytes()
 
 
 synth_params = st.builds(
@@ -343,6 +401,128 @@ def strong_config(tmp_path_factory):
         strategies=["coherent", "noncoherent"], total_ms=[1, 5],
         half_span=2e3, pf_thresholds=[1.0, 5.0, 0.25])))
     return str(path)
+
+
+def _config_with(path, data_bits) -> ScenarioConfig:
+    return replace(ScenarioConfig.from_file(path), data_bits=data_bits)
+
+
+class TestPassWrite:
+    @pytest.mark.parametrize("data_bits", ["ones", "random"])
+    def test_pass_epochs_are_rows_of_one_array(self, strong_config, data_bits):
+        config = _config_with(strong_config, data_bits)
+        epochs = pass_epochs(config)
+        want = list(synthesize_pass_signal(
+            config.scenario(), config.base_synth_params(),
+            random_bits=data_bits == "random"))
+        rows = epochs[0].samples.base
+        assert rows.shape == (len(want), len(want[0].samples))
+        assert rows.flags.c_contiguous
+        for k, (got, ref) in enumerate(zip(epochs, want)):
+            assert got.samples.base is rows
+            assert np.shares_memory(got.samples, rows[k])
+            assert got.samples.tobytes() == ref.samples.tobytes()
+            assert got.t0 == ref.t0
+
+    @pytest.mark.parametrize("data_bits", ["ones", "random"])
+    def test_sidecar_bytes_equal_asdict_reference(self, strong_config,
+                                                  tmp_path, data_bits):
+        config = _config_with(strong_config, data_bits)
+        epochs = pass_epochs(config)
+        meta = SampleFileMeta(config.sample_rate, config.intermediate_freq,
+                              t0=epochs[0].t0)
+        path = tmp_path / "pass.bin.truth"
+        write_truth_sidecar(path, meta, epochs, epoch_step=config.epoch_step)
+        reference = {**asdict(meta), "epoch_step": config.epoch_step,
+                     "samples_per_epoch": len(epochs[0].samples),
+                     "epoch_count": len(epochs),
+                     "epochs": [{"t": e.t0, **asdict(e.truth)} for e in epochs]}
+        assert path.read_bytes() == json.dumps(
+            reference, default=np.ndarray.tolist).encode()
+
+    @pytest.mark.parametrize("fmt", ["int16-real", "float32-iq"])
+    def test_synth_file_equals_concatenated_one_shot_write(
+            self, strong_config, tmp_path, monkeypatch, capsys, fmt):
+        # 1000-sample chunks straddle the 5115-sample epochs
+        monkeypatch.setattr(io_cli, "_CHUNK_SAMPLES", 1000)
+        out = tmp_path / "pass.bin"
+        assert cli(["synth", "--config", strong_config, "--out", str(out),
+                    "--format", fmt]) == 0
+        config = ScenarioConfig.from_file(strong_config)
+        epochs = synthesize_pass_signal(config.scenario(),
+                                        config.base_synth_params())
+        ref = tmp_path / "ref.bin"
+        clipped = _reference_write(
+            _sig(np.concatenate([e.samples for e in epochs])), ref, _meta(fmt))
+        assert out.read_bytes() == ref.read_bytes()
+        assert (f"[{clipped} samples clipped]" in capsys.readouterr().out) \
+            == (clipped > 0)
+
+    def test_synth_refuses_to_copy_separate_epochs(self, strong_config,
+                                                   tmp_path, monkeypatch):
+        def separate(config):
+            return [replace(e, samples=e.samples.copy())
+                    for e in pass_epochs(config)]
+
+        monkeypatch.setattr(io_cli, "pass_epochs", separate)
+        with pytest.raises(RuntimeError, match="rows of one"):
+            cli(["synth", "--config", strong_config,
+                 "--out", str(tmp_path / "pass.bin")])
+
+    def test_synth_bad_format_exits_two_before_synthesizing(
+            self, strong_config, tmp_path, monkeypatch, capsys):
+        calls = []
+        synthesize = signal_synth.synthesize
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return synthesize(*args, **kwargs)
+
+        monkeypatch.setattr(signal_synth, "synthesize", counted)
+        out = tmp_path / "pass.bin"
+        assert cli(["synth", "--config", strong_config, "--out", str(out),
+                    "--format", "bogus"]) == 2
+        assert "unknown sample format 'bogus'" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
+
+def _traced_peak(fn, *args):
+    """fn(*args) and the peak of the allocations tracemalloc traced while it
+    ran, numpy buffers included, above what was held before the call."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+class TestWriteMemory:
+    """A full-pass temporary in the write path fails these, not only the
+    benchmark's peak RSS."""
+
+    def test_synth_holds_the_pass_about_once(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({
+            "sample_rate": FS_FAST, "intermediate_freq": FIF_FAST,
+            "epoch_step": 10.0, "sample_format": "int16-real"}))
+        config = ScenarioConfig.from_file(path)
+        pass_bytes = (len(config.scenario().samples)
+                      * round(config.duration * config.sample_rate) * 8)
+        rc, peak = _traced_peak(cli, ["synth", "--config", str(path),
+                                      "--out", str(tmp_path / "pass.bin")])
+        assert rc == 0
+        # the float64 pass plus one epoch's synthesis and one write chunk
+        assert peak < 1.5 * pass_bytes
+
+    def test_write_samples_temporaries_are_chunk_sized(self, tmp_path):
+        x = np.random.default_rng(0).normal(0.0, 0.5, 1 << 22)  # 33.5 MB
+        _, peak = _traced_peak(write_samples, _sig(x), tmp_path / "x.bin",
+                               _meta("int16-real"))
+        assert peak < 8e6
 
 
 class TestCli:
