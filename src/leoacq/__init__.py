@@ -11,8 +11,7 @@ from .geometry import (PassSample, PassScenario, doppler_shift,
                        free_space_loss, radial_velocity, simulate_pass)
 from .signal_synth import (SampledSignal, SynthParams, noise_sigma,
                            synthesize, synthesize_pass_signal)
-from .acq_core import (CorrelationGrid, FrequencyPlan, make_plan,
-                       process_unit, process_units)
+from .acq_core import CorrelationGrid, FrequencyPlan, make_plan, process_units
 from .integrators import (IntegrationSpec, Strategy, integrate,
                           integrate_alternate_half_bit, integrate_coherent,
                           integrate_differential, integrate_noncoherent,

@@ -9,6 +9,15 @@ coherently; magnitudes are taken by the integrators, not here.
 The local oscillator keeps a single phase origin across units (phase derived
 from each unit's absolute start time), which preserves the unit-to-unit
 phase relationships that coherent and differential integration rely on.
+
+Correlation runs in single precision: the mixing table, the code spectrum
+and the LO phase are computed in float64 and stored as complex64, and each
+unit is mixed, transformed and phase-rotated as complex64, so a grid costs
+half the bytes of a complex128 one.  float32 rounding is about 1e-7 of a
+cell's magnitude, far below the thermal noise in every cell at the weak
+signal levels this engine is for.  tests/test_acq_core.py holds a complex128
+reference engine and checks every grid against it within 1e-5 of the
+largest reference cell (TestSinglePrecision).
 """
 
 from __future__ import annotations
@@ -54,7 +63,10 @@ def make_plan(center: float, half_span: float, total_coh_ms: int) -> FrequencyPl
 @dataclass
 class CorrelationGrid:
     """Values over (Doppler bin, code-phase sample): one 1 ms unit's complex
-    correlations, or the non-negative detection values integrated from them."""
+    correlations, or the non-negative detection values integrated from them.
+
+    Unit correlations from process_units are complex64 (see the module
+    docstring); the integrators' detection values are float64."""
 
     values: np.ndarray          # shape (len(plan.bins), samples per code)
     plan: FrequencyPlan
@@ -68,24 +80,14 @@ class CorrelationGrid:
 def _mixing_table(plan: FrequencyPlan, n: int, sample_rate: float) -> np.ndarray:
     freqs = plan.center + np.asarray(plan.bins)
     t = np.arange(n) / sample_rate
-    table = np.exp(-2j * np.pi * np.outer(freqs, t))
+    table = np.exp(-2j * np.pi * np.outer(freqs, t)).astype(np.complex64)
     table.flags.writeable = False  # shared by every caller
     return table
 
 
 def _code_fft(code: ChipSequence, sample_rate: float) -> np.ndarray:
-    return np.conj(scipy.fft.fft(sample_code(code, sample_rate)))
-
-
-def process_unit(signal: SampledSignal, code: ChipSequence,
-                 plan: FrequencyPlan) -> CorrelationGrid:
-    """Correlate one unit (one code period) against all Doppler bins."""
-    n = samples_per_code(code, signal.sample_rate)
-    if len(signal.samples) != n:
-        raise ValueError(
-            f"unit length mismatch: got {len(signal.samples)} samples, one "
-            f"code period is {n} at {signal.sample_rate} Hz")
-    return process_units(signal, code, plan)[0]
+    spectrum = np.conj(scipy.fft.fft(sample_code(code, sample_rate)))
+    return spectrum.astype(np.complex64)
 
 
 def process_units(signal: SampledSignal, code: ChipSequence,
@@ -94,8 +96,9 @@ def process_units(signal: SampledSignal, code: ChipSequence,
 
     All grids share the same plan; unit m starts count*m samples into the
     signal with its start time advanced accordingly.  Each unit's grid is one
-    forward and one inverse FFT over the mixed (bins, n) matrix, both done
-    in that matrix's memory.
+    forward and one inverse FFT over the mixed (bins, n) complex64 matrix,
+    both done in that matrix's memory.  Real and IQ samples of any float
+    dtype are mixed the same way.
     """
     fs = signal.sample_rate
     n = samples_per_code(code, fs)
@@ -120,15 +123,18 @@ def process_units(signal: SampledSignal, code: ChipSequence,
         t0 = signal.t0 + m * n / fs
         # The mixed product is transformed in place and becomes the grid:
         # one (bins, n) allocation per unit.
-        values = scipy.fft.fft(table * signal.samples[m * n:(m + 1) * n],
-                               axis=1, workers=_FFT_WORKERS, overwrite_x=True)
+        values = np.multiply(table, signal.samples[m * n:(m + 1) * n],
+                             dtype=np.complex64)
+        values = scipy.fft.fft(values, axis=1, workers=_FFT_WORKERS,
+                               overwrite_x=True)
         values *= code_fft
         values = scipy.fft.ifft(values, axis=1, workers=_FFT_WORKERS,
                                 overwrite_x=True)
         if t0 != 0.0:
             # Fold in the local-oscillator phase accumulated up to this unit's
             # start so the LO is continuous across units.
-            values *= np.exp(-2j * np.pi * ((freqs * t0) % 1.0))[:, None]
+            lo = np.exp(-2j * np.pi * ((freqs * t0) % 1.0))
+            values *= lo.astype(np.complex64)[:, None]
         grids.append(CorrelationGrid(values=values, plan=plan,
                                      samples_per_chip=samples_per_chip))
     return grids

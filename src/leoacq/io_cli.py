@@ -86,7 +86,12 @@ class SampleFileMeta:
 
 def read_samples(path, meta: SampleFileMeta, offset: int = 0,
                  count: int | None = None) -> SampledSignal:
-    """Read samples [offset, offset+count) from a binary sample file."""
+    """Read samples [offset, offset+count) from a binary sample file.
+
+    Samples come back as float32 (real formats) or complex64 (IQ formats).
+    Both are exact: every int8 and int16 code is a float32, and dividing it
+    by the power-of-two full scale only changes its exponent.
+    """
     dtype, scale, is_iq = _FORMATS[meta.format]
     frame = meta.bytes_per_sample
     size = os.path.getsize(path)
@@ -104,11 +109,11 @@ def read_samples(path, meta: SampleFileMeta, offset: int = 0,
             f"{total} samples in the file")
     raw = np.fromfile(path, dtype=dtype, count=count * (2 if is_iq else 1),
                       offset=offset * frame)
-    vals = raw.astype(np.float64)
+    vals = raw.astype(np.float32, copy=False)
     if scale is not None:
         vals /= scale
     if is_iq:
-        vals = vals.view(np.complex128)
+        vals = vals.view(np.complex64)
     return SampledSignal(samples=vals, sample_rate=meta.sample_rate,
                          t0=meta.t0 + offset / meta.sample_rate)
 

@@ -5,12 +5,13 @@ import functools
 import numpy as np
 import pytest
 import scipy.fft
+from hypothesis import given, settings, strategies as st
 
-from leoacq.acq_core import (_mixing_table, make_plan, process_unit,
-                             process_units, samples_per_code)
-from leoacq.detector import mtsmr
-from leoacq.integrators import integrate_noncoherent
-from leoacq.prn_code import ChipSequence, generate_code
+from leoacq.acq_core import (CorrelationGrid, _code_fft, _mixing_table,
+                             make_plan, process_units, samples_per_code)
+from leoacq.detector import acquire, mtsmr
+from leoacq.integrators import Strategy, integrate, integrate_noncoherent
+from leoacq.prn_code import ChipSequence, generate_code, sample_code
 from leoacq.signal_synth import SampledSignal, noise_sigma
 
 from conftest import FS_FAST, FIF_FAST, FS_FULL, FIF_FULL, plan_for, synth_units
@@ -48,22 +49,52 @@ def _direct_circular_correlation(x_mixed, code_samples):
     return np.array([np.dot(x_mixed, np.roll(code_samples, j)) for j in range(n)])
 
 
+def reference_process_units(signal, code, plan):
+    """process_units in complex128: mixing table, code spectrum, FFTs and LO
+    phase all in double precision.  The oracle for the single-precision
+    engine."""
+    fs = signal.sample_rate
+    n = samples_per_code(code, fs)
+    freqs = plan.center + np.asarray(plan.bins)
+    table = np.exp(-2j * np.pi * np.outer(freqs, np.arange(n) / fs))
+    code_fft = np.conj(scipy.fft.fft(sample_code(code, fs)))
+    grids = []
+    for m in range(len(signal.samples) // n):
+        t0 = signal.t0 + m * n / fs
+        values = scipy.fft.fft(table * signal.samples[m * n:(m + 1) * n], axis=1)
+        values = scipy.fft.ifft(values * code_fft, axis=1)
+        if t0 != 0.0:
+            values *= np.exp(-2j * np.pi * ((freqs * t0) % 1.0))[:, None]
+        grids.append(CorrelationGrid(values=values, plan=plan,
+                                     samples_per_chip=round(fs / code.chip_rate)))
+    return grids
+
+
+def f32_bound(n):
+    """Relative rounding bound of a length-n single-precision FFT
+    correlation: float32 epsilon per radix-2 stage."""
+    return np.log2(n) * np.finfo(np.float32).eps
+
+
 class TestProcessUnit:
-    def test_matches_direct_circular_correlation(self):
-        # DFT correlation theorem: exact up to rounding
+    @pytest.mark.parametrize("engine", [process_units, reference_process_units])
+    def test_matches_direct_circular_correlation(self, engine):
+        # DFT correlation theorem: exact up to rounding, 1e-9 in double
+        # precision and f32_bound(n) in the single-precision engine
         rng = np.random.default_rng(42)
         n = 512
         chips = rng.choice([-1.0, 1.0], n)
         code = ChipSequence(prn_id=1, chips=chips, chip_rate=n * 1000.0)
         sig = SampledSignal(samples=rng.normal(size=n), sample_rate=n * 1000.0)
         plan = make_plan(0.0, 1e3, 1)  # bins at -1000..1000
-        grid = process_unit(sig, code, plan)
+        (grid,) = engine(sig, code, plan)
+        tol = 1e-9 if engine is reference_process_units else f32_bound(n)
         t = np.arange(n) / sig.sample_rate
         for i, df in enumerate(plan.bins):
             mixed = sig.samples * np.exp(-2j * np.pi * df * t)
             direct = _direct_circular_correlation(mixed, chips)
             err = np.abs(grid.values[i] - direct).max()
-            assert err <= 1e-9 * np.abs(direct).max()
+            assert err <= tol * np.abs(direct).max()
 
     def test_noiseless_peak_at_true_cell(self, code1):
         # true delay of 1000 samples at 4 samples/chip: initial code phase
@@ -71,33 +102,30 @@ class TestProcessUnit:
         sig, _ = synth_units(1, code1, d0=1000.0, fs=FS_FULL, fif=FIF_FULL,
                              code_phase0=(4092 - 1000) / 4)
         plan = make_plan(FIF_FULL, 10e3, 1)
-        grid = process_unit(sig, code1, plan)
+        (grid,) = process_units(sig, code1, plan)
         i, j = np.unravel_index(np.argmax(np.abs(grid.values)), grid.values.shape)
         assert plan.bins[i] == 1000.0
         assert j == 1000
         assert grid.samples_per_chip == 4
         assert grid.values.shape[1] == 4092
 
-    def test_unit_length_error(self, code1):
-        sig = SampledSignal(samples=np.zeros(1000), sample_rate=FS_FAST)
-        with pytest.raises(ValueError, match="unit length"):
-            process_unit(sig, code1, plan_for(1))
-
-    def test_parseval_energy(self, code1):
-        import scipy.fft
-        from leoacq.prn_code import sample_code
+    @pytest.mark.parametrize("engine", [process_units, reference_process_units])
+    def test_parseval_energy(self, code1, engine):
         rng = np.random.default_rng(3)
         sig = SampledSignal(samples=rng.normal(size=1023), sample_rate=FS_FAST)
         plan = plan_for(1)
-        grid = process_unit(sig, code1, plan)
+        (grid,) = engine(sig, code1, plan)
+        # energy is quadratic in the cells: twice their relative bound
+        tol = 1e-9 if engine is reference_process_units else 2 * f32_bound(1023)
         t = np.arange(1023) / FS_FAST
         codef = np.conj(scipy.fft.fft(sample_code(code1, FS_FAST)))
         for i, df in enumerate(plan.bins):
             mixed = sig.samples * np.exp(-2j * np.pi * (plan.center + df) * t)
             spectrum = scipy.fft.fft(mixed) * codef
-            row_energy = np.sum(np.abs(grid.values[i]) ** 2)
+            row = grid.values[i].astype(np.complex128)
+            row_energy = np.sum(np.abs(row) ** 2)
             assert row_energy == pytest.approx(
-                np.sum(np.abs(spectrum) ** 2) / 1023, rel=1e-9)
+                np.sum(np.abs(spectrum) ** 2) / 1023, rel=tol)
 
     def test_pure_noise_mtsmr_rarely_exceeds_threshold(self, code1):
         sigma = noise_sigma(45.0, 1.0, FS_FAST)
@@ -108,20 +136,13 @@ class TestProcessUnit:
             rng = np.random.default_rng(1000 + k)
             sig = SampledSignal(samples=rng.normal(0, sigma, 1023),
                                 sample_rate=FS_FAST)
-            det = integrate_noncoherent([process_unit(sig, code1, plan)])
+            det = integrate_noncoherent(process_units(sig, code1, plan))
             if mtsmr(det, 1) < 2.5:
                 below += 1
         assert below >= 0.9 * trials
 
 
 class TestProcessUnits:
-    def test_singleton_equals_process_unit(self, code1):
-        sig, _ = synth_units(1, code1, d0=500.0, cn0=40.0, seed=2)
-        single = process_unit(sig, code1, plan_for(1))
-        many = process_units(sig, code1, plan_for(1))
-        assert len(many) == 1
-        assert np.array_equal(many[0].values, single.values)
-
     def test_length_must_be_multiple(self, code1):
         sig = SampledSignal(samples=np.zeros(1023 + 12), sample_rate=FS_FAST)
         with pytest.raises(ValueError, match="multiple"):
@@ -234,7 +255,7 @@ class TestAccuracy:
             p0 = (-delay * code1.chip_rate / FS_FULL) % 1023
             sig, _ = synth_units(1, code1, d0=0.0, fs=FS_FULL, fif=FIF_FULL,
                                  code_phase0=p0)
-            grid = process_unit(sig, code1, plan)
+            grid = process_units(sig, code1, plan)[0]
             assert int(np.argmax(np.abs(grid.values))) % n == delay
 
     def test_fractional_delay_error_below_half_sample(self, code1):
@@ -249,7 +270,7 @@ class TestAccuracy:
             p0 = (-delay * code1.chip_rate / fs) % 1023
             sig, _ = synth_units(1, code1, d0=0.0, fs=fs, fif=FIF_FULL,
                                  code_phase0=p0)
-            grid = process_unit(sig, code1, plan)
+            grid = process_units(sig, code1, plan)[0]
             j = int(np.argmax(np.abs(grid.values))) % n
             err = min(abs(j - delay), n - abs(j - delay))
             assert err <= 0.5
@@ -258,6 +279,71 @@ class TestAccuracy:
         plan = make_plan(FIF_FULL, 2e3, 1)
         for d0 in np.linspace(-800.0, 800.0, 7):
             sig, _ = synth_units(1, code1, d0=float(d0), fs=FS_FULL, fif=FIF_FULL)
-            grid = process_unit(sig, code1, plan)
+            grid = process_units(sig, code1, plan)[0]
             i = int(np.argmax(np.abs(grid.values))) // grid.values.shape[1]
             assert abs(plan.bins[i] - d0) <= 250.0
+
+
+INPUT_DTYPES = [np.float64, np.float32, np.complex128, np.complex64]
+
+
+class TestSinglePrecision:
+    """The complex64 engine against reference_process_units (complex128)."""
+
+    @settings(max_examples=40)
+    @given(paper=st.booleans(), units=st.integers(1, 5),
+           t0=st.floats(1e-3, 700.0), d0=st.floats(-1500.0, 1500.0),
+           cn0=st.sampled_from([None, 35.0, 45.0]),
+           seed=st.integers(0, 2 ** 16), dtype=st.sampled_from(INPUT_DTYPES))
+    def test_grid_within_1e5_of_reference(self, code1, paper, units, t0, d0,
+                                          cn0, seed, dtype):
+        fs, fif = (FS_FULL, FIF_FULL) if paper else (FS_FAST, FIF_FAST)
+        sig, _ = synth_units(units, code1, d0=d0, cn0=cn0, seed=seed,
+                             fs=fs, fif=fif)
+        sig = SampledSignal(samples=sig.samples.astype(dtype), sample_rate=fs,
+                            t0=t0)
+        plan = make_plan(fif, 1e3, units)
+        got = process_units(sig, code1, plan)
+        ref = reference_process_units(sig, code1, plan)
+        assert len(got) == len(ref) == units
+        for g, r in zip(got, ref):
+            assert g.values.dtype == np.complex64
+            err = np.abs(g.values - r.values).max()
+            assert err <= 1e-5 * np.abs(r.values).max()
+
+    def test_twenty_ms_paper_epoch_same_acquisitions(self, code1):
+        # 15 Hz off a 25 Hz bin, mid-pass start time: every strategy finds
+        # the same cell and decision as in double precision
+        sig, _ = synth_units(20, code1, d0=140.0, cn0=45.0, seed=7,
+                             fs=FS_FULL, fif=FIF_FULL, code_phase0=311.4)
+        sig.t0 = 137.0
+        plan = make_plan(FIF_FULL, 250.0, 20)
+        got = process_units(sig, code1, plan)
+        ref = reference_process_units(sig, code1, plan)
+        for strategy in Strategy:
+            det = integrate(got, strategy)
+            assert det.values.dtype == np.float64
+            a = acquire(det)
+            b = acquire(integrate(ref, strategy))
+            assert b.decided and abs(b.doppler_hat - 140.0) <= 12.5
+            assert (a.doppler_hat, a.code_phase_hat, a.decided) == (
+                b.doppler_hat, b.code_phase_hat, b.decided)
+            assert a.mtsmr == pytest.approx(b.mtsmr, rel=1e-5)
+            assert a.mtmr == pytest.approx(b.mtmr, rel=1e-5)
+
+    @pytest.mark.parametrize("dtype", INPUT_DTYPES,
+                             ids=lambda d: np.dtype(d).name)
+    def test_grids_are_complex64(self, code1, dtype):
+        sig, _ = synth_units(2, code1, cn0=45.0)
+        sig = SampledSignal(samples=sig.samples.astype(dtype),
+                            sample_rate=FS_FAST, t0=0.5)
+        grids = process_units(sig, code1, plan_for(2))
+        assert [g.values.dtype for g in grids] == [np.complex64] * 2
+
+    def test_cached_table_is_complex64_and_read_only(self, code1):
+        table = _mixing_table(plan_for(1), 1023, FS_FAST)
+        assert table.dtype == np.complex64
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0.0
+        assert _code_fft(code1, FS_FAST).dtype == np.complex64

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from leoacq.acq_core import make_plan, process_unit, process_units
+from leoacq.acq_core import make_plan, process_units
 from leoacq.detector import decide, mtsmr
 from leoacq.integrators import (_SLAB_CELLS, IntegrationSpec, Strategy,
                                 _alternate_half_bit, _coherent, _differential,

@@ -52,6 +52,27 @@ class TestSampleFiles:
         assert back.samples[1] == 0.5
         assert back.samples[2] == 0.0
 
+    @pytest.mark.parametrize("fmt", sorted(_FORMATS))
+    def test_reads_single_precision_exactly(self, tmp_path, fmt):
+        # every code of every format, scaled by its power-of-two full scale,
+        # is a float32: the single-precision read equals a float64 read
+        dtype, scale, is_iq = _FORMATS[fmt]
+        if scale is None:
+            raw = np.random.default_rng(5).normal(size=512).astype(dtype)
+        else:
+            info = np.iinfo(dtype)
+            raw = np.arange(info.min, info.max + 1).astype(dtype)
+        path = tmp_path / "x.bin"
+        raw.tofile(path)
+        back = read_samples(path, _meta(fmt)).samples
+        want = raw.astype(np.float64) / (scale or 1.0)
+        if is_iq:
+            assert back.dtype == np.complex64
+            want = want.view(np.complex128)
+        else:
+            assert back.dtype == np.float32
+        assert np.array_equal(back, want)
+
     def test_int8_quantization_bound(self, tmp_path):
         sig = synthesize(fast_params(cn0=None, duration=1e-3))
         path = tmp_path / "i8.bin"
@@ -165,16 +186,17 @@ unit_interval = st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True)
 class TestSampleFileProperties:
     @given(hnp.arrays(np.float32, st.integers(0, 64), elements=float32s))
     def test_float32_real_round_trip_bitwise(self, vals):
-        x = vals.astype(np.float64)
-        back, _ = _round_trip(_sig(x), "float32-real")
-        assert back.tobytes() == x.tobytes()
+        back, _ = _round_trip(_sig(vals.astype(np.float64)), "float32-real")
+        assert back.dtype == np.float32
+        assert back.tobytes() == vals.tobytes()
 
     @given(hnp.arrays(np.float32, st.tuples(st.integers(0, 64), st.just(2)),
                       elements=float32s))
     def test_float32_iq_round_trip_bitwise(self, pairs):
         x = pairs.astype(np.float64).view(np.complex128).ravel()
         back, _ = _round_trip(_sig(x), "float32-iq")
-        assert back.tobytes() == x.tobytes()
+        assert back.dtype == np.complex64
+        assert back.tobytes() == pairs.tobytes()
 
     @pytest.mark.parametrize("fmt", ["int8-real", "int16-real",
                                      "int8-iq", "int16-iq"])
