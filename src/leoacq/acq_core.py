@@ -50,8 +50,9 @@ def make_plan(center: float, half_span: float, total_coh_ms: int) -> FrequencyPl
     Bin width follows the 500/T rule (T in ms): longer coherent integration
     narrows the frequency search bandwidth.
     """
-    if half_span <= 0:
-        raise ValueError(f"half_span must be positive, got {half_span}")
+    if not (math.isfinite(half_span) and half_span > 0):
+        raise ValueError(f"half_span must be finite and positive, "
+                         f"got {half_span}")
     if total_coh_ms < 1:
         raise ValueError(f"total_coh_ms must be >= 1, got {total_coh_ms}")
     bin_width = 500.0 / total_coh_ms
@@ -76,11 +77,20 @@ class CorrelationGrid:
 # A mixing table is a pure function of (plan, length, sample rate).  One
 # cached table is enough: every caller correlates all epochs of one span (one
 # plan) before moving to the next, so older tables would never be hit again.
+# The table is filled _TABLE_BLOCK rows at a time, so its float64 phase and
+# complex128 temporaries stay a few MB beside it; each element is computed
+# as in a one-shot build, so the table is bitwise the same.
+_TABLE_BLOCK = 32
+
+
 @functools.lru_cache(maxsize=1)
 def _mixing_table(plan: FrequencyPlan, n: int, sample_rate: float) -> np.ndarray:
     freqs = plan.center + np.asarray(plan.bins)
     t = np.arange(n) / sample_rate
-    table = np.exp(-2j * np.pi * np.outer(freqs, t)).astype(np.complex64)
+    table = np.empty((len(freqs), n), dtype=np.complex64)
+    for i in range(0, len(freqs), _TABLE_BLOCK):
+        block = -2j * np.pi * np.outer(freqs[i:i + _TABLE_BLOCK], t)
+        table[i:i + _TABLE_BLOCK] = np.exp(block, out=block)
     table.flags.writeable = False  # shared by every caller
     return table
 

@@ -124,7 +124,12 @@ def write_samples(signal: SampledSignal, path, meta: SampleFileMeta) -> int:
 
     The samples are quantised and written _CHUNK_SAMPLES at a time, so the
     temporaries stay chunk-sized whatever the signal's length; each step is
-    elementwise, so the bytes equal a one-shot conversion.  The samples are
+    elementwise, so the bytes equal a one-shot conversion.  Each chunk is
+    quantised in the samples' own precision: float32 and complex64 samples
+    in float32, others in float64.  Scaling by a power-of-two full scale,
+    rounding to an integer and clipping are exact in either, so float32
+    samples give the same bytes and clip count as their float64 upcast,
+    without a float64 copy of each chunk.  The samples are
     checked (finite, and real for a real format) before the file is opened:
     on a validation error nothing is written and an existing file is left
     as it was.
@@ -141,10 +146,13 @@ def write_samples(signal: SampledSignal, path, meta: SampleFileMeta) -> int:
     with open(path, "wb") as f:
         for i in starts:
             chunk = x[i:i + _CHUNK_SAMPLES]
-            if is_iq:  # I, Q float64 pairs
-                flat = chunk.astype(np.complex128).view(np.float64)
+            if is_iq:  # I, Q pairs
+                flat = np.ascontiguousarray(
+                    chunk, np.result_type(chunk.dtype, np.complex64))
+                flat = flat.view(np.finfo(flat.dtype).dtype)
             else:
-                flat = chunk.astype(np.float64, copy=False)
+                flat = chunk.astype(np.result_type(chunk.dtype, np.float32),
+                                    copy=False)
             if scale is None:
                 out = flat.astype(dtype)
             else:
@@ -207,6 +215,22 @@ _JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,),
                "float | None": (int, float, type(None)), "list": (list,)}
 
 
+def _check_search(threshold: float, half_span: float, sample_rate: float) -> None:
+    """Reject a detection threshold or Doppler half-span no search can use.
+
+    The threshold must be finite and positive.  The half-span must lie in
+    (0, sample_rate / 2): past Nyquist, bins alias onto each other.  A NaN
+    fails both comparisons and is rejected too.
+    """
+    if not (math.isfinite(threshold) and threshold > 0):
+        raise ValueError(f"threshold must be finite and positive, "
+                         f"got {threshold!r}")
+    if not 0 < half_span < sample_rate / 2:
+        raise ValueError(f"half_span must lie in (0, {sample_rate / 2!r}) Hz, "
+                         f"below Nyquist at sample rate {sample_rate!r} Hz, "
+                         f"got {half_span!r}")
+
+
 @dataclass
 class ScenarioConfig:
     """One experiment: synthesis + geometry + run parameters (JSON file)."""
@@ -263,8 +287,7 @@ class ScenarioConfig:
                              f"got {t!r}")
         if self.data_bits not in ("ones", "random"):
             raise ValueError("data_bits must be 'ones' or 'random'")
-        if self.threshold <= 0:
-            raise ValueError("threshold must be positive")
+        _check_search(self.threshold, self.half_span, self.sample_rate)
         if self.duration < max(self.total_ms) / 1e3:
             raise ValueError(
                 f"epoch duration {self.duration}s shorter than the longest "
@@ -292,6 +315,10 @@ class ScenarioConfig:
             if (isinstance(value, bool)
                     or not isinstance(value, _JSON_TYPES[types[key]])):
                 raise ValueError(f"{path}: {key} must be {types[key]}, "
+                                 f"got {value!r}")
+            # json reads NaN, Infinity and overflowing numbers such as 1e400
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{path}: {key} must be a finite number, "
                                  f"got {value!r}")
         return cls(**record)
 
@@ -333,10 +360,17 @@ class ScenarioConfig:
 def pass_epochs(config: ScenarioConfig) -> list[SampledSignal]:
     """Geometry + synthesis for the configured pass, in memory.
 
-    All samples live in one C-ordered (epochs, samples per epoch) array:
-    epoch k's samples are a view of row k.  Each epoch is copied into its
-    row as it is synthesized and its own array dropped, so the pass is held
-    once, and the whole array is one contiguous stream in epoch order.
+    All samples live in one C-ordered (epochs, samples per epoch) float32
+    array: epoch k's samples are a view of row k.  Each epoch is synthesized
+    in float64, rounded to float32 as it is copied into its row, and its own
+    array dropped, so the pass is held once, at 4 bytes a sample, and the
+    whole array is one contiguous stream in epoch order.
+
+    The rounding costs acquisition nothing: process_units mixes real samples
+    as complex64, which rounds them to float32 in the same way, so the
+    grids, and the duration and sweep outputs, are bitwise those of the
+    float64 epochs.  A written integer format can differ by one code where a
+    float64 sample lay within float32 resolution of a rounding tie.
     """
     scenario = config.scenario()
     rows, epochs = None, []
@@ -345,8 +379,8 @@ def pass_epochs(config: ScenarioConfig) -> list[SampledSignal]:
             random_bits=config.data_bits == "random")):
         if rows is None:
             rows = np.empty((len(scenario.samples), len(epoch.samples)),
-                            dtype=epoch.samples.dtype)
-        rows[k] = epoch.samples
+                            dtype=np.float32)
+        rows[k] = epoch.samples  # the one rounding to float32
         # The epoch's own array is freed only after the next epoch is made.
         # Freed at once, it would leave the whole synthesis heap free, and
         # glibc malloc would return those pages to the kernel and fault them
@@ -470,6 +504,7 @@ def _cmd_acquire(args) -> int:
     spec = IntegrationSpec(strategy=strategy, total_ms=args.total_ms)
     header, epoch_truths = read_truth_sidecar(args.samples + ".truth")
     meta = SampleFileMeta(**{f.name: header[f.name] for f in fields(SampleFileMeta)})
+    _check_search(args.threshold, args.half_span, meta.sample_rate)
     plan = make_plan(meta.intermediate_freq, args.half_span, args.total_ms)
 
     spe = header["samples_per_epoch"]

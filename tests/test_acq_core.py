@@ -1,6 +1,7 @@
 """Parallel code-phase search tests."""
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,6 +43,11 @@ class TestMakePlan:
             make_plan(0.0, -1.0, 1)
         with pytest.raises(ValueError):
             make_plan(0.0, 1e3, 0)
+
+    @pytest.mark.parametrize("half_span", [np.inf, -np.inf, np.nan])
+    def test_non_finite_half_span_rejected(self, half_span):
+        with pytest.raises(ValueError, match="half_span must be finite"):
+            make_plan(0.0, half_span, 1)
 
 
 def _direct_circular_correlation(x_mixed, code_samples):
@@ -331,6 +337,25 @@ class TestSinglePrecision:
             assert a.mtsmr == pytest.approx(b.mtsmr, rel=1e-5)
             assert a.mtmr == pytest.approx(b.mtmr, rel=1e-5)
 
+    @settings(max_examples=30)
+    @given(paper=st.booleans(), units=st.integers(1, 5),
+           t0=st.floats(0.0, 700.0), d0=st.floats(-1500.0, 1500.0),
+           cn0=st.sampled_from([None, 45.0]), seed=st.integers(0, 2 ** 16))
+    def test_float32_samples_give_the_float64_grids(self, code1, paper, units,
+                                                    t0, d0, cn0, seed):
+        # Mixing rounds real samples to float32 anyway, so a pass held in
+        # float32 (io_cli.pass_epochs) correlates bitwise as in float64.
+        fs, fif = (FS_FULL, FIF_FULL) if paper else (FS_FAST, FIF_FAST)
+        sig, _ = synth_units(units, code1, d0=d0, cn0=cn0, seed=seed,
+                             fs=fs, fif=fif)
+        plan = make_plan(fif, 1e3, units)
+        grids = [process_units(SampledSignal(samples=sig.samples.astype(dtype),
+                                             sample_rate=fs, t0=t0),
+                               code1, plan)
+                 for dtype in (np.float32, np.float64)]
+        for a, b in zip(*grids):
+            assert a.values.tobytes() == b.values.tobytes()
+
     @pytest.mark.parametrize("dtype", INPUT_DTYPES,
                              ids=lambda d: np.dtype(d).name)
     def test_grids_are_complex64(self, code1, dtype):
@@ -347,3 +372,39 @@ class TestSinglePrecision:
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0] = 0.0
         assert _code_fft(code1, FS_FAST).dtype == np.complex64
+
+
+class TestMixingTable:
+    @staticmethod
+    def one_shot(plan, n, fs):
+        freqs = plan.center + np.asarray(plan.bins)
+        t = np.arange(n) / fs
+        return np.exp(-2j * np.pi * np.outer(freqs, t)).astype(np.complex64)
+
+    # 801 bins (the default +/-10 kHz at 20 ms): 25 whole blocks and a tail;
+    # 9 bins: one short block
+    @pytest.mark.parametrize("fif, fs, half_span, total_ms", [
+        (FIF_FULL, FS_FULL, 10e3, 20), (FIF_FAST, FS_FAST, 2e3, 1)])
+    def test_equals_one_shot_build_bitwise(self, code1, fif, fs, half_span,
+                                           total_ms):
+        plan = make_plan(fif, half_span, total_ms)
+        n = samples_per_code(code1, fs)
+        table = _mixing_table.__wrapped__(plan, n, fs)
+        want = self.one_shot(plan, n, fs)
+        assert table.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+
+    def test_build_peaks_near_the_table(self, code1):
+        # a one-shot build peaks at 4x the table: a float64 phase array,
+        # two complex128 arrays and the complex64 cast
+        plan = make_plan(FIF_FULL, 10e3, 20)
+        n = samples_per_code(code1, FS_FULL)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            table = _mixing_table.__wrapped__(plan, n, FS_FULL)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert table.shape == (801, 4092)
+        assert peak < 1.25 * table.nbytes

@@ -246,6 +246,65 @@ class TestChunkedWriter:
             assert got.read_bytes() == want.read_bytes()
 
 
+# half-code ties of the int8 and int16 full scales out to 3x full scale:
+# float32 values where rounding to a code is decided by half-to-even
+half_codes = st.sampled_from([128, 32768]).flatmap(
+    lambda scale: st.integers(-3 * scale, 3 * scale).map(
+        lambda k: (k + 0.5) / scale))
+
+
+def _upcast(x):
+    return x.astype(np.complex128 if x.dtype.kind == "c" else np.float64)
+
+
+def _write_both_precisions(x, d, fmt):
+    """write_samples on x and on its double-precision upcast: the clip
+    counts and the bytes of both files."""
+    single, double = Path(d) / "single.bin", Path(d) / "double.bin"
+    clips = (write_samples(_sig(x), single, _meta(fmt)),
+             write_samples(_sig(_upcast(x)), double, _meta(fmt)))
+    return clips, (single.read_bytes(), double.read_bytes())
+
+
+class TestSinglePrecisionWrite:
+    """Single-precision samples are quantised in float32; that must write
+    what their float64 upcast writes."""
+
+    @given(fmt=st.sampled_from(sorted(_FORMATS)), data=st.data())
+    def test_equals_double_upcast(self, fmt, data):
+        n = data.draw(st.integers(0, 3 * CHUNK + 5))
+        values = st.floats(-3.0, 3.0, width=32) | half_codes
+        x = data.draw(hnp.arrays(np.float32, n, elements=values))
+        if _FORMATS[fmt][2] and data.draw(st.booleans()):
+            q = data.draw(hnp.arrays(np.float32, n, elements=values))
+            x = np.stack([x, q], axis=-1).reshape(-1).view(np.complex64)
+        with tempfile.TemporaryDirectory() as d, \
+                pytest.MonkeyPatch.context() as mp:
+            mp.setattr(io_cli, "_CHUNK_SAMPLES", CHUNK)
+            (clip32, clip64), (got, want) = _write_both_precisions(x, d, fmt)
+        assert clip32 == clip64
+        assert got == want
+
+    @pytest.mark.parametrize("fmt", sorted(_FORMATS))
+    def test_every_tie_and_clip_edge(self, tmp_path, fmt):
+        # every half-code tie of both integer scales, every int16 code, the
+        # float32 neighbours of the clip edges, and normal samples
+        k = np.arange(-32770, 32770)
+        edges = np.array([-1.0, 1.0, 32767 / 32768, 127 / 128], np.float32)
+        x = np.concatenate([
+            (k + 0.5) / 32768, k / 32768, (np.arange(-130, 130) + 0.5) / 128,
+            edges, np.nextafter(edges, np.float32(-2)),
+            np.nextafter(edges, np.float32(2)),
+            np.random.default_rng(3).normal(0.0, 0.6, 1 << 16)]).astype(
+                np.float32)
+        if _FORMATS[fmt][2]:
+            x = np.stack([x, x[::-1]], axis=-1).reshape(-1).view(np.complex64)
+        (clip32, clip64), (got, want) = _write_both_precisions(x, tmp_path,
+                                                               fmt)
+        assert clip32 == clip64
+        assert got == want
+
+
 synth_params = st.builds(
     SynthParams,
     prn_id=st.integers(1, 37), sample_rate=finite, intermediate_freq=finite,
@@ -397,6 +456,44 @@ class TestScenarioConfig:
         assert calls == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, out_flag", [
+        ("synth", "--out"), ("duration", "--out"), ("sweep", "--out-dir")])
+    @pytest.mark.parametrize("overrides, field_name", [
+        (dict(half_span=float("inf")), "half_span"),
+        (dict(half_span=float("nan")), "half_span"),
+        (dict(half_span=1e300), "half_span"),  # a plan of 1e297 bins
+        (dict(half_span=FS_FAST / 2), "half_span"),  # bins alias past Nyquist
+        (dict(half_span=0.0), "half_span"),
+        (dict(duration=float("nan")), "duration"),
+        (dict(threshold=float("nan")), "threshold"),
+        (dict(threshold=float("inf")), "threshold"),
+        (dict(threshold=0.0), "threshold"),
+        (dict(cn0=float("-inf")), "cn0"),
+        (dict(epoch_step=float("nan")), "epoch_step"),
+    ])
+    def test_bad_numbers_exit_two_before_synthesis_or_plan(
+            self, tmp_path, capsys, monkeypatch, command, out_flag,
+            overrides, field_name):
+        # the calls are recorded, not run: a 1e300 half-span that got through
+        # would build its plan until killed
+        calls = []
+        monkeypatch.setattr(signal_synth, "synthesize",
+                            lambda *args, **kwargs: calls.append("synthesize"))
+        monkeypatch.setattr(io_cli, "make_plan",
+                            lambda *args, **kwargs: calls.append("make_plan"))
+        config = self._write(tmp_path, **overrides)
+        out = tmp_path / "out"
+        assert cli([command, "--config", str(config), out_flag, str(out)]) == 2
+        assert field_name in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
+    def test_overflowing_json_number_rejected(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"half_span": 1e400}')  # json reads inf
+        with pytest.raises(ValueError, match="half_span must be a finite"):
+            ScenarioConfig.from_file(path)
+
     def test_default_threshold_grid(self):
         grid = ScenarioConfig().threshold_grid()
         assert np.array_equal(grid, np.round(np.arange(1.0, 6.025, 0.05), 10))
@@ -439,11 +536,14 @@ class TestPassWrite:
             random_bits=data_bits == "random"))
         rows = epochs[0].samples.base
         assert rows.shape == (len(want), len(want[0].samples))
+        assert rows.dtype == np.float32
         assert rows.flags.c_contiguous
         for k, (got, ref) in enumerate(zip(epochs, want)):
             assert got.samples.base is rows
             assert np.shares_memory(got.samples, rows[k])
-            assert got.samples.tobytes() == ref.samples.tobytes()
+            # the synthesized float64 epoch, rounded once to float32
+            assert (got.samples.tobytes()
+                    == ref.samples.astype(np.float32).tobytes())
             assert got.t0 == ref.t0
 
     @pytest.mark.parametrize("data_bits", ["ones", "random"])
@@ -475,7 +575,8 @@ class TestPassWrite:
                                         config.base_synth_params())
         ref = tmp_path / "ref.bin"
         clipped = _reference_write(
-            _sig(np.concatenate([e.samples for e in epochs])), ref, _meta(fmt))
+            _sig(np.concatenate([e.samples.astype(np.float32)
+                                 for e in epochs])), ref, _meta(fmt))
         assert out.read_bytes() == ref.read_bytes()
         assert (f"[{clipped} samples clipped]" in capsys.readouterr().out) \
             == (clipped > 0)
@@ -533,11 +634,12 @@ class TestWriteMemory:
             "epoch_step": 10.0, "sample_format": "int16-real"}))
         config = ScenarioConfig.from_file(path)
         pass_bytes = (len(config.scenario().samples)
-                      * round(config.duration * config.sample_rate) * 8)
+                      * round(config.duration * config.sample_rate) * 4)
         rc, peak = _traced_peak(cli, ["synth", "--config", str(path),
                                       "--out", str(tmp_path / "pass.bin")])
         assert rc == 0
-        # the float64 pass plus one epoch's synthesis and one write chunk
+        # the float32 pass plus one epoch's synthesis and one write chunk;
+        # a float64 pass alone is twice pass_bytes
         assert peak < 1.5 * pass_bytes
 
     def test_write_samples_temporaries_are_chunk_sized(self, tmp_path):
@@ -715,6 +817,35 @@ class TestCli:
         capsys.readouterr()
         assert cli(["acquire", "--samples", samples]) == 2
         assert samples + ".truth" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, field_name", [
+        ("--half-span", "inf", "half_span"),
+        ("--half-span", "nan", "half_span"),
+        ("--half-span", "1e300", "half_span"),
+        ("--half-span", str(FS_FAST / 2), "half_span"),
+        ("--half-span", "-1", "half_span"),
+        ("--threshold", "nan", "threshold"),
+        ("--threshold", "inf", "threshold"),
+        ("--threshold", "0", "threshold"),
+    ])
+    def test_acquire_bad_search_exits_two_before_reading(
+            self, strong_config, tmp_path, capsys, monkeypatch, flag, value,
+            field_name):
+        samples = tmp_path / "pass.bin"
+        assert cli(["synth", "--config", strong_config,
+                    "--out", str(samples)]) == 0
+        capsys.readouterr()
+        calls = []
+        monkeypatch.setattr(io_cli, "make_plan",
+                            lambda *args, **kwargs: calls.append("make_plan"))
+        monkeypatch.setattr(io_cli, "read_samples",
+                            lambda *args, **kwargs: calls.append("read"))
+        out = tmp_path / "timeline.csv"
+        assert cli(["acquire", "--samples", str(samples), flag, value,
+                    "--out", str(out)]) == 2
+        assert field_name in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("strategy, total_ms, reason", [
         ("alternatehalfbit", "10", "multiple of 20"),
