@@ -18,12 +18,27 @@ cell's magnitude, far below the thermal noise in every cell at the weak
 signal levels this engine is for.  tests/test_acq_core.py holds a complex128
 reference engine and checks every grid against it within 1e-5 of the
 largest reference cell (TestSinglePrecision).
+
+Row bands.  Every Doppler row is independent until the detector, so the
+row-wise work of a large grid is split into contiguous bands of rows, one
+per core (_row_bands): here the mixing product, the code-spectrum product
+and the LO rotation; in integrators, each strategy's slab walk.  The
+forward and inverse FFTs stay one 2-D scipy.fft call per unit on the
+calling thread (they thread themselves through workers=), so a tracer
+that wraps scipy.fft from outside sees every call nested in its
+process_units call, with bins x units rows each way.  Results do not
+depend on the band count: each cell goes through the same ufuncs in the
+same unit order whatever band holds its row, and bands write disjoint
+rows.  Grids under _BAND_CELLS cells (2^20) run as one band on the
+calling thread, where starting threads would cost more than they save.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +48,46 @@ from .prn_code import ChipSequence, sample_code, samples_per_code
 from .signal_synth import SampledSignal
 
 _FFT_WORKERS = -1  # all cores; per-row transforms, deterministic
+
+# A unit grid of at least this many cells is worked on in row bands.  The
+# fast profile's largest grids (201 x 1023) stay under it: banded, its CLI
+# runs took 27-35% more CPU time on a 2-vCPU host.
+_BAND_CELLS = 1 << 20
+
+
+def _row_bands(fn, rows: int, cells: int, align: int = 1) -> None:
+    """Call fn(band) on contiguous slices that together cover range(rows).
+
+    When cells >= _BAND_CELLS, the rows are split into os.cpu_count()
+    bands, each starting at a multiple of align; one band runs on the
+    calling thread and the others on worker threads that are joined before
+    returning.  Otherwise fn(slice(0, rows)) runs alone on the calling
+    thread.  fn must only write its own band's rows.
+    """
+    bands = (os.cpu_count() or 1) if cells >= _BAND_CELLS else 1
+    step = -(-rows // bands)
+    step = -(-step // align) * align
+    slices = [slice(r, min(r + step, rows)) for r in range(0, rows, step)]
+    if len(slices) == 1:
+        fn(slices[0])
+        return
+    # Looked up here, not imported by name: concurrent.futures loads its
+    # thread module on first use, so a run that never bands never pays the
+    # memory for loading it.
+    with concurrent.futures.ThreadPoolExecutor(len(slices) - 1) as pool:
+        futures = [pool.submit(fn, band) for band in slices[1:]]
+        fn(slices[0])
+        for f in futures:
+            f.result()
+
+
+def _multiply_rows(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
+    """out = x * y in complex64, in row bands.  y is one row broadcast to
+    every row, or a (rows, 1) column."""
+    def band(rows):
+        np.multiply(x[rows], y[rows] if y.ndim == 2 else y, out=out[rows],
+                    dtype=np.complex64)
+    _row_bands(band, len(out), out.size)
 
 
 @dataclass(frozen=True)
@@ -133,18 +188,18 @@ def process_units(signal: SampledSignal, code: ChipSequence,
         t0 = signal.t0 + m * n / fs
         # The mixed product is transformed in place and becomes the grid:
         # one (bins, n) allocation per unit.
-        values = np.multiply(table, signal.samples[m * n:(m + 1) * n],
-                             dtype=np.complex64)
+        values = np.empty(table.shape, np.complex64)
+        _multiply_rows(table, signal.samples[m * n:(m + 1) * n], values)
         values = scipy.fft.fft(values, axis=1, workers=_FFT_WORKERS,
                                overwrite_x=True)
-        values *= code_fft
+        _multiply_rows(values, code_fft, values)
         values = scipy.fft.ifft(values, axis=1, workers=_FFT_WORKERS,
                                 overwrite_x=True)
         if t0 != 0.0:
             # Fold in the local-oscillator phase accumulated up to this unit's
             # start so the LO is continuous across units.
             lo = np.exp(-2j * np.pi * ((freqs * t0) % 1.0))
-            values *= lo.astype(np.complex64)[:, None]
+            _multiply_rows(values, lo.astype(np.complex64)[:, None], values)
         grids.append(CorrelationGrid(values=values, plan=plan,
                                      samples_per_chip=samples_per_chip))
     return grids

@@ -60,8 +60,12 @@ def mtsmr(grid: CorrelationGrid, l_spc: int) -> float:
     phases within l_spc samples of the peak (cyclically: code phase is
     circular).
     """
-    i_max, j_max, r_max = peak(grid)
-    row = grid.values[i_max]
+    return _mtsmr(grid.values, peak(grid), l_spc)
+
+
+def _mtsmr(v: np.ndarray, at: tuple[int, int, float], l_spc: int) -> float:
+    i_max, j_max, r_max = at
+    row = v[i_max]
     excluded = _cyclic_window_mask(len(row), j_max, l_spc)
     if excluded.all():
         raise ValueError(
@@ -80,8 +84,11 @@ def mtmr(grid: CorrelationGrid, l_spc: int) -> float:
     samples of the peak (the literal conjunction: a rectangle around the
     peak, rows clamped at the grid edge, columns cyclic).
     """
-    i_max, j_max, r_max = peak(grid)
-    v = grid.values
+    return _mtmr(grid.values, peak(grid), l_spc)
+
+
+def _mtmr(v: np.ndarray, at: tuple[int, int, float], l_spc: int) -> float:
+    i_max, j_max, r_max = at
     row_idx = np.arange(max(0, i_max - 1), min(v.shape[0], i_max + 2))
     col_idx = (np.arange(-l_spc, l_spc + 1) + j_max) % v.shape[1]
     col_idx = np.unique(col_idx)
@@ -103,14 +110,15 @@ def decide(indicator_value: float, threshold: float = DEFAULT_MTSMR_THRESHOLD) -
 def acquire(grid: CorrelationGrid,
             threshold: float = DEFAULT_MTSMR_THRESHOLD) -> AcqResult:
     """Peak search, both indicators (excluding one chip around the peak)
-    and the MTSMR threshold decision."""
+    and the MTSMR threshold decision.  The peak is searched once and both
+    indicators are taken at it."""
     l_spc = grid.samples_per_chip
-    i_max, j_max, _ = peak(grid)
-    ratio = mtsmr(grid, l_spc)
+    at = peak(grid)
+    ratio = _mtsmr(grid.values, at, l_spc)
     return AcqResult(
-        doppler_hat=float(grid.plan.bins[i_max]),
-        code_phase_hat=j_max,
+        doppler_hat=float(grid.plan.bins[at[0]]),
+        code_phase_hat=at[1],
         mtsmr=ratio,
-        mtmr=mtmr(grid, l_spc),
+        mtmr=_mtmr(grid.values, at, l_spc),
         decided=decide(ratio, threshold),
     )

@@ -16,6 +16,13 @@ a slab, units are combined in ascending unit index, the same order as over
 whole grids, so results are bit-identical to whole-grid evaluation and
 deterministic regardless of how callers schedule the work.
 
+A grid of at least 2^20 cells is split into row bands, one per core
+(acq_core._row_bands), and each band walks its own slabs on its own
+thread.  Bands start on slab boundaries, so every slab is the one a single
+walk would cut, and the detection grid does not depend on the band count.
+The integrate_* functions themselves run on the caller's thread, where a
+tracer wrapping them from outside sees them.
+
 The kernels keep their accumulators and scratch buffers in the unit grids'
 own precision (the real dtype of the complex units: float32 for the
 complex64 grids of process_units, float64 for complex128 grids); the
@@ -30,7 +37,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .acq_core import CorrelationGrid
+from .acq_core import CorrelationGrid, _row_bands
 
 BLOCK_UNITS = 10  # alternate half-bit block length in units (10 ms)
 
@@ -97,14 +104,19 @@ def _by_slab(grids: list[CorrelationGrid], strategy: Strategy,
     kernel maps the units' (rows, n) complex views, in unit order, to the
     (rows, n) detection values; every cell depends only on its own cell in
     each unit, so slab-wise and whole-grid evaluation give equal results.
+    Each row band (see the module docstring) walks its own slabs.
     """
     _check_grids(grids, strategy)
     bins, n = grids[0].values.shape
     out = np.empty((bins, n))
     height = max(1, _SLAB_CELLS // n)
-    for r in range(0, bins, height):
-        rows = slice(r, r + height)
-        out[rows] = kernel([g.values[rows] for g in grids])
+
+    def walk(band):
+        for r in range(band.start, band.stop, height):
+            rows = slice(r, min(r + height, band.stop))
+            out[rows] = kernel([g.values[rows] for g in grids])
+
+    _row_bands(walk, bins, bins * n, align=height)
     return replace(grids[0], values=out)
 
 

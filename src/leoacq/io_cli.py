@@ -26,7 +26,7 @@ from dataclasses import asdict, astuple, dataclass, field, fields, replace
 
 import numpy as np
 
-from .prn_code import generate_code
+from .prn_code import generate_code, samples_per_code
 from .geometry import simulate_pass, PassScenario
 from .signal_synth import SampledSignal, SynthParams, synthesize_pass_signal
 from .acq_core import make_plan
@@ -508,15 +508,27 @@ def _cmd_acquire(args) -> int:
     plan = make_plan(meta.intermediate_freq, args.half_span, args.total_ms)
 
     spe = header["samples_per_epoch"]
+    if not epoch_truths:
+        raise SampleFileError(f"{args.samples}.truth: the sidecar lists no "
+                              f"epochs")
+    total = os.path.getsize(args.samples) // meta.bytes_per_sample
+    if total < len(epoch_truths) * spe:
+        raise ReadRangeError(
+            f"{args.samples}: {total} samples, fewer than the sidecar's "
+            f"{len(epoch_truths)} epochs of {spe}")
+    # Each epoch is read only as far as the span correlates; an epoch
+    # shorter than the span fails in process_units as too short.
+    code = generate_code(epoch_truths[0]["prn_id"])
+    count = min(spe, args.total_ms * samples_per_code(code, meta.sample_rate))
     epochs = []
     for k, truth in enumerate(epoch_truths):
-        sig = read_samples(args.samples, meta, offset=k * spe, count=spe)
+        sig = read_samples(args.samples, meta, offset=k * spe, count=count)
         sig.t0 = truth.pop("t")
         sig.truth = SynthParams(**truth)
         epochs.append(sig)
 
     results, labels, summary = acquisition_timeline(
-        epochs, spec, plan, args.threshold)
+        epochs, spec, plan, args.threshold, code=code)
     write_csv(args.out, "t_s,strategy,total_ms,doppler_hz,code_phase_samples,"
               "mtsmr,mtmr,decided,ok",
               ([l.t, strategy.value, args.total_ms, float(r.doppler_hat),

@@ -5,10 +5,16 @@ Monte-Carlo tests quick; the paper-profile 4 samples/chip defaults are
 exercised where accuracy claims demand them.
 """
 
+import contextlib
+import os
+import threading
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from leoacq import acq_core
 from leoacq.acq_core import CorrelationGrid, FrequencyPlan, make_plan
 from leoacq.prn_code import generate_code
 from leoacq.signal_synth import SampledSignal, SynthParams, synthesize
@@ -25,6 +31,24 @@ FIF_FAST = 0.25e6
 # paper-style profile: 4 samples/chip
 FS_FULL = 4.092e6
 FIF_FULL = 1.25e6
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_threads():
+    """Every thread a test starts, the engine's row-band workers included,
+    has ended when the test returns."""
+    before = threading.active_count()
+    yield
+    assert threading.active_count() == before, "a test left threads running"
+
+
+@contextlib.contextmanager
+def row_bands(cores, gate=1):
+    """Split the engine's row-wise work into `cores` bands (None: the core
+    count is unknown) on every grid of at least `gate` cells."""
+    with mock.patch.object(acq_core, "_BAND_CELLS", gate), \
+            mock.patch.object(os, "cpu_count", return_value=cores):
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,8 @@
 """Parallel code-phase search tests."""
 
+import concurrent.futures
 import functools
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,14 +10,18 @@ import pytest
 import scipy.fft
 from hypothesis import given, settings, strategies as st
 
-from leoacq.acq_core import (CorrelationGrid, _code_fft, _mixing_table,
-                             make_plan, process_units, samples_per_code)
+from leoacq import acq_core
+from leoacq.acq_core import (CorrelationGrid, FrequencyPlan, _code_fft,
+                             _mixing_table, _row_bands, make_plan,
+                             process_units, samples_per_code)
 from leoacq.detector import acquire, mtsmr
-from leoacq.integrators import Strategy, integrate, integrate_noncoherent
+from leoacq.integrators import (Strategy, integrate, integrate_noncoherent,
+                                strategy_valid_at)
 from leoacq.prn_code import ChipSequence, generate_code, sample_code
 from leoacq.signal_synth import SampledSignal, noise_sigma
 
-from conftest import FS_FAST, FIF_FAST, FS_FULL, FIF_FULL, plan_for, synth_units
+from conftest import (FS_FAST, FIF_FAST, FS_FULL, FIF_FULL, plan_for,
+                      row_bands, synth_units)
 
 
 class TestMakePlan:
@@ -408,3 +414,113 @@ class TestMixingTable:
             tracemalloc.stop()
         assert table.shape == (801, 4092)
         assert peak < 1.25 * table.nbytes
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("the engine started worker threads")
+
+
+class TestRowBands:
+    """Row-wise work split into bands of Doppler rows, one per core."""
+
+    @settings(max_examples=60)
+    @given(rows=st.integers(1, 120), align=st.integers(1, 40),
+           cores=st.one_of(st.none(), st.integers(1, 5)))
+    def test_bands_cover_the_rows(self, rows, align, cores):
+        calls = []
+        with row_bands(cores):
+            _row_bands(
+                lambda band: calls.append((band, threading.get_ident())),
+                rows, rows, align)
+        bands = sorted((band.start, band.stop) for band, _ in calls)
+        assert bands[0][0] == 0 and bands[-1][1] == rows
+        assert all(a[1] == b[0] for a, b in zip(bands, bands[1:]))
+        assert all(start % align == 0 and stop > start
+                   for start, stop in bands)
+        first = [ident for band, ident in calls if band.start == 0]
+        assert first == [threading.get_ident()]  # on the calling thread
+        cores = cores or 1
+        assert len(bands) <= cores
+        if cores > 1 and rows > align:
+            assert len(bands) > 1
+
+    @settings(max_examples=40)
+    @given(paper=st.booleans(), n_bins=st.integers(1, 12),
+           units=st.integers(1, 3), t0=st.sampled_from([0.0, 1e-3, 137.25]),
+           cores=st.integers(2, 5), seed=st.integers(0, 2 ** 16))
+    def test_grids_do_not_depend_on_the_band_count(self, code1, paper, n_bins,
+                                                   units, t0, cores, seed):
+        fs, fif = (FS_FULL, FIF_FULL) if paper else (FS_FAST, FIF_FAST)
+        sig, _ = synth_units(units, code1, d0=300.0, cn0=40.0, seed=seed,
+                             fs=fs, fif=fif)
+        sig.t0 = t0
+        plan = FrequencyPlan(center=fif, bin_width=170.0,
+                             bins=tuple(170.0 * (k - n_bins // 2)
+                                        for k in range(n_bins)))
+        with row_bands(1):
+            one = process_units(sig, code1, plan)
+        with row_bands(cores):
+            banded = process_units(sig, code1, plan)
+        for a, b in zip(one, banded, strict=True):
+            assert a.values.tobytes() == b.values.tobytes()
+
+    def test_ffts_stay_on_the_calling_thread(self, code1, monkeypatch):
+        # The benchmark's traced run wraps scipy.fft from outside and nests
+        # each call under the open process_units span of one span stack.
+        calls = []
+
+        def recorded(name, original, x, *args, **kwargs):
+            out = original(x, *args, **kwargs)
+            calls.append((name, threading.get_ident(),
+                          out.shape[0] if out.ndim == 2 else 0))
+            return out
+
+        pools = []
+        pool = concurrent.futures.ThreadPoolExecutor
+
+        def counted_pool(*args, **kwargs):
+            pools.append(args)
+            return pool(*args, **kwargs)
+
+        sig, _ = synth_units(3, code1, d0=700.0, cn0=45.0, seed=4,
+                             fs=FS_FULL, fif=FIF_FULL)
+        sig.t0 = 2.0
+        plan = make_plan(FIF_FULL, 5e3, 20)  # paper_block's 401 bins
+        _wrap_fft(monkeypatch, recorded)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                            counted_pool)
+        with row_bands(2, gate=acq_core._BAND_CELLS):
+            process_units(sig, code1, plan)
+        assert pools  # 401 x 4092 cells are over the gate
+        assert {ident for _, ident, _ in calls} == {threading.get_ident()}
+        for name in ("fft", "ifft"):
+            assert sum(r for c, _, r in calls if c == name) == 3 * 401
+
+    # fast_sweep's largest grids (5 ms, +/-10 kHz) and the 1 ms ones
+    @pytest.mark.parametrize("total_ms", [5, 1])
+    def test_fast_profile_starts_no_thread(self, code1, monkeypatch, total_ms):
+        sig, _ = synth_units(total_ms, code1, cn0=45.0)
+        sig.t0 = 20.0
+        plan = make_plan(FIF_FAST, 10e3, total_ms)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                            _no_pool)
+        with row_bands(8, gate=acq_core._BAND_CELLS):
+            grids = process_units(sig, code1, plan)
+            for strategy in Strategy:
+                if strategy_valid_at(strategy, total_ms):
+                    integrate(grids, strategy)
+        assert grids[0].values.size == len(plan.bins) * 1023
+
+    def test_unknown_core_count_runs_serially(self, code1, monkeypatch):
+        sig, _ = synth_units(2, code1, cn0=45.0)
+        sig.t0 = 3.0
+        want = process_units(sig, code1, plan_for(2))
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                            _no_pool)
+        with row_bands(None):
+            got = process_units(sig, code1, plan_for(2))
+            det = integrate_noncoherent(got)
+        for a, b in zip(got, want, strict=True):
+            assert a.values.tobytes() == b.values.tobytes()
+        want_det = integrate_noncoherent(want)
+        assert det.values.tobytes() == want_det.values.tobytes()

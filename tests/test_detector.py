@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from leoacq import detector
 from leoacq.acq_core import make_plan, process_units
 from leoacq.detector import acquire, decide, mtmr, mtsmr, peak
 from leoacq.integrators import integrate_coherent, integrate_noncoherent
@@ -181,6 +182,18 @@ class TestAcquire:
         assert res.decided is True
         assert res.mtsmr >= 2.5
         assert res.mtmr > res.mtsmr  # mean floor sits below the runner-up
+
+    def test_one_peak_search(self, code1, monkeypatch):
+        sig, _ = synth_units(2, code1, d0=500.0, cn0=40.0, seed=3)
+        det = integrate_noncoherent(process_units(sig, code1, plan_for(2)))
+        want = (peak(det), mtsmr(det, 1), mtmr(det, 1))
+        searches = []
+        monkeypatch.setattr(detector, "peak",
+                            lambda grid: searches.append(grid) or want[0])
+        res = acquire(det)
+        assert searches == [det]
+        assert (res.code_phase_hat, res.mtsmr, res.mtmr) == (
+            want[0][1], want[1], want[2])
 
     def test_threshold_respected(self, code1):
         sig, _ = synth_units(1, code1, cn0=None)

@@ -17,7 +17,7 @@ from leoacq.integrators import (_SLAB_CELLS, IntegrationSpec, Strategy,
 from leoacq.signal_synth import SampledSignal, noise_sigma, synthesize
 
 from conftest import (FS_FULL, FIF_FULL, FS_FAST, FIF_FAST, fast_params,
-                      grids_from_values, plan_for, synth_units)
+                      grids_from_values, plan_for, row_bands, synth_units)
 
 
 def _random_units(rng, m, shape=(3, 16)):
@@ -209,12 +209,15 @@ def slab_cut_units(draw, integrator):
 
 
 class TestSlabs:
+    # Slabs in 1-5 row bands (one band: a single slab walk); bands start on
+    # slab edges and the drawn row counts cut both unevenly.
     @pytest.mark.parametrize("integrator, kernel", _KERNELS)
     @settings(max_examples=40)
-    @given(data=st.data())
-    def test_slabs_equal_whole_grid(self, integrator, kernel, data):
+    @given(data=st.data(), cores=st.integers(1, 5))
+    def test_slabs_equal_whole_grid(self, integrator, kernel, data, cores):
         values = data.draw(slab_cut_units(integrator))
-        got = integrator(grids_from_values(values)).values
+        with row_bands(cores):
+            got = integrator(grids_from_values(values)).values
         assert np.array_equal(got, kernel(list(values)))
 
 

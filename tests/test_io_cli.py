@@ -20,7 +20,8 @@ from leoacq.io_cli import (_FORMATS, ReadRangeError, SampleFileMeta,
 from leoacq.signal_synth import (SampledSignal, SynthParams, synthesize,
                                  synthesize_pass_signal)
 
-from conftest import FS_FAST, FIF_FAST, fast_params
+from conftest import (FS_FAST, FIF_FAST, FS_FULL, FIF_FULL, fast_params,
+                      row_bands)
 
 
 def _meta(fmt="float32-real", fs=FS_FAST):
@@ -728,6 +729,77 @@ class TestCli:
         capsys.readouterr()
         assert cli(["acquire", "--samples", samples]) == 2
         assert "byte" in capsys.readouterr().err
+
+    def test_acquire_reads_only_the_span(self, strong_config, tmp_path,
+                                         capsys, monkeypatch):
+        samples = str(tmp_path / "pass.bin")
+        assert cli(["synth", "--config", strong_config, "--out", samples]) == 0
+        counts, timelines = [], []
+        read = io_cli.read_samples
+        for whole_epochs in (False, True):
+            def recorded(path, meta, offset, count):
+                counts.append(count)
+                return read(path, meta, offset=offset,
+                            count=5115 if whole_epochs else count)
+
+            monkeypatch.setattr(io_cli, "read_samples", recorded)
+            out = tmp_path / f"timeline{whole_epochs}.csv"
+            assert cli(["acquire", "--samples", samples, "--total-ms", "2",
+                        "--half-span", "2000", "--out", str(out)]) == 0
+            timelines.append(out.read_bytes())
+        assert set(counts) == {2 * 1023}  # of 5 ms (5115-sample) epochs
+        assert timelines[0] == timelines[1]
+
+    def test_acquire_span_longer_than_epochs_exits_two(self, strong_config,
+                                                       tmp_path, capsys):
+        samples = str(tmp_path / "pass.bin")
+        assert cli(["synth", "--config", strong_config, "--out", samples]) == 0
+        capsys.readouterr()
+        assert cli(["acquire", "--samples", samples, "--total-ms", "6"]) == 2
+        assert "too short" in capsys.readouterr().err
+
+    def test_acquire_file_short_of_whole_samples_exits_two(
+            self, strong_config, tmp_path, capsys):
+        # the missing samples are past the span that acquire reads
+        samples = tmp_path / "pass.bin"
+        assert cli(["synth", "--config", strong_config,
+                    "--out", str(samples)]) == 0
+        samples.write_bytes(samples.read_bytes()[:-4])  # one float32 sample
+        capsys.readouterr()
+        assert cli(["acquire", "--samples", str(samples)]) == 2
+        assert "fewer than" in capsys.readouterr().err
+
+    def test_acquire_sidecar_without_epochs_exits_two(self, strong_config,
+                                                      tmp_path, capsys):
+        samples = tmp_path / "pass.bin"
+        assert cli(["synth", "--config", strong_config,
+                    "--out", str(samples)]) == 0
+        sidecar = Path(str(samples) + ".truth")
+        sidecar.write_text(json.dumps(
+            {**json.loads(sidecar.read_text()), "epochs": []}))
+        capsys.readouterr()
+        assert cli(["acquire", "--samples", str(samples)]) == 2
+        assert "no epochs" in capsys.readouterr().err
+
+    def test_duration_bytes_do_not_depend_on_threads(self, strong_config,
+                                                     tmp_path, capsys):
+        # paper profile, every strategy at 20 ms, in 1 or 3 row bands
+        config = tmp_path / "paper.json"
+        config.write_text(json.dumps({
+            **json.loads(Path(strong_config).read_text()),
+            "sample_rate": FS_FULL, "intermediate_freq": FIF_FULL,
+            "duration": 0.02, "total_ms": [20], "half_span": 500.0,
+            "strategies": ["coherent", "noncoherent", "preguess",
+                           "differential", "alternatehalfbit"]}))
+        outputs = []
+        for cores in (1, 3):
+            out = tmp_path / f"duration{cores}.csv"
+            with row_bands(cores):
+                assert cli(["duration", "--config", str(config),
+                            "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count(b"\n") == 6
 
     def test_acquire_missing_sidecar_exits_two(self, tmp_path, capsys):
         path = tmp_path / "lonely.bin"
