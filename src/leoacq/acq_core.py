@@ -31,6 +31,11 @@ depend on the band count: each cell goes through the same ufuncs in the
 same unit order whatever band holds its row, and bands write disjoint
 rows.  Grids under _BAND_CELLS cells (2^20) run as one band on the
 calling thread, where starting threads would cost more than they save.
+
+One block per span.  process_units returns its unit grids as views of one
+(count, bins, n) complex64 block, which a caller can pass in as out and
+reuse for every epoch of a span.  Grids allocated afresh per epoch often
+come back from glibc as newly mapped pages, each faulted in again.
 """
 
 from __future__ import annotations
@@ -151,12 +156,25 @@ def _mixing_table(plan: FrequencyPlan, n: int, sample_rate: float) -> np.ndarray
 
 
 def _code_fft(code: ChipSequence, sample_rate: float) -> np.ndarray:
+    """The conjugate DFT of the sampled code, as read-only complex64, cached
+    like the mixing table: a run correlates against one code at one rate."""
+    return _code_spectrum(code.chips.tobytes(), code.chip_rate, sample_rate)
+
+
+@functools.lru_cache(maxsize=1)  # keyed on bytes: chips are an ndarray
+def _code_spectrum(chips: bytes, chip_rate: float,
+                   sample_rate: float) -> np.ndarray:
+    code = ChipSequence(prn_id=0, chips=np.frombuffer(chips),
+                        chip_rate=chip_rate)
     spectrum = np.conj(scipy.fft.fft(sample_code(code, sample_rate)))
-    return spectrum.astype(np.complex64)
+    spectrum = spectrum.astype(np.complex64)
+    spectrum.flags.writeable = False  # shared by every caller
+    return spectrum
 
 
 def process_units(signal: SampledSignal, code: ChipSequence,
-                  plan: FrequencyPlan, count: int | None = None) -> list[CorrelationGrid]:
+                  plan: FrequencyPlan, count: int | None = None,
+                  out: np.ndarray | None = None) -> list[CorrelationGrid]:
     """Split a multi-millisecond signal into consecutive units and process each.
 
     All grids share the same plan; unit m starts count*m samples into the
@@ -164,6 +182,12 @@ def process_units(signal: SampledSignal, code: ChipSequence,
     forward and one inverse FFT over the mixed (bins, n) complex64 matrix,
     both done in that matrix's memory.  Real and IQ samples of any float
     dtype are mixed the same way.
+
+    Unit m is written into out[m], a C-contiguous complex64 block of shape
+    (count, bins, n), and its grid's values are that view, so the grids are
+    valid only until the next call with the same out.  With out=None one
+    such block is allocated for this call.  eval_harness.run_span passes
+    one block for every epoch of a span, so its pages are faulted in once.
     """
     fs = signal.sample_rate
     n = samples_per_code(code, fs)
@@ -179,22 +203,30 @@ def process_units(signal: SampledSignal, code: ChipSequence,
             f"signal at t={signal.t0} is too short: it has "
             f"{len(signal.samples)} samples and needs {count * n} for "
             f"{count} units")
+    if count < 1:
+        raise ValueError(f"process_units needs at least one unit, got "
+                         f"count={count}")
     table = _mixing_table(plan, n, fs)
+    shape = (count, *table.shape)
+    if out is None:
+        out = np.empty(shape, np.complex64)
+    elif (out.shape != shape or out.dtype != np.complex64
+          or not out.flags.c_contiguous):
+        raise ValueError(
+            f"out must be a C-contiguous complex64 array of shape {shape}, "
+            f"got {out.dtype} of shape {out.shape}, C-contiguous: "
+            f"{out.flags.c_contiguous}")
     code_fft = _code_fft(code, fs)
     freqs = plan.center + np.asarray(plan.bins)
     samples_per_chip = round(fs / code.chip_rate)
     grids = []
     for m in range(count):
         t0 = signal.t0 + m * n / fs
-        # The mixed product is transformed in place and becomes the grid:
-        # one (bins, n) allocation per unit.
-        values = np.empty(table.shape, np.complex64)
+        values = out[m]  # mixed, transformed in place: the grid
         _multiply_rows(table, signal.samples[m * n:(m + 1) * n], values)
-        values = scipy.fft.fft(values, axis=1, workers=_FFT_WORKERS,
-                               overwrite_x=True)
+        _fft_into(scipy.fft.fft, values)
         _multiply_rows(values, code_fft, values)
-        values = scipy.fft.ifft(values, axis=1, workers=_FFT_WORKERS,
-                                overwrite_x=True)
+        _fft_into(scipy.fft.ifft, values)
         if t0 != 0.0:
             # Fold in the local-oscillator phase accumulated up to this unit's
             # start so the LO is continuous across units.
@@ -203,3 +235,12 @@ def process_units(signal: SampledSignal, code: ChipSequence,
         grids.append(CorrelationGrid(values=values, plan=plan,
                                      samples_per_chip=samples_per_chip))
     return grids
+
+
+def _fft_into(transform, values: np.ndarray) -> None:
+    """Transform the rows of values in place.  scipy.fft writes a contiguous
+    complex64 matrix in place with overwrite_x, but is free not to; then the
+    result is copied back."""
+    result = transform(values, axis=1, workers=_FFT_WORKERS, overwrite_x=True)
+    if not np.may_share_memory(result, values):
+        values[...] = result

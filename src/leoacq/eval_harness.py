@@ -10,6 +10,11 @@ figure-analog products:
     (the combined error rate against ground truth; the two components are
     also reported separately), and
   * successful-acquisition duration versus integration duration.
+
+run_span is the one epoch loop of acquisition: it correlates each epoch of
+a span once, into one unit block reused for every epoch, and integrates
+the grids with every strategy at that span.  The single-epoch helpers
+run_strategies and run_epoch call it with one epoch.
 """
 
 from __future__ import annotations
@@ -135,27 +140,45 @@ def threshold_bounds(curve: PfCurve, target: float) -> Optional[tuple[float, flo
     return float(curve.thresholds[below[0]]), float(curve.thresholds[below[-1]])
 
 
-def run_strategies(epoch: SampledSignal, code: ChipSequence,
-                   plan: FrequencyPlan, specs: Sequence[IntegrationSpec],
-                   threshold: float) -> list[AcqResult]:
-    """Acquire one epoch with every strategy in specs, one result per spec.
+def run_span(epochs: Sequence[SampledSignal], code: ChipSequence,
+             plan: FrequencyPlan, specs: Sequence[IntegrationSpec],
+             threshold: float) -> list[list[AcqResult]]:
+    """Acquire every epoch with every strategy in specs: result [k][i] is
+    epoch k under specs[i].
 
-    The unit grids depend only on the epoch and the plan, so they are
-    computed once and every strategy integrates the same grids.  All specs
-    must share one span (the plan is built for it).
+    All specs must share one span (the plan is built for it).  Each epoch
+    is correlated once and every strategy integrates the same unit grids.
+    The grids of every epoch are written into one unit block, allocated
+    here once for the span, so an epoch's grids are overwritten by the
+    next epoch's (see acq_core.process_units).
     """
     spans = {spec.total_ms for spec in specs}
     if len(spans) != 1:
         raise ValueError(f"specs must share one span, got {sorted(spans)} ms")
-    grids = process_units(epoch, code, plan, count=specs[0].total_ms)
-    return [acquire(integrate(grids, spec.strategy), threshold=threshold)
-            for spec in specs]
+    if not epochs:
+        return []
+    count = specs[0].total_ms
+    n = samples_per_code(code, epochs[0].sample_rate)
+    block = np.empty((count, len(plan.bins), n), np.complex64)
+    results = []
+    for epoch in epochs:
+        grids = process_units(epoch, code, plan, count=count, out=block)
+        results.append([acquire(integrate(grids, spec.strategy),
+                                threshold=threshold) for spec in specs])
+    return results
+
+
+def run_strategies(epoch: SampledSignal, code: ChipSequence,
+                   plan: FrequencyPlan, specs: Sequence[IntegrationSpec],
+                   threshold: float) -> list[AcqResult]:
+    """Acquire one epoch with every strategy in specs, one result per spec."""
+    return run_span([epoch], code, plan, specs, threshold)[0]
 
 
 def run_epoch(epoch: SampledSignal, code: ChipSequence, plan: FrequencyPlan,
               spec: IntegrationSpec, threshold: float) -> AcqResult:
     """Acquire one epoch with the given integration strategy."""
-    return run_strategies(epoch, code, plan, [spec], threshold)[0]
+    return run_span([epoch], code, plan, [spec], threshold)[0][0]
 
 
 def acquisition_timeline(pass_epochs: Sequence[SampledSignal],
@@ -171,7 +194,7 @@ def acquisition_timeline(pass_epochs: Sequence[SampledSignal],
     reported separately.  Durations are epoch counts scaled by the epoch
     cadence inferred from the stream.
     results, one per epoch, are this strategy's acquisitions when the caller
-    has already run them (see run_strategies); they are computed otherwise.
+    has already run them (see run_span); they are computed otherwise.
     """
     epochs = list(pass_epochs)
     if not epochs:
@@ -179,7 +202,8 @@ def acquisition_timeline(pass_epochs: Sequence[SampledSignal],
     if code is None:
         code = generate_code(epochs[0].truth.prn_id)
     if results is None:
-        results = [run_epoch(e, code, plan, spec, threshold) for e in epochs]
+        results = [r for (r,) in run_span(epochs, code, plan, [spec],
+                                          threshold)]
     truths = [truth_from_epoch(e, code) for e in epochs]
     n = samples_per_code(code, epochs[0].sample_rate)
     labels = label_epochs(results, truths, plan,

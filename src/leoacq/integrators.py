@@ -128,6 +128,8 @@ def _noncoherent(units: list[np.ndarray]) -> np.ndarray:
 
 
 def _coherent(units: list[np.ndarray]) -> np.ndarray:
+    if len(units) == 1:
+        return np.abs(units[0])
     acc = units[0].copy()
     for u in units[1:]:
         acc += u
@@ -135,6 +137,8 @@ def _coherent(units: list[np.ndarray]) -> np.ndarray:
 
 
 def _pre_guess(units: list[np.ndarray]) -> np.ndarray:
+    if len(units) == 1:
+        return np.abs(units[0])
     acc = units[0].copy()
     dot = np.empty(acc.shape, acc.real.dtype)
     sign = np.empty(acc.shape, acc.real.dtype)
@@ -151,8 +155,11 @@ def _pre_guess(units: list[np.ndarray]) -> np.ndarray:
 
 def _differential(units: list[np.ndarray]) -> np.ndarray:
     acc = np.conj(units[0]) * units[1]
-    for m in range(2, len(units)):
-        acc += np.conj(units[m - 1]) * units[m]
+    term = np.empty_like(acc)
+    for prev, u in zip(units[1:], units[2:]):
+        np.conj(prev, out=term)
+        term *= u
+        acc += term
     return np.abs(acc)
 
 

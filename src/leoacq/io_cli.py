@@ -31,7 +31,7 @@ from .geometry import simulate_pass, PassScenario
 from .signal_synth import SampledSignal, SynthParams, synthesize_pass_signal
 from .acq_core import make_plan
 from .integrators import IntegrationSpec, Strategy, span_error, strategy_valid_at
-from .eval_harness import (acquisition_timeline, pf_sweep, run_strategies,
+from .eval_harness import (acquisition_timeline, pf_sweep, run_span,
                            threshold_bounds)
 
 
@@ -544,7 +544,8 @@ def _run_matrix(config: ScenarioConfig):
     """Run every valid (strategy, span) of the config over its pass.
 
     Yields (strategy, total_ms, results, labels, summary) in config order.
-    Each epoch is correlated once per span: the strategies at that span all
+    Each epoch is correlated once per span, into one unit block reused for
+    every epoch (eval_harness.run_span): the strategies at that span all
     integrate the same unit grids.
     """
     epochs = pass_epochs(config)
@@ -556,8 +557,8 @@ def _run_matrix(config: ScenarioConfig):
     plans, results = {}, {}
     for t_ms, specs in by_span.items():
         plans[t_ms] = make_plan(config.intermediate_freq, config.half_span, t_ms)
-        per_epoch = [run_strategies(e, code, plans[t_ms], specs, config.threshold)
-                     for e in epochs]
+        per_epoch = run_span(epochs, code, plans[t_ms], specs,
+                             config.threshold)
         for k, spec in enumerate(specs):
             results[spec.strategy, t_ms] = [r[k] for r in per_epoch]
     for strategy, t_ms in combos:

@@ -84,7 +84,15 @@ def synthesize(params: SynthParams, code: ChipSequence | None = None) -> Sampled
     continuously across the whole epoch (chirp, not stepped per
     millisecond); the code NCO runs at chip_rate * (1 + doppler/carrier).
     """
+    for name in ("doppler0", "doppler_rate", "code_phase0", "duration"):
+        value = getattr(params, name)
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     fs = params.sample_rate
+    n = round(params.duration * fs)
+    if n < 1:
+        raise ValueError(f"duration {params.duration!r} s is under one "
+                         f"sample at {fs} Hz")
     f_max = (params.intermediate_freq + abs(params.doppler0)
              + abs(params.doppler_rate) * params.duration)
     if fs <= 2.0 * f_max:
@@ -94,8 +102,7 @@ def synthesize(params: SynthParams, code: ChipSequence | None = None) -> Sampled
 
     if code is None:
         code = generate_code(params.prn_id)
-    n = round(params.duration * fs)
-    t = np.arange(n) / fs
+    t = np.arange(n, dtype=np.float64) / fs
 
     # Doppler phase integral, shared by carrier chirp and code-rate scaling.
     doppler_cycles = params.doppler0 * t + 0.5 * params.doppler_rate * t * t

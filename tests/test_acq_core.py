@@ -242,21 +242,136 @@ class TestInPlaceTransforms:
     def test_fft_rows_per_call(self, code1, monkeypatch):
         # The benchmark's traced run (perfbench, --trace 1) wraps the same
         # two functions and requires bins x units 2-D rows each way inside
-        # every process_units call, and a list of the unit grids back.
-        rows = {"fft": 0, "ifft": 0}
+        # every process_units call, and a list of the unit grids back, with
+        # or without a caller's block.
+        rows = {}
 
         def counted(name, original, x, *args, **kwargs):
             out = original(x, *args, **kwargs)
             if out.ndim == 2:
-                rows[name] += out.shape[0]
+                rows[name] = rows.get(name, 0) + out.shape[0]
             return out
 
         _wrap_fft(monkeypatch, counted)
         sig, _ = synth_units(4, code1)
         plan = plan_for(1)
-        grids = process_units(sig, code1, plan, count=3)
-        assert isinstance(grids, list) and len(grids) == 3
-        assert rows == {"fft": 3 * len(plan.bins), "ifft": 3 * len(plan.bins)}
+        for out in (None, np.empty((3, len(plan.bins), 1023), np.complex64)):
+            rows.clear()
+            grids = process_units(sig, code1, plan, count=3, out=out)
+            assert isinstance(grids, list) and len(grids) == 3
+            assert rows == {"fft": 3 * len(plan.bins),
+                            "ifft": 3 * len(plan.bins)}
+
+
+class TestUnitBlock:
+    """Unit grids written into one (count, bins, n) block passed as out."""
+
+    @staticmethod
+    def _block(units, plan, n=1023):
+        return np.empty((units, len(plan.bins), n), np.complex64)
+
+    @settings(max_examples=30)
+    @given(paper=st.booleans(), units=st.integers(1, 3),
+           t0=st.sampled_from([0.0, 1e-3, 137.25]), bands=st.integers(1, 3),
+           seed=st.integers(0, 2 ** 16))
+    def test_out_equals_fresh_allocation(self, code1, paper, units, t0,
+                                         bands, seed):
+        fs, fif = (FS_FULL, FIF_FULL) if paper else (FS_FAST, FIF_FAST)
+        sig, _ = synth_units(units, code1, d0=300.0, cn0=40.0, seed=seed,
+                             fs=fs, fif=fif)
+        sig.t0 = t0
+        plan = make_plan(fif, 1e3, units)
+        block = self._block(units, plan, samples_per_code(code1, fs))
+        block.fill(np.nan)  # stale contents must not leak into the grids
+        with row_bands(bands):
+            want = process_units(sig, code1, plan)
+            got = process_units(sig, code1, plan, out=block)
+        for g, w in zip(got, want, strict=True):
+            assert g.values.tobytes() == w.values.tobytes()
+
+    def test_grids_are_views_that_the_next_call_overwrites(self, code1):
+        plan = plan_for(2)
+        first, _ = synth_units(2, code1, d0=700.0, cn0=45.0, seed=1)
+        second, _ = synth_units(2, code1, d0=-900.0, cn0=45.0, seed=2)
+        want = [g.values.copy() for g in process_units(second, code1, plan)]
+        block = self._block(2, plan)
+        grids = process_units(first, code1, plan, out=block)
+        for m, g in enumerate(grids):
+            assert g.values.base is block
+            assert np.shares_memory(g.values, block[m])
+        process_units(second, code1, plan, out=block)
+        for g, w in zip(grids, want, strict=True):
+            assert np.array_equal(g.values, w)
+
+    def test_without_out_the_grids_share_one_block(self, code1):
+        sig, _ = synth_units(3, code1, cn0=45.0)
+        grids = process_units(sig, code1, plan_for(3))
+        block = grids[0].values.base
+        assert block.shape == (3, len(plan_for(3).bins), 1023)
+        assert all(g.values.base is block for g in grids)
+
+    def test_copied_fft_result_is_written_into_out(self, code1, monkeypatch):
+        sig, _ = synth_units(2, code1, cn0=45.0, seed=3)
+        sig.t0 = 4.0
+        plan = plan_for(2)
+        want = process_units(sig, code1, plan)
+
+        def fresh(name, original, x, *args, **kwargs):
+            kwargs["overwrite_x"] = False
+            return original(x, *args, **kwargs)
+
+        _wrap_fft(monkeypatch, fresh)
+        block = self._block(2, plan)
+        got = process_units(sig, code1, plan, out=block)
+        for m, (g, w) in enumerate(zip(got, want, strict=True)):
+            assert g.values.tobytes() == w.values.tobytes()
+            assert block[m].tobytes() == w.values.tobytes()
+
+    @pytest.mark.parametrize("bad", [
+        np.empty((2, 9, 1023), np.complex64),                  # too few units
+        np.empty((3, 8, 1023), np.complex64),                  # too few bins
+        np.empty((3, 9, 1023), np.complex128),                 # dtype
+        np.empty((3, 9, 1023), np.complex64, order="F"),       # layout
+        np.empty((3, 9, 2046), np.complex64)[:, :, ::2],       # strided
+    ], ids=["units", "bins", "dtype", "fortran", "strided"])
+    def test_bad_out_rejected(self, code1, bad):
+        sig, _ = synth_units(3, code1)
+        with pytest.raises(ValueError, match="out must be"):
+            process_units(sig, code1, plan_for(1), out=bad)
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_count_below_one_rejected(self, code1, count):
+        sig, _ = synth_units(2, code1)
+        with pytest.raises(ValueError, match="at least one unit"):
+            process_units(sig, code1, plan_for(1), count=count)
+
+    def test_empty_signal_rejected(self, code1):
+        sig = SampledSignal(samples=np.zeros(0), sample_rate=FS_FAST)
+        with pytest.raises(ValueError, match="at least one unit"):
+            process_units(sig, code1, plan_for(1))
+
+
+class TestCodeSpectrum:
+    @pytest.mark.parametrize("fs", [FS_FAST, FS_FULL])
+    def test_cached_spectrum_equals_a_fresh_one(self, code1, fs):
+        fresh = np.conj(scipy.fft.fft(sample_code(code1, fs)))
+        got = _code_fft(code1, fs)
+        assert got.tobytes() == fresh.astype(np.complex64).tobytes()
+        assert _code_fft(code1, fs) is got
+        assert not got.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            got[0] = 0.0
+
+    def test_keyed_on_chips_and_rates(self, code1):
+        other = generate_code(2)
+        a = _code_fft(code1, FS_FAST)
+        b = _code_fft(other, FS_FAST)
+        assert not np.array_equal(a, b)
+        c = _code_fft(ChipSequence(prn_id=1, chips=code1.chips,
+                                   chip_rate=2 * code1.chip_rate),
+                      2 * FS_FAST)
+        assert c is not a
+        assert _code_fft(code1, FS_FAST).tobytes() == a.tobytes()
 
 
 class TestAccuracy:

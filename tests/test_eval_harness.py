@@ -1,5 +1,7 @@
 """Evaluation-harness tests: labeling, P_f sweeps, timelines."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from leoacq.detector import AcqResult
 from leoacq.eval_harness import (EpochLabel, EpochTruth, PfCurve,
                                  acquisition_timeline, cyclic_distance,
                                  label_epochs, pf_sweep, run_epoch,
-                                 run_strategies, threshold_bounds,
+                                 run_span, run_strategies, threshold_bounds,
                                  truth_code_phase, truth_from_epoch)
 from leoacq.geometry import PassSample, PassScenario
 from leoacq.integrators import IntegrationSpec, Strategy, strategy_valid_at
@@ -98,6 +100,55 @@ class TestRunStrategies:
                  IntegrationSpec(Strategy.COHERENT, 5)]
         with pytest.raises(ValueError, match="one span"):
             run_strategies(sig, code1, plan_for(1), specs, threshold=2.5)
+
+
+def _span_epochs(count, **params):
+    return list(synthesize_pass_signal(
+        _flat_scenario(count), fast_params(duration=5e-3, **params)))
+
+
+class TestRunSpan:
+    @pytest.mark.parametrize("total_ms", [1, 2, 5])
+    def test_equals_run_strategies_per_epoch(self, code1, total_ms):
+        epochs = _span_epochs(4, cn0=41.0, seed=3)
+        plan = plan_for(total_ms)
+        specs = [IntegrationSpec(s, total_ms) for s in Strategy
+                 if strategy_valid_at(s, total_ms)]
+        got = run_span(epochs, code1, plan, specs, threshold=2.5)
+        want = [run_strategies(e, code1, plan, specs, threshold=2.5)
+                for e in epochs]
+        assert len(got) == len(epochs)
+        for g, w in zip(got, want, strict=True):
+            assert len(g) == len(specs)
+            for a, b in zip(g, w, strict=True):
+                assert dataclasses.astuple(a) == dataclasses.astuple(b)
+
+    def test_one_block_for_every_epoch(self, code1, monkeypatch):
+        blocks = []
+        process_units = eval_harness.process_units
+
+        def recorded(*args, out=None, **kwargs):
+            blocks.append(out)
+            return process_units(*args, out=out, **kwargs)
+
+        monkeypatch.setattr(eval_harness, "process_units", recorded)
+        epochs = _span_epochs(3, cn0=45.0)
+        plan = plan_for(5)
+        run_span(epochs, code1, plan, [IntegrationSpec(Strategy.COHERENT, 5)],
+                 threshold=2.5)
+        assert len(blocks) == 3
+        assert all(b is blocks[0] for b in blocks)
+        assert blocks[0].shape == (5, len(plan.bins), 1023)
+
+    def test_no_epochs_no_results(self, code1):
+        assert run_span([], code1, PLAN1,
+                        [IntegrationSpec(Strategy.COHERENT, 1)], 2.5) == []
+
+    def test_specs_must_share_span(self, code1):
+        specs = [IntegrationSpec(Strategy.COHERENT, 1),
+                 IntegrationSpec(Strategy.COHERENT, 5)]
+        with pytest.raises(ValueError, match="one span"):
+            run_span(_span_epochs(1), code1, plan_for(1), specs, 2.5)
 
 
 class TestPfSweep:

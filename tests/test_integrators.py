@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from leoacq.acq_core import make_plan, process_units
@@ -219,6 +219,62 @@ class TestSlabs:
         with row_bands(cores):
             got = integrator(grids_from_values(values)).values
         assert np.array_equal(got, kernel(list(values)))
+
+
+def _differential_two_temporaries(units):
+    """The differential kernel as first written: two fresh complex
+    temporaries per unit."""
+    acc = np.conj(units[0]) * units[1]
+    for m in range(2, len(units)):
+        acc += np.conj(units[m - 1]) * units[m]
+    return np.abs(acc)
+
+
+def _magnitude_of_copy(units):
+    """The one-unit coherent and pre-guess kernels as first written."""
+    return np.abs(units[0].copy())
+
+
+class TestKernelRewrites:
+    """Rewritten kernels give bitwise the detection values of the originals,
+    on the engine's complex64 units and on complex128 ones."""
+
+    @settings(max_examples=40)
+    @given(m=st.integers(2, 6), rows=st.integers(1, 9),
+           n=st.sampled_from([1, 7, 1023]),
+           dtype=st.sampled_from([np.complex64, np.complex128]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(m=6, rows=1, n=1, dtype=np.complex64, seed=198)  # a 1-ulp case
+    def test_differential_with_one_scratch_buffer(self, m, rows, n, dtype,
+                                                  seed):
+        rng = np.random.default_rng(seed)
+        shape = (m, rows, n)
+        units = list((rng.standard_normal(shape)
+                      + 1j * rng.standard_normal(shape)).astype(dtype))
+        got = _differential(units)
+        want = _differential_two_temporaries(units)
+        if rows * n > 1:
+            assert got.tobytes() == want.tobytes()
+        else:
+            # numpy runs an in-place ufunc on a one-element array as a
+            # reduction, whose complex product can round differently in
+            # the last bit.  No engine slab has one cell (a unit is a
+            # whole code period of samples).
+            eps = np.finfo(got.dtype).eps
+            scale = sum(np.abs(a) * np.abs(b)
+                        for a, b in zip(units, units[1:]))
+            assert np.all(np.abs(got - want) <= 8 * eps * scale)
+
+    @pytest.mark.parametrize("kernel", [_coherent, _pre_guess])
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_one_unit_without_the_copy(self, kernel, dtype):
+        rng = np.random.default_rng(5)
+        unit = (rng.standard_normal((4, 33))
+                + 1j * rng.standard_normal((4, 33))).astype(dtype)
+        before = unit.copy()
+        got = kernel([unit])
+        assert got.tobytes() == _magnitude_of_copy([unit]).tobytes()
+        assert np.array_equal(unit, before)
 
 
 class TestInvariances:

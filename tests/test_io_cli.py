@@ -864,6 +864,38 @@ class TestCli:
         spans = {t_ms for _, t_ms in config.run_combos()}
         assert len(calls) == len(config.scenario().samples) * len(spans)
 
+    @pytest.mark.parametrize("command", ["duration", "acquire"])
+    def test_one_unit_block_per_span(self, strong_config, tmp_path,
+                                     monkeypatch, capsys, command):
+        samples = str(tmp_path / "pass.bin")
+        if command == "acquire":
+            assert cli(["synth", "--config", strong_config,
+                        "--out", samples]) == 0
+        blocks = []
+        process_units = eval_harness.process_units
+
+        def recorded(signal, code, plan, count=None, out=None):
+            blocks.append((count, out))
+            return process_units(signal, code, plan, count=count, out=out)
+
+        monkeypatch.setattr(eval_harness, "process_units", recorded)
+        if command == "acquire":
+            argv = ["acquire", "--samples", samples, "--total-ms", "5",
+                    "--half-span", "2000", "--out", str(tmp_path / "t.csv")]
+        else:
+            argv = ["duration", "--config", strong_config,
+                    "--out", str(tmp_path / "d.csv")]
+        assert cli(argv) == 0
+        config = ScenarioConfig.from_file(strong_config)
+        epochs = len(config.scenario().samples)
+        spans = [5] if command == "acquire" else [1, 5]
+        assert [count for count, _ in blocks] == [
+            t_ms for t_ms in spans for _ in range(epochs)]
+        for i, t_ms in enumerate(spans):
+            span = [out for _, out in blocks[i * epochs:(i + 1) * epochs]]
+            assert span[0].shape[0] == t_ms
+            assert all(out is span[0] for out in span)
+
     def test_pipeline_determinism(self, strong_config, tmp_path, capsys):
         d1, d2 = tmp_path / "a", tmp_path / "b"
         assert cli(["sweep", "--config", strong_config, "--out-dir", str(d1)]) == 0

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import cumulative_trapezoid
 
+from leoacq import signal_synth
 from leoacq.geometry import PassSample, PassScenario, simulate_pass
 from leoacq.prn_code import generate_code
 from leoacq.signal_synth import (SynthParams, noise_sigma, synthesize,
@@ -115,6 +117,66 @@ class TestSynthesize:
     def test_bad_bits_rejected(self):
         with pytest.raises(ValueError, match=r"\+1 or -1"):
             synthesize(full_params(data_bits=np.array([1.0, 0.0]), duration=1e-3))
+
+
+    @pytest.mark.parametrize("duration", [0.0, 1e-9, -1e-3])
+    @pytest.mark.parametrize("bits", [None, np.ones(3)], ids=["ones", "bits"])
+    def test_duration_under_one_sample_rejected(self, duration, bits):
+        with pytest.raises(ValueError, match="under one sample"):
+            synthesize(full_params(duration=duration, data_bits=bits))
+
+    @pytest.mark.parametrize("field", ["doppler0", "doppler_rate",
+                                       "code_phase0", "duration"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            synthesize(full_params(**{field: value}))
+
+
+def _reference_synthesize(params, code):
+    """synthesize as it was before its time axis was built in float64
+    directly (int64 arange, then division): the bitwise oracle."""
+    fs = params.sample_rate
+    n = round(params.duration * fs)
+    t = np.arange(n) / fs
+    doppler_cycles = params.doppler0 * t + 0.5 * params.doppler_rate * t * t
+    carrier_cycles = params.intermediate_freq * t + doppler_cycles
+    chip_phase = (params.code_phase0
+                  + code.chip_rate * (t + doppler_cycles / params.carrier_freq))
+    chips = code.chips[np.floor(chip_phase).astype(np.int64) % code.code_length]
+    if params.data_bits is None:
+        bits = 1.0
+    else:
+        data = np.asarray(params.data_bits, dtype=np.float64)
+        bits = data[signal_synth._bit_indices(t, params.bit_phase0)]
+    samples = params.amplitude * chips * bits * np.sin(2.0 * np.pi * carrier_cycles)
+    if params.cn0 is not None:
+        sigma = noise_sigma(params.cn0, params.amplitude, fs)
+        rng = np.random.default_rng(params.seed)
+        samples = samples + rng.normal(0.0, sigma, n)
+    return samples
+
+
+class TestReferenceSynthesis:
+    @settings(max_examples=40)
+    @given(paper=st.booleans(), with_bits=st.booleans(),
+           cn0=st.sampled_from([None, 38.0, 45.0]),
+           duration_ms=st.integers(1, 25), d0=st.floats(-40e3, 40e3),
+           rate=st.floats(-600.0, 600.0), p0=st.floats(0.0, 1023.0),
+           bit_phase0=st.floats(0.0, 19.9), seed=st.integers(0, 2 ** 16))
+    def test_bitwise_equal_to_reference(self, code1, paper, with_bits, cn0,
+                                        duration_ms, d0, rate, p0,
+                                        bit_phase0, seed):
+        make = full_params if paper else fast_params
+        if not paper:
+            d0 /= 4  # stay under the fast profile's Nyquist limit
+        bits = (1.0 - 2.0 * np.random.default_rng(seed).integers(0, 2, 3)
+                if with_bits else None)
+        params = make(doppler0=d0, doppler_rate=rate, code_phase0=p0,
+                      cn0=cn0, duration=duration_ms * 1e-3, data_bits=bits,
+                      bit_phase0=bit_phase0, seed=seed)
+        got = synthesize(params, code=code1).samples
+        assert got.tobytes() == _reference_synthesize(params, code1).tobytes()
 
 
 def _flat_scenario(n, rng_m=1000e3, doppler=0.0):
