@@ -19,23 +19,24 @@ signal levels this engine is for.  tests/test_acq_core.py holds a complex128
 reference engine and checks every grid against it within 1e-5 of the
 largest reference cell (TestSinglePrecision).
 
-Row bands.  Every Doppler row is independent until the detector, so the
-row-wise work of a large grid is split into contiguous bands of rows, one
-per core (_row_bands): here the mixing product, the code-spectrum product
-and the LO rotation; in integrators, each strategy's slab walk.  The
-forward and inverse FFTs stay one 2-D scipy.fft call per unit on the
-calling thread (they thread themselves through workers=), so a tracer
-that wraps scipy.fft from outside sees every call nested in its
-process_units call, with bins x units rows each way.  Results do not
-depend on the band count: each cell goes through the same ufuncs in the
-same unit order whatever band holds its row, and bands write disjoint
-rows.  Grids under _BAND_CELLS cells (2^20) run as one band on the
-calling thread, where starting threads would cost more than they save.
+Blocks of units.  process_units correlates all units of a signal at once,
+one stage at a time over their (units, bins, n) block.  Each cell goes
+through the same ufuncs in the same order as in a per-unit loop, so the
+grids are bitwise that loop's.  Every Doppler row is independent until the
+detector, so the block may hold any run of a plan's rows: a caller can walk
+a plan in row blocks (eval_harness.run_span), passing each block's
+sub-plan, its rows of the plan's mixing table and one reused buffer.
 
-One block per span.  process_units returns its unit grids as views of one
-(count, bins, n) complex64 block, which a caller can pass in as out and
-reuse for every epoch of a span.  Grids allocated afresh per epoch often
-come back from glibc as newly mapped pages, each faulted in again.
+Row bands.  The row-wise work of a large block is split into contiguous
+bands of Doppler rows, one per core (_row_bands): here the mixing product,
+the code-spectrum product and the LO rotation; in integrators, each
+strategy's slab walk.  The forward and inverse FFTs stay one 2-D scipy.fft
+call each on the calling thread (they thread themselves through workers=),
+so a tracer that wraps scipy.fft from outside sees every call nested in its
+process_units call, with bins x units rows each way.  Bands write disjoint
+rows, so results do not depend on the band count.  Blocks under
+_BAND_CELLS cells (2^20, all units together) run as one band on the
+calling thread, where starting threads would cost more than they save.
 """
 
 from __future__ import annotations
@@ -54,9 +55,9 @@ from .signal_synth import SampledSignal
 
 _FFT_WORKERS = -1  # all cores; per-row transforms, deterministic
 
-# A unit grid of at least this many cells is worked on in row bands.  The
-# fast profile's largest grids (201 x 1023) stay under it: banded, its CLI
-# runs took 27-35% more CPU time on a 2-vCPU host.
+# A block of unit grids of at least this many cells is worked on in row
+# bands.  The fast profile's blocks up to 5 ms (5 x 201 x 1023 cells) stay
+# under it: banded, they cost more CPU time than they save in wall time.
 _BAND_CELLS = 1 << 20
 
 
@@ -64,15 +65,16 @@ def _row_bands(fn, rows: int, cells: int, align: int = 1) -> None:
     """Call fn(band) on contiguous slices that together cover range(rows).
 
     When cells >= _BAND_CELLS, the rows are split into os.cpu_count()
-    bands, each starting at a multiple of align; one band runs on the
-    calling thread and the others on worker threads that are joined before
-    returning.  Otherwise fn(slice(0, rows)) runs alone on the calling
-    thread.  fn must only write its own band's rows.
+    bands; one band runs on the calling thread and the others on worker
+    threads that are joined before returning.  Otherwise
+    fn(slice(0, rows)) runs alone on the calling thread.  fn must only
+    write its own band's rows.  Each band starts at a multiple of align,
+    and the bands share the align-row steps as evenly as whole steps go.
     """
     bands = (os.cpu_count() or 1) if cells >= _BAND_CELLS else 1
-    step = -(-rows // bands)
-    step = -(-step // align) * align
-    slices = [slice(r, min(r + step, rows)) for r in range(0, rows, step)]
+    steps = -(-rows // align)
+    edges = [min(rows, k * steps // bands * align) for k in range(bands + 1)]
+    slices = [slice(a, b) for a, b in zip(edges, edges[1:]) if a < b]
     if len(slices) == 1:
         fn(slices[0])
         return
@@ -134,30 +136,29 @@ class CorrelationGrid:
     samples_per_chip: int
 
 
-# A mixing table is a pure function of (plan, length, sample rate).  One
-# cached table is enough: every caller correlates all epochs of one span (one
-# plan) before moving to the next, so older tables would never be hit again.
-# The table is filled _TABLE_BLOCK rows at a time, so its float64 phase and
-# complex128 temporaries stay a few MB beside it; each element is computed
-# as in a one-shot build, so the table is bitwise the same.
+# The mixing table is filled _TABLE_BLOCK rows at a time, so its float64
+# phase and complex128 temporaries stay a few MB beside it; each element is
+# computed as in a one-shot build, so the table is bitwise the same.
 _TABLE_BLOCK = 32
 
 
-@functools.lru_cache(maxsize=1)
 def _mixing_table(plan: FrequencyPlan, n: int, sample_rate: float) -> np.ndarray:
+    """The (bins, n) complex64 mixing rows of plan, read-only.  Each row
+    depends only on its own bin, so rows [a, b) of a plan's table are
+    bitwise the table of the sub-plan of bins[a:b]."""
     freqs = plan.center + np.asarray(plan.bins)
     t = np.arange(n) / sample_rate
     table = np.empty((len(freqs), n), dtype=np.complex64)
     for i in range(0, len(freqs), _TABLE_BLOCK):
         block = -2j * np.pi * np.outer(freqs[i:i + _TABLE_BLOCK], t)
         table[i:i + _TABLE_BLOCK] = np.exp(block, out=block)
-    table.flags.writeable = False  # shared by every caller
+    table.flags.writeable = False
     return table
 
 
 def _code_fft(code: ChipSequence, sample_rate: float) -> np.ndarray:
-    """The conjugate DFT of the sampled code, as read-only complex64, cached
-    like the mixing table: a run correlates against one code at one rate."""
+    """The conjugate DFT of the sampled code, as read-only complex64, cached:
+    a run correlates against one code at one rate."""
     return _code_spectrum(code.chips.tobytes(), code.chip_rate, sample_rate)
 
 
@@ -174,20 +175,22 @@ def _code_spectrum(chips: bytes, chip_rate: float,
 
 def process_units(signal: SampledSignal, code: ChipSequence,
                   plan: FrequencyPlan, count: int | None = None,
-                  out: np.ndarray | None = None) -> list[CorrelationGrid]:
+                  out: np.ndarray | None = None,
+                  table: np.ndarray | None = None) -> list[CorrelationGrid]:
     """Split a multi-millisecond signal into consecutive units and process each.
 
     All grids share the same plan; unit m starts count*m samples into the
-    signal with its start time advanced accordingly.  Each unit's grid is one
-    forward and one inverse FFT over the mixed (bins, n) complex64 matrix,
-    both done in that matrix's memory.  Real and IQ samples of any float
-    dtype are mixed the same way.
+    signal with its start time advanced accordingly.  Real and IQ samples of
+    any float dtype are mixed the same way.
 
-    Unit m is written into out[m], a C-contiguous complex64 block of shape
-    (count, bins, n), and its grid's values are that view, so the grids are
-    valid only until the next call with the same out.  With out=None one
-    such block is allocated for this call.  eval_harness.run_span passes
-    one block for every epoch of a span, so its pages are faulted in once.
+    The units are correlated in one C-contiguous complex64 block of shape
+    (count, bins, n): the mixing product, one forward FFT over its
+    count*bins rows, the code-spectrum product, one inverse FFT and the LO
+    rotation, all in the block's memory.  The block is out when given
+    (allocated here otherwise), and grid m's values are the view out[m],
+    valid only until the next call with the same out.  table is plan's
+    (bins, n) complex64 mixing table when the caller holds it, and is
+    built here when None.
     """
     fs = signal.sample_rate
     n = samples_per_code(code, fs)
@@ -206,8 +209,14 @@ def process_units(signal: SampledSignal, code: ChipSequence,
     if count < 1:
         raise ValueError(f"process_units needs at least one unit, got "
                          f"count={count}")
-    table = _mixing_table(plan, n, fs)
-    shape = (count, *table.shape)
+    rows = len(plan.bins)
+    if table is None:
+        table = _mixing_table(plan, n, fs)
+    elif table.shape != (rows, n) or table.dtype != np.complex64:
+        raise ValueError(
+            f"table must be a complex64 array of shape {(rows, n)}, got "
+            f"{table.dtype} of shape {table.shape}")
+    shape = (count, rows, n)
     if out is None:
         out = np.empty(shape, np.complex64)
     elif (out.shape != shape or out.dtype != np.complex64
@@ -216,25 +225,34 @@ def process_units(signal: SampledSignal, code: ChipSequence,
             f"out must be a C-contiguous complex64 array of shape {shape}, "
             f"got {out.dtype} of shape {out.shape}, C-contiguous: "
             f"{out.flags.c_contiguous}")
-    code_fft = _code_fft(code, fs)
+    units = signal.samples[:count * n].reshape(count, n)
+
+    def mix(band):
+        np.multiply(table[band], units[:, None], out=out[:, band],
+                    dtype=np.complex64)
+
+    _row_bands(mix, rows, out.size)
+    flat = out.reshape(-1, n)
+    _fft_into(scipy.fft.fft, flat)
+    _multiply_rows(flat, _code_fft(code, fs), flat)
+    _fft_into(scipy.fft.ifft, flat)
+    # Fold in the local-oscillator phase accumulated up to each unit's
+    # start, so the LO is continuous across units.  A unit starting at
+    # t = 0 has none; the start times are distinct, so there is at most one.
+    t0 = signal.t0 + np.arange(count) * n / fs
     freqs = plan.center + np.asarray(plan.bins)
+    lo = np.exp(-2j * np.pi * ((freqs * t0[:, None]) % 1.0))
+    lo = lo.astype(np.complex64).reshape(-1, 1)
+    zero = np.flatnonzero(t0 == 0.0)
+    parts = [(0, zero[0]), (zero[0] + 1, count)] if zero.size else [(0, count)]
+    for a, b in parts:
+        if a < b:
+            r = slice(a * rows, b * rows)
+            _multiply_rows(flat[r], lo[r], flat[r])
     samples_per_chip = round(fs / code.chip_rate)
-    grids = []
-    for m in range(count):
-        t0 = signal.t0 + m * n / fs
-        values = out[m]  # mixed, transformed in place: the grid
-        _multiply_rows(table, signal.samples[m * n:(m + 1) * n], values)
-        _fft_into(scipy.fft.fft, values)
-        _multiply_rows(values, code_fft, values)
-        _fft_into(scipy.fft.ifft, values)
-        if t0 != 0.0:
-            # Fold in the local-oscillator phase accumulated up to this unit's
-            # start so the LO is continuous across units.
-            lo = np.exp(-2j * np.pi * ((freqs * t0) % 1.0))
-            _multiply_rows(values, lo.astype(np.complex64)[:, None], values)
-        grids.append(CorrelationGrid(values=values, plan=plan,
-                                     samples_per_chip=samples_per_chip))
-    return grids
+    return [CorrelationGrid(values=out[m], plan=plan,
+                            samples_per_chip=samples_per_chip)
+            for m in range(count)]
 
 
 def _fft_into(transform, values: np.ndarray) -> None:

@@ -12,21 +12,22 @@ figure-analog products:
   * successful-acquisition duration versus integration duration.
 
 run_span is the one epoch loop of acquisition: it correlates each epoch of
-a span once, into one unit block reused for every epoch, and integrates
-the grids with every strategy at that span.  The single-epoch helpers
-run_strategies and run_epoch call it with one epoch.
+a span once and integrates the grids with every strategy at that span.  It
+walks each epoch in blocks of Doppler rows, so that at most _BLOCK_BYTES
+of unit grids are alive at a time, whatever the span and plan.  The
+single-epoch helpers run_strategies and run_epoch call it with one epoch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .prn_code import ChipSequence, generate_code, samples_per_code
 from .signal_synth import SampledSignal, SynthParams
-from .acq_core import FrequencyPlan, process_units
+from .acq_core import FrequencyPlan, _mixing_table, process_units
 from .integrators import IntegrationSpec, integrate
 from .detector import AcqResult, acquire
 
@@ -113,6 +114,8 @@ def pf_sweep(results: Sequence[AcqResult], labels: Sequence[EpochLabel],
     thresholds = np.asarray(thresholds, dtype=np.float64)
     if thresholds.size == 0 or not results:
         raise ValueError("empty inputs to pf_sweep")
+    if len(results) != len(labels):
+        raise ValueError(f"{len(results)} results vs {len(labels)} labels")
     if np.any(np.diff(thresholds) <= 0):
         raise ValueError("thresholds must be strictly ascending")
     mtsmr_vals = np.array([r.mtsmr for r in results])
@@ -140,6 +143,11 @@ def threshold_bounds(curve: PfCurve, target: float) -> Optional[tuple[float, flo
     return float(curve.thresholds[below[0]]), float(curve.thresholds[below[-1]])
 
 
+# The most bytes of complex64 unit grids run_span holds at once, unless one
+# Doppler row of every unit is larger.
+_BLOCK_BYTES = 32 << 20
+
+
 def run_span(epochs: Sequence[SampledSignal], code: ChipSequence,
              plan: FrequencyPlan, specs: Sequence[IntegrationSpec],
              threshold: float) -> list[list[AcqResult]]:
@@ -148,9 +156,16 @@ def run_span(epochs: Sequence[SampledSignal], code: ChipSequence,
 
     All specs must share one span (the plan is built for it).  Each epoch
     is correlated once and every strategy integrates the same unit grids.
-    The grids of every epoch are written into one unit block, allocated
-    here once for the span, so an epoch's grids are overwritten by the
-    next epoch's (see acq_core.process_units).
+
+    The plan is walked in blocks of Doppler rows, each block's unit grids
+    at most _BLOCK_BYTES (one row at the least): process_units correlates
+    the block's sub-plan, and every strategy integrates its grids.  One
+    grid buffer, the sub-plans and the plan's mixing table are made once
+    per span.  When the plan is one block, each strategy's detection grid
+    is acquired as soon as it is integrated; otherwise each strategy's
+    rows are copied into a (bins, n) detection grid, made once per span,
+    which is acquired after the epoch's last block.  Either way the
+    results are those of the whole plan correlated at once.
     """
     spans = {spec.total_ms for spec in specs}
     if len(spans) != 1:
@@ -158,13 +173,36 @@ def run_span(epochs: Sequence[SampledSignal], code: ChipSequence,
     if not epochs:
         return []
     count = specs[0].total_ms
-    n = samples_per_code(code, epochs[0].sample_rate)
-    block = np.empty((count, len(plan.bins), n), np.complex64)
+    fs = epochs[0].sample_rate
+    n = samples_per_code(code, fs)
+    bins = len(plan.bins)
+    height = min(bins, max(1, _BLOCK_BYTES // (count * n * 8)))
+    blocks = [(a, min(a + height, bins)) for a in range(0, bins, height)]
+    sub_plans = [FrequencyPlan(plan.center, plan.bin_width, plan.bins[a:b])
+                 for a, b in blocks]
+    table = _mixing_table(plan, n, fs)
+    buffer = np.empty(count * height * n, np.complex64)
+    held = ([np.empty((bins, n)) for _ in specs] if len(blocks) > 1
+            else None)
     results = []
     for epoch in epochs:
-        grids = process_units(epoch, code, plan, count=count, out=block)
-        results.append([acquire(integrate(grids, spec.strategy),
-                                threshold=threshold) for spec in specs])
+        for (a, b), sub_plan in zip(blocks, sub_plans):
+            out = buffer[:count * (b - a) * n].reshape(count, b - a, n)
+            grids = process_units(epoch, code, sub_plan, count=count,
+                                  out=out, table=table[a:b])
+            # Each detection grid stays unnamed, so it is freed before the
+            # next strategy's grid is allocated.
+            if held is None:
+                results.append([acquire(integrate(grids, spec.strategy),
+                                        threshold=threshold)
+                                for spec in specs])
+            else:
+                for values, spec in zip(held, specs):
+                    values[a:b] = integrate(grids, spec.strategy).values
+        if held is not None:
+            results.append([acquire(replace(grids[0], values=values,
+                                            plan=plan), threshold=threshold)
+                            for values in held])
     return results
 
 

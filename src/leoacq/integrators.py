@@ -16,10 +16,13 @@ a slab, units are combined in ascending unit index, the same order as over
 whole grids, so results are bit-identical to whole-grid evaluation and
 deterministic regardless of how callers schedule the work.
 
-A grid of at least 2^20 cells is split into row bands, one per core
-(acq_core._row_bands), and each band walks its own slabs on its own
-thread.  Bands start on slab boundaries, so every slab is the one a single
-walk would cut, and the detection grid does not depend on the band count.
+When the unit grids together hold at least 2^20 cells, their rows are
+split into bands, one per core (acq_core._row_bands), and each band walks
+its own slabs on its own thread.  Bands start on slab boundaries, so every
+slab is the one a single walk would cut, and the detection grid does not
+depend on the band count.  Every cell depends only on its own cell in each
+unit, so grids of a block of Doppler rows integrate to those rows of the
+whole plan's detection grid (eval_harness.run_span).
 The integrate_* functions themselves run on the caller's thread, where a
 tracer wrapping them from outside sees them.
 
@@ -91,9 +94,7 @@ def _check_grids(grids: list[CorrelationGrid], strategy: Strategy) -> None:
 
 # Cells per row slab: 256 kB of complex64 per unit, so a kernel's
 # accumulators and temporaries stay in cache instead of sweeping full-grid
-# arrays (13 MB each at the paper profile) once per unit.  At the paper
-# profile (20 units, 401 bins) every kernel ran 2-11% faster than with
-# 16384-cell slabs on a 2-vCPU Xeon with 4 MB of L2.
+# arrays once per unit.
 _SLAB_CELLS = 32768
 
 
@@ -104,7 +105,8 @@ def _by_slab(grids: list[CorrelationGrid], strategy: Strategy,
     kernel maps the units' (rows, n) complex views, in unit order, to the
     (rows, n) detection values; every cell depends only on its own cell in
     each unit, so slab-wise and whole-grid evaluation give equal results.
-    Each row band (see the module docstring) walks its own slabs.
+    Each row band (see the module docstring) walks its own slabs; the
+    band gate counts the cells of all units together.
     """
     _check_grids(grids, strategy)
     bins, n = grids[0].values.shape
@@ -116,7 +118,7 @@ def _by_slab(grids: list[CorrelationGrid], strategy: Strategy,
             rows = slice(r, min(r + height, band.stop))
             out[rows] = kernel([g.values[rows] for g in grids])
 
-    _row_bands(walk, bins, bins * n, align=height)
+    _row_bands(walk, bins, len(grids) * bins * n, align=height)
     return replace(grids[0], values=out)
 
 

@@ -90,7 +90,8 @@ def read_samples(path, meta: SampleFileMeta, offset: int = 0,
 
     Samples come back as float32 (real formats) or complex64 (IQ formats).
     Both are exact: every int8 and int16 code is a float32, and dividing it
-    by the power-of-two full scale only changes its exponent.
+    by the power-of-two full scale only changes its exponent.  A float32
+    file that holds NaN or an infinity in the range is a data error.
     """
     dtype, scale, is_iq = _FORMATS[meta.format]
     frame = meta.bytes_per_sample
@@ -109,6 +110,9 @@ def read_samples(path, meta: SampleFileMeta, offset: int = 0,
             f"{total} samples in the file")
     raw = np.fromfile(path, dtype=dtype, count=count * (2 if is_iq else 1),
                       offset=offset * frame)
+    if scale is None and not np.isfinite(raw).all():
+        bad = offset + int(np.argmin(np.isfinite(raw))) // (2 if is_iq else 1)
+        raise SampleFileError(f"{path}: sample {bad} is not finite")
     vals = raw.astype(np.float32, copy=False)
     if scale is not None:
         vals /= scale

@@ -82,6 +82,37 @@ def reference_process_units(signal, code, plan):
     return grids
 
 
+def per_unit_process_units(signal, code, plan):
+    """The single-precision engine one unit at a time: each unit's
+    (bins, n) matrix mixed, transformed and rotated on its own.  The oracle
+    for process_units' block-wide stages, which must match it bitwise."""
+    fs = signal.sample_rate
+    n = samples_per_code(code, fs)
+    table = _mixing_table(plan, n, fs)
+    code_fft = _code_fft(code, fs)
+    freqs = plan.center + np.asarray(plan.bins)
+    grids = []
+    for m in range(len(signal.samples) // n):
+        t0 = signal.t0 + m * n / fs
+        values = np.multiply(table, signal.samples[m * n:(m + 1) * n],
+                             dtype=np.complex64)
+        values = scipy.fft.fft(values, axis=1)
+        values *= code_fft
+        values = scipy.fft.ifft(values, axis=1)
+        if t0 != 0.0:
+            lo = np.exp(-2j * np.pi * ((freqs * t0) % 1.0))
+            values *= lo.astype(np.complex64)[:, None]
+        grids.append(values)
+    return grids
+
+
+INPUT_DTYPES = [np.float64, np.float32, np.complex128, np.complex64]
+
+
+def sub_plan(plan, a, b):
+    return FrequencyPlan(plan.center, plan.bin_width, plan.bins[a:b])
+
+
 def f32_bound(n):
     """Relative rounding bound of a length-n single-precision FFT
     correlation: float32 epsilon per radix-2 stage."""
@@ -233,9 +264,9 @@ class TestInPlaceTransforms:
         n = samples_per_code(code1, sig.sample_rate)
         table = _mixing_table(plan, n, sig.sample_rate)
         before = table.copy()
+        process_units(sig, code1, plan, table=table)
         process_units(sig, code1, plan)
         assert np.array_equal(sig.samples, samples)
-        assert _mixing_table(plan, n, sig.sample_rate) is table
         assert not table.flags.writeable
         assert np.array_equal(table, before)
 
@@ -243,7 +274,7 @@ class TestInPlaceTransforms:
         # The benchmark's traced run (perfbench, --trace 1) wraps the same
         # two functions and requires bins x units 2-D rows each way inside
         # every process_units call, and a list of the unit grids back, with
-        # or without a caller's block.
+        # or without a caller's block and for a sub-plan of a row block.
         rows = {}
 
         def counted(name, original, x, *args, **kwargs):
@@ -252,19 +283,24 @@ class TestInPlaceTransforms:
                 rows[name] = rows.get(name, 0) + out.shape[0]
             return out
 
-        _wrap_fft(monkeypatch, counted)
         sig, _ = synth_units(4, code1)
         plan = plan_for(1)
-        for out in (None, np.empty((3, len(plan.bins), 1023), np.complex64)):
-            rows.clear()
-            grids = process_units(sig, code1, plan, count=3, out=out)
-            assert isinstance(grids, list) and len(grids) == 3
-            assert rows == {"fft": 3 * len(plan.bins),
-                            "ifft": 3 * len(plan.bins)}
+        table = _mixing_table(plan, 1023, FS_FAST)
+        _wrap_fft(monkeypatch, counted)
+        for a, b in [(0, len(plan.bins)), (0, 1), (2, 7), (8, 9)]:
+            part = sub_plan(plan, a, b)
+            for out in (None, np.empty((3, b - a, 1023), np.complex64)):
+                for tab in (None, table[a:b]):
+                    rows.clear()
+                    grids = process_units(sig, code1, part, count=3, out=out,
+                                          table=tab)
+                    assert isinstance(grids, list) and len(grids) == 3
+                    assert rows == {"fft": 3 * (b - a), "ifft": 3 * (b - a)}
 
 
 class TestUnitBlock:
-    """Unit grids written into one (count, bins, n) block passed as out."""
+    """Unit grids correlated together in one (count, bins, n) block, passed
+    as out, for the whole plan or a block of its Doppler rows."""
 
     @staticmethod
     def _block(units, plan, n=1023):
@@ -288,6 +324,56 @@ class TestUnitBlock:
             got = process_units(sig, code1, plan, out=block)
         for g, w in zip(got, want, strict=True):
             assert g.values.tobytes() == w.values.tobytes()
+
+    # t0 = -1 ms puts the second unit at t = 0, which skips the LO rotation
+    @settings(max_examples=40)
+    @given(paper=st.booleans(), units=st.integers(1, 4),
+           n_bins=st.integers(1, 12),
+           t0=st.sampled_from([0.0, -1e-3, 1e-3, 137.25]),
+           dtype=st.sampled_from(INPUT_DTYPES), bands=st.integers(1, 3),
+           seed=st.integers(0, 2 ** 16))
+    def test_equals_the_per_unit_loop(self, code1, paper, units, n_bins, t0,
+                                      dtype, bands, seed):
+        fs, fif = (FS_FULL, FIF_FULL) if paper else (FS_FAST, FIF_FAST)
+        sig, _ = synth_units(units, code1, d0=300.0, cn0=40.0, seed=seed,
+                             fs=fs, fif=fif)
+        sig = SampledSignal(samples=sig.samples.astype(dtype), sample_rate=fs,
+                            t0=t0)
+        plan = FrequencyPlan(center=fif, bin_width=170.0,
+                             bins=tuple(170.0 * (k - n_bins // 2)
+                                        for k in range(n_bins)))
+        with row_bands(bands):
+            got = process_units(sig, code1, plan)
+        want = per_unit_process_units(sig, code1, plan)
+        for g, w in zip(got, want, strict=True):
+            assert g.values.tobytes() == w.tobytes()
+
+    @settings(max_examples=30)
+    @given(paper=st.booleans(), units=st.integers(1, 3),
+           height=st.integers(1, 10), t0=st.sampled_from([0.0, 2.5]),
+           seed=st.integers(0, 2 ** 16))
+    def test_row_blocks_equal_the_whole_plan(self, code1, paper, units,
+                                             height, t0, seed):
+        # run_span's walk: sub-plans, rows of one table, and outs that are
+        # prefixes of one flat buffer (the tail block shorter)
+        fs, fif = (FS_FULL, FIF_FULL) if paper else (FS_FAST, FIF_FAST)
+        n = samples_per_code(code1, fs)
+        sig, _ = synth_units(units, code1, d0=-400.0, cn0=40.0, seed=seed,
+                             fs=fs, fif=fif)
+        sig.t0 = t0
+        plan = make_plan(fif, 1e3, units)
+        whole = process_units(sig, code1, plan)
+        table = _mixing_table(plan, n, fs)
+        buffer = np.full(units * height * n, np.nan, np.complex64)
+        bins = len(plan.bins)
+        for a in range(0, bins, height):
+            b = min(a + height, bins)
+            out = buffer[:units * (b - a) * n].reshape(units, b - a, n)
+            grids = process_units(sig, code1, sub_plan(plan, a, b), out=out,
+                                  table=table[a:b])
+            for g, w in zip(grids, whole, strict=True):
+                assert g.values.base is buffer
+                assert g.values.tobytes() == w.values[a:b].tobytes()
 
     def test_grids_are_views_that_the_next_call_overwrites(self, code1):
         plan = plan_for(2)
@@ -338,6 +424,18 @@ class TestUnitBlock:
         sig, _ = synth_units(3, code1)
         with pytest.raises(ValueError, match="out must be"):
             process_units(sig, code1, plan_for(1), out=bad)
+
+    @pytest.mark.parametrize("bad", [
+        np.empty((8, 1023), np.complex64),              # too few bins
+        np.empty((10, 1023), np.complex64),             # too many bins
+        np.empty((9, 1022), np.complex64),              # wrong length
+        np.empty((9, 1023), np.complex128),             # dtype
+        np.empty(9 * 1023, np.complex64),               # flat
+    ], ids=["few-bins", "many-bins", "length", "dtype", "flat"])
+    def test_bad_table_rejected(self, code1, bad):
+        sig, _ = synth_units(2, code1)
+        with pytest.raises(ValueError, match="table must be"):
+            process_units(sig, code1, plan_for(1), table=bad)
 
     @pytest.mark.parametrize("count", [0, -1])
     def test_count_below_one_rejected(self, code1, count):
@@ -410,8 +508,6 @@ class TestAccuracy:
             i = int(np.argmax(np.abs(grid.values))) // grid.values.shape[1]
             assert abs(plan.bins[i] - d0) <= 250.0
 
-
-INPUT_DTYPES = [np.float64, np.float32, np.complex128, np.complex64]
 
 
 class TestSinglePrecision:
@@ -486,7 +582,7 @@ class TestSinglePrecision:
         grids = process_units(sig, code1, plan_for(2))
         assert [g.values.dtype for g in grids] == [np.complex64] * 2
 
-    def test_cached_table_is_complex64_and_read_only(self, code1):
+    def test_table_is_complex64_and_read_only(self, code1):
         table = _mixing_table(plan_for(1), 1023, FS_FAST)
         assert table.dtype == np.complex64
         assert not table.flags.writeable
@@ -510,9 +606,20 @@ class TestMixingTable:
                                            total_ms):
         plan = make_plan(fif, half_span, total_ms)
         n = samples_per_code(code1, fs)
-        table = _mixing_table.__wrapped__(plan, n, fs)
+        table = _mixing_table(plan, n, fs)
         want = self.one_shot(plan, n, fs)
         assert table.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+
+    @settings(max_examples=30)
+    @given(paper=st.booleans(), a=st.integers(0, 800), size=st.integers(1, 90))
+    def test_rows_are_the_sub_plan_table(self, code1, paper, a, size):
+        fs, fif = (FS_FULL, FIF_FULL) if paper else (FS_FAST, FIF_FAST)
+        plan = make_plan(fif, 10e3, 20)  # 801 bins
+        n = samples_per_code(code1, fs)
+        b = min(a + size, len(plan.bins))
+        want = _mixing_table(plan, n, fs)[a:b]
+        got = _mixing_table(sub_plan(plan, a, b), n, fs)
+        assert got.tobytes() == want.tobytes()
 
     def test_build_peaks_near_the_table(self, code1):
         # a one-shot build peaks at 4x the table: a float64 phase array,
@@ -523,7 +630,7 @@ class TestMixingTable:
         try:
             held = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            table = _mixing_table.__wrapped__(plan, n, FS_FULL)
+            table = _mixing_table(plan, n, FS_FULL)
             peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
@@ -554,10 +661,12 @@ class TestRowBands:
                    for start, stop in bands)
         first = [ident for band, ident in calls if band.start == 0]
         assert first == [threading.get_ident()]  # on the calling thread
+        # the align-row steps are shared out as evenly as whole steps go
+        steps = -(-rows // align)
         cores = cores or 1
-        assert len(bands) <= cores
-        if cores > 1 and rows > align:
-            assert len(bands) > 1
+        assert len(bands) == min(cores, steps)
+        per_band = [-(-(stop - start) // align) for start, stop in bands]
+        assert max(per_band) - min(per_band) <= 1
 
     @settings(max_examples=40)
     @given(paper=st.booleans(), n_bins=st.integers(1, 12),
@@ -610,6 +719,27 @@ class TestRowBands:
         assert {ident for _, ident, _ in calls} == {threading.get_ident()}
         for name in ("fft", "ifft"):
             assert sum(r for c, _, r in calls if c == name) == 3 * 401
+
+    def test_paper_row_blocks_are_banded(self, monkeypatch):
+        # A row block of paper_block's span (20 units of 51 x 4092) is
+        # under the gate one unit at a time and over it all units together
+        pools = []
+        pool = concurrent.futures.ThreadPoolExecutor
+
+        def counted_pool(*args, **kwargs):
+            pools.append(args)
+            return pool(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                            counted_pool)
+        plan = sub_plan(make_plan(FIF_FULL, 5e3, 20), 0, 51)
+        block = np.zeros((20, 51, 4092), np.complex64)
+        assert block[0].size < acq_core._BAND_CELLS <= block.size
+        grids = [CorrelationGrid(values=u, plan=plan, samples_per_chip=4)
+                 for u in block]
+        with row_bands(2, gate=acq_core._BAND_CELLS):
+            integrate(grids, Strategy.COHERENT)
+        assert pools
 
     # fast_sweep's largest grids (5 ms, +/-10 kHz) and the 1 ms ones
     @pytest.mark.parametrize("total_ms", [5, 1])

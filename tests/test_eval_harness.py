@@ -1,23 +1,30 @@
 """Evaluation-harness tests: labeling, P_f sweeps, timelines."""
 
+import concurrent.futures
 import dataclasses
+import tracemalloc
+import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from leoacq import eval_harness
-from leoacq.acq_core import make_plan, samples_per_code
-from leoacq.detector import AcqResult
+from leoacq import acq_core, eval_harness
+from leoacq.acq_core import make_plan, process_units, samples_per_code
+from leoacq.detector import AcqResult, acquire
 from leoacq.eval_harness import (EpochLabel, EpochTruth, PfCurve,
                                  acquisition_timeline, cyclic_distance,
                                  label_epochs, pf_sweep, run_epoch,
                                  run_span, run_strategies, threshold_bounds,
                                  truth_code_phase, truth_from_epoch)
 from leoacq.geometry import PassSample, PassScenario
-from leoacq.integrators import IntegrationSpec, Strategy, strategy_valid_at
+from leoacq.integrators import (IntegrationSpec, Strategy, integrate,
+                                strategy_valid_at)
 from leoacq.signal_synth import synthesize_pass_signal
 
-from conftest import FS_FAST, FIF_FAST, fast_params, plan_for, synth_units
+from conftest import (FS_FAST, FIF_FAST, FS_FULL, FIF_FULL, fast_params,
+                      plan_for, row_bands, synth_units)
 
 
 def _result(doppler=0.0, code=0, ratio=5.0, decided=True):
@@ -102,6 +109,10 @@ class TestRunStrategies:
             run_strategies(sig, code1, plan_for(1), specs, threshold=2.5)
 
 
+def _no_pool(*args, **kwargs):
+    raise AssertionError("the engine started worker threads")
+
+
 def _span_epochs(count, **params):
     return list(synthesize_pass_signal(
         _flat_scenario(count), fast_params(duration=5e-3, **params)))
@@ -123,22 +134,150 @@ class TestRunSpan:
             for a, b in zip(g, w, strict=True):
                 assert dataclasses.astuple(a) == dataclasses.astuple(b)
 
-    def test_one_block_for_every_epoch(self, code1, monkeypatch):
-        blocks = []
+    # Heights in rows of the plan: one row, uneven tails, the whole plan
+    @settings(max_examples=25)
+    @given(paper=st.booleans(), total_ms=st.sampled_from([1, 2, 5, 20]),
+           height=st.sampled_from([1, 2, 4, 7, 1000]),
+           slack=st.floats(0.0, 0.99), seed=st.integers(0, 2 ** 16))
+    def test_row_blocks_give_the_whole_plan_results(
+            self, code1, paper, total_ms, height, slack, seed):
+        fs, fif = (FS_FULL, FIF_FULL) if paper else (FS_FAST, FIF_FAST)
+        row_bytes = total_ms * samples_per_code(code1, fs) * 8
+        epochs = []
+        for k, d0 in enumerate((350.0, -600.0)):
+            sig, _ = synth_units(total_ms, code1, d0=d0, cn0=44.0,
+                                 seed=seed + k, fs=fs, fif=fif)
+            sig.t0 = 20.0 * k
+            epochs.append(sig)
+        plan = make_plan(fif, 1e3, total_ms)
+        specs = [IntegrationSpec(s, total_ms) for s in Strategy
+                 if strategy_valid_at(s, total_ms)]
+        with mock.patch.object(eval_harness, "_BLOCK_BYTES",
+                               int((height + slack) * row_bytes)):
+            got = run_span(epochs, code1, plan, specs, threshold=2.5)
+        for epoch, row in zip(epochs, got, strict=True):
+            grids = process_units(epoch, code1, plan)
+            want = [acquire(integrate(grids, spec.strategy), threshold=2.5)
+                    for spec in specs]
+            assert ([dataclasses.astuple(r) for r in row]
+                    == [dataclasses.astuple(r) for r in want])
+
+    @staticmethod
+    def _record(monkeypatch):
+        calls = []
         process_units = eval_harness.process_units
 
-        def recorded(*args, out=None, **kwargs):
-            blocks.append(out)
-            return process_units(*args, out=out, **kwargs)
+        def recorded(signal, code, plan, count=None, out=None, table=None):
+            calls.append((signal, plan, count, out, table))
+            return process_units(signal, code, plan, count=count, out=out,
+                                 table=table)
 
         monkeypatch.setattr(eval_harness, "process_units", recorded)
+        return calls
+
+    def test_one_buffer_and_table_per_span(self, code1, monkeypatch):
+        # 21 bins in blocks of 8 rows: 8, 8 and a tail of 5
+        monkeypatch.setattr(eval_harness, "_BLOCK_BYTES", 8 * 5 * 1023 * 8)
+        calls = self._record(monkeypatch)
         epochs = _span_epochs(3, cn0=45.0)
-        plan = plan_for(5)
+        plan = make_plan(FIF_FAST, 1e3, 5)
         run_span(epochs, code1, plan, [IntegrationSpec(Strategy.COHERENT, 5)],
                  threshold=2.5)
-        assert len(blocks) == 3
-        assert all(b is blocks[0] for b in blocks)
-        assert blocks[0].shape == (5, len(plan.bins), 1023)
+        assert [(c[0], c[2]) for c in calls] == [
+            (e, 5) for e in epochs for _ in range(3)]
+        buffer, table = calls[0][3].base, calls[0][4].base
+        assert buffer.shape == (5 * 8 * 1023,)
+        assert table.shape == (21, 1023) and not table.flags.writeable
+        blocks = [(0, 8), (8, 16), (16, 21)]
+        for k, (signal, sub_plan, count, out, tab) in enumerate(calls):
+            a, b = blocks[k % 3]
+            assert sub_plan is calls[k % 3][1]  # made once per span
+            assert sub_plan.bins == plan.bins[a:b]
+            assert (sub_plan.center, sub_plan.bin_width) == (
+                plan.center, plan.bin_width)
+            assert out.base is buffer and out.flags.c_contiguous
+            assert out.shape == (5, b - a, 1023)
+            assert out.ctypes.data == buffer.ctypes.data  # a prefix
+            assert tab.base is table and tab.shape == (b - a, 1023)
+            assert tab.ctypes.data == table[a:b].ctypes.data
+
+    def test_split_plan_acquires_held_detection_grids(self, code1,
+                                                      monkeypatch):
+        monkeypatch.setattr(eval_harness, "_BLOCK_BYTES", 8 * 5 * 1023 * 8)
+        acquired = []
+        real_acquire = eval_harness.acquire
+
+        def recorded(grid, threshold):
+            acquired.append(grid)
+            return real_acquire(grid, threshold=threshold)
+
+        monkeypatch.setattr(eval_harness, "acquire", recorded)
+        plan = make_plan(FIF_FAST, 1e3, 5)
+        specs = [IntegrationSpec(s, 5) for s in Strategy
+                 if strategy_valid_at(s, 5)]
+        run_span(_span_epochs(3, cn0=45.0), code1, plan, specs, 2.5)
+        assert len(acquired) == 3 * len(specs)
+        for k, grid in enumerate(acquired):
+            assert grid.plan == plan and grid.values.shape == (21, 1023)
+            assert grid.values.base is None  # one array per strategy ...
+            assert grid.values is acquired[k % len(specs)].values  # ... per span
+
+    @pytest.mark.parametrize("budget", [None, 8 * 5 * 1023 * 8],
+                             ids=["one-block", "split"])
+    def test_one_integrated_grid_alive_at_a_time(self, code1, monkeypatch,
+                                                 budget):
+        if budget is not None:
+            monkeypatch.setattr(eval_harness, "_BLOCK_BYTES", budget)
+        earlier = []
+        real_integrate = eval_harness.integrate
+
+        def recorded(grids, strategy):
+            assert all(ref() is None for ref in earlier)
+            grid = real_integrate(grids, strategy)
+            earlier.append(weakref.ref(grid.values))
+            return grid
+
+        monkeypatch.setattr(eval_harness, "integrate", recorded)
+        specs = [IntegrationSpec(s, 5) for s in Strategy
+                 if strategy_valid_at(s, 5)]
+        run_span(_span_epochs(2, cn0=45.0), code1, make_plan(FIF_FAST, 1e3, 5),
+                 specs, 2.5)
+        assert len(earlier) == 2 * len(specs) * (1 if budget is None else 3)
+
+    @pytest.mark.parametrize("total_ms", [1, 5])
+    def test_fast_profile_spans_are_one_block_and_one_band(
+            self, code1, monkeypatch, total_ms):
+        # fast_sweep's spans over the default +/-10 kHz: 201 bins at 5 ms
+        calls = self._record(monkeypatch)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                            _no_pool)
+        plan = make_plan(FIF_FAST, 10e3, total_ms)
+        specs = [IntegrationSpec(s, total_ms) for s in Strategy
+                 if strategy_valid_at(s, total_ms)]
+        with row_bands(8, gate=acq_core._BAND_CELLS):
+            run_span(_span_epochs(2, cn0=45.0), code1, plan, specs, 2.5)
+        assert [c[1] for c in calls] == [plan, plan]
+        assert calls[0][3].shape == (total_ms, len(plan.bins), 1023)
+
+    def test_paper_span_holds_under_half_the_unit_block(self, code1):
+        # paper_block's shape: 20 units of 401 x 4092, five strategies.  A
+        # whole-span (units, bins, n) complex64 block alone is 262.5 MB.
+        sig, _ = synth_units(20, code1, d0=1200.0, cn0=45.0, fs=FS_FULL,
+                             fif=FIF_FULL)
+        sig.t0 = 40.0
+        plan = make_plan(FIF_FULL, 5e3, 20)
+        specs = [IntegrationSpec(s, 20) for s in Strategy]
+        block_bytes = 20 * len(plan.bins) * 4092 * 8
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            (row,) = run_span([sig], code1, plan, specs, 2.5)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert all(r.decided and r.code_phase_hat == 0 for r in row)
+        assert peak < block_bytes / 2
 
     def test_no_epochs_no_results(self, code1):
         assert run_span([], code1, PLAN1,
@@ -181,6 +320,12 @@ class TestPfSweep:
             pf_sweep([_result()], [EpochLabel(0, 0, 0, True)], [2.0, 1.0])
         with pytest.raises(ValueError, match="empty"):
             pf_sweep([], [], [1.0])
+
+    @pytest.mark.parametrize("labels", [1, 2, 4])
+    def test_results_and_labels_must_pair(self, labels):
+        with pytest.raises(ValueError, match="3 results vs"):
+            pf_sweep([_result()] * 3, [EpochLabel(0, 0, 0, True)] * labels,
+                     [1.0, 2.0])
 
 
 class TestThresholdBounds:

@@ -12,8 +12,8 @@ from hypothesis import example, given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from leoacq import eval_harness, io_cli, signal_synth
-from leoacq.io_cli import (_FORMATS, ReadRangeError, SampleFileMeta,
-                           ScenarioConfig, TruncatedFileError,
+from leoacq.io_cli import (_FORMATS, ReadRangeError, SampleFileError,
+                           SampleFileMeta, ScenarioConfig, TruncatedFileError,
                            UnknownFormatError, cli, pass_epochs, read_samples,
                            read_truth_sidecar, write_samples,
                            write_truth_sidecar)
@@ -142,6 +142,24 @@ class TestSampleFiles:
         write_samples(_sig(np.zeros(16)), path, _meta())
         with pytest.raises(ReadRangeError, match="outside"):
             read_samples(path, _meta(), offset=10, count=10)
+
+    @pytest.mark.parametrize("fmt", ["float32-real", "float32-iq"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_read_rejected(self, tmp_path, fmt, bad):
+        # sample 5 holds the bad value (its Q part in an IQ file); reads
+        # that cover it fail naming the file and the sample, others do not
+        is_iq = fmt.endswith("-iq")
+        raw = np.arange(32 if is_iq else 16, dtype="<f4")
+        raw[11 if is_iq else 5] = bad
+        path = tmp_path / "x.bin"
+        raw.tofile(path)
+        for offset, count in [(0, None), (3, 4), (5, 1)]:
+            with pytest.raises(SampleFileError,
+                               match=rf"x\.bin: sample 5 is not finite"):
+                read_samples(path, _meta(fmt), offset=offset, count=count)
+        for offset, count in [(0, 5), (6, None)]:
+            back = read_samples(path, _meta(fmt), offset=offset, count=count)
+            assert np.isfinite(back.samples).all()
 
     def test_nonfinite_rejected(self, tmp_path, monkeypatch):
         # a NaN in the last chunk: nothing is written, the old file stays
@@ -721,6 +739,19 @@ class TestCli:
                 out_csv.read_text().strip().split("\n")[1:]]
         assert all(r[7] == "1" for r in rows)
 
+    def test_acquire_nonfinite_sample_exits_two(self, strong_config, tmp_path,
+                                                capsys):
+        samples = str(tmp_path / "pass.bin")
+        assert cli(["synth", "--config", strong_config, "--out", samples]) == 0
+        raw = np.fromfile(samples, dtype="<f4")
+        raw[5] = np.nan
+        raw.tofile(samples)
+        capsys.readouterr()
+        out = tmp_path / "t.csv"
+        assert cli(["acquire", "--samples", samples, "--out", str(out)]) == 2
+        assert f"{samples}: sample 5 is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_acquire_truncated_exits_two(self, strong_config, tmp_path, capsys):
         samples = str(tmp_path / "pass.bin")
         assert cli(["synth", "--config", strong_config, "--out", samples]) == 0
@@ -867,34 +898,50 @@ class TestCli:
     @pytest.mark.parametrize("command", ["duration", "acquire"])
     def test_one_unit_block_per_span(self, strong_config, tmp_path,
                                      monkeypatch, capsys, command):
+        # One buffer of unit grids and one mixing table per span, and one
+        # process_units call per (epoch, block of Doppler rows).  A budget
+        # of 16 rows of 5 ms splits the 5 ms plan (41 bins) into 16, 16
+        # and 9 rows and leaves the 1 ms plan (9 bins) whole; the outputs
+        # are those of whole plans.
         samples = str(tmp_path / "pass.bin")
         if command == "acquire":
             assert cli(["synth", "--config", strong_config,
                         "--out", samples]) == 0
-        blocks = []
+            argv = ["acquire", "--samples", samples, "--total-ms", "5",
+                    "--half-span", "2000", "--out"]
+            spans = [5]
+        else:
+            argv = ["duration", "--config", strong_config, "--out"]
+            spans = [1, 5]
+        assert cli(argv + [str(tmp_path / "whole.csv")]) == 0
+        calls = []
         process_units = eval_harness.process_units
 
-        def recorded(signal, code, plan, count=None, out=None):
-            blocks.append((count, out))
-            return process_units(signal, code, plan, count=count, out=out)
+        def recorded(signal, code, plan, count=None, out=None, table=None):
+            calls.append((count, len(plan.bins), out, table))
+            return process_units(signal, code, plan, count=count, out=out,
+                                 table=table)
 
         monkeypatch.setattr(eval_harness, "process_units", recorded)
-        if command == "acquire":
-            argv = ["acquire", "--samples", samples, "--total-ms", "5",
-                    "--half-span", "2000", "--out", str(tmp_path / "t.csv")]
-        else:
-            argv = ["duration", "--config", strong_config,
-                    "--out", str(tmp_path / "d.csv")]
-        assert cli(argv) == 0
+        monkeypatch.setattr(eval_harness, "_BLOCK_BYTES", 16 * 5 * 1023 * 8)
+        assert cli(argv + [str(tmp_path / "blocks.csv")]) == 0
+        assert ((tmp_path / "blocks.csv").read_bytes()
+                == (tmp_path / "whole.csv").read_bytes())
         config = ScenarioConfig.from_file(strong_config)
         epochs = len(config.scenario().samples)
-        spans = [5] if command == "acquire" else [1, 5]
-        assert [count for count, _ in blocks] == [
-            t_ms for t_ms in spans for _ in range(epochs)]
-        for i, t_ms in enumerate(spans):
-            span = [out for _, out in blocks[i * epochs:(i + 1) * epochs]]
-            assert span[0].shape[0] == t_ms
-            assert all(out is span[0] for out in span)
+        heights = {1: [9], 5: [16, 16, 9]}
+        assert [(count, rows) for count, rows, _, _ in calls] == [
+            (t_ms, rows) for t_ms in spans for _ in range(epochs)
+            for rows in heights[t_ms]]
+        start = 0
+        for t_ms in spans:
+            span = calls[start:start + epochs * len(heights[t_ms])]
+            start += len(span)
+            buffer, table = span[0][2].base, span[0][3].base
+            assert buffer.size == t_ms * heights[t_ms][0] * 1023
+            assert all(out.base is buffer and tab.base is table
+                       for _, _, out, tab in span)
+        assert start == len(calls)
 
     def test_pipeline_determinism(self, strong_config, tmp_path, capsys):
         d1, d2 = tmp_path / "a", tmp_path / "b"
