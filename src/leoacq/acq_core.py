@@ -237,18 +237,11 @@ def process_units(signal: SampledSignal, code: ChipSequence,
     _multiply_rows(flat, _code_fft(code, fs), flat)
     _fft_into(scipy.fft.ifft, flat)
     # Fold in the local-oscillator phase accumulated up to each unit's
-    # start, so the LO is continuous across units.  A unit starting at
-    # t = 0 has none; the start times are distinct, so there is at most one.
+    # start, so the LO is continuous across units.
     t0 = signal.t0 + np.arange(count) * n / fs
     freqs = plan.center + np.asarray(plan.bins)
     lo = np.exp(-2j * np.pi * ((freqs * t0[:, None]) % 1.0))
-    lo = lo.astype(np.complex64).reshape(-1, 1)
-    zero = np.flatnonzero(t0 == 0.0)
-    parts = [(0, zero[0]), (zero[0] + 1, count)] if zero.size else [(0, count)]
-    for a, b in parts:
-        if a < b:
-            r = slice(a * rows, b * rows)
-            _multiply_rows(flat[r], lo[r], flat[r])
+    _multiply_rows(flat, lo.astype(np.complex64).reshape(-1, 1), flat)
     samples_per_chip = round(fs / code.chip_rate)
     return [CorrelationGrid(values=out[m], plan=plan,
                             samples_per_chip=samples_per_chip)

@@ -5,11 +5,24 @@ Two ratio indicators are computed at the grid peak:
   MTSMR  peak over the largest value in the peak's Doppler row outside a
          one-chip exclusion window around the peak (cyclic in code phase)
   MTMR   peak over the mean of the grid excluding the rectangle of cells
-         within one Doppler bin AND one chip of the peak
+         within one Doppler bin AND one chip of the peak (rows clamped at
+         the plan's edges)
 
 MTSMR against the empirical threshold 2.5 is the default decision; MTMR has
 no usable global threshold across strategies, so deciding on it always
 requires an explicit caller threshold.
+
+Row blocks.  A RowSearch reads a grid fed as consecutive blocks of Doppler
+rows, so no caller need hold a whole grid (eval_harness.run_span feeds it
+each row block as it is integrated).  Per block it adds the block's sum to
+a running total and takes the block's first maximum, kept only if strictly
+greater than the one before: ties break to the lowest bin, then sample.  It
+copies the peak's row and its neighbour rows, and each block's last row in
+case the next block starts with the peak.  peak, mtsmr, mtmr and acquire
+on a whole grid feed it as one block.  The peak and MTSMR do not depend on
+the blocks; MTMR's total is summed block by block, so a grid fed in several
+blocks gives an MTMR within 1e-12 relative of the one-block value
+(tests/test_detector.py::TestRowSearch).
 """
 
 from __future__ import annotations
@@ -19,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acq_core import CorrelationGrid
+from .acq_core import CorrelationGrid, FrequencyPlan
 
 DEFAULT_MTSMR_THRESHOLD = 2.5
 
@@ -35,69 +48,84 @@ class AcqResult:
     decided: bool
 
 
+class RowSearch:
+    """Peak and indicator reductions of one detection grid over plan, fed
+    its rows in order by add; the indicators exclude l_spc code samples
+    around the peak."""
+
+    def __init__(self, plan: FrequencyPlan, l_spc: int):
+        self.plan = plan
+        self.l_spc = l_spc
+        self.rows = 0         # rows fed so far
+        self.total = 0.0      # sum of every cell fed
+        self._at = None       # (bin, sample, value) of the first maximum
+        self._near = []       # rows max(0, bin - 1) to bin + 1, as fed
+        self._last = None     # the last row fed
+
+    def add(self, block: np.ndarray) -> None:
+        """Feed the grid's next rows, a non-empty (rows, n) array; numpy's
+        argmax rejects an empty one."""
+        a = self.rows
+        if self._at is not None and self._at[0] == a - 1:
+            self._near.append(block[0].copy())  # the row after the peak
+        self.total += float(np.sum(block))
+        r, j = divmod(int(np.argmax(block)), block.shape[1])  # C order
+        if self._at is None or block[r, j] > self._at[2]:
+            self._at = (a + r, j, float(block[r, j]))
+            before = [self._last] if r == 0 and a > 0 else []
+            self._near = before + list(block[max(0, r - 1):r + 2].copy())
+        self._last = block[-1].copy()
+        self.rows = a + len(block)
+
+    def peak(self) -> tuple[int, int, float]:
+        """(bin, sample, value) of the first maximum of the whole grid."""
+        if self.rows != len(self.plan.bins):
+            raise ValueError(f"the search was fed {self.rows} of "
+                             f"{len(self.plan.bins)} rows")
+        return self._at
+
+    def mtsmr(self) -> float:
+        (i, j, r_max), l_spc = self.peak(), self.l_spc
+        row = self._near[i - max(0, i - 1)]
+        excluded = np.zeros(len(row), dtype=bool)
+        excluded[(np.arange(-l_spc, l_spc + 1) + j) % len(row)] = True
+        if excluded.all():
+            raise ValueError(f"exclusion window of +/-{l_spc} samples "
+                             f"covers the whole {len(row)}-sample row")
+        r_sub = float(np.max(row[~excluded]))
+        return math.inf if r_sub == 0.0 else r_max / r_sub
+
+    def mtmr(self) -> float:
+        i, j, r_max = self.peak()
+        near = np.array(self._near)
+        n = near.shape[1]
+        col_idx = np.unique((np.arange(-self.l_spc, self.l_spc + 1) + j) % n)
+        n_kept = len(self.plan.bins) * n - len(near) * len(col_idx)
+        if n_kept < 1:
+            raise ValueError("peak exclusion leaves no cells to average")
+        rect = near[np.ix_(np.arange(len(near)), col_idx)]
+        return r_max / ((self.total - float(np.sum(rect))) / n_kept)
+
+
+def _whole(grid: CorrelationGrid, l_spc: int) -> RowSearch:
+    search = RowSearch(grid.plan, l_spc)
+    search.add(grid.values)
+    return search
+
+
 def peak(grid: CorrelationGrid) -> tuple[int, int, float]:
     """Global argmax over (bin, sample); ties break to lowest bin then sample."""
-    v = grid.values
-    if v.size == 0:
-        raise ValueError("empty detection grid")
-    flat = int(np.argmax(v))  # C order: lowest row, then lowest column wins ties
-    i, j = divmod(flat, v.shape[1])
-    return i, j, float(v[i, j])
-
-
-def _cyclic_window_mask(n: int, center: int, half_width: int) -> np.ndarray:
-    """Boolean mask of the cyclic interval [center-half_width, center+half_width]."""
-    idx = (np.arange(-half_width, half_width + 1) + center) % n
-    mask = np.zeros(n, dtype=bool)
-    mask[idx] = True
-    return mask
+    return _whole(grid, grid.samples_per_chip).peak()
 
 
 def mtsmr(grid: CorrelationGrid, l_spc: int) -> float:
-    """Maximum-to-second-maximum ratio.
-
-    The runner-up search runs over the peak's Doppler row, excluding code
-    phases within l_spc samples of the peak (cyclically: code phase is
-    circular).
-    """
-    return _mtsmr(grid.values, peak(grid), l_spc)
-
-
-def _mtsmr(v: np.ndarray, at: tuple[int, int, float], l_spc: int) -> float:
-    i_max, j_max, r_max = at
-    row = v[i_max]
-    excluded = _cyclic_window_mask(len(row), j_max, l_spc)
-    if excluded.all():
-        raise ValueError(
-            f"exclusion window of +/-{l_spc} samples covers the whole "
-            f"{len(row)}-sample row")
-    r_sub = float(np.max(row[~excluded]))
-    if r_sub == 0.0:
-        return math.inf
-    return r_max / r_sub
+    """Maximum-to-second-maximum ratio, excluding +/-l_spc samples."""
+    return _whole(grid, l_spc).mtsmr()
 
 
 def mtmr(grid: CorrelationGrid, l_spc: int) -> float:
-    """Maximum-to-mean ratio.
-
-    The mean excludes cells within one Doppler bin AND within l_spc code
-    samples of the peak (the literal conjunction: a rectangle around the
-    peak, rows clamped at the grid edge, columns cyclic).
-    """
-    return _mtmr(grid.values, peak(grid), l_spc)
-
-
-def _mtmr(v: np.ndarray, at: tuple[int, int, float], l_spc: int) -> float:
-    i_max, j_max, r_max = at
-    row_idx = np.arange(max(0, i_max - 1), min(v.shape[0], i_max + 2))
-    col_idx = (np.arange(-l_spc, l_spc + 1) + j_max) % v.shape[1]
-    col_idx = np.unique(col_idx)
-    n_excluded = len(row_idx) * len(col_idx)
-    n_kept = v.size - n_excluded
-    if n_kept < 1:
-        raise ValueError("peak exclusion leaves no cells to average")
-    kept_sum = float(np.sum(v)) - float(np.sum(v[np.ix_(row_idx, col_idx)]))
-    return r_max / (kept_sum / n_kept)
+    """Maximum-to-mean ratio, excluding +/-l_spc samples and one bin."""
+    return _whole(grid, l_spc).mtmr()
 
 
 def decide(indicator_value: float, threshold: float = DEFAULT_MTSMR_THRESHOLD) -> bool:
@@ -107,18 +135,15 @@ def decide(indicator_value: float, threshold: float = DEFAULT_MTSMR_THRESHOLD) -
     return indicator_value >= threshold
 
 
-def acquire(grid: CorrelationGrid,
+def acquire(grid: CorrelationGrid | RowSearch,
             threshold: float = DEFAULT_MTSMR_THRESHOLD) -> AcqResult:
-    """Peak search, both indicators (excluding one chip around the peak)
-    and the MTSMR threshold decision.  The peak is searched once and both
-    indicators are taken at it."""
-    l_spc = grid.samples_per_chip
-    at = peak(grid)
-    ratio = _mtsmr(grid.values, at, l_spc)
-    return AcqResult(
-        doppler_hat=float(grid.plan.bins[at[0]]),
-        code_phase_hat=at[1],
-        mtsmr=ratio,
-        mtmr=_mtmr(grid.values, at, l_spc),
-        decided=decide(ratio, threshold),
-    )
+    """Peak, both indicators (excluding one chip around the peak) and the
+    MTSMR threshold decision, of a whole detection grid or of a RowSearch
+    fed all of one."""
+    search = (grid if isinstance(grid, RowSearch)
+              else _whole(grid, grid.samples_per_chip))
+    ratio = search.mtsmr()
+    i, j, _ = search.peak()
+    return AcqResult(doppler_hat=float(search.plan.bins[i]),
+                     code_phase_hat=j, mtsmr=ratio, mtmr=search.mtmr(),
+                     decided=decide(ratio, threshold))

@@ -14,13 +14,15 @@ figure-analog products:
 run_span is the one epoch loop of acquisition: it correlates each epoch of
 a span once and integrates the grids with every strategy at that span.  It
 walks each epoch in blocks of Doppler rows, so that at most _BLOCK_BYTES
-of unit grids are alive at a time, whatever the span and plan.  The
-single-epoch helpers run_strategies and run_epoch call it with one epoch.
+of unit grids are alive at a time, whatever the span and plan.  Every plan
+takes this one path: each block's integrated rows feed the detector's row
+search and are dropped, so no detection grid is held.  run_epoch calls it
+with one epoch and one strategy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -29,7 +31,7 @@ from .prn_code import ChipSequence, generate_code, samples_per_code
 from .signal_synth import SampledSignal, SynthParams
 from .acq_core import FrequencyPlan, _mixing_table, process_units
 from .integrators import IntegrationSpec, integrate
-from .detector import AcqResult, acquire
+from .detector import AcqResult, RowSearch, acquire
 
 
 @dataclass
@@ -159,13 +161,9 @@ def run_span(epochs: Sequence[SampledSignal], code: ChipSequence,
 
     The plan is walked in blocks of Doppler rows, each block's unit grids
     at most _BLOCK_BYTES (one row at the least): process_units correlates
-    the block's sub-plan, and every strategy integrates its grids.  One
-    grid buffer, the sub-plans and the plan's mixing table are made once
-    per span.  When the plan is one block, each strategy's detection grid
-    is acquired as soon as it is integrated; otherwise each strategy's
-    rows are copied into a (bins, n) detection grid, made once per span,
-    which is acquired after the epoch's last block.  Either way the
-    results are those of the whole plan correlated at once.
+    the block's sub-plan, and every strategy integrates its grids and feeds
+    the rows to its RowSearch for the epoch.  One grid buffer, the
+    sub-plans and the plan's mixing table are made once per span.
     """
     spans = {spec.total_ms for spec in specs}
     if len(spans) != 1:
@@ -182,35 +180,20 @@ def run_span(epochs: Sequence[SampledSignal], code: ChipSequence,
                  for a, b in blocks]
     table = _mixing_table(plan, n, fs)
     buffer = np.empty(count * height * n, np.complex64)
-    held = ([np.empty((bins, n)) for _ in specs] if len(blocks) > 1
-            else None)
     results = []
     for epoch in epochs:
+        searches = []
         for (a, b), sub_plan in zip(blocks, sub_plans):
             out = buffer[:count * (b - a) * n].reshape(count, b - a, n)
             grids = process_units(epoch, code, sub_plan, count=count,
                                   out=out, table=table[a:b])
-            # Each detection grid stays unnamed, so it is freed before the
-            # next strategy's grid is allocated.
-            if held is None:
-                results.append([acquire(integrate(grids, spec.strategy),
-                                        threshold=threshold)
-                                for spec in specs])
-            else:
-                for values, spec in zip(held, specs):
-                    values[a:b] = integrate(grids, spec.strategy).values
-        if held is not None:
-            results.append([acquire(replace(grids[0], values=values,
-                                            plan=plan), threshold=threshold)
-                            for values in held])
+            searches = searches or [
+                RowSearch(plan, grids[0].samples_per_chip) for _ in specs]
+            for search, spec in zip(searches, specs):
+                search.add(integrate(grids, spec.strategy).values)
+        results.append([acquire(search, threshold=threshold)
+                        for search in searches])
     return results
-
-
-def run_strategies(epoch: SampledSignal, code: ChipSequence,
-                   plan: FrequencyPlan, specs: Sequence[IntegrationSpec],
-                   threshold: float) -> list[AcqResult]:
-    """Acquire one epoch with every strategy in specs, one result per spec."""
-    return run_span([epoch], code, plan, specs, threshold)[0]
 
 
 def run_epoch(epoch: SampledSignal, code: ChipSequence, plan: FrequencyPlan,

@@ -22,7 +22,8 @@ its own slabs on its own thread.  Bands start on slab boundaries, so every
 slab is the one a single walk would cut, and the detection grid does not
 depend on the band count.  Every cell depends only on its own cell in each
 unit, so grids of a block of Doppler rows integrate to those rows of the
-whole plan's detection grid (eval_harness.run_span).
+whole plan's detection grid, which eval_harness.run_span feeds to the
+detector block by block.
 The integrate_* functions themselves run on the caller's thread, where a
 tracer wrapping them from outside sees them.
 
@@ -66,11 +67,6 @@ def span_error(strategy: Strategy, total_ms) -> str | None:
         return (f"alternate half-bit needs a multiple of {2 * BLOCK_UNITS} "
                 f"units, got {total_ms}")
     return None
-
-
-def strategy_valid_at(strategy: Strategy, total_ms: int) -> bool:
-    """Whether a strategy is mathematically defined for this span."""
-    return span_error(strategy, total_ms) is None
 
 
 @dataclass

@@ -30,7 +30,7 @@ from .prn_code import generate_code, samples_per_code
 from .geometry import simulate_pass, PassScenario
 from .signal_synth import SampledSignal, SynthParams, synthesize_pass_signal
 from .acq_core import make_plan
-from .integrators import IntegrationSpec, Strategy, span_error, strategy_valid_at
+from .integrators import IntegrationSpec, Strategy, span_error
 from .eval_harness import (acquisition_timeline, pf_sweep, run_span,
                            threshold_bounds)
 
@@ -282,13 +282,13 @@ class ScenarioConfig:
                             and math.isfinite(v) for v in t):
             raise ValueError(f"pf_thresholds must be a non-empty list of "
                              f"finite numbers, got {t!r}")
-        if self._pf_is_range():
-            if not t[2] > 0:
-                raise ValueError(f"pf_thresholds: the range [lo, hi, step] "
-                                 f"needs a positive step, got {t!r}")
-        elif any(b <= a for a, b in zip(t, t[1:])):
-            raise ValueError(f"pf_thresholds must be strictly ascending, "
-                             f"got {t!r}")
+        # An MTSMR is at least 1.  With positive entries an ascending list
+        # never reads as a range, nor a valid range as an ascending list.
+        if min(t) <= 0:
+            raise ValueError(f"pf_thresholds must be positive, got {t!r}")
+        if not self._pf_is_range() and any(b <= a for a, b in zip(t, t[1:])):
+            raise ValueError(f"pf_thresholds must be [lo, hi, step] or "
+                             f"strictly ascending, got {t!r}")
         if self.data_bits not in ("ones", "random"):
             raise ValueError("data_bits must be 'ones' or 'random'")
         _check_search(self.threshold, self.half_span, self.sample_rate)
@@ -357,7 +357,7 @@ class ScenarioConfig:
         for name in self.strategies:
             strat = _STRATEGY_NAMES[name]
             for t_ms in self.total_ms:
-                if strategy_valid_at(strat, t_ms):
+                if span_error(strat, t_ms) is None:
                     yield strat, t_ms
 
 

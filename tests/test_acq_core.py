@@ -16,7 +16,7 @@ from leoacq.acq_core import (CorrelationGrid, FrequencyPlan, _code_fft,
                              process_units, samples_per_code)
 from leoacq.detector import acquire, mtsmr
 from leoacq.integrators import (Strategy, integrate, integrate_noncoherent,
-                                strategy_valid_at)
+                                span_error)
 from leoacq.prn_code import ChipSequence, generate_code, sample_code
 from leoacq.signal_synth import SampledSignal, noise_sigma
 
@@ -99,9 +99,8 @@ def per_unit_process_units(signal, code, plan):
         values = scipy.fft.fft(values, axis=1)
         values *= code_fft
         values = scipy.fft.ifft(values, axis=1)
-        if t0 != 0.0:
-            lo = np.exp(-2j * np.pi * ((freqs * t0) % 1.0))
-            values *= lo.astype(np.complex64)[:, None]
+        lo = np.exp(-2j * np.pi * ((freqs * t0) % 1.0))
+        values *= lo.astype(np.complex64)[:, None]
         grids.append(values)
     return grids
 
@@ -325,7 +324,7 @@ class TestUnitBlock:
         for g, w in zip(got, want, strict=True):
             assert g.values.tobytes() == w.values.tobytes()
 
-    # t0 = -1 ms puts the second unit at t = 0, which skips the LO rotation
+    # t0 = -1 ms puts the second unit at t = 0, rotated by an LO of 1 - 0j
     @settings(max_examples=40)
     @given(paper=st.booleans(), units=st.integers(1, 4),
            n_bins=st.integers(1, 12),
@@ -752,7 +751,7 @@ class TestRowBands:
         with row_bands(8, gate=acq_core._BAND_CELLS):
             grids = process_units(sig, code1, plan)
             for strategy in Strategy:
-                if strategy_valid_at(strategy, total_ms):
+                if span_error(strategy, total_ms) is None:
                     integrate(grids, strategy)
         assert grids[0].values.size == len(plan.bins) * 1023
 

@@ -4,15 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from leoacq import detector
 from leoacq.acq_core import make_plan, process_units
-from leoacq.detector import acquire, decide, mtmr, mtsmr, peak
+from leoacq.detector import (RowSearch, acquire, decide, mtmr, mtsmr,
+                             peak)
 from leoacq.integrators import integrate_coherent, integrate_noncoherent
 from leoacq.signal_synth import SampledSignal, noise_sigma
 
-from conftest import (FS_FAST, FIF_FAST, detection_grid_from, plan_for,
-                      synth_units)
+from conftest import (FS_FAST, FIF_FAST, detection_grid_from, dummy_plan,
+                      plan_for, synth_units)
 
 
 class TestPeak:
@@ -184,14 +186,17 @@ class TestAcquire:
         assert res.mtmr > res.mtsmr  # mean floor sits below the runner-up
 
     def test_one_peak_search(self, code1, monkeypatch):
+        # a whole grid is fed to one search as one block
         sig, _ = synth_units(2, code1, d0=500.0, cn0=40.0, seed=3)
         det = integrate_noncoherent(process_units(sig, code1, plan_for(2)))
         want = (peak(det), mtsmr(det, 1), mtmr(det, 1))
-        searches = []
-        monkeypatch.setattr(detector, "peak",
-                            lambda grid: searches.append(grid) or want[0])
+        fed = []
+        add = RowSearch.add
+        monkeypatch.setattr(RowSearch, "add",
+                            lambda search, block: fed.append(block)
+                            or add(search, block))
         res = acquire(det)
-        assert searches == [det]
+        assert len(fed) == 1 and fed[0] is det.values
         assert (res.code_phase_hat, res.mtsmr, res.mtmr) == (
             want[0][1], want[1], want[2])
 
@@ -200,3 +205,98 @@ class TestAcquire:
         det = integrate_noncoherent(process_units(sig, code1, plan_for(1)))
         res = acquire(det, threshold=1e9)
         assert res.decided is False
+
+
+# The whole-grid detector before it read grids through RowSearch, kept as
+# the oracle for the row-block search.
+def whole_grid_peak(v):
+    i, j = divmod(int(np.argmax(v)), v.shape[1])
+    return i, j, float(v[i, j])
+
+
+def whole_grid_mtsmr(v, at, l_spc):
+    i_max, j_max, r_max = at
+    row = v[i_max]
+    idx = (np.arange(-l_spc, l_spc + 1) + j_max) % len(row)
+    excluded = np.zeros(len(row), dtype=bool)
+    excluded[idx] = True
+    r_sub = float(np.max(row[~excluded]))
+    return math.inf if r_sub == 0.0 else r_max / r_sub
+
+
+def whole_grid_mtmr(v, at, l_spc):
+    i_max, j_max, r_max = at
+    row_idx = np.arange(max(0, i_max - 1), min(v.shape[0], i_max + 2))
+    col_idx = np.unique((np.arange(-l_spc, l_spc + 1) + j_max) % v.shape[1])
+    n_kept = v.size - len(row_idx) * len(col_idx)
+    kept_sum = float(np.sum(v)) - float(np.sum(v[np.ix_(row_idx, col_idx)]))
+    return r_max / (kept_sum / n_kept)
+
+
+class TestRowSearch:
+    # 6 bins cut into rows 0-2 and 3-5, or into 1-row blocks: the peak on a
+    # block's first row, on its last row, and on the plan's first and last
+    @settings(max_examples=300)
+    @given(seed=st.integers(0, 2 ** 32 - 1), bins=st.integers(1, 9),
+           n=st.integers(10, 40), l_spc=st.integers(1, 4),
+           cuts=st.lists(st.integers(1, 8), max_size=8),
+           peak_row=st.none() | st.integers(0, 8), ties=st.integers(0, 6))
+    @example(seed=1, bins=6, n=16, l_spc=2, cuts=[3], peak_row=3, ties=0)
+    @example(seed=2, bins=6, n=16, l_spc=2, cuts=[3], peak_row=2, ties=0)
+    @example(seed=3, bins=6, n=16, l_spc=2, cuts=[3], peak_row=0, ties=0)
+    @example(seed=4, bins=6, n=16, l_spc=2, cuts=[3], peak_row=5, ties=0)
+    @example(seed=5, bins=6, n=12, l_spc=4, cuts=[1, 2, 3, 4, 5],
+             peak_row=3, ties=0)
+    @example(seed=6, bins=6, n=12, l_spc=1, cuts=[1, 2, 3, 4, 5],
+             peak_row=5, ties=0)
+    @example(seed=7, bins=6, n=12, l_spc=1, cuts=[1, 2, 3, 4, 5],
+             peak_row=0, ties=0)
+    def test_row_blocks_equal_the_whole_grid(self, seed, bins, n, l_spc,
+                                             cuts, peak_row, ties):
+        rng = np.random.default_rng(seed)
+        v = rng.exponential(size=(bins, n))
+        if peak_row is not None:
+            v[peak_row % bins, rng.integers(n)] = 2.0 * v.max()
+        v.flat[rng.integers(v.size, size=ties)] = v.max()  # forced ties
+        edges = sorted({c for c in cuts if c < bins} | {0, bins})
+        search = RowSearch(dummy_plan(bins), l_spc)
+        for a, b in zip(edges, edges[1:]):
+            search.add(v[a:b])
+        at = whole_grid_peak(v)
+        if peak_row is not None and ties == 0:
+            assert at[0] == peak_row % bins
+        assert search.peak() == at
+        assert search.mtsmr() == whole_grid_mtsmr(v, at, l_spc)
+        want = whole_grid_mtmr(v, at, l_spc)
+        if len(edges) == 2:
+            assert search.mtmr() == want
+        else:
+            assert search.mtmr() == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_acquire_reads_the_search(self):
+        v = np.ones((5, 11))
+        v[3, 7] = 5.0
+        search = RowSearch(dummy_plan(5), 1)
+        for a in range(5):
+            search.add(v[a:a + 1])
+        res = acquire(search, threshold=5.0)
+        assert res == acquire(detection_grid_from(v), threshold=5.0)
+        assert (res.doppler_hat, res.code_phase_hat) == (500.0, 7)
+        assert (res.mtsmr, res.mtmr, res.decided) == (5.0, 5.0, True)
+
+    def test_keeps_only_the_rows_near_the_peak(self):
+        v = np.arange(40.0).reshape(8, 5)[::-1].copy()  # peak at (0, 4)
+        search = RowSearch(dummy_plan(8), 1)
+        for a in range(0, 8, 2):
+            search.add(v[a:a + 2])
+        assert [row.tolist() for row in search._near] == v[:2].tolist()
+        assert search._last.tolist() == v[7].tolist()
+
+    def test_all_rows_must_be_fed(self):
+        search = RowSearch(dummy_plan(4), 1)
+        search.add(np.ones((3, 6)))
+        with pytest.raises(ValueError, match="fed 3 of 4 rows"):
+            acquire(search)
+        search.add(np.ones((2, 6)))
+        with pytest.raises(ValueError, match="fed 5 of 4 rows"):
+            acquire(search)

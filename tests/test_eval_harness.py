@@ -12,15 +12,15 @@ from hypothesis import given, settings, strategies as st
 
 from leoacq import acq_core, eval_harness
 from leoacq.acq_core import make_plan, process_units, samples_per_code
-from leoacq.detector import AcqResult, acquire
+from leoacq.detector import AcqResult, RowSearch, acquire
 from leoacq.eval_harness import (EpochLabel, EpochTruth, PfCurve,
                                  acquisition_timeline, cyclic_distance,
                                  label_epochs, pf_sweep, run_epoch,
-                                 run_span, run_strategies, threshold_bounds,
+                                 run_span, threshold_bounds,
                                  truth_code_phase, truth_from_epoch)
 from leoacq.geometry import PassSample, PassScenario
 from leoacq.integrators import (IntegrationSpec, Strategy, integrate,
-                                strategy_valid_at)
+                                span_error)
 from leoacq.signal_synth import synthesize_pass_signal
 
 from conftest import (FS_FAST, FIF_FAST, FS_FULL, FIF_FULL, fast_params,
@@ -90,25 +90,6 @@ class TestLabeling:
             assert label.estimate_ok
 
 
-class TestRunStrategies:
-    @pytest.mark.parametrize("total_ms", [1, 5, 20])
-    def test_equals_one_run_epoch_per_strategy(self, code1, total_ms):
-        sig, _ = synth_units(20, code1, d0=700.0, cn0=42.0, seed=9)
-        plan = plan_for(total_ms)
-        specs = [IntegrationSpec(s, total_ms) for s in Strategy
-                 if strategy_valid_at(s, total_ms)]
-        shared = run_strategies(sig, code1, plan, specs, threshold=2.5)
-        assert shared == [run_epoch(sig, code1, plan, spec, threshold=2.5)
-                          for spec in specs]
-
-    def test_specs_must_share_span(self, code1):
-        sig, _ = synth_units(5, code1)
-        specs = [IntegrationSpec(Strategy.COHERENT, 1),
-                 IntegrationSpec(Strategy.COHERENT, 5)]
-        with pytest.raises(ValueError, match="one span"):
-            run_strategies(sig, code1, plan_for(1), specs, threshold=2.5)
-
-
 def _no_pool(*args, **kwargs):
     raise AssertionError("the engine started worker threads")
 
@@ -119,14 +100,24 @@ def _span_epochs(count, **params):
 
 
 class TestRunSpan:
+    @pytest.mark.parametrize("total_ms", [1, 5, 20])
+    def test_equals_one_run_epoch_per_strategy(self, code1, total_ms):
+        sig, _ = synth_units(20, code1, d0=700.0, cn0=42.0, seed=9)
+        plan = plan_for(total_ms)
+        specs = [IntegrationSpec(s, total_ms) for s in Strategy
+                 if span_error(s, total_ms) is None]
+        (shared,) = run_span([sig], code1, plan, specs, threshold=2.5)
+        assert shared == [run_epoch(sig, code1, plan, spec, threshold=2.5)
+                          for spec in specs]
+
     @pytest.mark.parametrize("total_ms", [1, 2, 5])
-    def test_equals_run_strategies_per_epoch(self, code1, total_ms):
+    def test_equals_one_span_per_epoch(self, code1, total_ms):
         epochs = _span_epochs(4, cn0=41.0, seed=3)
         plan = plan_for(total_ms)
         specs = [IntegrationSpec(s, total_ms) for s in Strategy
-                 if strategy_valid_at(s, total_ms)]
+                 if span_error(s, total_ms) is None]
         got = run_span(epochs, code1, plan, specs, threshold=2.5)
-        want = [run_strategies(e, code1, plan, specs, threshold=2.5)
+        want = [run_span([e], code1, plan, specs, threshold=2.5)[0]
                 for e in epochs]
         assert len(got) == len(epochs)
         for g, w in zip(got, want, strict=True):
@@ -151,7 +142,7 @@ class TestRunSpan:
             epochs.append(sig)
         plan = make_plan(fif, 1e3, total_ms)
         specs = [IntegrationSpec(s, total_ms) for s in Strategy
-                 if strategy_valid_at(s, total_ms)]
+                 if span_error(s, total_ms) is None]
         with mock.patch.object(eval_harness, "_BLOCK_BYTES",
                                int((height + slack) * row_bytes)):
             got = run_span(epochs, code1, plan, specs, threshold=2.5)
@@ -201,26 +192,44 @@ class TestRunSpan:
             assert tab.base is table and tab.shape == (b - a, 1023)
             assert tab.ctypes.data == table[a:b].ctypes.data
 
-    def test_split_plan_acquires_held_detection_grids(self, code1,
-                                                      monkeypatch):
+    def test_split_plan_acquires_row_searches(self, code1, monkeypatch):
+        # 21 bins in blocks of 8 rows: each strategy's rows feed one search
+        # per epoch in three blocks, and no (bins, n) grid is integrated
         monkeypatch.setattr(eval_harness, "_BLOCK_BYTES", 8 * 5 * 1023 * 8)
-        acquired = []
+        acquired, integrated = [], []
         real_acquire = eval_harness.acquire
+        real_integrate = eval_harness.integrate
 
-        def recorded(grid, threshold):
-            acquired.append(grid)
-            return real_acquire(grid, threshold=threshold)
+        def recorded_acquire(search, threshold):
+            acquired.append((search, search.rows))
+            return real_acquire(search, threshold=threshold)
 
-        monkeypatch.setattr(eval_harness, "acquire", recorded)
+        def recorded_integrate(grids, strategy):
+            grid = real_integrate(grids, strategy)
+            integrated.append(grid.values.shape)
+            return grid
+
+        monkeypatch.setattr(eval_harness, "acquire", recorded_acquire)
+        monkeypatch.setattr(eval_harness, "integrate", recorded_integrate)
         plan = make_plan(FIF_FAST, 1e3, 5)
         specs = [IntegrationSpec(s, 5) for s in Strategy
-                 if strategy_valid_at(s, 5)]
-        run_span(_span_epochs(3, cn0=45.0), code1, plan, specs, 2.5)
+                 if span_error(s, 5) is None]
+        epochs = _span_epochs(3, cn0=45.0)
+        got = run_span(epochs, code1, plan, specs, 2.5)
         assert len(acquired) == 3 * len(specs)
-        for k, grid in enumerate(acquired):
-            assert grid.plan == plan and grid.values.shape == (21, 1023)
-            assert grid.values.base is None  # one array per strategy ...
-            assert grid.values is acquired[k % len(specs)].values  # ... per span
+        assert len({id(search) for search, _ in acquired}) == len(acquired)
+        for search, rows in acquired:
+            assert isinstance(search, RowSearch)
+            assert search.plan is plan and rows == 21
+        assert integrated == [(h, 1023) for _ in epochs
+                              for h in (8, 8, 5) for _ in specs]
+        # a split plan sums MTMR's total block by block
+        for epoch, row in zip(epochs, got, strict=True):
+            grids = process_units(epoch, code1, plan)
+            for r, spec in zip(row, specs, strict=True):
+                want = acquire(integrate(grids, spec.strategy), 2.5)
+                assert r.mtmr == pytest.approx(want.mtmr, rel=1e-12, abs=0)
+                assert dataclasses.replace(r, mtmr=want.mtmr) == want
 
     @pytest.mark.parametrize("budget", [None, 8 * 5 * 1023 * 8],
                              ids=["one-block", "split"])
@@ -239,7 +248,7 @@ class TestRunSpan:
 
         monkeypatch.setattr(eval_harness, "integrate", recorded)
         specs = [IntegrationSpec(s, 5) for s in Strategy
-                 if strategy_valid_at(s, 5)]
+                 if span_error(s, 5) is None]
         run_span(_span_epochs(2, cn0=45.0), code1, make_plan(FIF_FAST, 1e3, 5),
                  specs, 2.5)
         assert len(earlier) == 2 * len(specs) * (1 if budget is None else 3)
@@ -253,21 +262,21 @@ class TestRunSpan:
                             _no_pool)
         plan = make_plan(FIF_FAST, 10e3, total_ms)
         specs = [IntegrationSpec(s, total_ms) for s in Strategy
-                 if strategy_valid_at(s, total_ms)]
+                 if span_error(s, total_ms) is None]
         with row_bands(8, gate=acq_core._BAND_CELLS):
             run_span(_span_epochs(2, cn0=45.0), code1, plan, specs, 2.5)
         assert [c[1] for c in calls] == [plan, plan]
         assert calls[0][3].shape == (total_ms, len(plan.bins), 1023)
 
-    def test_paper_span_holds_under_half_the_unit_block(self, code1):
-        # paper_block's shape: 20 units of 401 x 4092, five strategies.  A
-        # whole-span (units, bins, n) complex64 block alone is 262.5 MB.
+    @staticmethod
+    def _paper_span_peak(code1):
+        """tracemalloc peak of run_span over one epoch of paper_block's
+        shape: 20 units of 401 x 4092, five strategies."""
         sig, _ = synth_units(20, code1, d0=1200.0, cn0=45.0, fs=FS_FULL,
                              fif=FIF_FULL)
         sig.t0 = 40.0
         plan = make_plan(FIF_FULL, 5e3, 20)
         specs = [IntegrationSpec(s, 20) for s in Strategy]
-        block_bytes = 20 * len(plan.bins) * 4092 * 8
         tracemalloc.start()
         try:
             held = tracemalloc.get_traced_memory()[0]
@@ -277,7 +286,18 @@ class TestRunSpan:
         finally:
             tracemalloc.stop()
         assert all(r.decided and r.code_phase_hat == 0 for r in row)
-        assert peak < block_bytes / 2
+        return peak
+
+    def test_paper_span_holds_under_half_the_unit_block(self, code1):
+        # A whole-span (units, bins, n) complex64 block alone is 262.5 MB.
+        block_bytes = 20 * 401 * 4092 * 8
+        assert self._paper_span_peak(code1) < block_bytes / 2
+
+    def test_paper_span_holds_no_detection_grid(self, code1):
+        # The 32 MiB unit-grid buffer, the 12.5 MiB mixing table and a
+        # block's rows in flight fit; five held (401, 4092) float64
+        # detection grids (62.6 MiB) would not.
+        assert self._paper_span_peak(code1) < 56 << 20
 
     def test_no_epochs_no_results(self, code1):
         assert run_span([], code1, PLAN1,

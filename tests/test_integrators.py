@@ -13,7 +13,7 @@ from leoacq.integrators import (_SLAB_CELLS, IntegrationSpec, Strategy,
                                 integrate_alternate_half_bit,
                                 integrate_coherent, integrate_differential,
                                 integrate_noncoherent, integrate_pre_guess,
-                                strategy_valid_at)
+                                span_error)
 from leoacq.signal_synth import SampledSignal, noise_sigma, synthesize
 
 from conftest import (FS_FULL, FIF_FULL, FS_FAST, FIF_FAST, fast_params,
@@ -344,7 +344,7 @@ class TestErrors:
     @pytest.mark.parametrize("total_ms", range(42))
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_one_span_rule(self, strategy, total_ms):
-        # strategy_valid_at, IntegrationSpec and the integrator agree.
+        # span_error, IntegrationSpec and the integrator agree.
         def accepts(build):
             try:
                 build()
@@ -352,7 +352,7 @@ class TestErrors:
                 return False
             return True
 
-        valid = strategy_valid_at(strategy, total_ms)
+        valid = span_error(strategy, total_ms) is None
         assert accepts(lambda: IntegrationSpec(strategy, total_ms)) == valid
         grids = grids_from_values([np.ones((2, 4))] * total_ms) if total_ms else []
         assert accepts(lambda: integrate(grids, strategy)) == valid

@@ -460,7 +460,8 @@ class TestScenarioConfig:
     @pytest.mark.parametrize("pf_thresholds", [
         [1.0, 6.0, 0.0], [1.0, 6.0, -0.5], [3.0, 2.0, 1.0], [1.0, 1.0], [],
         [1.0, "a"], [1.0, True], [1.0, None], [1.0, float("nan")],
-        [1.0, float("inf"), 0.5],
+        [1.0, float("inf"), 0.5], [-5.0, 0.0, 2.0], [0.0, 1.0],
+        [0.0, 5.0, 1.0],
     ])
     def test_bad_pf_thresholds_exit_two_before_correlating(
             self, tmp_path, capsys, monkeypatch, command, out_flag,
@@ -526,6 +527,24 @@ class TestScenarioConfig:
         config = ScenarioConfig.from_file(self._write(
             tmp_path, pf_thresholds=[1.5, 2.5, 4.0]))
         assert config.threshold_grid() == pytest.approx([1.5, 2.5, 4.0])
+
+    @given(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=4))
+    def test_positive_thresholds_have_one_reading(self, t):
+        # with positive entries at most one reading is valid, and the
+        # config takes that one or rejects the list
+        as_range = len(t) == 3 and t[2] < t[1] - t[0]
+        as_list = all(a < b for a, b in zip(t, t[1:]))
+        assert not (as_range and as_list)
+        if not (as_range or as_list):
+            with pytest.raises(ValueError, match="pf_thresholds"):
+                ScenarioConfig(pf_thresholds=t)
+            return
+        grid = ScenarioConfig(pf_thresholds=t).threshold_grid()
+        if as_list:
+            assert grid.tolist() == t
+        else:
+            assert grid[0] == round(t[0], 10) and np.all(np.diff(grid) > 0)
+            assert grid[-1] <= t[1] + t[2] / 2
 
 
 @pytest.fixture(scope="module")
