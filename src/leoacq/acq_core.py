@@ -24,27 +24,31 @@ one stage at a time over their (units, bins, n) block.  Each cell goes
 through the same ufuncs in the same order as in a per-unit loop, so the
 grids are bitwise that loop's.  Every Doppler row is independent until the
 detector, so the block may hold any run of a plan's rows: a caller can walk
-a plan in row blocks (eval_harness.run_span), passing each block's
-sub-plan, its rows of the plan's mixing table and one reused buffer.
+a plan in the row blocks of row_blocks (eval_harness.run_span), passing
+each block's sub-plan, its rows of the plan's mixing table and one reused
+buffer.
 
-Row bands.  The row-wise work of a large block is split into contiguous
-bands of Doppler rows, one per core (_row_bands): here the mixing product,
-the code-spectrum product and the LO rotation; in integrators, each
-strategy's slab walk.  The forward and inverse FFTs stay one 2-D scipy.fft
-call each on the calling thread (they thread themselves through workers=),
-so a tracer that wraps scipy.fft from outside sees every call nested in its
-process_units call, with bins x units rows each way.  Bands write disjoint
-rows, so results do not depend on the band count.  Blocks under
-_BAND_CELLS cells (2^20, all units together) run as one band on the
-calling thread, where starting threads would cost more than they save.
+Row bands.  The row-wise work of a block of at least _BAND_CELLS cells
+(all units together) is split into contiguous bands of Doppler rows, one
+per core (_row_bands): here the mixing product, the code-spectrum product
+and the LO rotation; in integrators, each strategy's slab walk.  The
+forward and inverse FFTs stay one 2-D scipy.fft call each on the calling
+thread (they thread themselves through workers=), so a tracer that wraps
+scipy.fft from outside sees every call nested in its process_units call,
+with bins x units rows each way.  Bands write disjoint rows, so results do
+not depend on the band count.  The bands of every call inside one
+band_scope run on its one worker pool; a call outside any opens its own.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
+import contextvars
 import functools
 import math
 import os
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,22 +60,62 @@ from .signal_synth import SampledSignal
 _FFT_WORKERS = -1  # all cores; per-row transforms, deterministic
 
 # A block of unit grids of at least this many cells is worked on in row
-# bands.  The fast profile's blocks up to 5 ms (5 x 201 x 1023 cells) stay
-# under it: banded, they cost more CPU time than they save in wall time.
+# bands; the fast profile's blocks up to 5 ms (5 x 201 x 1023) stay under.
 _BAND_CELLS = 1 << 20
+
+# Cells per row slab: 256 kB of complex64 per unit, so an integrator's
+# working set stays in cache instead of sweeping whole grids once per unit.
+_SLAB_CELLS = 32768
+
+
+def slab_rows(n: int) -> int:
+    """Doppler rows of n samples in one row slab (one at the least)."""
+    return max(1, _SLAB_CELLS // n)
+
+
+def row_blocks(bins: int, units: int, n: int,
+               cores: int) -> list[tuple[int, int]]:
+    """The row blocks [a, b) that walk a plan of bins rows of units x n
+    cells, in order: the fewest rows that reach _BAND_CELLS and give each
+    core a row slab, then any shorter tail; a smaller plan is one block."""
+    gate_rows = -(-_BAND_CELLS // (units * n))
+    height = min(bins, max(slab_rows(n) * cores, gate_rows))
+    return [(a, min(a + height, bins)) for a in range(0, bins, height)]
+
+
+_SCOPE = contextvars.ContextVar("band scope", default=None)
+
+
+@contextlib.contextmanager
+def band_scope():
+    """Run the banded calls inside on one worker pool, made on the first
+    (a scope that never bands starts no thread) and joined on exit.
+    Yields the scope; its cores is the band count of a banded call."""
+    scope = types.SimpleNamespace(cores=os.cpu_count() or 1, pool=None)
+    token = _SCOPE.set(scope)
+    try:
+        yield scope
+    finally:
+        _SCOPE.reset(token)
+        if scope.pool is not None:
+            scope.pool.shutdown()
 
 
 def _row_bands(fn, rows: int, cells: int, align: int = 1) -> None:
     """Call fn(band) on contiguous slices that together cover range(rows).
 
-    When cells >= _BAND_CELLS, the rows are split into os.cpu_count()
-    bands; one band runs on the calling thread and the others on worker
-    threads that are joined before returning.  Otherwise
-    fn(slice(0, rows)) runs alone on the calling thread.  fn must only
-    write its own band's rows.  Each band starts at a multiple of align,
-    and the bands share the align-row steps as evenly as whole steps go.
+    When cells >= _BAND_CELLS, the rows are split into one band per core
+    of the current band_scope (one opened for this call if none is); band
+    0 runs on the calling thread, the others on the scope's workers.
+    Otherwise fn(slice(0, rows)) runs alone on the calling thread.  fn must
+    only write its own band's rows.  Bands start at multiples of align and
+    share the align-row steps as evenly as whole steps go.
     """
-    bands = (os.cpu_count() or 1) if cells >= _BAND_CELLS else 1
+    scope = _SCOPE.get()
+    if scope is None:
+        with band_scope():
+            return _row_bands(fn, rows, cells, align)
+    bands = scope.cores if cells >= _BAND_CELLS else 1
     steps = -(-rows // align)
     edges = [min(rows, k * steps // bands * align) for k in range(bands + 1)]
     slices = [slice(a, b) for a, b in zip(edges, edges[1:]) if a < b]
@@ -81,11 +125,12 @@ def _row_bands(fn, rows: int, cells: int, align: int = 1) -> None:
     # Looked up here, not imported by name: concurrent.futures loads its
     # thread module on first use, so a run that never bands never pays the
     # memory for loading it.
-    with concurrent.futures.ThreadPoolExecutor(len(slices) - 1) as pool:
-        futures = [pool.submit(fn, band) for band in slices[1:]]
-        fn(slices[0])
-        for f in futures:
-            f.result()
+    if scope.pool is None:
+        scope.pool = concurrent.futures.ThreadPoolExecutor(scope.cores - 1)
+    futures = [scope.pool.submit(fn, band) for band in slices[1:]]
+    fn(slices[0])
+    for f in futures:
+        f.result()
 
 
 def _multiply_rows(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:

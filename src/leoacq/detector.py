@@ -8,9 +8,11 @@ Two ratio indicators are computed at the grid peak:
          within one Doppler bin AND one chip of the peak (rows clamped at
          the plan's edges)
 
-MTSMR against the empirical threshold 2.5 is the default decision; MTMR has
-no usable global threshold across strategies, so deciding on it always
-requires an explicit caller threshold.
+Both are the peak over a non-negative base, by one rule over a zero base:
+a positive peak gives inf and a zero peak (an all-zero grid) nan, which no
+threshold decides.  MTSMR against the empirical threshold 2.5 is the
+default decision; MTMR has no usable global threshold across strategies,
+so deciding on it always requires an explicit caller threshold.
 
 Row blocks.  A RowSearch reads a grid fed as consecutive blocks of Doppler
 rows, so no caller need hold a whole grid (eval_harness.run_span feeds it
@@ -18,10 +20,10 @@ each row block as it is integrated).  Per block it adds the block's sum to
 a running total and takes the block's first maximum, kept only if strictly
 greater than the one before: ties break to the lowest bin, then sample.  It
 copies the peak's row and its neighbour rows, and each block's last row in
-case the next block starts with the peak.  peak, mtsmr, mtmr and acquire
-on a whole grid feed it as one block.  The peak and MTSMR do not depend on
-the blocks; MTMR's total is summed block by block, so a grid fed in several
-blocks gives an MTMR within 1e-12 relative of the one-block value
+case the next block starts with the peak.  acquire on a whole grid feeds
+it as one block.  The peak and MTSMR do not depend on the blocks; MTMR's
+total is summed block by block, so a grid fed in several blocks gives an
+MTMR within 1e-12 relative of the one-block value
 (tests/test_detector.py::TestRowSearch).
 """
 
@@ -92,8 +94,7 @@ class RowSearch:
         if excluded.all():
             raise ValueError(f"exclusion window of +/-{l_spc} samples "
                              f"covers the whole {len(row)}-sample row")
-        r_sub = float(np.max(row[~excluded]))
-        return math.inf if r_sub == 0.0 else r_max / r_sub
+        return _ratio(r_max, float(np.max(row[~excluded])))
 
     def mtmr(self) -> float:
         i, j, r_max = self.peak()
@@ -104,28 +105,18 @@ class RowSearch:
         if n_kept < 1:
             raise ValueError("peak exclusion leaves no cells to average")
         rect = near[np.ix_(np.arange(len(near)), col_idx)]
-        return r_max / ((self.total - float(np.sum(rect))) / n_kept)
+        return _ratio(r_max, (self.total - float(np.sum(rect))) / n_kept)
+
+
+def _ratio(top: float, base: float) -> float:
+    """top / base, inf for a positive top over a zero base, nan for 0/0."""
+    return top / base if base else (math.inf if top > 0.0 else math.nan)
 
 
 def _whole(grid: CorrelationGrid, l_spc: int) -> RowSearch:
     search = RowSearch(grid.plan, l_spc)
     search.add(grid.values)
     return search
-
-
-def peak(grid: CorrelationGrid) -> tuple[int, int, float]:
-    """Global argmax over (bin, sample); ties break to lowest bin then sample."""
-    return _whole(grid, grid.samples_per_chip).peak()
-
-
-def mtsmr(grid: CorrelationGrid, l_spc: int) -> float:
-    """Maximum-to-second-maximum ratio, excluding +/-l_spc samples."""
-    return _whole(grid, l_spc).mtsmr()
-
-
-def mtmr(grid: CorrelationGrid, l_spc: int) -> float:
-    """Maximum-to-mean ratio, excluding +/-l_spc samples and one bin."""
-    return _whole(grid, l_spc).mtmr()
 
 
 def decide(indicator_value: float, threshold: float = DEFAULT_MTSMR_THRESHOLD) -> bool:

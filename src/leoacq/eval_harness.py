@@ -13,11 +13,12 @@ figure-analog products:
 
 run_span is the one epoch loop of acquisition: it correlates each epoch of
 a span once and integrates the grids with every strategy at that span.  It
-walks each epoch in blocks of Doppler rows, so that at most _BLOCK_BYTES
-of unit grids are alive at a time, whatever the span and plan.  Every plan
-takes this one path: each block's integrated rows feed the detector's row
-search and are dropped, so no detection grid is held.  run_epoch calls it
-with one epoch and one strategy.
+walks each epoch in the row blocks of acq_core.row_blocks, one block's
+unit grids alive at a time, and runs their banded work on the one worker
+pool of its acq_core.band_scope.  Every plan takes this one path: each
+block's integrated rows feed the detector's row search and are dropped, so
+no detection grid is held.  run_epoch calls it with one epoch and one
+strategy.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ import numpy as np
 
 from .prn_code import ChipSequence, generate_code, samples_per_code
 from .signal_synth import SampledSignal, SynthParams
-from .acq_core import FrequencyPlan, _mixing_table, process_units
+from .acq_core import (FrequencyPlan, _mixing_table, band_scope,
+                       process_units, row_blocks)
 from .integrators import IntegrationSpec, integrate
 from .detector import AcqResult, RowSearch, acquire
 
@@ -145,11 +147,6 @@ def threshold_bounds(curve: PfCurve, target: float) -> Optional[tuple[float, flo
     return float(curve.thresholds[below[0]]), float(curve.thresholds[below[-1]])
 
 
-# The most bytes of complex64 unit grids run_span holds at once, unless one
-# Doppler row of every unit is larger.
-_BLOCK_BYTES = 32 << 20
-
-
 def run_span(epochs: Sequence[SampledSignal], code: ChipSequence,
              plan: FrequencyPlan, specs: Sequence[IntegrationSpec],
              threshold: float) -> list[list[AcqResult]]:
@@ -159,11 +156,11 @@ def run_span(epochs: Sequence[SampledSignal], code: ChipSequence,
     All specs must share one span (the plan is built for it).  Each epoch
     is correlated once and every strategy integrates the same unit grids.
 
-    The plan is walked in blocks of Doppler rows, each block's unit grids
-    at most _BLOCK_BYTES (one row at the least): process_units correlates
-    the block's sub-plan, and every strategy integrates its grids and feeds
-    the rows to its RowSearch for the epoch.  One grid buffer, the
-    sub-plans and the plan's mixing table are made once per span.
+    The plan is walked in the row blocks of acq_core.row_blocks:
+    process_units correlates the block's sub-plan, and every strategy
+    integrates its grids and feeds the rows to its RowSearch for the
+    epoch.  One grid buffer, the sub-plans, the plan's mixing table and a
+    band_scope are made once per span.
     """
     spans = {spec.total_ms for spec in specs}
     if len(spans) != 1:
@@ -173,26 +170,25 @@ def run_span(epochs: Sequence[SampledSignal], code: ChipSequence,
     count = specs[0].total_ms
     fs = epochs[0].sample_rate
     n = samples_per_code(code, fs)
-    bins = len(plan.bins)
-    height = min(bins, max(1, _BLOCK_BYTES // (count * n * 8)))
-    blocks = [(a, min(a + height, bins)) for a in range(0, bins, height)]
-    sub_plans = [FrequencyPlan(plan.center, plan.bin_width, plan.bins[a:b])
-                 for a, b in blocks]
-    table = _mixing_table(plan, n, fs)
-    buffer = np.empty(count * height * n, np.complex64)
     results = []
-    for epoch in epochs:
-        searches = []
-        for (a, b), sub_plan in zip(blocks, sub_plans):
-            out = buffer[:count * (b - a) * n].reshape(count, b - a, n)
-            grids = process_units(epoch, code, sub_plan, count=count,
-                                  out=out, table=table[a:b])
-            searches = searches or [
-                RowSearch(plan, grids[0].samples_per_chip) for _ in specs]
-            for search, spec in zip(searches, specs):
-                search.add(integrate(grids, spec.strategy).values)
-        results.append([acquire(search, threshold=threshold)
-                        for search in searches])
+    with band_scope() as scope:
+        blocks = row_blocks(len(plan.bins), count, n, scope.cores)
+        sub_plans = [FrequencyPlan(plan.center, plan.bin_width,
+                                   plan.bins[a:b]) for a, b in blocks]
+        table = _mixing_table(plan, n, fs)
+        buffer = np.empty(count * blocks[0][1] * n, np.complex64)
+        for epoch in epochs:
+            searches = []
+            for (a, b), sub_plan in zip(blocks, sub_plans):
+                out = buffer[:count * (b - a) * n].reshape(count, b - a, n)
+                grids = process_units(epoch, code, sub_plan, count=count,
+                                      out=out, table=table[a:b])
+                searches = searches or [
+                    RowSearch(plan, grids[0].samples_per_chip) for _ in specs]
+                for search, spec in zip(searches, specs):
+                    search.add(integrate(grids, spec.strategy).values)
+            results.append([acquire(search, threshold=threshold)
+                            for search in searches])
     return results
 
 

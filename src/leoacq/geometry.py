@@ -72,14 +72,6 @@ def free_space_loss(range_m: float, freq: float) -> float:
     return 20.0 * np.log10(4.0 * np.pi * range_m * freq / SPEED_OF_LIGHT)
 
 
-def max_slant_range(orbit_height: float, elevation_deg: float) -> float:
-    """Slant range at a given elevation for a circular orbit (closed form)."""
-    re = EARTH_RADIUS
-    sin_e = math.sin(math.radians(elevation_deg))
-    h = orbit_height
-    return math.sqrt(re * re * sin_e * sin_e + 2.0 * re * h + h * h) - re * sin_e
-
-
 def simulate_pass(orbit_height: float, elevation_mask: float = 10.0,
                   cross_track_offset_deg: float = 0.0,
                   epoch_step: float = 1.0,

@@ -10,20 +10,20 @@ non-negative detection grid:
   alternate half-bit  10 ms blocks, odd/even block sets accumulated
                       non-coherently, cellwise max of the two
 
-Every strategy is evaluated in slabs of whole Doppler rows (a few rows
-per slab at the paper profile), so its working set stays in cache.  Within
-a slab, units are combined in ascending unit index, the same order as over
-whole grids, so results are bit-identical to whole-grid evaluation and
-deterministic regardless of how callers schedule the work.
+Every strategy is evaluated in slabs of acq_core.slab_rows whole Doppler
+rows, so its working set stays in cache.  Within a slab, units are
+combined in ascending unit index, the same order as over whole grids, so
+results are bit-identical to whole-grid evaluation and deterministic
+regardless of how callers schedule the work.
 
-When the unit grids together hold at least 2^20 cells, their rows are
-split into bands, one per core (acq_core._row_bands), and each band walks
-its own slabs on its own thread.  Bands start on slab boundaries, so every
-slab is the one a single walk would cut, and the detection grid does not
-depend on the band count.  Every cell depends only on its own cell in each
-unit, so grids of a block of Doppler rows integrate to those rows of the
-whole plan's detection grid, which eval_harness.run_span feeds to the
-detector block by block.
+When the unit grids together hold at least acq_core._BAND_CELLS cells,
+their rows are split into bands, one per core (acq_core._row_bands), and
+each band walks its own slabs on a thread of the caller's band_scope.
+Bands start on slab boundaries, so every slab is the one a single walk
+would cut, and the detection grid does not depend on the band count.
+Every cell depends only on its own cell in each unit, so grids of a block
+of Doppler rows integrate to those rows of the whole plan's detection
+grid, which eval_harness.run_span feeds to the detector block by block.
 The integrate_* functions themselves run on the caller's thread, where a
 tracer wrapping them from outside sees them.
 
@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .acq_core import CorrelationGrid, _row_bands
+from .acq_core import CorrelationGrid, _row_bands, slab_rows
 
 BLOCK_UNITS = 10  # alternate half-bit block length in units (10 ms)
 
@@ -88,12 +88,6 @@ def _check_grids(grids: list[CorrelationGrid], strategy: Strategy) -> None:
             raise ValueError("unit grids must share plan and shape")
 
 
-# Cells per row slab: 256 kB of complex64 per unit, so a kernel's
-# accumulators and temporaries stay in cache instead of sweeping full-grid
-# arrays once per unit.
-_SLAB_CELLS = 32768
-
-
 def _by_slab(grids: list[CorrelationGrid], strategy: Strategy,
              kernel: Callable[[list[np.ndarray]], np.ndarray]) -> CorrelationGrid:
     """Apply kernel to each slab of whole rows of the unit grids.
@@ -107,7 +101,7 @@ def _by_slab(grids: list[CorrelationGrid], strategy: Strategy,
     _check_grids(grids, strategy)
     bins, n = grids[0].values.shape
     out = np.empty((bins, n))
-    height = max(1, _SLAB_CELLS // n)
+    height = slab_rows(n)
 
     def walk(band):
         for r in range(band.start, band.stop, height):

@@ -385,11 +385,9 @@ def pass_epochs(config: ScenarioConfig) -> list[SampledSignal]:
             rows = np.empty((len(scenario.samples), len(epoch.samples)),
                             dtype=np.float32)
         rows[k] = epoch.samples  # the one rounding to float32
-        # The epoch's own array is freed only after the next epoch is made.
-        # Freed at once, it would leave the whole synthesis heap free, and
-        # glibc malloc would return those pages to the kernel and fault them
-        # in again every epoch: about 0.7 s of system time for a 539-epoch
-        # pass on a 2-vCPU x86-64 host.
+        # The epoch's own array is freed only after the next epoch is made,
+        # so the allocator reuses the synthesis heap instead of returning
+        # its pages and faulting them in again every epoch.
         held, epoch.samples = epoch.samples, rows[k]
         epochs.append(epoch)
     return epochs

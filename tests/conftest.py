@@ -16,6 +16,7 @@ from hypothesis import settings
 
 from leoacq import acq_core
 from leoacq.acq_core import CorrelationGrid, FrequencyPlan, make_plan
+from leoacq.detector import _whole
 from leoacq.prn_code import generate_code
 from leoacq.signal_synth import SampledSignal, SynthParams, synthesize
 
@@ -48,6 +49,14 @@ def row_bands(cores, gate=1):
     count is unknown) on every grid of at least `gate` cells."""
     with mock.patch.object(acq_core, "_BAND_CELLS", gate), \
             mock.patch.object(os, "cpu_count", return_value=cores):
+        yield
+
+
+@contextlib.contextmanager
+def block_rows(height, n):
+    """Make acq_core.row_blocks cut plans of n-sample rows into blocks of
+    `height` rows: one core, `height`-row slabs and a gate of one cell."""
+    with row_bands(1), mock.patch.object(acq_core, "_SLAB_CELLS", height * n):
         yield
 
 
@@ -111,3 +120,20 @@ def synth_units(m, code, d0=1000.0, cn0=None, seed=0, fs=FS_FAST,
 
 def plan_for(total_ms, fif=FIF_FAST, half_span=2e3):
     return make_plan(fif, half_span, total_ms)
+
+
+
+def peak(grid):
+    """The detector's (bin, sample, value) peak of a whole detection grid;
+    ties break to the lowest bin, then sample."""
+    return _whole(grid, grid.samples_per_chip).peak()
+
+
+def mtsmr(grid, l_spc):
+    """The detector's MTSMR of a whole detection grid."""
+    return _whole(grid, l_spc).mtsmr()
+
+
+def mtmr(grid, l_spc):
+    """The detector's MTMR of a whole detection grid."""
+    return _whole(grid, l_spc).mtmr()

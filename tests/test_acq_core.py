@@ -12,15 +12,16 @@ from hypothesis import given, settings, strategies as st
 
 from leoacq import acq_core
 from leoacq.acq_core import (CorrelationGrid, FrequencyPlan, _code_fft,
-                             _mixing_table, _row_bands, make_plan,
-                             process_units, samples_per_code)
-from leoacq.detector import acquire, mtsmr
+                             _mixing_table, _row_bands, band_scope,
+                             make_plan, process_units, row_blocks,
+                             samples_per_code, slab_rows)
+from leoacq.detector import acquire
 from leoacq.integrators import (Strategy, integrate, integrate_noncoherent,
                                 span_error)
 from leoacq.prn_code import ChipSequence, generate_code, sample_code
 from leoacq.signal_synth import SampledSignal, noise_sigma
 
-from conftest import (FS_FAST, FIF_FAST, FS_FULL, FIF_FULL, plan_for,
+from conftest import (FS_FAST, FIF_FAST, FS_FULL, FIF_FULL, mtsmr, plan_for,
                       row_bands, synth_units)
 
 
@@ -720,7 +721,7 @@ class TestRowBands:
             assert sum(r for c, _, r in calls if c == name) == 3 * 401
 
     def test_paper_row_blocks_are_banded(self, monkeypatch):
-        # A row block of paper_block's span (20 units of 51 x 4092) is
+        # A row block of paper_block's span (20 units of 16 x 4092) is
         # under the gate one unit at a time and over it all units together
         pools = []
         pool = concurrent.futures.ThreadPoolExecutor
@@ -731,8 +732,8 @@ class TestRowBands:
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
                             counted_pool)
-        plan = sub_plan(make_plan(FIF_FULL, 5e3, 20), 0, 51)
-        block = np.zeros((20, 51, 4092), np.complex64)
+        plan = sub_plan(make_plan(FIF_FULL, 5e3, 20), 0, 16)
+        block = np.zeros((20, 16, 4092), np.complex64)
         assert block[0].size < acq_core._BAND_CELLS <= block.size
         grids = [CorrelationGrid(values=u, plan=plan, samples_per_chip=4)
                  for u in block]
@@ -768,3 +769,109 @@ class TestRowBands:
             assert a.values.tobytes() == b.values.tobytes()
         want_det = integrate_noncoherent(want)
         assert det.values.tobytes() == want_det.values.tobytes()
+
+
+def _counted_pools(monkeypatch):
+    """Record the arguments of every ThreadPoolExecutor made."""
+    pools = []
+    pool = concurrent.futures.ThreadPoolExecutor
+
+    def counted_pool(*args, **kwargs):
+        pools.append(args)
+        return pool(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                        counted_pool)
+    return pools
+
+
+class TestBandScope:
+    """The banded calls of one band_scope share one worker pool."""
+
+    def test_calls_in_a_scope_share_one_pool(self, monkeypatch):
+        pools = _counted_pools(monkeypatch)
+        threads = set(threading.enumerate())
+        calls = []
+        with row_bands(3), band_scope() as scope:
+            assert scope.cores == 3
+            for rows in (7, 30, 2):
+                _row_bands(calls.append, rows, rows)
+        assert pools == [(2,)]
+        assert len(calls) == 3 + 3 + 2
+        assert set(threading.enumerate()) == threads  # workers joined
+
+    def test_each_call_outside_a_scope_has_its_own(self, monkeypatch):
+        pools = _counted_pools(monkeypatch)
+        with row_bands(2):
+            _row_bands(lambda band: None, 4, 4)
+            _row_bands(lambda band: None, 4, 4)
+        assert pools == [(1,), (1,)]
+
+    def test_a_scope_that_never_bands_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                            _no_pool)
+        calls = []
+        with row_bands(4, gate=100), band_scope():
+            _row_bands(calls.append, 9, 99)
+        assert calls == [slice(0, 9)]
+
+    def test_a_failing_band_raises_after_every_band_ends(self):
+        ended = []
+
+        def band(rows):
+            if rows.start == 0:
+                raise RuntimeError("band 0")
+            ended.append(rows)
+
+        with row_bands(3), pytest.raises(RuntimeError, match="band 0"):
+            with band_scope():
+                _row_bands(band, 3, 3)
+        assert sorted(r.start for r in ended) == [1, 2]
+
+
+class TestRowBlocks:
+    """acq_core.row_blocks, the one rule for run_span's row blocks."""
+
+    @settings(max_examples=150)
+    @given(bins=st.integers(1, 500), units=st.integers(1, 40),
+           n=st.sampled_from([1, 3, 1023, 4092, 16368, acq_core._SLAB_CELLS,
+                              acq_core._SLAB_CELLS + 5]),
+           cores=st.integers(1, 6))
+    def test_blocks_tile_the_plan_with_a_slab_per_band(self, bins, units, n,
+                                                        cores):
+        gate, slab = acq_core._BAND_CELLS, slab_rows(n)
+        blocks = row_blocks(bins, units, n, cores)
+        assert blocks[0][0] == 0 and blocks[-1][1] == bins
+        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+        height = blocks[0][1]
+        assert all(b - a == height for a, b in blocks[:-1])
+        assert 0 < blocks[-1][1] - blocks[-1][0] <= height
+        # a block of the height under the gate is the whole plan
+        assert height * units * n >= gate or blocks == [(0, bins)]
+        cuts = []
+        with row_bands(cores, gate=gate), band_scope():
+            for a, b in blocks:
+                found = []
+                _row_bands(found.append, b - a, (b - a) * units * n, slab)
+                cuts.append(sorted((s.start, s.stop) for s in found))
+        for (a, b), bands in zip(blocks, cuts):
+            assert all(start % slab == 0 for start, _ in bands)
+            if (b - a) * units * n < gate:
+                assert bands == [(0, b - a)]
+            elif b - a == height < bins:
+                # every core gets at least one whole slab
+                assert len(bands) == cores
+                assert all(stop - start >= slab for start, stop in bands)
+
+    def test_paper_block_shape(self):
+        # 20 units of 401 x 4092 on two cores: 25 blocks of two 8-row
+        # slabs (10 MiB of unit grids each) and a 1-row tail
+        blocks = row_blocks(401, 20, 4092, 2)
+        assert slab_rows(4092) == 8
+        assert blocks[:2] == [(0, 16), (16, 32)] and blocks[-1] == (400, 401)
+        assert len(blocks) == 26
+
+    @pytest.mark.parametrize("total_ms, bins", [(1, 41), (5, 201)])
+    def test_fast_sweep_spans_are_one_block(self, total_ms, bins):
+        for cores in (1, 2, 8, 64):
+            assert row_blocks(bins, total_ms, 1023, cores) == [(0, bins)]

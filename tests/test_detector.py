@@ -8,13 +8,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from leoacq import detector
 from leoacq.acq_core import make_plan, process_units
-from leoacq.detector import (RowSearch, acquire, decide, mtmr, mtsmr,
-                             peak)
+from leoacq.detector import RowSearch, acquire, decide
 from leoacq.integrators import integrate_coherent, integrate_noncoherent
 from leoacq.signal_synth import SampledSignal, noise_sigma
 
 from conftest import (FS_FAST, FIF_FAST, detection_grid_from, dummy_plan,
-                      plan_for, synth_units)
+                      mtmr, mtsmr, peak, plan_for, synth_units)
 
 
 class TestPeak:
@@ -133,6 +132,28 @@ class TestMtmr:
         v = np.ones((3, 3))
         v[0, 0] = 7.0
         assert mtmr(detection_grid_from(v), l_spc=1) == 7.0
+
+
+class TestDegenerateGrids:
+    """Both indicators divide by a zero base by one rule: a positive peak
+    gives inf, an all-zero grid nan, which no threshold decides."""
+
+    def test_all_zero_grid_is_undecided(self):
+        g = detection_grid_from(np.zeros((3, 9)))
+        assert math.isnan(mtsmr(g, l_spc=1)) and math.isnan(mtmr(g, l_spc=1))
+        res = acquire(g, threshold=1e-9)
+        assert (res.doppler_hat, res.code_phase_hat) == (-500.0, 0)
+        assert math.isnan(res.mtsmr) and math.isnan(res.mtmr)
+        assert res.decided is False
+
+    def test_one_hot_grid_is_infinite(self):
+        v = np.zeros((3, 9))
+        v[1, 4] = 3.0
+        g = detection_grid_from(v)
+        assert mtsmr(g, l_spc=1) == math.inf and mtmr(g, l_spc=1) == math.inf
+        res = acquire(g, threshold=1e9)
+        assert (res.doppler_hat, res.code_phase_hat) == (0.0, 4)
+        assert res.decided is True
 
 
 class TestDecide:

@@ -1,7 +1,9 @@
 """Evaluation-harness tests: labeling, P_f sweeps, timelines."""
 
 import concurrent.futures
+import contextlib
 import dataclasses
+import threading
 import tracemalloc
 import weakref
 from unittest import mock
@@ -23,8 +25,8 @@ from leoacq.integrators import (IntegrationSpec, Strategy, integrate,
                                 span_error)
 from leoacq.signal_synth import synthesize_pass_signal
 
-from conftest import (FS_FAST, FIF_FAST, FS_FULL, FIF_FULL, fast_params,
-                      plan_for, row_bands, synth_units)
+from conftest import (FS_FAST, FIF_FAST, FS_FULL, FIF_FULL, block_rows,
+                      fast_params, plan_for, row_bands, synth_units)
 
 
 def _result(doppler=0.0, code=0, ratio=5.0, decided=True):
@@ -125,15 +127,16 @@ class TestRunSpan:
             for a, b in zip(g, w, strict=True):
                 assert dataclasses.astuple(a) == dataclasses.astuple(b)
 
-    # Heights in rows of the plan: one row, uneven tails, the whole plan
+    # Heights of slab x cores rows: one row, uneven tails, the whole plan,
+    # each block in 1-3 bands
     @settings(max_examples=25)
     @given(paper=st.booleans(), total_ms=st.sampled_from([1, 2, 5, 20]),
-           height=st.sampled_from([1, 2, 4, 7, 1000]),
-           slack=st.floats(0.0, 0.99), seed=st.integers(0, 2 ** 16))
+           slab=st.sampled_from([1, 2, 4, 7, 1000]), cores=st.integers(1, 3),
+           seed=st.integers(0, 2 ** 16))
     def test_row_blocks_give_the_whole_plan_results(
-            self, code1, paper, total_ms, height, slack, seed):
+            self, code1, paper, total_ms, slab, cores, seed):
         fs, fif = (FS_FULL, FIF_FULL) if paper else (FS_FAST, FIF_FAST)
-        row_bytes = total_ms * samples_per_code(code1, fs) * 8
+        n = samples_per_code(code1, fs)
         epochs = []
         for k, d0 in enumerate((350.0, -600.0)):
             sig, _ = synth_units(total_ms, code1, d0=d0, cn0=44.0,
@@ -143,8 +146,8 @@ class TestRunSpan:
         plan = make_plan(fif, 1e3, total_ms)
         specs = [IntegrationSpec(s, total_ms) for s in Strategy
                  if span_error(s, total_ms) is None]
-        with mock.patch.object(eval_harness, "_BLOCK_BYTES",
-                               int((height + slack) * row_bytes)):
+        with row_bands(cores), mock.patch.object(acq_core, "_SLAB_CELLS",
+                                                 slab * n):
             got = run_span(epochs, code1, plan, specs, threshold=2.5)
         for epoch, row in zip(epochs, got, strict=True):
             grids = process_units(epoch, code1, plan)
@@ -168,12 +171,12 @@ class TestRunSpan:
 
     def test_one_buffer_and_table_per_span(self, code1, monkeypatch):
         # 21 bins in blocks of 8 rows: 8, 8 and a tail of 5
-        monkeypatch.setattr(eval_harness, "_BLOCK_BYTES", 8 * 5 * 1023 * 8)
         calls = self._record(monkeypatch)
         epochs = _span_epochs(3, cn0=45.0)
         plan = make_plan(FIF_FAST, 1e3, 5)
-        run_span(epochs, code1, plan, [IntegrationSpec(Strategy.COHERENT, 5)],
-                 threshold=2.5)
+        with block_rows(8, 1023):
+            run_span(epochs, code1, plan,
+                     [IntegrationSpec(Strategy.COHERENT, 5)], threshold=2.5)
         assert [(c[0], c[2]) for c in calls] == [
             (e, 5) for e in epochs for _ in range(3)]
         buffer, table = calls[0][3].base, calls[0][4].base
@@ -195,7 +198,6 @@ class TestRunSpan:
     def test_split_plan_acquires_row_searches(self, code1, monkeypatch):
         # 21 bins in blocks of 8 rows: each strategy's rows feed one search
         # per epoch in three blocks, and no (bins, n) grid is integrated
-        monkeypatch.setattr(eval_harness, "_BLOCK_BYTES", 8 * 5 * 1023 * 8)
         acquired, integrated = [], []
         real_acquire = eval_harness.acquire
         real_integrate = eval_harness.integrate
@@ -215,7 +217,8 @@ class TestRunSpan:
         specs = [IntegrationSpec(s, 5) for s in Strategy
                  if span_error(s, 5) is None]
         epochs = _span_epochs(3, cn0=45.0)
-        got = run_span(epochs, code1, plan, specs, 2.5)
+        with block_rows(8, 1023):
+            got = run_span(epochs, code1, plan, specs, 2.5)
         assert len(acquired) == 3 * len(specs)
         assert len({id(search) for search, _ in acquired}) == len(acquired)
         for search, rows in acquired:
@@ -231,12 +234,9 @@ class TestRunSpan:
                 assert r.mtmr == pytest.approx(want.mtmr, rel=1e-12, abs=0)
                 assert dataclasses.replace(r, mtmr=want.mtmr) == want
 
-    @pytest.mark.parametrize("budget", [None, 8 * 5 * 1023 * 8],
-                             ids=["one-block", "split"])
+    @pytest.mark.parametrize("height", [None, 8], ids=["one-block", "split"])
     def test_one_integrated_grid_alive_at_a_time(self, code1, monkeypatch,
-                                                 budget):
-        if budget is not None:
-            monkeypatch.setattr(eval_harness, "_BLOCK_BYTES", budget)
+                                                 height):
         earlier = []
         real_integrate = eval_harness.integrate
 
@@ -249,9 +249,11 @@ class TestRunSpan:
         monkeypatch.setattr(eval_harness, "integrate", recorded)
         specs = [IntegrationSpec(s, 5) for s in Strategy
                  if span_error(s, 5) is None]
-        run_span(_span_epochs(2, cn0=45.0), code1, make_plan(FIF_FAST, 1e3, 5),
-                 specs, 2.5)
-        assert len(earlier) == 2 * len(specs) * (1 if budget is None else 3)
+        with (contextlib.nullcontext() if height is None
+              else block_rows(height, 1023)):
+            run_span(_span_epochs(2, cn0=45.0), code1,
+                     make_plan(FIF_FAST, 1e3, 5), specs, 2.5)
+        assert len(earlier) == 2 * len(specs) * (1 if height is None else 3)
 
     @pytest.mark.parametrize("total_ms", [1, 5])
     def test_fast_profile_spans_are_one_block_and_one_band(
@@ -268,36 +270,59 @@ class TestRunSpan:
         assert [c[1] for c in calls] == [plan, plan]
         assert calls[0][3].shape == (total_ms, len(plan.bins), 1023)
 
-    @staticmethod
-    def _paper_span_peak(code1):
-        """tracemalloc peak of run_span over one epoch of paper_block's
-        shape: 20 units of 401 x 4092, five strategies."""
+    @pytest.fixture(scope="class")
+    def paper_span(self, code1):
+        """One epoch of paper_block's shape (20 units of 401 x 4092, five
+        strategies) through run_span on two cores: its tracemalloc peak,
+        the worker pools it made and whether a thread outlived it."""
         sig, _ = synth_units(20, code1, d0=1200.0, cn0=45.0, fs=FS_FULL,
                              fif=FIF_FULL)
         sig.t0 = 40.0
         plan = make_plan(FIF_FULL, 5e3, 20)
         specs = [IntegrationSpec(s, 20) for s in Strategy]
+        pools = []
+        pool = concurrent.futures.ThreadPoolExecutor
+
+        def counted_pool(*args, **kwargs):
+            pools.append(args)
+            return pool(*args, **kwargs)
+
+        threads = set(threading.enumerate())
         tracemalloc.start()
         try:
             held = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            (row,) = run_span([sig], code1, plan, specs, 2.5)
+            with row_bands(2, gate=acq_core._BAND_CELLS), mock.patch.object(
+                    concurrent.futures, "ThreadPoolExecutor", counted_pool):
+                (row,) = run_span([sig], code1, plan, specs, 2.5)
             peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
         assert all(r.decided and r.code_phase_hat == 0 for r in row)
-        return peak
+        return peak, pools, set(threading.enumerate()) - threads
 
-    def test_paper_span_holds_under_half_the_unit_block(self, code1):
+    def test_paper_span_holds_under_half_the_unit_block(self, paper_span):
         # A whole-span (units, bins, n) complex64 block alone is 262.5 MB.
         block_bytes = 20 * 401 * 4092 * 8
-        assert self._paper_span_peak(code1) < block_bytes / 2
+        assert paper_span[0] < block_bytes / 2
 
-    def test_paper_span_holds_no_detection_grid(self, code1):
-        # The 32 MiB unit-grid buffer, the 12.5 MiB mixing table and a
-        # block's rows in flight fit; five held (401, 4092) float64
-        # detection grids (62.6 MiB) would not.
-        assert self._paper_span_peak(code1) < 56 << 20
+    def test_paper_span_holds_no_detection_grid(self, paper_span):
+        # The unit-grid buffer, the 12.5 MiB mixing table and a block's
+        # rows in flight fit; five held (401, 4092) float64 detection grids
+        # (62.6 MiB) would not.
+        assert paper_span[0] < 56 << 20
+
+    def test_paper_span_holds_a_slab_per_core_block(self, paper_span):
+        # 16-row blocks (10 MiB of unit grids), one 8-row slab per core,
+        # beside the 12.5 MiB mixing table; 51-row blocks (32 MiB) would
+        # not fit.
+        assert paper_span[0] < 28 << 20
+
+    def test_paper_span_makes_one_pool(self, paper_span):
+        # every banded pass of the span's 26 blocks runs on one pool, and
+        # its worker is joined when the span ends
+        assert paper_span[1] == [(1,)]
+        assert not paper_span[2]
 
     def test_no_epochs_no_results(self, code1):
         assert run_span([], code1, PLAN1,

@@ -1,10 +1,12 @@
 """Pass geometry, Doppler, and path-loss tests."""
 
+import math
+
 import numpy as np
 import pytest
 
-from leoacq.geometry import (SPEED_OF_LIGHT, doppler_shift, free_space_loss,
-                             max_slant_range, radial_velocity, simulate_pass)
+from leoacq.geometry import (EARTH_RADIUS, SPEED_OF_LIGHT, doppler_shift,
+                             free_space_loss, radial_velocity, simulate_pass)
 
 
 class TestDopplerShift:
@@ -90,7 +92,11 @@ class TestSimulatePass:
         assert min(s.range_m for s in pass645.samples) == 645e3
 
     def test_max_slant_range_near_closed_form(self, pass645):
-        closed = max_slant_range(645e3, 10.0)
+        # slant range at elevation e for a circular orbit of height h
+        re, h = EARTH_RADIUS, 645e3
+        sin_e = math.sin(math.radians(10.0))
+        closed = (math.sqrt(re * re * sin_e * sin_e + 2.0 * re * h + h * h)
+                  - re * sin_e)
         assert closed == pytest.approx(2033.5e3, rel=1e-3)
         assert max(s.range_m for s in pass645.samples) == pytest.approx(
             closed, rel=0.01)

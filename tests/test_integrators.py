@@ -5,9 +5,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from leoacq.acq_core import make_plan, process_units
-from leoacq.detector import decide, mtsmr
-from leoacq.integrators import (_SLAB_CELLS, IntegrationSpec, Strategy,
+from leoacq.acq_core import _SLAB_CELLS, make_plan, process_units, slab_rows
+from leoacq.detector import decide
+from leoacq.integrators import (IntegrationSpec, Strategy,
                                 _alternate_half_bit, _coherent, _differential,
                                 _noncoherent, _pre_guess, integrate,
                                 integrate_alternate_half_bit,
@@ -17,7 +17,8 @@ from leoacq.integrators import (_SLAB_CELLS, IntegrationSpec, Strategy,
 from leoacq.signal_synth import SampledSignal, noise_sigma, synthesize
 
 from conftest import (FS_FULL, FIF_FULL, FS_FAST, FIF_FAST, fast_params,
-                      grids_from_values, plan_for, row_bands, synth_units)
+                      grids_from_values, mtsmr, plan_for, row_bands,
+                      synth_units)
 
 
 def _random_units(rng, m, shape=(3, 16)):
@@ -198,7 +199,7 @@ def slab_cut_units(draw, integrator):
     """
     n = draw(st.sampled_from([1, 3, 1023, 4092, _SLAB_CELLS,
                               _SLAB_CELLS + 5]))
-    height = max(1, _SLAB_CELLS // n)
+    height = slab_rows(n)
     bins = draw(st.one_of(st.sampled_from([1, 7, height + 1]),
                           st.integers(1, 3 * height + 1)))
     m = 20 if integrator is integrate_alternate_half_bit else draw(

@@ -20,8 +20,8 @@ from leoacq.io_cli import (_FORMATS, ReadRangeError, SampleFileError,
 from leoacq.signal_synth import (SampledSignal, SynthParams, synthesize,
                                  synthesize_pass_signal)
 
-from conftest import (FS_FAST, FIF_FAST, FS_FULL, FIF_FULL, fast_params,
-                      row_bands)
+from conftest import (FS_FAST, FIF_FAST, FS_FULL, FIF_FULL, block_rows,
+                      fast_params, row_bands)
 
 
 def _meta(fmt="float32-real", fs=FS_FAST):
@@ -745,6 +745,24 @@ class TestCli:
         assert all(r[7] == "1" for r in rows)  # strong signal: all decided
         assert all(r[8] == "1" for r in rows)  # and all correct
 
+    def test_acquire_all_zero_file_decides_nothing(self, strong_config,
+                                                   tmp_path, capsys):
+        # no signal and no noise: every grid is zero, every indicator nan
+        config = tmp_path / "silent.json"
+        config.write_text(json.dumps({
+            **json.loads(Path(strong_config).read_text()),
+            "amplitude": 0.0, "cn0": None}))
+        samples = str(tmp_path / "pass.bin")
+        assert cli(["synth", "--config", str(config), "--out", samples]) == 0
+        assert not np.fromfile(samples, dtype="<f4").any()
+        out_csv = tmp_path / "timeline.csv"
+        assert cli(["acquire", "--samples", samples, "--total-ms", "5",
+                    "--half-span", "2000", "--out", str(out_csv)]) == 0
+        rows = [l.split(",") for l in
+                out_csv.read_text().strip().split("\n")[1:]]
+        assert rows and all(r[5:] == ["nan", "nan", "0", "0"] for r in rows)
+        assert "decided 0.0 s" in capsys.readouterr().err
+
     def test_acquire_noncoherent_decides_strong_epochs(self, strong_config,
                                                        tmp_path, capsys):
         samples = str(tmp_path / "pass.bin")
@@ -918,10 +936,10 @@ class TestCli:
     def test_one_unit_block_per_span(self, strong_config, tmp_path,
                                      monkeypatch, capsys, command):
         # One buffer of unit grids and one mixing table per span, and one
-        # process_units call per (epoch, block of Doppler rows).  A budget
-        # of 16 rows of 5 ms splits the 5 ms plan (41 bins) into 16, 16
-        # and 9 rows and leaves the 1 ms plan (9 bins) whole; the outputs
-        # are those of whole plans.
+        # process_units call per (epoch, block of Doppler rows).  Blocks
+        # of 16 rows split the 5 ms plan (41 bins) into 16, 16 and 9 rows
+        # and leave the 1 ms plan (9 bins) whole; the outputs are those of
+        # whole plans.
         samples = str(tmp_path / "pass.bin")
         if command == "acquire":
             assert cli(["synth", "--config", strong_config,
@@ -942,8 +960,8 @@ class TestCli:
                                  table=table)
 
         monkeypatch.setattr(eval_harness, "process_units", recorded)
-        monkeypatch.setattr(eval_harness, "_BLOCK_BYTES", 16 * 5 * 1023 * 8)
-        assert cli(argv + [str(tmp_path / "blocks.csv")]) == 0
+        with block_rows(16, 1023):
+            assert cli(argv + [str(tmp_path / "blocks.csv")]) == 0
         assert ((tmp_path / "blocks.csv").read_bytes()
                 == (tmp_path / "whole.csv").read_bytes())
         config = ScenarioConfig.from_file(strong_config)
