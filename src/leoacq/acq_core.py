@@ -73,13 +73,13 @@ def slab_rows(n: int) -> int:
     return max(1, _SLAB_CELLS // n)
 
 
-def row_blocks(bins: int, units: int, n: int,
-               cores: int) -> list[tuple[int, int]]:
+def row_blocks(bins: int, units: int, n: int) -> list[tuple[int, int]]:
     """The row blocks [a, b) that walk a plan of bins rows of units x n
-    cells, in order: the fewest rows that reach _BAND_CELLS and give each
-    core a row slab, then any shorter tail; a smaller plan is one block."""
-    gate_rows = -(-_BAND_CELLS // (units * n))
-    height = min(bins, max(slab_rows(n) * cores, gate_rows))
+    cells, in order: the fewest whole row slabs that reach _BAND_CELLS,
+    then any shorter tail; a smaller plan is one block.  The height does
+    not depend on the core count, so neither does a block's memory."""
+    slab = slab_rows(n)
+    height = min(bins, -(-_BAND_CELLS // (units * n * slab)) * slab)
     return [(a, min(a + height, bins)) for a in range(0, bins, height)]
 
 
@@ -89,12 +89,11 @@ _SCOPE = contextvars.ContextVar("band scope", default=None)
 @contextlib.contextmanager
 def band_scope():
     """Run the banded calls inside on one worker pool, made on the first
-    (a scope that never bands starts no thread) and joined on exit.
-    Yields the scope; its cores is the band count of a banded call."""
+    (a scope that never bands starts no thread) and joined on exit."""
     scope = types.SimpleNamespace(cores=os.cpu_count() or 1, pool=None)
     token = _SCOPE.set(scope)
     try:
-        yield scope
+        yield
     finally:
         _SCOPE.reset(token)
         if scope.pool is not None:
@@ -105,30 +104,31 @@ def _row_bands(fn, rows: int, cells: int, align: int = 1) -> None:
     """Call fn(band) on contiguous slices that together cover range(rows).
 
     When cells >= _BAND_CELLS, the rows are split into one band per core
-    of the current band_scope (one opened for this call if none is); band
-    0 runs on the calling thread, the others on the scope's workers.
-    Otherwise fn(slice(0, rows)) runs alone on the calling thread.  fn must
-    only write its own band's rows.  Bands start at multiples of align and
-    share the align-row steps as evenly as whole steps go.
+    (at most one per align-row step) on the current band_scope, or on one
+    opened for this call; otherwise slice(0, rows) is the one band.  Band 0
+    runs on the calling thread, the others on the scope's workers, and all
+    have ended when this returns or raises.  fn must only write its own
+    band's rows.  Bands start at multiples of align and share the
+    align-row steps as evenly as whole steps go.
     """
     scope = _SCOPE.get()
     if scope is None:
         with band_scope():
             return _row_bands(fn, rows, cells, align)
-    bands = scope.cores if cells >= _BAND_CELLS else 1
     steps = -(-rows // align)
-    edges = [min(rows, k * steps // bands * align) for k in range(bands + 1)]
-    slices = [slice(a, b) for a, b in zip(edges, edges[1:]) if a < b]
-    if len(slices) == 1:
-        fn(slices[0])
-        return
+    bands = min(scope.cores, steps) if cells >= _BAND_CELLS else 1
+    edges = [k * steps // bands * align for k in range(bands)] + [rows]
+    slices = [slice(a, b) for a, b in zip(edges, edges[1:])]
     # Looked up here, not imported by name: concurrent.futures loads its
     # thread module on first use, so a run that never bands never pays the
     # memory for loading it.
-    if scope.pool is None:
+    if len(slices) > 1 and scope.pool is None:
         scope.pool = concurrent.futures.ThreadPoolExecutor(scope.cores - 1)
     futures = [scope.pool.submit(fn, band) for band in slices[1:]]
-    fn(slices[0])
+    try:
+        fn(slices[0])
+    finally:
+        concurrent.futures.wait(futures)
     for f in futures:
         f.result()
 

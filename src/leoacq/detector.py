@@ -20,10 +20,10 @@ each row block as it is integrated).  Per block it adds the block's sum to
 a running total and takes the block's first maximum, kept only if strictly
 greater than the one before: ties break to the lowest bin, then sample.  It
 copies the peak's row and its neighbour rows, and each block's last row in
-case the next block starts with the peak.  acquire on a whole grid feeds
-it as one block.  The peak and MTSMR do not depend on the blocks; MTMR's
-total is summed block by block, so a grid fed in several blocks gives an
-MTMR within 1e-12 relative of the one-block value
+case the next block starts with the peak.  peak, mtsmr, mtmr and acquire
+on a whole grid feed it as one block.  The peak and MTSMR do not depend on
+the blocks; MTMR's total is summed block by block, so a grid fed in several
+blocks gives an MTMR within 1e-12 relative of the one-block value
 (tests/test_detector.py::TestRowSearch).
 """
 
@@ -117,6 +117,21 @@ def _whole(grid: CorrelationGrid, l_spc: int) -> RowSearch:
     search = RowSearch(grid.plan, l_spc)
     search.add(grid.values)
     return search
+
+
+def peak(grid: CorrelationGrid) -> tuple[int, int, float]:
+    """Global argmax over (bin, sample); ties break to lowest bin then sample."""
+    return _whole(grid, grid.samples_per_chip).peak()
+
+
+def mtsmr(grid: CorrelationGrid, l_spc: int) -> float:
+    """Maximum-to-second-maximum ratio, excluding +/-l_spc samples."""
+    return _whole(grid, l_spc).mtsmr()
+
+
+def mtmr(grid: CorrelationGrid, l_spc: int) -> float:
+    """Maximum-to-mean ratio, excluding +/-l_spc samples and one bin."""
+    return _whole(grid, l_spc).mtmr()
 
 
 def decide(indicator_value: float, threshold: float = DEFAULT_MTSMR_THRESHOLD) -> bool:

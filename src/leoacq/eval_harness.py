@@ -122,18 +122,11 @@ def pf_sweep(results: Sequence[AcqResult], labels: Sequence[EpochLabel],
         raise ValueError(f"{len(results)} results vs {len(labels)} labels")
     if np.any(np.diff(thresholds) <= 0):
         raise ValueError("thresholds must be strictly ascending")
-    mtsmr_vals = np.array([r.mtsmr for r in results])
+    decided = np.array([r.mtsmr for r in results]) >= thresholds[:, None]
     ok = np.array([l.estimate_ok for l in labels])
-    n = len(results)
-    pf = np.empty_like(thresholds)
-    miss = np.empty_like(thresholds)
-    fa = np.empty_like(thresholds)
-    for k, theta in enumerate(thresholds):
-        decided = mtsmr_vals >= theta
-        fa[k] = np.count_nonzero(decided & ~ok) / n
-        miss[k] = np.count_nonzero(~decided & ok) / n
-        pf[k] = fa[k] + miss[k]
-    return PfCurve(thresholds=thresholds, pf=pf, miss_rate=miss,
+    fa = np.count_nonzero(decided & ~ok, axis=1) / len(results)
+    miss = np.count_nonzero(~decided & ok, axis=1) / len(results)
+    return PfCurve(thresholds=thresholds, pf=fa + miss, miss_rate=miss,
                    false_alarm_rate=fa)
 
 
@@ -171,12 +164,12 @@ def run_span(epochs: Sequence[SampledSignal], code: ChipSequence,
     fs = epochs[0].sample_rate
     n = samples_per_code(code, fs)
     results = []
-    with band_scope() as scope:
-        blocks = row_blocks(len(plan.bins), count, n, scope.cores)
-        sub_plans = [FrequencyPlan(plan.center, plan.bin_width,
-                                   plan.bins[a:b]) for a, b in blocks]
-        table = _mixing_table(plan, n, fs)
-        buffer = np.empty(count * blocks[0][1] * n, np.complex64)
+    blocks = row_blocks(len(plan.bins), count, n)
+    sub_plans = [FrequencyPlan(plan.center, plan.bin_width, plan.bins[a:b])
+                 for a, b in blocks]
+    table = _mixing_table(plan, n, fs)
+    buffer = np.empty(count * blocks[0][1] * n, np.complex64)
+    with band_scope():
         for epoch in epochs:
             searches = []
             for (a, b), sub_plan in zip(blocks, sub_plans):

@@ -80,14 +80,6 @@ class IntegrationSpec:
             raise ValueError(reason)
 
 
-def _check_grids(grids: list[CorrelationGrid], strategy: Strategy) -> None:
-    IntegrationSpec(strategy, len(grids))  # raises if the span is undefined
-    first = grids[0]
-    for g in grids[1:]:
-        if g.plan != first.plan or g.values.shape != first.values.shape:
-            raise ValueError("unit grids must share plan and shape")
-
-
 def _by_slab(grids: list[CorrelationGrid], strategy: Strategy,
              kernel: Callable[[list[np.ndarray]], np.ndarray]) -> CorrelationGrid:
     """Apply kernel to each slab of whole rows of the unit grids.
@@ -98,8 +90,12 @@ def _by_slab(grids: list[CorrelationGrid], strategy: Strategy,
     Each row band (see the module docstring) walks its own slabs; the
     band gate counts the cells of all units together.
     """
-    _check_grids(grids, strategy)
-    bins, n = grids[0].values.shape
+    IntegrationSpec(strategy, len(grids))  # raises if the span is undefined
+    first = grids[0]
+    if any(g.plan != first.plan or g.values.shape != first.values.shape
+           for g in grids[1:]):
+        raise ValueError("unit grids must share plan and shape")
+    bins, n = first.values.shape
     out = np.empty((bins, n))
     height = slab_rows(n)
 
@@ -109,7 +105,7 @@ def _by_slab(grids: list[CorrelationGrid], strategy: Strategy,
             out[rows] = kernel([g.values[rows] for g in grids])
 
     _row_bands(walk, bins, len(grids) * bins * n, align=height)
-    return replace(grids[0], values=out)
+    return replace(first, values=out)
 
 
 def _noncoherent(units: list[np.ndarray]) -> np.ndarray:

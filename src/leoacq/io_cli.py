@@ -432,10 +432,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--format", default=None, help="override sample format")
     p.add_argument("--seed", type=int, default=None)
+    p.set_defaults(run=_cmd_synth)
 
     p = sub.add_parser("pass", help="write the pass geometry CSV")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None, help="default: stdout")
+    p.set_defaults(run=_cmd_pass)
 
     p = sub.add_parser("acquire", help="acquire epochs from a sample file")
     p.add_argument("--samples", required=True)
@@ -445,17 +447,20 @@ def _build_parser() -> _Parser:
     p.add_argument("--threshold", type=float, default=2.5)
     p.add_argument("--half-span", type=float, default=10e3)
     p.add_argument("--out", default=None, help="default: stdout")
+    p.set_defaults(run=_cmd_acquire)
 
     p = sub.add_parser("sweep", help="false-alarm-vs-threshold sweep")
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--pf-target", type=float, default=0.10)
+    p.set_defaults(run=_cmd_sweep)
 
     p = sub.add_parser("duration", help="success duration vs integration duration")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None)
+    p.set_defaults(run=_cmd_duration)
     return parser
 
 
@@ -602,15 +607,6 @@ def _cmd_duration(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "synth": _cmd_synth,
-    "pass": _cmd_pass,
-    "acquire": _cmd_acquire,
-    "sweep": _cmd_sweep,
-    "duration": _cmd_duration,
-}
-
-
 def cli(argv) -> int:
     """Run the CLI; returns the process exit code."""
     parser = _build_parser()
@@ -619,7 +615,7 @@ def cli(argv) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (SampleFileError, OSError, ValueError, KeyError) as e:
         print(f"leoacq {args.command}: error: {e}", file=sys.stderr)
         return 2

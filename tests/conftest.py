@@ -16,7 +16,6 @@ from hypothesis import settings
 
 from leoacq import acq_core
 from leoacq.acq_core import CorrelationGrid, FrequencyPlan, make_plan
-from leoacq.detector import _whole
 from leoacq.prn_code import generate_code
 from leoacq.signal_synth import SampledSignal, SynthParams, synthesize
 
@@ -120,20 +119,3 @@ def synth_units(m, code, d0=1000.0, cn0=None, seed=0, fs=FS_FAST,
 
 def plan_for(total_ms, fif=FIF_FAST, half_span=2e3):
     return make_plan(fif, half_span, total_ms)
-
-
-
-def peak(grid):
-    """The detector's (bin, sample, value) peak of a whole detection grid;
-    ties break to the lowest bin, then sample."""
-    return _whole(grid, grid.samples_per_chip).peak()
-
-
-def mtsmr(grid, l_spc):
-    """The detector's MTSMR of a whole detection grid."""
-    return _whole(grid, l_spc).mtsmr()
-
-
-def mtmr(grid, l_spc):
-    """The detector's MTMR of a whole detection grid."""
-    return _whole(grid, l_spc).mtmr()

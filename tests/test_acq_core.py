@@ -3,6 +3,7 @@
 import concurrent.futures
 import functools
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -15,13 +16,13 @@ from leoacq.acq_core import (CorrelationGrid, FrequencyPlan, _code_fft,
                              _mixing_table, _row_bands, band_scope,
                              make_plan, process_units, row_blocks,
                              samples_per_code, slab_rows)
-from leoacq.detector import acquire
+from leoacq.detector import acquire, mtsmr
 from leoacq.integrators import (Strategy, integrate, integrate_noncoherent,
                                 span_error)
 from leoacq.prn_code import ChipSequence, generate_code, sample_code
 from leoacq.signal_synth import SampledSignal, noise_sigma
 
-from conftest import (FS_FAST, FIF_FAST, FS_FULL, FIF_FULL, mtsmr, plan_for,
+from conftest import (FS_FAST, FIF_FAST, FS_FULL, FIF_FULL, plan_for,
                       row_bands, synth_units)
 
 
@@ -792,8 +793,7 @@ class TestBandScope:
         pools = _counted_pools(monkeypatch)
         threads = set(threading.enumerate())
         calls = []
-        with row_bands(3), band_scope() as scope:
-            assert scope.cores == 3
+        with row_bands(3), band_scope():
             for rows in (7, 30, 2):
                 _row_bands(calls.append, rows, rows)
         assert pools == [(2,)]
@@ -815,18 +815,23 @@ class TestBandScope:
             _row_bands(calls.append, 9, 99)
         assert calls == [slice(0, 9)]
 
-    def test_a_failing_band_raises_after_every_band_ends(self):
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_a_failing_band_raises_after_every_band_ends(self, failing):
+        # band 0 runs on the calling thread, bands 1 and 2 on workers; the
+        # others are slowed so they are still running when the failure
+        # comes, and must have ended when _row_bands raises
         ended = []
 
         def band(rows):
-            if rows.start == 0:
-                raise RuntimeError("band 0")
-            ended.append(rows)
+            if rows.start == failing:
+                raise RuntimeError("failed band")
+            time.sleep(0.05)
+            ended.append(rows.start)
 
-        with row_bands(3), pytest.raises(RuntimeError, match="band 0"):
-            with band_scope():
+        with row_bands(3), band_scope():
+            with pytest.raises(RuntimeError, match="failed band"):
                 _row_bands(band, 3, 3)
-        assert sorted(r.start for r in ended) == [1, 2]
+            assert sorted(ended) == sorted({0, 1, 2} - {failing})
 
 
 class TestRowBlocks:
@@ -836,18 +841,20 @@ class TestRowBlocks:
     @given(bins=st.integers(1, 500), units=st.integers(1, 40),
            n=st.sampled_from([1, 3, 1023, 4092, 16368, acq_core._SLAB_CELLS,
                               acq_core._SLAB_CELLS + 5]),
-           cores=st.integers(1, 6))
+           cores=st.integers(1, 70))
     def test_blocks_tile_the_plan_with_a_slab_per_band(self, bins, units, n,
                                                         cores):
         gate, slab = acq_core._BAND_CELLS, slab_rows(n)
-        blocks = row_blocks(bins, units, n, cores)
+        blocks = row_blocks(bins, units, n)
         assert blocks[0][0] == 0 and blocks[-1][1] == bins
         assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
         height = blocks[0][1]
         assert all(b - a == height for a, b in blocks[:-1])
         assert 0 < blocks[-1][1] - blocks[-1][0] <= height
-        # a block of the height under the gate is the whole plan
-        assert height * units * n >= gate or blocks == [(0, bins)]
+        # the fewest whole slabs that reach the gate, or the whole plan
+        assert blocks == [(0, bins)] or (
+            height % slab == 0 and height * units * n >= gate
+            > (height - slab) * units * n)
         cuts = []
         with row_bands(cores, gate=gate), band_scope():
             for a, b in blocks:
@@ -859,19 +866,18 @@ class TestRowBlocks:
             if (b - a) * units * n < gate:
                 assert bands == [(0, b - a)]
             elif b - a == height < bins:
-                # every core gets at least one whole slab
-                assert len(bands) == cores
+                # one band per core while each gets a whole slab
+                assert len(bands) == min(cores, height // slab)
                 assert all(stop - start >= slab for start, stop in bands)
 
     def test_paper_block_shape(self):
-        # 20 units of 401 x 4092 on two cores: 25 blocks of two 8-row
-        # slabs (10 MiB of unit grids each) and a 1-row tail
-        blocks = row_blocks(401, 20, 4092, 2)
+        # 20 units of 401 x 4092: 25 blocks of two 8-row slabs (10 MiB of
+        # unit grids each) and a 1-row tail, on any number of cores
+        blocks = row_blocks(401, 20, 4092)
         assert slab_rows(4092) == 8
         assert blocks[:2] == [(0, 16), (16, 32)] and blocks[-1] == (400, 401)
         assert len(blocks) == 26
 
     @pytest.mark.parametrize("total_ms, bins", [(1, 41), (5, 201)])
     def test_fast_sweep_spans_are_one_block(self, total_ms, bins):
-        for cores in (1, 2, 8, 64):
-            assert row_blocks(bins, total_ms, 1023, cores) == [(0, bins)]
+        assert row_blocks(bins, total_ms, 1023) == [(0, bins)]

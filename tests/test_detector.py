@@ -8,12 +8,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from leoacq import detector
 from leoacq.acq_core import make_plan, process_units
-from leoacq.detector import RowSearch, acquire, decide
+from leoacq.detector import (RowSearch, acquire, decide, mtmr, mtsmr,
+                             peak)
 from leoacq.integrators import integrate_coherent, integrate_noncoherent
 from leoacq.signal_synth import SampledSignal, noise_sigma
 
 from conftest import (FS_FAST, FIF_FAST, detection_grid_from, dummy_plan,
-                      mtmr, mtsmr, peak, plan_for, synth_units)
+                      plan_for, synth_units)
 
 
 class TestPeak:

@@ -3,6 +3,8 @@
 import concurrent.futures
 import contextlib
 import dataclasses
+import functools
+import os
 import threading
 import tracemalloc
 import weakref
@@ -23,6 +25,7 @@ from leoacq.eval_harness import (EpochLabel, EpochTruth, PfCurve,
 from leoacq.geometry import PassSample, PassScenario
 from leoacq.integrators import (IntegrationSpec, Strategy, integrate,
                                 span_error)
+from leoacq.prn_code import generate_code
 from leoacq.signal_synth import synthesize_pass_signal
 
 from conftest import (FS_FAST, FIF_FAST, FS_FULL, FIF_FULL, block_rows,
@@ -127,8 +130,8 @@ class TestRunSpan:
             for a, b in zip(g, w, strict=True):
                 assert dataclasses.astuple(a) == dataclasses.astuple(b)
 
-    # Heights of slab x cores rows: one row, uneven tails, the whole plan,
-    # each block in 1-3 bands
+    # Heights of one slab: one row, uneven tails, the whole plan, each
+    # block in 1-3 bands
     @settings(max_examples=25)
     @given(paper=st.booleans(), total_ms=st.sampled_from([1, 2, 5, 20]),
            slab=st.sampled_from([1, 2, 4, 7, 1000]), cores=st.integers(1, 3),
@@ -270,11 +273,14 @@ class TestRunSpan:
         assert [c[1] for c in calls] == [plan, plan]
         assert calls[0][3].shape == (total_ms, len(plan.bins), 1023)
 
-    @pytest.fixture(scope="class")
-    def paper_span(self, code1):
+    @staticmethod
+    @functools.cache
+    def _paper_span(cores):
         """One epoch of paper_block's shape (20 units of 401 x 4092, five
-        strategies) through run_span on two cores: its tracemalloc peak,
-        the worker pools it made and whether a thread outlived it."""
+        strategies) through run_span, banded for `cores` cores (None: the
+        host's own count), once per count: its tracemalloc peak, the
+        worker pools it made and the threads that outlived it."""
+        code1 = generate_code(1)
         sig, _ = synth_units(20, code1, d0=1200.0, cn0=45.0, fs=FS_FULL,
                              fif=FIF_FULL)
         sig.t0 = 40.0
@@ -292,8 +298,10 @@ class TestRunSpan:
         try:
             held = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            with row_bands(2, gate=acq_core._BAND_CELLS), mock.patch.object(
-                    concurrent.futures, "ThreadPoolExecutor", counted_pool):
+            with (contextlib.nullcontext() if cores is None
+                  else row_bands(cores, gate=acq_core._BAND_CELLS)), \
+                    mock.patch.object(concurrent.futures,
+                                      "ThreadPoolExecutor", counted_pool):
                 (row,) = run_span([sig], code1, plan, specs, 2.5)
             peak = tracemalloc.get_traced_memory()[1] - held
         finally:
@@ -301,28 +309,32 @@ class TestRunSpan:
         assert all(r.decided and r.code_phase_hat == 0 for r in row)
         return peak, pools, set(threading.enumerate()) - threads
 
-    def test_paper_span_holds_under_half_the_unit_block(self, paper_span):
+    def test_paper_span_holds_under_half_the_unit_block(self):
         # A whole-span (units, bins, n) complex64 block alone is 262.5 MB.
         block_bytes = 20 * 401 * 4092 * 8
-        assert paper_span[0] < block_bytes / 2
+        assert self._paper_span(None)[0] < block_bytes / 2
 
-    def test_paper_span_holds_no_detection_grid(self, paper_span):
+    def test_paper_span_holds_no_detection_grid(self):
         # The unit-grid buffer, the 12.5 MiB mixing table and a block's
         # rows in flight fit; five held (401, 4092) float64 detection grids
         # (62.6 MiB) would not.
-        assert paper_span[0] < 56 << 20
+        assert self._paper_span(None)[0] < 56 << 20
 
-    def test_paper_span_holds_a_slab_per_core_block(self, paper_span):
-        # 16-row blocks (10 MiB of unit grids), one 8-row slab per core,
-        # beside the 12.5 MiB mixing table; 51-row blocks (32 MiB) would
-        # not fit.
-        assert paper_span[0] < 28 << 20
+    @pytest.mark.parametrize("cores", [None, 2, 8, 64])
+    def test_paper_span_holds_whole_slab_blocks(self, cores):
+        # 16-row blocks (10 MiB of unit grids, two 8-row slabs) beside the
+        # 12.5 MiB mixing table, whatever the core count; 51-row blocks
+        # (32 MiB) would not fit.
+        assert self._paper_span(cores)[0] < 28 << 20
 
-    def test_paper_span_makes_one_pool(self, paper_span):
+    @pytest.mark.parametrize("cores", [None, 2, 8, 64])
+    def test_paper_span_makes_one_pool(self, cores):
         # every banded pass of the span's 26 blocks runs on one pool, and
-        # its worker is joined when the span ends
-        assert paper_span[1] == [(1,)]
-        assert not paper_span[2]
+        # its workers are joined when the span ends
+        _, pools, outlived = self._paper_span(cores)
+        workers = (cores or os.cpu_count() or 1) - 1
+        assert pools == ([(workers,)] if workers else [])
+        assert not outlived
 
     def test_no_epochs_no_results(self, code1):
         assert run_span([], code1, PLAN1,

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from leoacq.acq_core import _SLAB_CELLS, make_plan, process_units, slab_rows
-from leoacq.detector import decide
+from leoacq.detector import decide, mtsmr
 from leoacq.integrators import (IntegrationSpec, Strategy,
                                 _alternate_half_bit, _coherent, _differential,
                                 _noncoherent, _pre_guess, integrate,
@@ -17,8 +17,7 @@ from leoacq.integrators import (IntegrationSpec, Strategy,
 from leoacq.signal_synth import SampledSignal, noise_sigma, synthesize
 
 from conftest import (FS_FULL, FIF_FULL, FS_FAST, FIF_FAST, fast_params,
-                      grids_from_values, mtsmr, plan_for, row_bands,
-                      synth_units)
+                      grids_from_values, plan_for, row_bands, synth_units)
 
 
 def _random_units(rng, m, shape=(3, 16)):
