@@ -29,15 +29,16 @@ each block's sub-plan, its rows of the plan's mixing table and one reused
 buffer.
 
 Row bands.  The row-wise work of a block of at least _BAND_CELLS cells
-(all units together) is split into contiguous bands of Doppler rows, one
-per core (_row_bands): here the mixing product, the code-spectrum product
-and the LO rotation; in integrators, each strategy's slab walk.  The
-forward and inverse FFTs stay one 2-D scipy.fft call each on the calling
-thread (they thread themselves through workers=), so a tracer that wraps
-scipy.fft from outside sees every call nested in its process_units call,
-with bins x units rows each way.  Bands write disjoint rows, so results do
-not depend on the band count.  The bands of every call inside one
-band_scope run on its one worker pool; a call outside any opens its own.
+(all units together) is split into min(cores, steps) contiguous bands of
+Doppler rows (_row_bands): here the mixing product, the code-spectrum
+product and the LO rotation over steps of one row; in integrators, each
+strategy's walk over steps of one row slab.  The forward and inverse FFTs
+stay one 2-D scipy.fft call each on the calling thread (they thread
+themselves through workers=), so a tracer that wraps scipy.fft from
+outside sees every call nested in its process_units call, with bins x
+units rows each way.  Bands write disjoint rows, so results do not depend
+on the band count.  The bands of every call inside one band_scope run on
+its one worker pool; a call outside any opens its own.
 """
 
 from __future__ import annotations

@@ -14,17 +14,17 @@ threshold decides.  MTSMR against the empirical threshold 2.5 is the
 default decision; MTMR has no usable global threshold across strategies,
 so deciding on it always requires an explicit caller threshold.
 
-Row blocks.  A RowSearch reads a grid fed as consecutive blocks of Doppler
-rows, so no caller need hold a whole grid (eval_harness.run_span feeds it
-each row block as it is integrated).  Per block it adds the block's sum to
-a running total and takes the block's first maximum, kept only if strictly
-greater than the one before: ties break to the lowest bin, then sample.  It
-copies the peak's row and its neighbour rows, and each block's last row in
-case the next block starts with the peak.  peak, mtsmr, mtmr and acquire
-on a whole grid feed it as one block.  The peak and MTSMR do not depend on
-the blocks; MTMR's total is summed block by block, so a grid fed in several
-blocks gives an MTMR within 1e-12 relative of the one-block value
-(tests/test_detector.py::TestRowSearch).
+Row blocks.  The detector reads a grid only through a RowSearch, fed as
+consecutive blocks of Doppler rows, so no caller need hold a whole grid
+(eval_harness.run_span feeds it each row block as it is integrated).  Per
+block it adds the block's sum to a running total and takes the block's
+first maximum, kept only if strictly greater than the one before: ties
+break to the lowest bin, then sample.  It copies the peak's row and its
+neighbour rows, and each block's last row in case the next block starts
+with the peak.  acquire reads the peak and both indicators off a search fed
+every row.  The peak and MTSMR do not depend on the blocks; MTMR's total is
+summed block by block, so a grid fed in several blocks gives an MTMR within
+1e-12 relative of the one-block value (tests/test_detector.py::TestRowSearch).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acq_core import CorrelationGrid, FrequencyPlan
+from .acq_core import FrequencyPlan
 
 DEFAULT_MTSMR_THRESHOLD = 2.5
 
@@ -113,27 +113,6 @@ def _ratio(top: float, base: float) -> float:
     return top / base if base else (math.inf if top > 0.0 else math.nan)
 
 
-def _whole(grid: CorrelationGrid, l_spc: int) -> RowSearch:
-    search = RowSearch(grid.plan, l_spc)
-    search.add(grid.values)
-    return search
-
-
-def peak(grid: CorrelationGrid) -> tuple[int, int, float]:
-    """Global argmax over (bin, sample); ties break to lowest bin then sample."""
-    return _whole(grid, grid.samples_per_chip).peak()
-
-
-def mtsmr(grid: CorrelationGrid, l_spc: int) -> float:
-    """Maximum-to-second-maximum ratio, excluding +/-l_spc samples."""
-    return _whole(grid, l_spc).mtsmr()
-
-
-def mtmr(grid: CorrelationGrid, l_spc: int) -> float:
-    """Maximum-to-mean ratio, excluding +/-l_spc samples and one bin."""
-    return _whole(grid, l_spc).mtmr()
-
-
 def decide(indicator_value: float, threshold: float = DEFAULT_MTSMR_THRESHOLD) -> bool:
     """Threshold comparison, inclusive at the boundary."""
     if threshold <= 0:
@@ -141,13 +120,10 @@ def decide(indicator_value: float, threshold: float = DEFAULT_MTSMR_THRESHOLD) -
     return indicator_value >= threshold
 
 
-def acquire(grid: CorrelationGrid | RowSearch,
+def acquire(search: RowSearch,
             threshold: float = DEFAULT_MTSMR_THRESHOLD) -> AcqResult:
-    """Peak, both indicators (excluding one chip around the peak) and the
-    MTSMR threshold decision, of a whole detection grid or of a RowSearch
-    fed all of one."""
-    search = (grid if isinstance(grid, RowSearch)
-              else _whole(grid, grid.samples_per_chip))
+    """Peak, both indicators and the MTSMR threshold decision of a
+    RowSearch fed every row of its grid."""
     ratio = search.mtsmr()
     i, j, _ = search.peak()
     return AcqResult(doppler_hat=float(search.plan.bins[i]),

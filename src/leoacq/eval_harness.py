@@ -1,9 +1,8 @@
 """Pass-level evaluation: labeling, false-alarm sweeps, duration curves.
 
-Runs acquisition epoch by epoch over a synthesized pass, labels each epoch
-against the injected ground truth (correct Doppler to half a search bin,
-correct code phase to one sample, cyclically), and derives the two
-figure-analog products:
+Acquisition results are labelled epoch by epoch against the injected
+ground truth (correct Doppler to half a search bin, correct code phase to
+one sample, cyclically), and give the two figure-analog products:
 
   * probability of false alarm versus decision threshold, where a "false
     alarm" counts both decided-but-wrong and undecided-but-right epochs
@@ -11,20 +10,18 @@ figure-analog products:
     also reported separately), and
   * successful-acquisition duration versus integration duration.
 
-run_span is the one epoch loop of acquisition: it correlates each epoch of
-a span once and integrates the grids with every strategy at that span.  It
-walks each epoch in the row blocks of acq_core.row_blocks, one block's
-unit grids alive at a time, and runs their banded work on the one worker
-pool of its acq_core.band_scope.  Every plan takes this one path: each
-block's integrated rows feed the detector's row search and are dropped, so
-no detection grid is held.  run_epoch calls it with one epoch and one
-strategy.
+One path leads from epochs to labelled results.  run_span, the one epoch
+loop of acquisition, correlates each epoch of a span once, integrates the
+grids with every strategy at that span and feeds each strategy's rows to
+the detector's row search, block by block (see run_span); run_epoch calls
+it with one epoch and one strategy.  acquisition_timeline then labels and
+summarises the results it is given, and acquires nothing itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -130,7 +127,7 @@ def pf_sweep(results: Sequence[AcqResult], labels: Sequence[EpochLabel],
                    false_alarm_rate=fa)
 
 
-def threshold_bounds(curve: PfCurve, target: float) -> Optional[tuple[float, float]]:
+def threshold_bounds(curve: PfCurve, target: float) -> tuple[float, float] | None:
     """Smallest and largest threshold with pf <= target, or None."""
     if not 0 < target < 1:
         raise ValueError(f"target must be in (0, 1), got {target}")
@@ -193,27 +190,23 @@ def run_epoch(epoch: SampledSignal, code: ChipSequence, plan: FrequencyPlan,
 
 def acquisition_timeline(pass_epochs: Sequence[SampledSignal],
                          spec: IntegrationSpec, plan: FrequencyPlan,
-                         threshold: float,
+                         threshold: float, results: list[AcqResult],
                          code: ChipSequence | None = None,
-                         results: list[AcqResult] | None = None,
                          ) -> tuple[list[AcqResult], list[EpochLabel], TimelineSummary]:
-    """Run one strategy over every epoch of a pass and summarize.
+    """Label one strategy's results, one per epoch of a pass (see run_span),
+    and summarize.  spec and threshold name the run that gave the results
+    and are not read; code is made from the first epoch's truth when None.
 
     Success duration counts truth-correct epochs (the desk-scale analog of
     Doppler-continuity checking); the threshold-based decided duration is
     reported separately.  Durations are epoch counts scaled by the epoch
     cadence inferred from the stream.
-    results, one per epoch, are this strategy's acquisitions when the caller
-    has already run them (see run_span); they are computed otherwise.
     """
     epochs = list(pass_epochs)
     if not epochs:
         raise ValueError("empty epoch stream")
     if code is None:
         code = generate_code(epochs[0].truth.prn_id)
-    if results is None:
-        results = [r for (r,) in run_span(epochs, code, plan, [spec],
-                                          threshold)]
     truths = [truth_from_epoch(e, code) for e in epochs]
     n = samples_per_code(code, epochs[0].sample_rate)
     labels = label_epochs(results, truths, plan,

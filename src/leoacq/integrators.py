@@ -10,22 +10,16 @@ non-negative detection grid:
   alternate half-bit  10 ms blocks, odd/even block sets accumulated
                       non-coherently, cellwise max of the two
 
-Every strategy is evaluated in slabs of acq_core.slab_rows whole Doppler
-rows, so its working set stays in cache.  Within a slab, units are
-combined in ascending unit index, the same order as over whole grids, so
-results are bit-identical to whole-grid evaluation and deterministic
-regardless of how callers schedule the work.
-
-When the unit grids together hold at least acq_core._BAND_CELLS cells,
-their rows are split into bands, one per core (acq_core._row_bands), and
-each band walks its own slabs on a thread of the caller's band_scope.
-Bands start on slab boundaries, so every slab is the one a single walk
-would cut, and the detection grid does not depend on the band count.
-Every cell depends only on its own cell in each unit, so grids of a block
-of Doppler rows integrate to those rows of the whole plan's detection
-grid, which eval_harness.run_span feeds to the detector block by block.
-The integrate_* functions themselves run on the caller's thread, where a
-tracer wrapping them from outside sees them.
+integrate is the one entry point.  It evaluates a strategy's kernel in
+slabs of acq_core.slab_rows whole Doppler rows, so the working set stays in
+cache, and walks the slabs in the row bands of acq_core._row_bands on the
+caller's band_scope; bands start on slab boundaries.  Every cell depends
+only on its own cell in each unit, combined in ascending unit index, so
+the detection grid is bitwise the whole-grid one whatever the slabs and
+bands, and grids of a block of Doppler rows integrate to those rows of the
+whole plan's detection grid (eval_harness.run_span feeds them to the
+detector block by block).  integrate returns on the caller's thread, so a
+tracer that wraps eval_harness.integrate from outside times each call whole.
 
 The kernels keep their accumulators and scratch buffers in the unit grids'
 own precision (the real dtype of the complex units: float32 for the
@@ -82,14 +76,9 @@ class IntegrationSpec:
 
 def _by_slab(grids: list[CorrelationGrid], strategy: Strategy,
              kernel: Callable[[list[np.ndarray]], np.ndarray]) -> CorrelationGrid:
-    """Apply kernel to each slab of whole rows of the unit grids.
-
-    kernel maps the units' (rows, n) complex views, in unit order, to the
-    (rows, n) detection values; every cell depends only on its own cell in
-    each unit, so slab-wise and whole-grid evaluation give equal results.
-    Each row band (see the module docstring) walks its own slabs; the
-    band gate counts the cells of all units together.
-    """
+    """Apply kernel, which maps the units' (rows, n) complex views in unit
+    order to their (rows, n) detection values, to each slab of whole rows,
+    in row bands gated on the cells of all units together."""
     IntegrationSpec(strategy, len(grids))  # raises if the span is undefined
     first = grids[0]
     if any(g.plan != first.plan or g.values.shape != first.values.shape
@@ -125,6 +114,13 @@ def _coherent(units: list[np.ndarray]) -> np.ndarray:
 
 
 def _pre_guess(units: list[np.ndarray]) -> np.ndarray:
+    """Coherent sum with a per-unit sign hypothesis, decided per cell.
+
+    The sign of unit m is +1 iff adding it grows the running sum magnitude
+    strictly, else -1 (the first unit is +1 by convention; only the relative
+    pattern matters under the outer magnitude).  |a+s| > |a-s| is tested in
+    its equivalent form Re(a*conj(s)) > 0, which needs no complex temporaries.
+    """
     if len(units) == 1:
         return np.abs(units[0])
     acc = units[0].copy()
@@ -152,6 +148,12 @@ def _differential(units: list[np.ndarray]) -> np.ndarray:
 
 
 def _alternate_half_bit(units: list[np.ndarray]) -> np.ndarray:
+    """Coherent 10 ms blocks, odd/even block sets accumulated separately.
+
+    With bit transitions possible only every 20 ms, one of the two block
+    parities is guaranteed transition-free inside its blocks; the cellwise
+    larger of the two non-coherent accumulations is the detection value.
+    """
     shape, dtype = units[0].shape, units[0].real.dtype
     parity_acc = [np.zeros(shape, dtype), np.zeros(shape, dtype)]
     for b in range(len(units) // BLOCK_UNITS):
@@ -162,51 +164,15 @@ def _alternate_half_bit(units: list[np.ndarray]) -> np.ndarray:
     return np.maximum(parity_acc[0], parity_acc[1])
 
 
-def integrate_noncoherent(grids: list[CorrelationGrid]) -> CorrelationGrid:
-    """Sum of unit magnitudes per cell."""
-    return _by_slab(grids, Strategy.NON_COHERENT, _noncoherent)
-
-
-def integrate_coherent(grids: list[CorrelationGrid]) -> CorrelationGrid:
-    """Magnitude of the complex sum per cell."""
-    return _by_slab(grids, Strategy.COHERENT, _coherent)
-
-
-def integrate_pre_guess(grids: list[CorrelationGrid]) -> CorrelationGrid:
-    """Coherent sum with a per-unit sign hypothesis, decided per cell.
-
-    The sign of unit m is +1 iff adding it grows the running sum magnitude
-    strictly, else -1 (the first unit is +1 by convention; only the relative
-    pattern matters under the outer magnitude).  |a+s| > |a-s| is tested in
-    its equivalent form Re(a*conj(s)) > 0, which needs no complex temporaries.
-    """
-    return _by_slab(grids, Strategy.PRE_GUESS, _pre_guess)
-
-
-def integrate_differential(grids: list[CorrelationGrid]) -> CorrelationGrid:
-    """Magnitude of the sum of adjacent conjugate products (M-1 terms)."""
-    return _by_slab(grids, Strategy.DIFFERENTIAL, _differential)
-
-
-def integrate_alternate_half_bit(grids: list[CorrelationGrid]) -> CorrelationGrid:
-    """Coherent 10 ms blocks, odd/even block sets accumulated separately.
-
-    With bit transitions possible only every 20 ms, one of the two block
-    parities is guaranteed transition-free inside its blocks; the cellwise
-    larger of the two non-coherent accumulations is the detection value.
-    """
-    return _by_slab(grids, Strategy.ALTERNATE_HALF_BIT, _alternate_half_bit)
-
-
-_INTEGRATORS = {
-    Strategy.COHERENT: integrate_coherent,
-    Strategy.NON_COHERENT: integrate_noncoherent,
-    Strategy.PRE_GUESS: integrate_pre_guess,
-    Strategy.DIFFERENTIAL: integrate_differential,
-    Strategy.ALTERNATE_HALF_BIT: integrate_alternate_half_bit,
+_KERNELS = {
+    Strategy.COHERENT: _coherent,
+    Strategy.NON_COHERENT: _noncoherent,
+    Strategy.PRE_GUESS: _pre_guess,
+    Strategy.DIFFERENTIAL: _differential,
+    Strategy.ALTERNATE_HALF_BIT: _alternate_half_bit,
 }
 
 
 def integrate(grids: list[CorrelationGrid], strategy: Strategy) -> CorrelationGrid:
-    """Dispatch to the named strategy."""
-    return _INTEGRATORS[strategy](grids)
+    """Combine the unit grids in unit order into strategy's detection grid."""
+    return _by_slab(grids, strategy, _KERNELS[strategy])

@@ -173,6 +173,32 @@ def write_samples(signal: SampledSignal, path, meta: SampleFileMeta) -> int:
 # Truth sidecar
 # ---------------------------------------------------------------------------
 
+# dataclass field annotation -> the JSON value types it accepts
+_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,),
+               "float | None": (int, float, type(None)), "list": (list,),
+               "np.ndarray | None": (list, type(None))}
+
+
+def _check_json_types(where, record, types: dict, error=ValueError,
+                      complete: bool = False) -> None:
+    """Raise error, naming the key, unless record is a JSON object of keys
+    that types annotates (all of them if complete), each with a finite JSON
+    value of its annotation's type (json reads NaN and 1e400 as floats)."""
+    if not isinstance(record, dict):
+        raise error(f"{where}: not a JSON object: {record!r}")
+    if complete and types.keys() - record.keys():
+        raise error(f"{where}: missing {sorted(types.keys() - record.keys())}")
+    for key, value in record.items():
+        if key not in types:
+            raise error(f"{where}: unknown key {key!r}")
+        if (isinstance(value, bool)
+                or not isinstance(value, _JSON_TYPES[types[key]])):
+            raise error(f"{where}: {key} must be {types[key]}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise error(f"{where}: {key} must be a finite number, "
+                        f"got {value!r}")
+
+
 def write_truth_sidecar(path, meta: SampleFileMeta, epochs: list[SampledSignal],
                         epoch_step: float) -> None:
     """Record the file layout plus each epoch's start time and SynthParams."""
@@ -187,8 +213,9 @@ def write_truth_sidecar(path, meta: SampleFileMeta, epochs: list[SampledSignal],
 def read_truth_sidecar(path) -> tuple[dict, list[dict]]:
     """Parse a truth sidecar into a header dict and per-epoch dicts.
 
-    Each epoch dict holds "t" plus every SynthParams field, data_bits as an
-    array or None.
+    The header must hold exactly the keys write_truth_sidecar writes, and
+    each epoch exactly "t" plus every SynthParams field, each a JSON value
+    of its field's type; data_bits comes back as an array or None.
     """
     try:
         with open(path) as f:
@@ -197,12 +224,17 @@ def read_truth_sidecar(path) -> tuple[dict, list[dict]]:
         raise SampleFileError(
             f"{path}: not a JSON truth sidecar ({e}); re-run synth to "
             f"regenerate it") from e
+    head = {**{f.name: f.type for f in fields(SampleFileMeta)},
+            "epoch_step": "float", "samples_per_epoch": "int",
+            "epoch_count": "int", "epochs": "list"}
+    _check_json_types(path, header, head, SampleFileError, complete=True)
     epochs = header.pop("epochs")
-    keys = {"t"} | {f.name for f in fields(SynthParams)}
-    for e in epochs:
-        if e.keys() != keys:
-            raise SampleFileError(f"{path}: epoch fields {sorted(e)} are not "
-                                  f"t plus the SynthParams fields")
+    if not epochs:
+        raise SampleFileError(f"{path}: the sidecar lists no epochs")
+    each = {"t": "float", **{f.name: f.type for f in fields(SynthParams)}}
+    for k, e in enumerate(epochs):
+        _check_json_types(f"{path}: epoch {k}", e, each, SampleFileError,
+                          complete=True)
         if e["data_bits"] is not None:
             e["data_bits"] = np.array(e["data_bits"], dtype=np.float64)
     return header, epochs
@@ -214,9 +246,6 @@ def read_truth_sidecar(path) -> tuple[dict, list[dict]]:
 
 _STRATEGY_NAMES = {s.value: s for s in Strategy}
 
-# ScenarioConfig field annotation -> the JSON value types it accepts
-_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,),
-               "float | None": (int, float, type(None)), "list": (list,)}
 
 
 def _check_search(threshold: float, half_span: float, sample_rate: float) -> None:
@@ -310,20 +339,7 @@ class ScenarioConfig:
         field's type (a JSON number for a float field)."""
         with open(path) as f:
             record = json.load(f)
-        if not isinstance(record, dict):
-            raise ValueError(f"{path}: a config must be a JSON object")
-        types = {f.name: f.type for f in fields(cls)}
-        for key, value in record.items():
-            if key not in types:
-                raise ValueError(f"{path}: unknown config key {key!r}")
-            if (isinstance(value, bool)
-                    or not isinstance(value, _JSON_TYPES[types[key]])):
-                raise ValueError(f"{path}: {key} must be {types[key]}, "
-                                 f"got {value!r}")
-            # json reads NaN, Infinity and overflowing numbers such as 1e400
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{path}: {key} must be a finite number, "
-                                 f"got {value!r}")
+        _check_json_types(path, record, {f.name: f.type for f in fields(cls)})
         return cls(**record)
 
     def base_synth_params(self) -> SynthParams:
@@ -515,9 +531,6 @@ def _cmd_acquire(args) -> int:
     plan = make_plan(meta.intermediate_freq, args.half_span, args.total_ms)
 
     spe = header["samples_per_epoch"]
-    if not epoch_truths:
-        raise SampleFileError(f"{args.samples}.truth: the sidecar lists no "
-                              f"epochs")
     total = os.path.getsize(args.samples) // meta.bytes_per_sample
     if total < len(epoch_truths) * spe:
         raise ReadRangeError(
@@ -534,8 +547,10 @@ def _cmd_acquire(args) -> int:
         sig.truth = SynthParams(**truth)
         epochs.append(sig)
 
+    results = [r for (r,) in run_span(epochs, code, plan, [spec],
+                                      args.threshold)]
     results, labels, summary = acquisition_timeline(
-        epochs, spec, plan, args.threshold, code=code)
+        epochs, spec, plan, args.threshold, results, code=code)
     write_csv(args.out, "t_s,strategy,total_ms,doppler_hz,code_phase_samples,"
               "mtsmr,mtmr,decided,ok",
               ([l.t, strategy.value, args.total_ms, float(r.doppler_hat),
@@ -571,7 +586,7 @@ def _run_matrix(config: ScenarioConfig):
     for strategy, t_ms in combos:
         yield (strategy, t_ms, *acquisition_timeline(
             epochs, IntegrationSpec(strategy, t_ms), plans[t_ms],
-            config.threshold, code=code, results=results[strategy, t_ms]))
+            config.threshold, results[strategy, t_ms], code=code))
 
 
 def _cmd_sweep(args) -> int:

@@ -10,7 +10,6 @@ variance set from C/N0 referenced to the full real-sampling Nyquist band.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
@@ -32,9 +31,9 @@ class SynthParams:
     code_phase0: float = 0.0        # chips
     doppler0: float = 0.0           # Hz at t = 0
     doppler_rate: float = 0.0       # Hz/s
-    data_bits: Optional[np.ndarray] = None  # +/-1 at 50 bps; None -> all +1
+    data_bits: np.ndarray | None = None  # +/-1 at 50 bps; None -> all +1
     bit_phase0: float = 0.0         # ms offset of first bit boundary in [0, 20)
-    cn0: Optional[float] = None     # dB-Hz; None -> noiseless
+    cn0: float | None = None        # dB-Hz; None -> noiseless
     duration: float = 1e-3          # s
     seed: int = 0
 
@@ -53,7 +52,7 @@ class SampledSignal:
     samples: np.ndarray
     sample_rate: float
     t0: float = 0.0
-    truth: Optional[SynthParams] = None
+    truth: SynthParams | None = None
 
 
 def noise_sigma(cn0: float, amplitude: float, sample_rate: float) -> float:

@@ -16,6 +16,7 @@ from hypothesis import settings
 
 from leoacq import acq_core
 from leoacq.acq_core import CorrelationGrid, FrequencyPlan, make_plan
+from leoacq.detector import RowSearch
 from leoacq.prn_code import generate_code
 from leoacq.signal_synth import SampledSignal, SynthParams, synthesize
 
@@ -98,10 +99,18 @@ def grids_from_values(value_arrays, plan=None, samples_per_chip=1):
             for a in arrays]
 
 
-def detection_grid_from(values, samples_per_chip=1) -> CorrelationGrid:
-    v = np.atleast_2d(np.asarray(values, dtype=np.float64))
-    return CorrelationGrid(values=v, plan=dummy_plan(v.shape[0]),
-                           samples_per_chip=samples_per_chip)
+def fed_search(grid, l_spc=None) -> RowSearch:
+    """A RowSearch fed a whole detection grid as one block: a CorrelationGrid
+    over its plan, excluding one chip by default, or an array of values
+    over one dummy bin per row, excluding one sample by default."""
+    if not isinstance(grid, CorrelationGrid):
+        v = np.atleast_2d(np.asarray(grid, dtype=np.float64))
+        grid = CorrelationGrid(values=v, plan=dummy_plan(len(v)),
+                               samples_per_chip=1)
+    search = RowSearch(grid.plan,
+                       grid.samples_per_chip if l_spc is None else l_spc)
+    search.add(grid.values)
+    return search
 
 
 def synth_units(m, code, d0=1000.0, cn0=None, seed=0, fs=FS_FAST,

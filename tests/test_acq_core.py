@@ -16,14 +16,13 @@ from leoacq.acq_core import (CorrelationGrid, FrequencyPlan, _code_fft,
                              _mixing_table, _row_bands, band_scope,
                              make_plan, process_units, row_blocks,
                              samples_per_code, slab_rows)
-from leoacq.detector import acquire, mtsmr
-from leoacq.integrators import (Strategy, integrate, integrate_noncoherent,
-                                span_error)
+from leoacq.detector import acquire
+from leoacq.integrators import Strategy, integrate, span_error
 from leoacq.prn_code import ChipSequence, generate_code, sample_code
 from leoacq.signal_synth import SampledSignal, noise_sigma
 
-from conftest import (FS_FAST, FIF_FAST, FS_FULL, FIF_FULL, plan_for,
-                      row_bands, synth_units)
+from conftest import (FS_FAST, FIF_FAST, FS_FULL, FIF_FULL, fed_search,
+                      plan_for, row_bands, synth_units)
 
 
 class TestMakePlan:
@@ -180,8 +179,9 @@ class TestProcessUnit:
             rng = np.random.default_rng(1000 + k)
             sig = SampledSignal(samples=rng.normal(0, sigma, 1023),
                                 sample_rate=FS_FAST)
-            det = integrate_noncoherent(process_units(sig, code1, plan))
-            if mtsmr(det, 1) < 2.5:
+            det = integrate(process_units(sig, code1, plan),
+                            Strategy.NON_COHERENT)
+            if fed_search(det).mtsmr() < 2.5:
                 below += 1
         assert below >= 0.9 * trials
 
@@ -547,8 +547,8 @@ class TestSinglePrecision:
         for strategy in Strategy:
             det = integrate(got, strategy)
             assert det.values.dtype == np.float64
-            a = acquire(det)
-            b = acquire(integrate(ref, strategy))
+            a = acquire(fed_search(det))
+            b = acquire(fed_search(integrate(ref, strategy)))
             assert b.decided and abs(b.doppler_hat - 140.0) <= 12.5
             assert (a.doppler_hat, a.code_phase_hat, a.decided) == (
                 b.doppler_hat, b.code_phase_hat, b.decided)
@@ -765,10 +765,10 @@ class TestRowBands:
                             _no_pool)
         with row_bands(None):
             got = process_units(sig, code1, plan_for(2))
-            det = integrate_noncoherent(got)
+            det = integrate(got, Strategy.NON_COHERENT)
         for a, b in zip(got, want, strict=True):
             assert a.values.tobytes() == b.values.tobytes()
-        want_det = integrate_noncoherent(want)
+        want_det = integrate(want, Strategy.NON_COHERENT)
         assert det.values.tobytes() == want_det.values.tobytes()
 
 

@@ -6,33 +6,30 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from leoacq import detector
-from leoacq.acq_core import make_plan, process_units
-from leoacq.detector import (RowSearch, acquire, decide, mtmr, mtsmr,
-                             peak)
-from leoacq.integrators import integrate_coherent, integrate_noncoherent
+from leoacq.acq_core import process_units
+from leoacq.detector import RowSearch, acquire, decide
+from leoacq.integrators import Strategy, integrate
 from leoacq.signal_synth import SampledSignal, noise_sigma
 
-from conftest import (FS_FAST, FIF_FAST, detection_grid_from, dummy_plan,
-                      plan_for, synth_units)
+from conftest import FS_FAST, dummy_plan, fed_search, plan_for, synth_units
 
 
 class TestPeak:
     def test_single_nonzero_cell(self):
         v = np.zeros((4, 9))
         v[2, 5] = 3.0
-        assert peak(detection_grid_from(v)) == (2, 5, 3.0)
+        assert fed_search(v).peak() == (2, 5, 3.0)
 
     def test_all_equal_tie_breaks_to_origin(self):
-        assert peak(detection_grid_from(np.ones((3, 7)))) == (0, 0, 1.0)
+        assert fed_search(np.ones((3, 7))).peak() == (0, 0, 1.0)
 
     def test_tie_breaks_lowest_bin_then_sample(self):
         v = np.zeros((3, 5))
         v[1, 4] = 2.0
         v[2, 1] = 2.0
-        assert peak(detection_grid_from(v))[:2] == (1, 4)
+        assert fed_search(v).peak()[:2] == (1, 4)
         v[1, 2] = 2.0
-        assert peak(detection_grid_from(v))[:2] == (1, 2)
+        assert fed_search(v).peak()[:2] == (1, 2)
 
     def test_matches_exhaustive_scan(self):
         rng = np.random.default_rng(0)
@@ -43,60 +40,60 @@ class TestPeak:
                 for j in range(33):
                     if v[i, j] > v[best]:
                         best = (i, j)
-            i, j, r = peak(detection_grid_from(v))
+            i, j, r = fed_search(v).peak()
             assert (i, j) == best and r == v[best]
 
     def test_empty_grid(self):
         with pytest.raises(ValueError, match="empty"):
-            peak(detection_grid_from(np.zeros((0, 0))))
+            fed_search(np.zeros((0, 0)))
 
 
 class TestMtsmr:
     def test_constructed_row(self):
         # peak 10 at j=0, runner-up 4 outside the +/-2-sample cyclic window
         row = [10.0, 0.0, 0.0, 4.0, 0.0, 0.0, 0.0, 0.0]
-        assert mtsmr(detection_grid_from(row), l_spc=2) == 2.5
+        assert fed_search(row, l_spc=2).mtsmr() == 2.5
 
     def test_runner_up_inside_window_is_excluded(self):
         row = [10.0, 8.0, 0.0, 4.0, 0.0, 0.0, 0.0, 9.0]
         # both 8 (j=1) and 9 (j=7, cyclic) sit inside +/-2 of the peak
-        assert mtsmr(detection_grid_from(row), l_spc=2) == 2.5
+        assert fed_search(row, l_spc=2).mtsmr() == 2.5
 
     def test_runner_up_outside_window_counts(self):
         row = [10.0, 0.0, 0.0, 8.0, 0.0, 0.0, 0.0, 0.0]
-        assert mtsmr(detection_grid_from(row), l_spc=2) == 1.25
+        assert fed_search(row, l_spc=2).mtsmr() == 1.25
 
     def test_all_equal_gives_unity(self):
-        assert mtsmr(detection_grid_from(np.ones((2, 9))), l_spc=1) == 1.0
+        assert fed_search(np.ones((2, 9))).mtsmr() == 1.0
 
     def test_zero_floor_gives_infinity(self):
         row = [5.0, 0.0, 0.0, 0.0, 0.0]
-        assert mtsmr(detection_grid_from(row), l_spc=1) == math.inf
+        assert fed_search(row).mtsmr() == math.inf
 
     def test_exclusion_cannot_cover_row(self):
         with pytest.raises(ValueError, match="whole"):
-            mtsmr(detection_grid_from(np.ones((1, 5))), l_spc=2)
+            fed_search(np.ones((1, 5)), l_spc=2).mtsmr()
 
     def test_uses_peak_row_only(self):
         v = np.zeros((2, 8))
         v[0, 1] = 9.0   # large value in another Doppler row
         v[1, 0] = 10.0
         v[1, 4] = 2.0
-        assert mtsmr(detection_grid_from(v), l_spc=1) == 5.0
+        assert fed_search(v).mtsmr() == 5.0
 
 
 class TestMtmr:
     def test_uniform_with_single_peak(self):
         v = np.ones((5, 11))
         v[2, 5] = 5.0
-        assert mtmr(detection_grid_from(v), l_spc=1) == 5.0
+        assert fed_search(v).mtmr() == 5.0
 
     def test_matches_masked_mean_oracle(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             v = rng.random((6, 21))
-            g = detection_grid_from(v)
-            i0, j0, r = peak(g)
+            g = fed_search(v, l_spc=2)
+            i0, j0, r = g.peak()
             total, count = 0.0, 0
             for i in range(6):
                 for j in range(21):
@@ -106,33 +103,33 @@ class TestMtmr:
                     if not (in_rows and in_cols):
                         total += v[i, j]
                         count += 1
-            assert mtmr(g, l_spc=2) == pytest.approx(r / (total / count), rel=1e-12)
+            assert g.mtmr() == pytest.approx(r / (total / count), rel=1e-12)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(2)
         v = rng.random((4, 15))
-        g = detection_grid_from(v)
-        ref_s = mtsmr(g, 1)
-        ref_m = mtmr(g, 1)
-        g4 = detection_grid_from(4.0 * v)  # power of two: exact
-        assert mtsmr(g4, 1) == ref_s
-        assert mtmr(g4, 1) == ref_m
-        g3 = detection_grid_from(np.pi * v)
-        assert mtsmr(g3, 1) == pytest.approx(ref_s, rel=1e-12)
-        assert mtmr(g3, 1) == pytest.approx(ref_m, rel=1e-12)
-        assert peak(g3)[:2] == peak(g)[:2]
+        g = fed_search(v)
+        ref_s = g.mtsmr()
+        ref_m = g.mtmr()
+        g4 = fed_search(4.0 * v)  # power of two: exact
+        assert g4.mtsmr() == ref_s
+        assert g4.mtmr() == ref_m
+        g3 = fed_search(np.pi * v)
+        assert g3.mtsmr() == pytest.approx(ref_s, rel=1e-12)
+        assert g3.mtmr() == pytest.approx(ref_m, rel=1e-12)
+        assert g3.peak()[:2] == g.peak()[:2]
 
     def test_empty_inclusion_error(self):
         v = np.ones((3, 3))
         v[1, 1] = 5.0  # centered peak: the exclusion rectangle covers everything
         with pytest.raises(ValueError, match="no cells"):
-            mtmr(detection_grid_from(v), l_spc=1)
+            fed_search(v).mtmr()
 
     def test_row_band_clamps_at_grid_edge(self):
         # peak in row 0: the row band [-1, 1] clamps, leaving row 2 included
         v = np.ones((3, 3))
         v[0, 0] = 7.0
-        assert mtmr(detection_grid_from(v), l_spc=1) == 7.0
+        assert fed_search(v).mtmr() == 7.0
 
 
 class TestDegenerateGrids:
@@ -140,8 +137,8 @@ class TestDegenerateGrids:
     gives inf, an all-zero grid nan, which no threshold decides."""
 
     def test_all_zero_grid_is_undecided(self):
-        g = detection_grid_from(np.zeros((3, 9)))
-        assert math.isnan(mtsmr(g, l_spc=1)) and math.isnan(mtmr(g, l_spc=1))
+        g = fed_search(np.zeros((3, 9)))
+        assert math.isnan(g.mtsmr()) and math.isnan(g.mtmr())
         res = acquire(g, threshold=1e-9)
         assert (res.doppler_hat, res.code_phase_hat) == (-500.0, 0)
         assert math.isnan(res.mtsmr) and math.isnan(res.mtmr)
@@ -150,8 +147,8 @@ class TestDegenerateGrids:
     def test_one_hot_grid_is_infinite(self):
         v = np.zeros((3, 9))
         v[1, 4] = 3.0
-        g = detection_grid_from(v)
-        assert mtsmr(g, l_spc=1) == math.inf and mtmr(g, l_spc=1) == math.inf
+        g = fed_search(v)
+        assert g.mtsmr() == math.inf and g.mtmr() == math.inf
         res = acquire(g, threshold=1e9)
         assert (res.doppler_hat, res.code_phase_hat) == (0.0, 4)
         assert res.decided is True
@@ -172,6 +169,11 @@ class TestDecide:
             decide(1.0, 0.0)
 
 
+def _detection(sig, code, plan, strategy):
+    """The detection grid of strategy over the units of sig."""
+    return integrate(process_units(sig, code, plan), strategy)
+
+
 class TestMonteCarloSeparation:
     def test_strong_signal_vs_noise_distributions(self, code1):
         plan = plan_for(5)
@@ -179,13 +181,13 @@ class TestMonteCarloSeparation:
         strong, noise = [], []
         for k in range(200):
             sig, _ = synth_units(5, code1, d0=500.0, cn0=48.0, seed=900 + k)
-            det = integrate_coherent(process_units(sig, code1, plan))
-            strong.append(mtsmr(det, 1))
+            det = _detection(sig, code1, plan, Strategy.COHERENT)
+            strong.append(fed_search(det).mtsmr())
             rng = np.random.default_rng(4242 + k)
             noise_sig = SampledSignal(samples=rng.normal(0, sigma, 5 * 1023),
                                       sample_rate=FS_FAST)
-            det = integrate_coherent(process_units(noise_sig, code1, plan))
-            noise.append(mtsmr(det, 1))
+            det = _detection(noise_sig, code1, plan, Strategy.COHERENT)
+            noise.append(fed_search(det).mtsmr())
         strong = np.array(strong)
         noise = np.array(noise)
         assert np.median(strong) > 2.5
@@ -198,9 +200,8 @@ class TestMonteCarloSeparation:
 class TestAcquire:
     def test_reports_plan_relative_doppler_and_sample_phase(self, code1):
         sig, _ = synth_units(2, code1, d0=500.0, cn0=None, code_phase0=100.0)
-        plan = plan_for(1)
-        det = integrate_noncoherent(process_units(sig, code1, plan))
-        res = acquire(det)
+        det = _detection(sig, code1, plan_for(1), Strategy.NON_COHERENT)
+        res = acquire(fed_search(det))
         assert res.doppler_hat == 500.0
         assert res.code_phase_hat == (1023 - 100) % 1023
         assert res.decided is True
@@ -208,24 +209,22 @@ class TestAcquire:
         assert res.mtmr > res.mtsmr  # mean floor sits below the runner-up
 
     def test_one_peak_search(self, code1, monkeypatch):
-        # a whole grid is fed to one search as one block
+        # acquire feeds nothing: it reads the peak and both indicators off
+        # the search it is given
         sig, _ = synth_units(2, code1, d0=500.0, cn0=40.0, seed=3)
-        det = integrate_noncoherent(process_units(sig, code1, plan_for(2)))
-        want = (peak(det), mtsmr(det, 1), mtmr(det, 1))
-        fed = []
-        add = RowSearch.add
-        monkeypatch.setattr(RowSearch, "add",
-                            lambda search, block: fed.append(block)
-                            or add(search, block))
-        res = acquire(det)
-        assert len(fed) == 1 and fed[0] is det.values
-        assert (res.code_phase_hat, res.mtsmr, res.mtmr) == (
-            want[0][1], want[1], want[2])
+        det = _detection(sig, code1, plan_for(2), Strategy.NON_COHERENT)
+        search = fed_search(det)
+        (i, j, _), ratio, mean_ratio = (search.peak(), search.mtsmr(),
+                                        search.mtmr())
+        monkeypatch.setattr(RowSearch, "add", None)
+        res = acquire(search)
+        assert (res.doppler_hat, res.code_phase_hat, res.mtsmr, res.mtmr) == (
+            det.plan.bins[i], j, ratio, mean_ratio)
 
     def test_threshold_respected(self, code1):
         sig, _ = synth_units(1, code1, cn0=None)
-        det = integrate_noncoherent(process_units(sig, code1, plan_for(1)))
-        res = acquire(det, threshold=1e9)
+        det = _detection(sig, code1, plan_for(1), Strategy.NON_COHERENT)
+        res = acquire(fed_search(det), threshold=1e9)
         assert res.decided is False
 
 
@@ -302,7 +301,7 @@ class TestRowSearch:
         for a in range(5):
             search.add(v[a:a + 1])
         res = acquire(search, threshold=5.0)
-        assert res == acquire(detection_grid_from(v), threshold=5.0)
+        assert res == acquire(fed_search(v), threshold=5.0)
         assert (res.doppler_hat, res.code_phase_hat) == (500.0, 7)
         assert (res.mtsmr, res.mtmr, res.decided) == (5.0, 5.0, True)
 

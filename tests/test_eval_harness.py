@@ -29,7 +29,8 @@ from leoacq.prn_code import generate_code
 from leoacq.signal_synth import synthesize_pass_signal
 
 from conftest import (FS_FAST, FIF_FAST, FS_FULL, FIF_FULL, block_rows,
-                      fast_params, plan_for, row_bands, synth_units)
+                      fast_params, fed_search, plan_for, row_bands,
+                      synth_units)
 
 
 def _result(doppler=0.0, code=0, ratio=5.0, decided=True):
@@ -154,8 +155,8 @@ class TestRunSpan:
             got = run_span(epochs, code1, plan, specs, threshold=2.5)
         for epoch, row in zip(epochs, got, strict=True):
             grids = process_units(epoch, code1, plan)
-            want = [acquire(integrate(grids, spec.strategy), threshold=2.5)
-                    for spec in specs]
+            want = [acquire(fed_search(integrate(grids, spec.strategy)),
+                            threshold=2.5) for spec in specs]
             assert ([dataclasses.astuple(r) for r in row]
                     == [dataclasses.astuple(r) for r in want])
 
@@ -233,7 +234,8 @@ class TestRunSpan:
         for epoch, row in zip(epochs, got, strict=True):
             grids = process_units(epoch, code1, plan)
             for r, spec in zip(row, specs, strict=True):
-                want = acquire(integrate(grids, spec.strategy), 2.5)
+                want = acquire(fed_search(integrate(grids, spec.strategy)),
+                               2.5)
                 assert r.mtmr == pytest.approx(want.mtmr, rel=1e-12, abs=0)
                 assert dataclasses.replace(r, mtmr=want.mtmr) == want
 
@@ -424,13 +426,19 @@ def _flat_scenario(n, doppler=300.0, step=1.0):
     return PassScenario(samples=samples)
 
 
+def _timeline(epochs, spec, plan=PLAN1, threshold=2.5):
+    """run_span over the epochs, then acquisition_timeline on its results."""
+    code = generate_code(epochs[0].truth.prn_id)
+    results = [r for (r,) in run_span(epochs, code, plan, [spec], threshold)]
+    return acquisition_timeline(epochs, spec, plan, threshold, results)
+
+
 class TestTimeline:
     def test_strong_pass_fully_acquired(self, code1):
         epochs = list(synthesize_pass_signal(
             _flat_scenario(5), fast_params(cn0=50.0, duration=5e-3, seed=2)))
         spec = IntegrationSpec(Strategy.NON_COHERENT, total_ms=5)
-        results, labels, summary = acquisition_timeline(
-            epochs, spec, PLAN1, threshold=2.5)
+        results, labels, summary = _timeline(epochs, spec)
         assert len(results) == 5
         assert all(l.estimate_ok for l in labels)
         assert summary.success_s == 5.0
@@ -441,14 +449,14 @@ class TestTimeline:
             _flat_scenario(2), fast_params(cn0=None, duration=2e-3)))
         spec = IntegrationSpec(Strategy.COHERENT, total_ms=5)
         with pytest.raises(ValueError, match="needs"):
-            acquisition_timeline(epochs, spec, PLAN1, threshold=2.5)
+            run_span(epochs, code1, PLAN1, [spec], threshold=2.5)
 
     def test_deterministic(self, code1):
         epochs = list(synthesize_pass_signal(
             _flat_scenario(3), fast_params(cn0=43.0, duration=2e-3, seed=7)))
         spec = IntegrationSpec(Strategy.DIFFERENTIAL, total_ms=2)
-        a = acquisition_timeline(epochs, spec, PLAN1, threshold=2.5)
-        b = acquisition_timeline(epochs, spec, PLAN1, threshold=2.5)
+        a = _timeline(epochs, spec)
+        b = _timeline(epochs, spec)
         assert [r.mtsmr for r in a[0]] == [r.mtsmr for r in b[0]]
         assert a[2] == b[2]
 
@@ -456,19 +464,22 @@ class TestTimeline:
         epochs = list(synthesize_pass_signal(
             _flat_scenario(4, step=3.0), fast_params(cn0=None, duration=1e-3)))
         spec = IntegrationSpec(Strategy.COHERENT, total_ms=1)
-        _, _, summary = acquisition_timeline(epochs, spec, PLAN1, threshold=2.5)
+        _, _, summary = _timeline(epochs, spec)
         assert summary.success_s == 12.0
 
     def test_given_results_are_labelled_not_recomputed(self, code1, monkeypatch):
         epochs = list(synthesize_pass_signal(
             _flat_scenario(3), fast_params(cn0=50.0, duration=2e-3, seed=4)))
         spec = IntegrationSpec(Strategy.NON_COHERENT, total_ms=2)
-        expected = acquisition_timeline(epochs, spec, PLAN1, threshold=2.5)
-        monkeypatch.setattr(eval_harness, "process_units", None)
-        assert acquisition_timeline(epochs, spec, PLAN1, threshold=2.5,
-                                    results=expected[0]) == expected
+        expected = _timeline(epochs, spec)
+        for name in ("run_span", "process_units", "integrate", "acquire"):
+            monkeypatch.setattr(eval_harness, name, None)
+        assert acquisition_timeline(epochs, spec, PLAN1, 2.5,
+                                    expected[0]) == expected
+        assert acquisition_timeline(epochs, spec, PLAN1, 2.5, expected[0],
+                                    code=code1) == expected
 
     def test_empty_stream(self):
         spec = IntegrationSpec(Strategy.COHERENT, total_ms=1)
         with pytest.raises(ValueError, match="empty"):
-            acquisition_timeline([], spec, PLAN1, threshold=2.5)
+            acquisition_timeline([], spec, PLAN1, 2.5, [])

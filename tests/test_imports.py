@@ -1,7 +1,8 @@
-"""Every name a leoacq module imports is read somewhere in that module.
+"""Every name a leoacq module or a test module imports is read somewhere
+in that module.
 
-No linter runs over the package, so this is the guard against imports left
-behind when the code that used them is deleted.  Re-exports in
+No linter runs over the package or its tests, so this is the guard against
+imports left behind when the code that used them is deleted.  Re-exports in
 ``__init__.py`` and ``from __future__`` imports are exempt.
 """
 
@@ -13,7 +14,8 @@ import pytest
 import leoacq
 
 MODULES = sorted(p for p in Path(leoacq.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+                 if p.name != "__init__.py") + sorted(
+                     Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:

@@ -6,17 +6,14 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from leoacq.acq_core import _SLAB_CELLS, make_plan, process_units, slab_rows
-from leoacq.detector import decide, mtsmr
+from leoacq.detector import decide
 from leoacq.integrators import (IntegrationSpec, Strategy,
                                 _alternate_half_bit, _coherent, _differential,
                                 _noncoherent, _pre_guess, integrate,
-                                integrate_alternate_half_bit,
-                                integrate_coherent, integrate_differential,
-                                integrate_noncoherent, integrate_pre_guess,
                                 span_error)
-from leoacq.signal_synth import SampledSignal, noise_sigma, synthesize
+from leoacq.signal_synth import SampledSignal
 
-from conftest import (FS_FULL, FIF_FULL, FS_FAST, FIF_FAST, fast_params,
+from conftest import (FS_FULL, FIF_FULL, FS_FAST, FIF_FAST, fed_search,
                       grids_from_values, plan_for, row_bands, synth_units)
 
 
@@ -41,47 +38,47 @@ class TestAlgebraicIdentities:
     def test_single_unit_noncoherent_equals_coherent(self):
         rng = np.random.default_rng(0)
         (g,) = _random_units(rng, 1)
-        nc = integrate_noncoherent([g])
-        co = integrate_coherent([g])
+        nc = integrate([g], Strategy.NON_COHERENT)
+        co = integrate([g], Strategy.COHERENT)
         assert np.array_equal(nc.values, np.abs(g.values))
         assert np.array_equal(nc.values, co.values)
 
     def test_noncoherent_is_sign_blind(self):
         grids, z, cell = _signed_units([1, -1, 1, -1])
-        out = integrate_noncoherent(grids)
+        out = integrate(grids, Strategy.NON_COHERENT)
         assert out.values[cell] == pytest.approx(4 * abs(z), rel=1e-12)
 
     def test_coherent_alternating_cancels_exactly(self):
         grids, _, cell = _signed_units([1, -1, 1, -1])
-        assert integrate_coherent(grids).values[cell] == 0.0
+        assert integrate(grids, Strategy.COHERENT).values[cell] == 0.0
 
     def test_coherent_linear_gain(self):
         grids, z, cell = _signed_units([1, 1, 1, 1, 1])
-        assert integrate_coherent(grids).values[cell] == pytest.approx(
-            5 * abs(z), rel=1e-12)
+        got = integrate(grids, Strategy.COHERENT).values[cell]
+        assert got == pytest.approx(5 * abs(z), rel=1e-12)
 
     def test_pre_guess_rectifies_flips(self):
         grids, z, cell = _signed_units([1, -1, 1])
-        assert integrate_pre_guess(grids).values[cell] == pytest.approx(
-            3 * abs(z), rel=1e-12)
+        got = integrate(grids, Strategy.PRE_GUESS).values[cell]
+        assert got == pytest.approx(3 * abs(z), rel=1e-12)
 
     def test_pre_guess_equals_coherent_without_flips(self):
         rng = np.random.default_rng(1)
         base = rng.normal(size=(3, 16)) + 1j * rng.normal(size=(3, 16))
         # all units share the same values: every sign decision is +1
         grids = grids_from_values([base.copy() for _ in range(6)])
-        pg = integrate_pre_guess(grids)
-        co = integrate_coherent(grids)
+        pg = integrate(grids, Strategy.PRE_GUESS)
+        co = integrate(grids, Strategy.COHERENT)
         assert np.array_equal(pg.values, co.values)
 
     def test_differential_identical_units(self):
         grids, z, cell = _signed_units([1, 1, 1, 1])
-        out = integrate_differential(grids)
+        out = integrate(grids, Strategy.DIFFERENTIAL)
         assert out.values[cell] == pytest.approx(3 * abs(z) ** 2, rel=1e-12)
 
     def test_differential_alternating_units(self):
         grids, z, cell = _signed_units([1, -1, 1, -1])
-        out = integrate_differential(grids)
+        out = integrate(grids, Strategy.DIFFERENTIAL)
         assert out.values[cell] == pytest.approx(3 * abs(z) ** 2, rel=1e-12)
 
     def test_differential_constant_rotation(self):
@@ -93,7 +90,7 @@ class TestAlgebraicIdentities:
             a = np.zeros((2, 5), dtype=np.complex128)
             a[0, 2] = z * np.exp(1j * theta * m)
             arrays.append(a)
-        out = integrate_differential(grids_from_values(arrays))
+        out = integrate(grids_from_values(arrays), Strategy.DIFFERENTIAL)
         assert out.values[0, 2] == pytest.approx(5 * abs(z) ** 2, rel=1e-12)
 
     def test_alternate_half_bit_parities(self):
@@ -101,13 +98,13 @@ class TestAlgebraicIdentities:
         z = 1.0 + 1.0j
         signs = [1] * 5 + [-1] * 5 + [1] * 10  # flip inside block 1 (0-based)
         grids, _, cell = _signed_units(signs, z=z)
-        out = integrate_alternate_half_bit(grids)
+        out = integrate(grids, Strategy.ALTERNATE_HALF_BIT)
         # blocks: |5z-5z|=0, |10z|, in parities (odd-indexed=0, even=1)
         assert out.values[cell] == pytest.approx(10 * abs(z), rel=1e-12)
 
     def test_alternate_half_bit_no_transitions_branches_equal(self):
         grids, z, cell = _signed_units([1] * 20)
-        out = integrate_alternate_half_bit(grids)
+        out = integrate(grids, Strategy.ALTERNATE_HALF_BIT)
         assert out.values[cell] == pytest.approx(10 * abs(z), rel=1e-12)
 
 
@@ -151,20 +148,20 @@ class TestProperties:
     @given(unit_values(min_units=2))
     def test_pre_guess_sign_rule_matches_magnitude_rule(self, values):
         ref, near_tie = _pre_guess_magnitude_rule(values)
-        got = integrate_pre_guess(grids_from_values(values)).values
+        got = integrate(grids_from_values(values), Strategy.PRE_GUESS).values
         assert np.array_equal(got[~near_tie], ref[~near_tie])
 
     @given(unit_values())
     def test_coherent_is_magnitude_of_sum(self, values):
-        got = integrate_coherent(grids_from_values(values)).values
+        got = integrate(grids_from_values(values), Strategy.COHERENT).values
         ref = np.abs(values.sum(axis=0))
         assert np.all(np.abs(got - ref) <= SUM_RTOL * np.abs(values).sum(axis=0))
 
     @given(unit_values())
     def test_noncoherent_at_least_coherent(self, values):
         grids = grids_from_values(values)
-        nc = integrate_noncoherent(grids).values
-        co = integrate_coherent(grids).values
+        nc = integrate(grids, Strategy.NON_COHERENT).values
+        co = integrate(grids, Strategy.COHERENT).values
         assert np.all(nc >= co * (1.0 - SUM_RTOL))
 
     @given(unit_values(),
@@ -174,22 +171,22 @@ class TestProperties:
         # M * b_0 * u, the most any sign pattern can reach.
         u = values[0]
         grids = grids_from_values([b * u for b in signs])
-        got = integrate_pre_guess(grids).values
+        got = integrate(grids, Strategy.PRE_GUESS).values
         expected = len(signs) * np.abs(u)
         assert np.all(np.abs(got - expected) <= SUM_RTOL * expected)
-        assert np.all(got >= integrate_coherent(grids).values)
+        assert np.all(got >= integrate(grids, Strategy.COHERENT).values)
 
 
-# Each public integrator and the kernel it runs over row slabs.
-_KERNELS = [(integrate_noncoherent, _noncoherent),
-            (integrate_coherent, _coherent),
-            (integrate_pre_guess, _pre_guess),
-            (integrate_differential, _differential),
-            (integrate_alternate_half_bit, _alternate_half_bit)]
+# Each strategy and the kernel that integrate runs for it over row slabs.
+_KERNELS = [(Strategy.NON_COHERENT, _noncoherent),
+            (Strategy.COHERENT, _coherent),
+            (Strategy.PRE_GUESS, _pre_guess),
+            (Strategy.DIFFERENTIAL, _differential),
+            (Strategy.ALTERNATE_HALF_BIT, _alternate_half_bit)]
 
 
 @st.composite
-def slab_cut_units(draw, integrator):
+def slab_cut_units(draw, strategy):
     """(M, bins, n) complex units whose bins cut the row slabs unevenly.
 
     n runs from one cell to above _SLAB_CELLS (one row per slab); bins
@@ -201,7 +198,7 @@ def slab_cut_units(draw, integrator):
     height = slab_rows(n)
     bins = draw(st.one_of(st.sampled_from([1, 7, height + 1]),
                           st.integers(1, 3 * height + 1)))
-    m = 20 if integrator is integrate_alternate_half_bit else draw(
+    m = 20 if strategy is Strategy.ALTERNATE_HALF_BIT else draw(
         st.integers(2, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     shape = (m, bins, n)
@@ -211,13 +208,13 @@ def slab_cut_units(draw, integrator):
 class TestSlabs:
     # Slabs in 1-5 row bands (one band: a single slab walk); bands start on
     # slab edges and the drawn row counts cut both unevenly.
-    @pytest.mark.parametrize("integrator, kernel", _KERNELS)
+    @pytest.mark.parametrize("strategy, kernel", _KERNELS)
     @settings(max_examples=40)
     @given(data=st.data(), cores=st.integers(1, 5))
-    def test_slabs_equal_whole_grid(self, integrator, kernel, data, cores):
-        values = data.draw(slab_cut_units(integrator))
+    def test_slabs_equal_whole_grid(self, strategy, kernel, data, cores):
+        values = data.draw(slab_cut_units(strategy))
         with row_bands(cores):
-            got = integrator(grids_from_values(values)).values
+            got = integrate(grids_from_values(values), strategy).values
         assert np.array_equal(got, kernel(list(values)))
 
 
@@ -278,35 +275,31 @@ class TestKernelRewrites:
 
 
 class TestInvariances:
-    @pytest.mark.parametrize("op", [integrate_noncoherent, integrate_coherent,
-                                    integrate_pre_guess, integrate_differential,
-                                    integrate_alternate_half_bit])
-    def test_global_phase_invariance(self, op):
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_global_phase_invariance(self, strategy):
         rng = np.random.default_rng(2)
         base = [rng.normal(size=(3, 12)) + 1j * rng.normal(size=(3, 12))
                 for _ in range(20)]
-        ref = op(grids_from_values(base)).values
-        rotated = op(grids_from_values([np.exp(0.7j) * b for b in base])).values
+        ref = integrate(grids_from_values(base), strategy).values
+        rotated = integrate(
+            grids_from_values([np.exp(0.7j) * b for b in base]),
+            strategy).values
         assert np.allclose(rotated, ref, rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("op", [integrate_noncoherent, integrate_coherent,
-                                    integrate_pre_guess, integrate_differential,
-                                    integrate_alternate_half_bit])
-    def test_full_negation_invariance(self, op):
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_full_negation_invariance(self, strategy):
         rng = np.random.default_rng(3)
         base = [rng.normal(size=(3, 12)) + 1j * rng.normal(size=(3, 12))
                 for _ in range(20)]
-        ref = op(grids_from_values(base)).values
-        neg = op(grids_from_values([-b for b in base])).values
+        ref = integrate(grids_from_values(base), strategy).values
+        neg = integrate(grids_from_values([-b for b in base]), strategy).values
         assert np.allclose(neg, ref, rtol=1e-12, atol=1e-12)
 
     def test_shape_and_plan_preserved(self):
         rng = np.random.default_rng(4)
         grids = _random_units(rng, 20)
-        for op in (integrate_noncoherent, integrate_coherent,
-                   integrate_pre_guess, integrate_differential,
-                   integrate_alternate_half_bit):
-            out = op(grids)
+        for strategy in Strategy:
+            out = integrate(grids, strategy)
             assert out.values.shape == grids[0].values.shape
             assert out.plan == grids[0].plan
             assert np.all(out.values >= 0.0)
@@ -316,23 +309,23 @@ class TestInvariances:
 class TestErrors:
     def test_empty(self):
         with pytest.raises(ValueError, match="at least one"):
-            integrate_noncoherent([])
+            integrate([], Strategy.NON_COHERENT)
 
     def test_shape_mismatch(self):
         a = grids_from_values([np.ones((2, 4))])
         b = grids_from_values([np.ones((3, 4))])
         with pytest.raises(ValueError, match="share plan and shape"):
-            integrate_coherent([a[0], b[0]])
+            integrate([a[0], b[0]], Strategy.COHERENT)
 
     def test_differential_needs_two(self):
         grids = grids_from_values([np.ones((2, 4))])
         with pytest.raises(ValueError, match="at least two"):
-            integrate_differential(grids)
+            integrate(grids, Strategy.DIFFERENTIAL)
 
     def test_alternate_half_bit_needs_multiple_of_20(self):
         grids = grids_from_values([np.ones((2, 4))] * 10)
         with pytest.raises(ValueError, match="multiple of 20"):
-            integrate_alternate_half_bit(grids)
+            integrate(grids, Strategy.ALTERNATE_HALF_BIT)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="multiple of 20"):
@@ -365,7 +358,7 @@ class TestSynthesizedOrdering:
                              code_phase0=773.0)
         plan = make_plan(FIF_FULL, 2e3, 1)
         grids = process_units(sig, code1, plan)
-        coh = integrate_coherent(grids)
+        coh = integrate(grids, Strategy.COHERENT)
         i, j = np.unravel_index(np.argmax(coh.values), coh.values.shape)
         single = np.abs(grids[0].values[i, j])
         assert coh.values[i, j] == pytest.approx(5 * single, rel=1e-9)
@@ -374,11 +367,11 @@ class TestSynthesizedOrdering:
         sig, _ = synth_units(20, code1, d0=1000.0, fs=FS_FULL, fif=FIF_FULL)
         plan = make_plan(FIF_FULL, 2e3, 1)
         grids = process_units(sig, code1, plan)
-        coh = integrate_coherent(grids)
+        coh = integrate(grids, Strategy.COHERENT)
         i, j = np.unravel_index(np.argmax(coh.values), coh.values.shape)
-        pg = integrate_pre_guess(grids)
-        ahb = integrate_alternate_half_bit(grids)
-        nc = integrate_noncoherent(grids)
+        pg = integrate(grids, Strategy.PRE_GUESS)
+        ahb = integrate(grids, Strategy.ALTERNATE_HALF_BIT)
+        nc = integrate(grids, Strategy.NON_COHERENT)
         assert pg.values[i, j] == coh.values[i, j]
         assert coh.values[i, j] >= ahb.values[i, j]
         # triangle inequality; equality up to rounding on aligned units
@@ -393,10 +386,10 @@ class TestSynthesizedOrdering:
         grids = process_units(sig, code1, plan)
         truth_cell = np.unravel_index(
             np.argmax(np.abs(grids[0].values)), grids[0].values.shape)
-        coh = integrate_coherent(grids).values[truth_cell]
-        for op in (integrate_noncoherent, integrate_pre_guess,
-                   integrate_differential, integrate_alternate_half_bit):
-            assert op(grids).values[truth_cell] > coh
+        coh = integrate(grids, Strategy.COHERENT).values[truth_cell]
+        for strategy in (Strategy.NON_COHERENT, Strategy.PRE_GUESS,
+                         Strategy.DIFFERENTIAL, Strategy.ALTERNATE_HALF_BIT):
+            assert integrate(grids, strategy).values[truth_cell] > coh
 
     def test_pre_guess_matches_exhaustive_oracle(self, code1):
         # noiseless on-bin units with random bit signs: the recursion must
@@ -426,7 +419,7 @@ class TestSynthesizedOrdering:
                     if (pattern >> b) & 1:
                         s[b + 1] = -1.0
                 best = max(best, abs(np.sum(s * vals)))
-            got = integrate_pre_guess(grids).values[cell]
+            got = integrate(grids, Strategy.PRE_GUESS).values[cell]
             assert got == pytest.approx(best, rel=1e-12)
 
     def test_detection_probability_grows_with_m(self, code1):
@@ -439,18 +432,17 @@ class TestSynthesizedOrdering:
             for k in range(60):
                 sig, _ = synth_units(m, code1, d0=500.0, cn0=cn0,
                                      seed=5000 + k, fs=FS_FAST, fif=FIF_FAST)
-                det = integrate_noncoherent(process_units(sig, code1, plan))
-                if decide(mtsmr(det, 1)):
+                det = integrate(process_units(sig, code1, plan),
+                                Strategy.NON_COHERENT)
+                if decide(fed_search(det).mtsmr()):
                     hits += 1
             rates.append(hits / 60)
         assert rates[0] < rates[1] <= rates[2]
 
     def test_integrate_dispatcher(self, code1):
-        sig, _ = synth_units(2, code1)
+        # each strategy runs its own kernel over the units in unit order
+        sig, _ = synth_units(20, code1)
         grids = process_units(sig, code1, plan_for(1))
-        for strategy, op in ((Strategy.COHERENT, integrate_coherent),
-                             (Strategy.NON_COHERENT, integrate_noncoherent),
-                             (Strategy.PRE_GUESS, integrate_pre_guess),
-                             (Strategy.DIFFERENTIAL, integrate_differential)):
+        for strategy, kernel in _KERNELS:
             assert np.array_equal(integrate(grids, strategy).values,
-                                  op(grids).values)
+                                  kernel([g.values for g in grids]))

@@ -12,11 +12,15 @@ from hypothesis import example, given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from leoacq import eval_harness, io_cli, signal_synth
+from leoacq.acq_core import make_plan
+from leoacq.eval_harness import run_span
+from leoacq.integrators import IntegrationSpec, Strategy
 from leoacq.io_cli import (_FORMATS, ReadRangeError, SampleFileError,
                            SampleFileMeta, ScenarioConfig, TruncatedFileError,
                            UnknownFormatError, cli, pass_epochs, read_samples,
                            read_truth_sidecar, write_samples,
                            write_truth_sidecar)
+from leoacq.prn_code import generate_code
 from leoacq.signal_synth import (SampledSignal, SynthParams, synthesize,
                                  synthesize_pass_signal)
 
@@ -848,6 +852,62 @@ class TestCli:
         capsys.readouterr()
         assert cli(["acquire", "--samples", str(samples)]) == 2
         assert "no epochs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, field_name", [
+        (lambda r: [], "not a JSON object"),
+        (lambda r: {**r, "epochs": [5]}, "epoch 0"),
+        (lambda r: {**r, "epochs": 5}, "epochs"),
+        (lambda r: {**r, "sample_rate": "x"}, "sample_rate"),
+        (lambda r: {**r, "intermediate_freq": None}, "intermediate_freq"),
+        (lambda r: {**r, "t0": True}, "t0"),
+        (lambda r: {**r, "samples_per_epoch": 5115.0}, "samples_per_epoch"),
+        (lambda r: {**r, "format": ["float32-real"]}, "format"),
+        (lambda r: {k: v for k, v in r.items() if k != "sample_rate"},
+         "sample_rate"),
+        (lambda r: {**r, "epochs": [{**r["epochs"][0], "doppler0": "x"}]},
+         "doppler0"),
+    ], ids=["list", "epoch-int", "epochs-int", "sample_rate-str",
+            "intermediate_freq-null", "t0-bool", "samples_per_epoch-float",
+            "format-list", "sample_rate-missing", "doppler0-str"])
+    def test_acquire_malformed_sidecar_exits_two(
+            self, strong_config, tmp_path, capsys, edit, field_name):
+        samples = tmp_path / "pass.bin"
+        assert cli(["synth", "--config", strong_config,
+                    "--out", str(samples)]) == 0
+        sidecar = Path(str(samples) + ".truth")
+        sidecar.write_text(json.dumps(edit(json.loads(sidecar.read_text()))))
+        with pytest.raises(SampleFileError, match=field_name):
+            read_truth_sidecar(sidecar)
+        capsys.readouterr()
+        assert cli(["acquire", "--samples", str(samples)]) == 2
+        assert field_name in capsys.readouterr().err
+
+    @pytest.mark.parametrize("strategy, total_ms", [
+        ("coherent", 1), ("noncoherent", 5), ("differential", 2)])
+    def test_acquire_equals_run_span_over_the_pass(
+            self, strong_config, tmp_path, capsys, strategy, total_ms):
+        # a float32 file holds the pass bit for bit, so acquiring it back
+        # takes the one path to the acquisitions of the in-memory pass
+        config = ScenarioConfig.from_file(strong_config)
+        config = replace(config, elevation_mask=60.0, epoch_step=6.0)
+        path = tmp_path / "pass.json"
+        path.write_text(json.dumps(asdict(config)))
+        samples = str(tmp_path / "pass.bin")
+        assert cli(["synth", "--config", str(path), "--out", samples]) == 0
+        out = tmp_path / "timeline.csv"
+        assert cli(["acquire", "--samples", samples, "--strategy", strategy,
+                    "--total-ms", str(total_ms), "--half-span", "2000",
+                    "--out", str(out)]) == 0
+        rows = [line.split(",")[3:8]
+                for line in out.read_text().splitlines()[1:]]
+        spec = IntegrationSpec(Strategy(strategy), total_ms)
+        plan = make_plan(config.intermediate_freq, config.half_span, total_ms)
+        want = [[str(float(r.doppler_hat)), str(r.code_phase_hat),
+                 str(float(r.mtsmr)), str(float(r.mtmr)), str(int(r.decided))]
+                for (r,) in run_span(pass_epochs(config),
+                                     generate_code(config.prn_id), plan,
+                                     [spec], config.threshold)]
+        assert len(want) == 17 and rows == want
 
     def test_duration_bytes_do_not_depend_on_threads(self, strong_config,
                                                      tmp_path, capsys):
