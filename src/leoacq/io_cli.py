@@ -5,8 +5,9 @@ scaled to [-1, 1) by the type's max magnitude, and the -iq variants
 interleave I then Q per sample.  A synthesized sample file is accompanied
 by a JSON truth sidecar (<name>.truth) that records the file layout and
 each epoch's start time and SynthParams, which is enough to label
-acquisition results without re-synthesizing.  Sidecars in the older
-key=value text form are rejected with a data error (exit 2).
+acquisition results without re-synthesizing.  A sidecar in the older
+key=value text form, or with a field missing, unknown or of the wrong
+type, is rejected with a data error (exit 2).
 
 Subcommands: synth, pass, acquire, sweep, duration.  Exit codes: 0 success,
 1 usage error, 2 data error.
@@ -231,9 +232,9 @@ def read_truth_sidecar(path) -> tuple[dict, list[dict]]:
     epochs = header.pop("epochs")
     if not epochs:
         raise SampleFileError(f"{path}: the sidecar lists no epochs")
-    each = {"t": "float", **{f.name: f.type for f in fields(SynthParams)}}
+    per_epoch = {"t": "float", **{f.name: f.type for f in fields(SynthParams)}}
     for k, e in enumerate(epochs):
-        _check_json_types(f"{path}: epoch {k}", e, each, SampleFileError,
+        _check_json_types(f"{path}: epoch {k}", e, per_epoch, SampleFileError,
                           complete=True)
         if e["data_bits"] is not None:
             e["data_bits"] = np.array(e["data_bits"], dtype=np.float64)
@@ -245,7 +246,6 @@ def read_truth_sidecar(path) -> tuple[dict, list[dict]]:
 # ---------------------------------------------------------------------------
 
 _STRATEGY_NAMES = {s.value: s for s in Strategy}
-
 
 
 def _check_search(threshold: float, half_span: float, sample_rate: float) -> None:
