@@ -139,10 +139,10 @@ def _pre_guess(units: list[np.ndarray]) -> np.ndarray:
 
 def _differential(units: list[np.ndarray]) -> np.ndarray:
     acc = np.conj(units[0]) * units[1]
-    term = np.empty_like(acc)
+    conj, term = np.empty_like(acc), np.empty_like(acc)
     for prev, u in zip(units[1:], units[2:]):
-        np.conj(prev, out=term)
-        term *= u
+        # a separate out: numpy rounds a one-cell in-place product differently
+        np.multiply(np.conj(prev, out=conj), u, out=term)
         acc += term
     return np.abs(acc)
 

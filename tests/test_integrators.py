@@ -241,26 +241,16 @@ class TestKernelRewrites:
            n=st.sampled_from([1, 7, 1023]),
            dtype=st.sampled_from([np.complex64, np.complex128]),
            seed=st.integers(0, 2 ** 32 - 1))
-    @example(m=6, rows=1, n=1, dtype=np.complex64, seed=198)  # a 1-ulp case
-    def test_differential_with_one_scratch_buffer(self, m, rows, n, dtype,
-                                                  seed):
+    # one cell, where an in-place complex product rounded 1 ulp apart
+    @example(m=6, rows=1, n=1, dtype=np.complex64, seed=198)
+    def test_differential_with_scratch_buffers(self, m, rows, n, dtype,
+                                               seed):
         rng = np.random.default_rng(seed)
         shape = (m, rows, n)
         units = list((rng.standard_normal(shape)
                       + 1j * rng.standard_normal(shape)).astype(dtype))
         got = _differential(units)
-        want = _differential_two_temporaries(units)
-        if rows * n > 1:
-            assert got.tobytes() == want.tobytes()
-        else:
-            # numpy runs an in-place ufunc on a one-element array as a
-            # reduction, whose complex product can round differently in
-            # the last bit.  No engine slab has one cell (a unit is a
-            # whole code period of samples).
-            eps = np.finfo(got.dtype).eps
-            scale = sum(np.abs(a) * np.abs(b)
-                        for a, b in zip(units, units[1:]))
-            assert np.all(np.abs(got - want) <= 8 * eps * scale)
+        assert got.tobytes() == _differential_two_temporaries(units).tobytes()
 
     @pytest.mark.parametrize("kernel", [_coherent, _pre_guess])
     @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
