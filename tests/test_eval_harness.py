@@ -348,6 +348,13 @@ class TestRunSpan:
         with pytest.raises(ValueError, match="one span"):
             run_span(_span_epochs(1), code1, plan_for(1), specs, 2.5)
 
+    def test_insufficient_samples(self, code1):
+        epochs = list(synthesize_pass_signal(
+            _flat_scenario(2), fast_params(cn0=None, duration=2e-3)))
+        spec = IntegrationSpec(Strategy.COHERENT, total_ms=5)
+        with pytest.raises(ValueError, match="needs"):
+            run_span(epochs, code1, PLAN1, [spec], threshold=2.5)
+
 
 class TestPfSweep:
     def test_all_correct_and_confident(self):
@@ -443,13 +450,6 @@ class TestTimeline:
         assert all(l.estimate_ok for l in labels)
         assert summary.success_s == 5.0
         assert summary.decided_s == 5.0
-
-    def test_insufficient_samples(self, code1):
-        epochs = list(synthesize_pass_signal(
-            _flat_scenario(2), fast_params(cn0=None, duration=2e-3)))
-        spec = IntegrationSpec(Strategy.COHERENT, total_ms=5)
-        with pytest.raises(ValueError, match="needs"):
-            run_span(epochs, code1, PLAN1, [spec], threshold=2.5)
 
     def test_deterministic(self, code1):
         epochs = list(synthesize_pass_signal(
