@@ -26,7 +26,7 @@ grids are bitwise that loop's.  Every Doppler row is independent until the
 detector, so the block may hold any run of a plan's rows: a caller can walk
 a plan in the row blocks of row_blocks (eval_harness.run_span), passing
 each block's sub-plan, its rows of the plan's mixing table and one reused
-buffer.
+buffer, and hand the filled buffer to integrators.integrate as it is.
 
 Row bands.  The row-wise work of a block of at least _BAND_CELLS cells
 (all units together) is split into min(cores, steps) contiguous bands of
@@ -171,15 +171,12 @@ def make_plan(center: float, half_span: float, total_coh_ms: int) -> FrequencyPl
 
 @dataclass
 class CorrelationGrid:
-    """Values over (Doppler bin, code-phase sample): one 1 ms unit's complex
-    correlations, or the non-negative detection values integrated from them.
-
-    Unit correlations from process_units are complex64 (see the module
-    docstring); the integrators' detection values are float64."""
+    """One 1 ms unit's complex64 correlations over (Doppler bin, code-phase
+    sample).  It remains only as the traced return of process_units, until
+    ROADMAP item 1 lets that function return its block; the engine passes
+    the block itself on (eval_harness.run_span)."""
 
     values: np.ndarray          # shape (len(plan.bins), samples per code)
-    plan: FrequencyPlan
-    samples_per_chip: int
 
 
 # The mixing table is filled _TABLE_BLOCK rows at a time, so its float64
@@ -225,9 +222,9 @@ def process_units(signal: SampledSignal, code: ChipSequence,
                   table: np.ndarray | None = None) -> list[CorrelationGrid]:
     """Split a multi-millisecond signal into consecutive units and process each.
 
-    All grids share the same plan; unit m starts count*m samples into the
-    signal with its start time advanced accordingly.  Real and IQ samples of
-    any float dtype are mixed the same way.
+    Unit m starts count*m samples into the signal with its start time
+    advanced accordingly.  Real and IQ samples of any float dtype are
+    mixed the same way.
 
     The units are correlated in one C-contiguous complex64 block of shape
     (count, bins, n): the mixing product, one forward FFT over its
@@ -288,10 +285,7 @@ def process_units(signal: SampledSignal, code: ChipSequence,
     freqs = plan.center + np.asarray(plan.bins)
     lo = np.exp(-2j * np.pi * ((freqs * t0[:, None]) % 1.0))
     _multiply_rows(flat, lo.astype(np.complex64).reshape(-1, 1), flat)
-    samples_per_chip = round(fs / code.chip_rate)
-    return [CorrelationGrid(values=out[m], plan=plan,
-                            samples_per_chip=samples_per_chip)
-            for m in range(count)]
+    return [CorrelationGrid(values=out[m]) for m in range(count)]
 
 
 def _fft_into(transform, values: np.ndarray) -> None:

@@ -12,7 +12,7 @@ one sample, cyclically), and give the two figure-analog products:
 
 One path leads from epochs to labelled results.  run_span, the one epoch
 loop of acquisition, correlates each epoch of a span once, integrates the
-grids with every strategy at that span and feeds each strategy's rows to
+units with every strategy at that span and feeds each strategy's rows to
 the detector's row search, block by block (see run_span); run_epoch calls
 it with one epoch and one strategy.  acquisition_timeline then labels and
 summarises the results it is given, and acquires nothing itself.
@@ -144,13 +144,13 @@ def run_span(epochs: Sequence[SampledSignal], code: ChipSequence,
     epoch k under specs[i].
 
     All specs must share one span (the plan is built for it).  Each epoch
-    is correlated once and every strategy integrates the same unit grids.
+    is correlated once and every strategy integrates the same unit block.
 
     The plan is walked in the row blocks of acq_core.row_blocks:
-    process_units correlates the block's sub-plan, and every strategy
-    integrates its grids and feeds the rows to its RowSearch for the
-    epoch.  One grid buffer, the sub-plans, the plan's mixing table and a
-    band_scope are made once per span.
+    process_units correlates the block's sub-plan into the (count, rows, n)
+    unit block, and every strategy integrates that block and feeds the rows
+    to its RowSearch for the epoch.  One grid buffer, the sub-plans, the
+    plan's mixing table and a band_scope are made once per span.
     """
     spans = {spec.total_ms for spec in specs}
     if len(spans) != 1:
@@ -166,17 +166,16 @@ def run_span(epochs: Sequence[SampledSignal], code: ChipSequence,
                  for a, b in blocks]
     table = _mixing_table(plan, n, fs)
     buffer = np.empty(count * blocks[0][1] * n, np.complex64)
+    l_spc = round(fs / code.chip_rate)  # one chip excluded around the peak
     with band_scope():
         for epoch in epochs:
-            searches = []
+            searches = [RowSearch(plan, l_spc) for _ in specs]
             for (a, b), sub_plan in zip(blocks, sub_plans):
                 out = buffer[:count * (b - a) * n].reshape(count, b - a, n)
-                grids = process_units(epoch, code, sub_plan, count=count,
-                                      out=out, table=table[a:b])
-                searches = searches or [
-                    RowSearch(plan, grids[0].samples_per_chip) for _ in specs]
+                process_units(epoch, code, sub_plan, count=count, out=out,
+                              table=table[a:b])
                 for search, spec in zip(searches, specs):
-                    search.add(integrate(grids, spec.strategy).values)
+                    search.add(integrate(out, spec.strategy))
             results.append([acquire(search, threshold=threshold)
                             for search in searches])
     return results

@@ -1,7 +1,7 @@
 """Weak-signal integration strategies over per-unit correlation grids.
 
-Five ways of combining M complex unit grids, cell by cell, into one
-non-negative detection grid:
+Five ways of combining a (M, bins, n) complex block of M unit grids, cell
+by cell, into one non-negative (bins, n) detection grid:
 
   non-coherent        sum of magnitudes (bit-flip immune, squaring loss)
   coherent            magnitude of the sum (full gain, killed by bit flips)
@@ -31,11 +31,11 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .acq_core import CorrelationGrid, _row_bands, slab_rows
+from .acq_core import _row_bands, slab_rows
 
 BLOCK_UNITS = 10  # alternate half-bit block length in units (10 ms)
 
@@ -74,37 +74,33 @@ class IntegrationSpec:
             raise ValueError(reason)
 
 
-def _by_slab(grids: list[CorrelationGrid], strategy: Strategy,
-             kernel: Callable[[list[np.ndarray]], np.ndarray]) -> CorrelationGrid:
+def _by_slab(units: np.ndarray, strategy: Strategy,
+             kernel: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Apply kernel, which maps the units' (rows, n) complex views in unit
     order to their (rows, n) detection values, to each slab of whole rows,
     in row bands gated on the cells of all units together."""
-    IntegrationSpec(strategy, len(grids))  # raises if the span is undefined
-    first = grids[0]
-    if any(g.plan != first.plan or g.values.shape != first.values.shape
-           for g in grids[1:]):
-        raise ValueError("unit grids must share plan and shape")
-    bins, n = first.values.shape
+    IntegrationSpec(strategy, len(units))  # raises if the span is undefined
+    _, bins, n = units.shape
     out = np.empty((bins, n))
     height = slab_rows(n)
 
     def walk(band):
         for r in range(band.start, band.stop, height):
             rows = slice(r, min(r + height, band.stop))
-            out[rows] = kernel([g.values[rows] for g in grids])
+            out[rows] = kernel(units[:, rows])
 
-    _row_bands(walk, bins, len(grids) * bins * n, align=height)
-    return replace(first, values=out)
+    _row_bands(walk, bins, units.size, align=height)
+    return out
 
 
-def _noncoherent(units: list[np.ndarray]) -> np.ndarray:
+def _noncoherent(units: np.ndarray) -> np.ndarray:
     acc = np.abs(units[0])
     for u in units[1:]:
         acc += np.abs(u)
     return acc
 
 
-def _coherent(units: list[np.ndarray]) -> np.ndarray:
+def _coherent(units: np.ndarray) -> np.ndarray:
     if len(units) == 1:
         return np.abs(units[0])
     acc = units[0].copy()
@@ -113,7 +109,7 @@ def _coherent(units: list[np.ndarray]) -> np.ndarray:
     return np.abs(acc)
 
 
-def _pre_guess(units: list[np.ndarray]) -> np.ndarray:
+def _pre_guess(units: np.ndarray) -> np.ndarray:
     """Coherent sum with a per-unit sign hypothesis, decided per cell.
 
     The sign of unit m is +1 iff adding it grows the running sum magnitude
@@ -137,7 +133,7 @@ def _pre_guess(units: list[np.ndarray]) -> np.ndarray:
     return np.abs(acc)
 
 
-def _differential(units: list[np.ndarray]) -> np.ndarray:
+def _differential(units: np.ndarray) -> np.ndarray:
     acc = np.conj(units[0]) * units[1]
     conj, term = np.empty_like(acc), np.empty_like(acc)
     for prev, u in zip(units[1:], units[2:]):
@@ -147,7 +143,7 @@ def _differential(units: list[np.ndarray]) -> np.ndarray:
     return np.abs(acc)
 
 
-def _alternate_half_bit(units: list[np.ndarray]) -> np.ndarray:
+def _alternate_half_bit(units: np.ndarray) -> np.ndarray:
     """Coherent 10 ms blocks, odd/even block sets accumulated separately.
 
     With bit transitions possible only every 20 ms, one of the two block
@@ -173,6 +169,7 @@ _KERNELS = {
 }
 
 
-def integrate(grids: list[CorrelationGrid], strategy: Strategy) -> CorrelationGrid:
-    """Combine the unit grids in unit order into strategy's detection grid."""
-    return _by_slab(grids, strategy, _KERNELS[strategy])
+def integrate(units: np.ndarray, strategy: Strategy) -> np.ndarray:
+    """Combine the (count, rows, n) complex block of unit grids, in unit
+    order, into strategy's (rows, n) float64 detection rows."""
+    return _by_slab(units, strategy, _KERNELS[strategy])

@@ -31,25 +31,14 @@ from .prn_code import generate_code, samples_per_code
 from .geometry import simulate_pass, PassScenario
 from .signal_synth import SampledSignal, SynthParams, synthesize_pass_signal
 from .acq_core import make_plan
+from .detector import DEFAULT_MTSMR_THRESHOLD
 from .integrators import IntegrationSpec, Strategy, span_error
 from .eval_harness import (acquisition_timeline, pf_sweep, run_span,
                            threshold_bounds)
 
 
 class SampleFileError(Exception):
-    """Base for sample-file data errors."""
-
-
-class UnknownFormatError(SampleFileError):
-    pass
-
-
-class TruncatedFileError(SampleFileError):
-    pass
-
-
-class ReadRangeError(SampleFileError):
-    pass
+    """A sample file, its format or its truth sidecar is unusable."""
 
 
 # format tag -> (little-endian dtype, integer full-scale or None, is_iq)
@@ -75,7 +64,7 @@ class SampleFileMeta:
 
     def __post_init__(self):
         if self.format not in _FORMATS:
-            raise UnknownFormatError(
+            raise SampleFileError(
                 f"unknown sample format {self.format!r}; "
                 f"supported: {', '.join(sorted(_FORMATS))}")
 
@@ -98,7 +87,7 @@ def read_samples(path, meta: SampleFileMeta, offset: int = 0,
     frame = meta.bytes_per_sample
     size = os.path.getsize(path)
     if size % frame != 0:
-        raise TruncatedFileError(
+        raise SampleFileError(
             f"{path}: file truncated at byte {size}: length is not a "
             f"multiple of the {frame}-byte sample frame "
             f"(last whole sample ends at byte {size - size % frame})")
@@ -106,7 +95,7 @@ def read_samples(path, meta: SampleFileMeta, offset: int = 0,
     if count is None:
         count = total - offset
     if offset < 0 or count < 0 or offset + count > total:
-        raise ReadRangeError(
+        raise SampleFileError(
             f"{path}: read range [{offset}, {offset + count}) outside the "
             f"{total} samples in the file")
     raw = np.fromfile(path, dtype=dtype, count=count * (2 if is_iq else 1),
@@ -214,9 +203,10 @@ def write_truth_sidecar(path, meta: SampleFileMeta, epochs: list[SampledSignal],
 def read_truth_sidecar(path) -> tuple[dict, list[dict]]:
     """Parse a truth sidecar into a header dict and per-epoch dicts.
 
-    The header must hold exactly the keys write_truth_sidecar writes, and
-    each epoch exactly "t" plus every SynthParams field, each a JSON value
-    of its field's type; data_bits comes back as an array or None.
+    The header must hold exactly the keys write_truth_sidecar writes, with
+    epoch_count the length of a non-empty epochs list, and each epoch
+    exactly "t" plus every SynthParams field, each a JSON value of its
+    field's type; data_bits comes back as an array or None.
     """
     try:
         with open(path) as f:
@@ -238,6 +228,10 @@ def read_truth_sidecar(path) -> tuple[dict, list[dict]]:
                           complete=True)
         if e["data_bits"] is not None:
             e["data_bits"] = np.array(e["data_bits"], dtype=np.float64)
+    if header["epoch_count"] != len(epochs):
+        raise SampleFileError(
+            f"{path}: epoch_count is {header['epoch_count']}, but the "
+            f"sidecar lists {len(epochs)} epochs")
     return header, epochs
 
 
@@ -285,7 +279,7 @@ class ScenarioConfig:
     epoch_step: float = 1.0
     strategies: list = field(default_factory=lambda: ["coherent"])
     total_ms: list = field(default_factory=lambda: [1])
-    threshold: float = 2.5
+    threshold: float = DEFAULT_MTSMR_THRESHOLD
     half_span: float = 10e3
     pf_thresholds: list = field(default_factory=lambda: [1.0, 6.0, 0.05])
     sample_format: str = "float32-real"
@@ -326,7 +320,7 @@ class ScenarioConfig:
                 f"epoch duration {self.duration}s shorter than the longest "
                 f"integration {max(self.total_ms)} ms")
         if self.sample_format not in _FORMATS:
-            raise UnknownFormatError(f"unknown sample format {self.sample_format!r}")
+            raise SampleFileError(f"unknown sample format {self.sample_format!r}")
         generate_code(self.prn_id)  # validates the PRN id
         if next(self.run_combos(), None) is None:
             raise ValueError(
@@ -460,8 +454,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--strategy", default="coherent",
                    choices=sorted(_STRATEGY_NAMES))
     p.add_argument("--total-ms", type=int, default=1)
-    p.add_argument("--threshold", type=float, default=2.5)
-    p.add_argument("--half-span", type=float, default=10e3)
+    p.add_argument("--threshold", type=float, default=ScenarioConfig.threshold)
+    p.add_argument("--half-span", type=float, default=ScenarioConfig.half_span)
     p.add_argument("--out", default=None, help="default: stdout")
     p.set_defaults(run=_cmd_acquire)
 
@@ -533,7 +527,7 @@ def _cmd_acquire(args) -> int:
     spe = header["samples_per_epoch"]
     total = os.path.getsize(args.samples) // meta.bytes_per_sample
     if total < len(epoch_truths) * spe:
-        raise ReadRangeError(
+        raise SampleFileError(
             f"{args.samples}: {total} samples, fewer than the sidecar's "
             f"{len(epoch_truths)} epochs of {spe}")
     # Each epoch is read only as far as the span correlates; an epoch

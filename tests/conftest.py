@@ -15,7 +15,7 @@ import pytest
 from hypothesis import settings
 
 from leoacq import acq_core
-from leoacq.acq_core import CorrelationGrid, FrequencyPlan, make_plan
+from leoacq.acq_core import FrequencyPlan, make_plan, process_units
 from leoacq.detector import RowSearch
 from leoacq.prn_code import generate_code
 from leoacq.signal_synth import SampledSignal, SynthParams, synthesize
@@ -89,27 +89,28 @@ def dummy_plan(n_bins=3) -> FrequencyPlan:
                          bins=tuple((k - side) * 500.0 for k in range(n_bins)))
 
 
-def grids_from_values(value_arrays, plan=None, samples_per_chip=1):
-    """Wrap raw complex matrices as unit grids sharing one plan."""
-    arrays = [np.atleast_2d(np.asarray(v, dtype=np.complex128)) for v in value_arrays]
-    if plan is None:
-        plan = dummy_plan(arrays[0].shape[0])
-    return [CorrelationGrid(values=a, plan=plan,
-                            samples_per_chip=samples_per_chip)
-            for a in arrays]
+def grids_from_values(value_arrays):
+    """Stack raw complex matrices into one (units, rows, n) block of unit
+    grids."""
+    return np.stack([np.atleast_2d(np.asarray(v, dtype=np.complex128))
+                     for v in value_arrays])
 
 
-def fed_search(grid, l_spc=None) -> RowSearch:
-    """A RowSearch fed a whole detection grid as one block: a CorrelationGrid
-    over its plan, excluding one chip by default, or an array of values
-    over one dummy bin per row, excluding one sample by default."""
-    if not isinstance(grid, CorrelationGrid):
-        v = np.atleast_2d(np.asarray(grid, dtype=np.float64))
-        grid = CorrelationGrid(values=v, plan=dummy_plan(len(v)),
-                               samples_per_chip=1)
-    search = RowSearch(grid.plan,
-                       grid.samples_per_chip if l_spc is None else l_spc)
-    search.add(grid.values)
+def unit_block(signal, code, plan, **kwargs):
+    """process_units' grids of signal over plan as one (units, bins, n)
+    block, as integrate takes them."""
+    return np.stack([g.values
+                     for g in process_units(signal, code, plan, **kwargs)])
+
+
+def fed_search(values, l_spc=1, plan=None) -> RowSearch:
+    """A RowSearch fed a whole detection grid of values as one block, over
+    plan (by default one dummy bin per row), excluding l_spc samples around
+    the peak (one chip at the fast profile's 1 sample/chip)."""
+    values = np.atleast_2d(np.asarray(values, dtype=np.float64))
+    search = RowSearch(dummy_plan(len(values)) if plan is None else plan,
+                       l_spc)
+    search.add(values)
     return search
 
 

@@ -22,7 +22,7 @@ from leoacq.prn_code import ChipSequence, generate_code, sample_code
 from leoacq.signal_synth import SampledSignal, noise_sigma
 
 from conftest import (FS_FAST, FIF_FAST, FS_FULL, FIF_FULL, fed_search,
-                      plan_for, row_bands, synth_units)
+                      plan_for, row_bands, synth_units, unit_block)
 
 
 class TestMakePlan:
@@ -78,8 +78,7 @@ def reference_process_units(signal, code, plan):
         values = scipy.fft.ifft(values * code_fft, axis=1)
         if t0 != 0.0:
             values *= np.exp(-2j * np.pi * ((freqs * t0) % 1.0))[:, None]
-        grids.append(CorrelationGrid(values=values, plan=plan,
-                                     samples_per_chip=round(fs / code.chip_rate)))
+        grids.append(CorrelationGrid(values=values))
     return grids
 
 
@@ -149,7 +148,6 @@ class TestProcessUnit:
         i, j = np.unravel_index(np.argmax(np.abs(grid.values)), grid.values.shape)
         assert plan.bins[i] == 1000.0
         assert j == 1000
-        assert grid.samples_per_chip == 4
         assert grid.values.shape[1] == 4092
 
     @pytest.mark.parametrize("engine", [process_units, reference_process_units])
@@ -179,9 +177,9 @@ class TestProcessUnit:
             rng = np.random.default_rng(1000 + k)
             sig = SampledSignal(samples=rng.normal(0, sigma, 1023),
                                 sample_rate=FS_FAST)
-            det = integrate(process_units(sig, code1, plan),
+            det = integrate(unit_block(sig, code1, plan),
                             Strategy.NON_COHERENT)
-            if fed_search(det).mtsmr() < 2.5:
+            if fed_search(det, l_spc=1).mtsmr() < 2.5:
                 below += 1
         assert below >= 0.9 * trials
 
@@ -221,11 +219,6 @@ class TestProcessUnits:
         i, j = np.unravel_index(np.argmax(mags), mags.shape)
         ratio = g1.values[i, j] / g0.values[i, j]
         assert abs(ratio + 1.0) < 1e-3
-
-    def test_grids_share_plan(self, code1):
-        sig, _ = synth_units(3, code1)
-        grids = process_units(sig, code1, plan_for(1))
-        assert all(g.plan is grids[0].plan for g in grids)
 
 
 def _wrap_fft(monkeypatch, wrapper):
@@ -542,13 +535,15 @@ class TestSinglePrecision:
                              fs=FS_FULL, fif=FIF_FULL, code_phase0=311.4)
         sig.t0 = 137.0
         plan = make_plan(FIF_FULL, 250.0, 20)
-        got = process_units(sig, code1, plan)
-        ref = reference_process_units(sig, code1, plan)
+        got = unit_block(sig, code1, plan)
+        ref = np.stack([g.values
+                        for g in reference_process_units(sig, code1, plan)])
         for strategy in Strategy:
             det = integrate(got, strategy)
-            assert det.values.dtype == np.float64
-            a = acquire(fed_search(det))
-            b = acquire(fed_search(integrate(ref, strategy)))
+            assert det.dtype == np.float64
+            a = acquire(fed_search(det, l_spc=4, plan=plan))
+            b = acquire(fed_search(integrate(ref, strategy), l_spc=4,
+                                   plan=plan))
             assert b.decided and abs(b.doppler_hat - 140.0) <= 12.5
             assert (a.doppler_hat, a.code_phase_hat, a.decided) == (
                 b.doppler_hat, b.code_phase_hat, b.decided)
@@ -736,10 +731,8 @@ class TestRowBands:
         plan = sub_plan(make_plan(FIF_FULL, 5e3, 20), 0, 16)
         block = np.zeros((20, 16, 4092), np.complex64)
         assert block[0].size < acq_core._BAND_CELLS <= block.size
-        grids = [CorrelationGrid(values=u, plan=plan, samples_per_chip=4)
-                 for u in block]
         with row_bands(2, gate=acq_core._BAND_CELLS):
-            integrate(grids, Strategy.COHERENT)
+            integrate(block, Strategy.COHERENT)
         assert pools
 
     # fast_sweep's largest grids (5 ms, +/-10 kHz) and the 1 ms ones
@@ -751,11 +744,11 @@ class TestRowBands:
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
                             _no_pool)
         with row_bands(8, gate=acq_core._BAND_CELLS):
-            grids = process_units(sig, code1, plan)
+            units = unit_block(sig, code1, plan)
             for strategy in Strategy:
                 if span_error(strategy, total_ms) is None:
-                    integrate(grids, strategy)
-        assert grids[0].values.size == len(plan.bins) * 1023
+                    integrate(units, strategy)
+        assert units[0].size == len(plan.bins) * 1023
 
     def test_unknown_core_count_runs_serially(self, code1, monkeypatch):
         sig, _ = synth_units(2, code1, cn0=45.0)
@@ -765,11 +758,13 @@ class TestRowBands:
                             _no_pool)
         with row_bands(None):
             got = process_units(sig, code1, plan_for(2))
-            det = integrate(got, Strategy.NON_COHERENT)
+            det = integrate(np.stack([g.values for g in got]),
+                            Strategy.NON_COHERENT)
         for a, b in zip(got, want, strict=True):
             assert a.values.tobytes() == b.values.tobytes()
-        want_det = integrate(want, Strategy.NON_COHERENT)
-        assert det.values.tobytes() == want_det.values.tobytes()
+        want_det = integrate(np.stack([g.values for g in want]),
+                             Strategy.NON_COHERENT)
+        assert det.tobytes() == want_det.tobytes()
 
 
 def _counted_pools(monkeypatch):

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from leoacq.acq_core import process_units
 from leoacq.detector import RowSearch, acquire, decide
 from leoacq.integrators import Strategy, integrate
 from leoacq.signal_synth import SampledSignal, noise_sigma
 
-from conftest import FS_FAST, dummy_plan, fed_search, plan_for, synth_units
+from conftest import (FS_FAST, dummy_plan, fed_search, plan_for, synth_units,
+                      unit_block)
 
 
 class TestPeak:
@@ -171,7 +171,7 @@ class TestDecide:
 
 def _detection(sig, code, plan, strategy):
     """The detection grid of strategy over the units of sig."""
-    return integrate(process_units(sig, code, plan), strategy)
+    return integrate(unit_block(sig, code, plan), strategy)
 
 
 class TestMonteCarloSeparation:
@@ -182,12 +182,12 @@ class TestMonteCarloSeparation:
         for k in range(200):
             sig, _ = synth_units(5, code1, d0=500.0, cn0=48.0, seed=900 + k)
             det = _detection(sig, code1, plan, Strategy.COHERENT)
-            strong.append(fed_search(det).mtsmr())
+            strong.append(fed_search(det, l_spc=1).mtsmr())
             rng = np.random.default_rng(4242 + k)
             noise_sig = SampledSignal(samples=rng.normal(0, sigma, 5 * 1023),
                                       sample_rate=FS_FAST)
             det = _detection(noise_sig, code1, plan, Strategy.COHERENT)
-            noise.append(fed_search(det).mtsmr())
+            noise.append(fed_search(det, l_spc=1).mtsmr())
         strong = np.array(strong)
         noise = np.array(noise)
         assert np.median(strong) > 2.5
@@ -200,8 +200,9 @@ class TestMonteCarloSeparation:
 class TestAcquire:
     def test_reports_plan_relative_doppler_and_sample_phase(self, code1):
         sig, _ = synth_units(2, code1, d0=500.0, cn0=None, code_phase0=100.0)
-        det = _detection(sig, code1, plan_for(1), Strategy.NON_COHERENT)
-        res = acquire(fed_search(det))
+        plan = plan_for(1)
+        det = _detection(sig, code1, plan, Strategy.NON_COHERENT)
+        res = acquire(fed_search(det, l_spc=1, plan=plan))
         assert res.doppler_hat == 500.0
         assert res.code_phase_hat == (1023 - 100) % 1023
         assert res.decided is True
@@ -212,19 +213,20 @@ class TestAcquire:
         # acquire feeds nothing: it reads the peak and both indicators off
         # the search it is given
         sig, _ = synth_units(2, code1, d0=500.0, cn0=40.0, seed=3)
-        det = _detection(sig, code1, plan_for(2), Strategy.NON_COHERENT)
-        search = fed_search(det)
+        plan = plan_for(2)
+        det = _detection(sig, code1, plan, Strategy.NON_COHERENT)
+        search = fed_search(det, l_spc=1, plan=plan)
         (i, j, _), ratio, mean_ratio = (search.peak(), search.mtsmr(),
                                         search.mtmr())
         monkeypatch.setattr(RowSearch, "add", None)
         res = acquire(search)
         assert (res.doppler_hat, res.code_phase_hat, res.mtsmr, res.mtmr) == (
-            det.plan.bins[i], j, ratio, mean_ratio)
+            plan.bins[i], j, ratio, mean_ratio)
 
     def test_threshold_respected(self, code1):
         sig, _ = synth_units(1, code1, cn0=None)
         det = _detection(sig, code1, plan_for(1), Strategy.NON_COHERENT)
-        res = acquire(fed_search(det), threshold=1e9)
+        res = acquire(fed_search(det, l_spc=1), threshold=1e9)
         assert res.decided is False
 
 

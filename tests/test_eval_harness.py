@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from leoacq import acq_core, eval_harness
-from leoacq.acq_core import make_plan, process_units, samples_per_code
+from leoacq.acq_core import make_plan, samples_per_code
 from leoacq.detector import AcqResult, RowSearch, acquire
 from leoacq.eval_harness import (EpochLabel, EpochTruth, PfCurve,
                                  acquisition_timeline, cyclic_distance,
@@ -30,7 +30,7 @@ from leoacq.signal_synth import synthesize_pass_signal
 
 from conftest import (FS_FAST, FIF_FAST, FS_FULL, FIF_FULL, block_rows,
                       fast_params, fed_search, plan_for, row_bands,
-                      synth_units)
+                      synth_units, unit_block)
 
 
 def _result(doppler=0.0, code=0, ratio=5.0, decided=True):
@@ -154,11 +154,51 @@ class TestRunSpan:
                                                  slab * n):
             got = run_span(epochs, code1, plan, specs, threshold=2.5)
         for epoch, row in zip(epochs, got, strict=True):
-            grids = process_units(epoch, code1, plan)
-            want = [acquire(fed_search(integrate(grids, spec.strategy)),
-                            threshold=2.5) for spec in specs]
+            units = unit_block(epoch, code1, plan)
+            want = [acquire(fed_search(integrate(units, spec.strategy),
+                                       l_spc=round(fs / code1.chip_rate),
+                                       plan=plan), threshold=2.5)
+                    for spec in specs]
             assert ([dataclasses.astuple(r) for r in row]
                     == [dataclasses.astuple(r) for r in want])
+
+    # repr of (doppler_hat, code_phase_hat, mtsmr, mtmr, decided) for each
+    # epoch of test_pinned_results under every Strategy in enum order
+    PINNED = [
+        ["(400.0, 2847, 4.886606732515521, 18.08389229422203, True)",
+         "(400.0, 2847, 4.34358216324115, 6.374565201672938, True)",
+         "(425.0, 2847, 5.154272468169673, 8.764460168100456, True)",
+         "(400.0, 2847, 38.82010351549685, 133.84030187523203, True)",
+         "(425.0, 2847, 5.21158851570191, 14.680564262078994, True)"],
+        ["(-575.0, 647, 5.418885418414605, 19.51437243818314, True)",
+         "(-600.0, 647, 4.380997797139517, 6.5854425745012195, True)",
+         "(-625.0, 647, 5.421563872170249, 8.764001658208745, True)",
+         "(-600.0, 647, 28.15191927664434, 140.32653802951097, True)",
+         "(-625.0, 647, 5.354189719960957, 16.016963023215837, True)"],
+    ]
+
+    @pytest.mark.parametrize("blocks", [
+        lambda: row_bands(1, gate=1 << 62), lambda: block_rows(8, 4092)],
+        ids=["one-block", "8-row-blocks"])
+    def test_pinned_results(self, code1, blocks):
+        # Two 20 ms paper-profile epochs at 45 dB-Hz with a bit transition
+        # 7 ms in, over +/-1 kHz (81 bins): the engine's results are bitwise
+        # those pinned, whether the plan is one block or 8-row blocks.
+        epochs = []
+        for k, (d0, phase) in enumerate(((430.0, 311.25), (-615.0, 2907.5))):
+            sig, _ = synth_units(20, code1, d0=d0, cn0=45.0,
+                                 seed=20261017 + k, fs=FS_FULL, fif=FIF_FULL,
+                                 code_phase0=phase,
+                                 data_bits=np.array([1.0, -1.0]),
+                                 bit_phase0=7.0)
+            sig.t0 = 20.0 * k
+            epochs.append(sig)
+        specs = [IntegrationSpec(s, 20) for s in Strategy]
+        with blocks():
+            got = run_span(epochs, code1, make_plan(FIF_FULL, 1e3, 20), specs,
+                           threshold=2.5)
+        assert [[repr(dataclasses.astuple(r)) for r in row]
+                for row in got] == self.PINNED
 
     @staticmethod
     def _record(monkeypatch):
@@ -210,10 +250,10 @@ class TestRunSpan:
             acquired.append((search, search.rows))
             return real_acquire(search, threshold=threshold)
 
-        def recorded_integrate(grids, strategy):
-            grid = real_integrate(grids, strategy)
-            integrated.append(grid.values.shape)
-            return grid
+        def recorded_integrate(units, strategy):
+            rows = real_integrate(units, strategy)
+            integrated.append(rows.shape)
+            return rows
 
         monkeypatch.setattr(eval_harness, "acquire", recorded_acquire)
         monkeypatch.setattr(eval_harness, "integrate", recorded_integrate)
@@ -232,10 +272,10 @@ class TestRunSpan:
                               for h in (8, 8, 5) for _ in specs]
         # a split plan sums MTMR's total block by block
         for epoch, row in zip(epochs, got, strict=True):
-            grids = process_units(epoch, code1, plan)
+            units = unit_block(epoch, code1, plan)
             for r, spec in zip(row, specs, strict=True):
-                want = acquire(fed_search(integrate(grids, spec.strategy)),
-                               2.5)
+                want = acquire(fed_search(integrate(units, spec.strategy),
+                                          l_spc=1, plan=plan), 2.5)
                 assert r.mtmr == pytest.approx(want.mtmr, rel=1e-12, abs=0)
                 assert dataclasses.replace(r, mtmr=want.mtmr) == want
 
@@ -245,11 +285,11 @@ class TestRunSpan:
         earlier = []
         real_integrate = eval_harness.integrate
 
-        def recorded(grids, strategy):
+        def recorded(units, strategy):
             assert all(ref() is None for ref in earlier)
-            grid = real_integrate(grids, strategy)
-            earlier.append(weakref.ref(grid.values))
-            return grid
+            rows = real_integrate(units, strategy)
+            earlier.append(weakref.ref(rows))
+            return rows
 
         monkeypatch.setattr(eval_harness, "integrate", recorded)
         specs = [IntegrationSpec(s, 5) for s in Strategy

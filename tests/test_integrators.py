@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from leoacq.acq_core import _SLAB_CELLS, make_plan, process_units, slab_rows
+from leoacq.acq_core import _SLAB_CELLS, make_plan, slab_rows
 from leoacq.detector import decide
 from leoacq.integrators import (IntegrationSpec, Strategy,
                                 _alternate_half_bit, _coherent, _differential,
@@ -14,7 +14,8 @@ from leoacq.integrators import (IntegrationSpec, Strategy,
 from leoacq.signal_synth import SampledSignal
 
 from conftest import (FS_FULL, FIF_FULL, FS_FAST, FIF_FAST, fed_search,
-                      grids_from_values, plan_for, row_bands, synth_units)
+                      grids_from_values, plan_for, row_bands, synth_units,
+                      unit_block)
 
 
 def _random_units(rng, m, shape=(3, 16)):
@@ -38,28 +39,28 @@ class TestAlgebraicIdentities:
     def test_single_unit_noncoherent_equals_coherent(self):
         rng = np.random.default_rng(0)
         (g,) = _random_units(rng, 1)
-        nc = integrate([g], Strategy.NON_COHERENT)
-        co = integrate([g], Strategy.COHERENT)
-        assert np.array_equal(nc.values, np.abs(g.values))
-        assert np.array_equal(nc.values, co.values)
+        nc = integrate(g[None], Strategy.NON_COHERENT)
+        co = integrate(g[None], Strategy.COHERENT)
+        assert np.array_equal(nc, np.abs(g))
+        assert np.array_equal(nc, co)
 
     def test_noncoherent_is_sign_blind(self):
         grids, z, cell = _signed_units([1, -1, 1, -1])
         out = integrate(grids, Strategy.NON_COHERENT)
-        assert out.values[cell] == pytest.approx(4 * abs(z), rel=1e-12)
+        assert out[cell] == pytest.approx(4 * abs(z), rel=1e-12)
 
     def test_coherent_alternating_cancels_exactly(self):
         grids, _, cell = _signed_units([1, -1, 1, -1])
-        assert integrate(grids, Strategy.COHERENT).values[cell] == 0.0
+        assert integrate(grids, Strategy.COHERENT)[cell] == 0.0
 
     def test_coherent_linear_gain(self):
         grids, z, cell = _signed_units([1, 1, 1, 1, 1])
-        got = integrate(grids, Strategy.COHERENT).values[cell]
+        got = integrate(grids, Strategy.COHERENT)[cell]
         assert got == pytest.approx(5 * abs(z), rel=1e-12)
 
     def test_pre_guess_rectifies_flips(self):
         grids, z, cell = _signed_units([1, -1, 1])
-        got = integrate(grids, Strategy.PRE_GUESS).values[cell]
+        got = integrate(grids, Strategy.PRE_GUESS)[cell]
         assert got == pytest.approx(3 * abs(z), rel=1e-12)
 
     def test_pre_guess_equals_coherent_without_flips(self):
@@ -69,17 +70,17 @@ class TestAlgebraicIdentities:
         grids = grids_from_values([base.copy() for _ in range(6)])
         pg = integrate(grids, Strategy.PRE_GUESS)
         co = integrate(grids, Strategy.COHERENT)
-        assert np.array_equal(pg.values, co.values)
+        assert np.array_equal(pg, co)
 
     def test_differential_identical_units(self):
         grids, z, cell = _signed_units([1, 1, 1, 1])
         out = integrate(grids, Strategy.DIFFERENTIAL)
-        assert out.values[cell] == pytest.approx(3 * abs(z) ** 2, rel=1e-12)
+        assert out[cell] == pytest.approx(3 * abs(z) ** 2, rel=1e-12)
 
     def test_differential_alternating_units(self):
         grids, z, cell = _signed_units([1, -1, 1, -1])
         out = integrate(grids, Strategy.DIFFERENTIAL)
-        assert out.values[cell] == pytest.approx(3 * abs(z) ** 2, rel=1e-12)
+        assert out[cell] == pytest.approx(3 * abs(z) ** 2, rel=1e-12)
 
     def test_differential_constant_rotation(self):
         # units z*e^{j m theta}: all products share one rotation
@@ -91,7 +92,7 @@ class TestAlgebraicIdentities:
             a[0, 2] = z * np.exp(1j * theta * m)
             arrays.append(a)
         out = integrate(grids_from_values(arrays), Strategy.DIFFERENTIAL)
-        assert out.values[0, 2] == pytest.approx(5 * abs(z) ** 2, rel=1e-12)
+        assert out[0, 2] == pytest.approx(5 * abs(z) ** 2, rel=1e-12)
 
     def test_alternate_half_bit_parities(self):
         # flips confined to one parity class leave the other at full gain
@@ -100,12 +101,12 @@ class TestAlgebraicIdentities:
         grids, _, cell = _signed_units(signs, z=z)
         out = integrate(grids, Strategy.ALTERNATE_HALF_BIT)
         # blocks: |5z-5z|=0, |10z|, in parities (odd-indexed=0, even=1)
-        assert out.values[cell] == pytest.approx(10 * abs(z), rel=1e-12)
+        assert out[cell] == pytest.approx(10 * abs(z), rel=1e-12)
 
     def test_alternate_half_bit_no_transitions_branches_equal(self):
         grids, z, cell = _signed_units([1] * 20)
         out = integrate(grids, Strategy.ALTERNATE_HALF_BIT)
-        assert out.values[cell] == pytest.approx(10 * abs(z), rel=1e-12)
+        assert out[cell] == pytest.approx(10 * abs(z), rel=1e-12)
 
 
 @st.composite
@@ -148,20 +149,20 @@ class TestProperties:
     @given(unit_values(min_units=2))
     def test_pre_guess_sign_rule_matches_magnitude_rule(self, values):
         ref, near_tie = _pre_guess_magnitude_rule(values)
-        got = integrate(grids_from_values(values), Strategy.PRE_GUESS).values
+        got = integrate(grids_from_values(values), Strategy.PRE_GUESS)
         assert np.array_equal(got[~near_tie], ref[~near_tie])
 
     @given(unit_values())
     def test_coherent_is_magnitude_of_sum(self, values):
-        got = integrate(grids_from_values(values), Strategy.COHERENT).values
+        got = integrate(grids_from_values(values), Strategy.COHERENT)
         ref = np.abs(values.sum(axis=0))
         assert np.all(np.abs(got - ref) <= SUM_RTOL * np.abs(values).sum(axis=0))
 
     @given(unit_values())
     def test_noncoherent_at_least_coherent(self, values):
         grids = grids_from_values(values)
-        nc = integrate(grids, Strategy.NON_COHERENT).values
-        co = integrate(grids, Strategy.COHERENT).values
+        nc = integrate(grids, Strategy.NON_COHERENT)
+        co = integrate(grids, Strategy.COHERENT)
         assert np.all(nc >= co * (1.0 - SUM_RTOL))
 
     @given(unit_values(),
@@ -171,10 +172,10 @@ class TestProperties:
         # M * b_0 * u, the most any sign pattern can reach.
         u = values[0]
         grids = grids_from_values([b * u for b in signs])
-        got = integrate(grids, Strategy.PRE_GUESS).values
+        got = integrate(grids, Strategy.PRE_GUESS)
         expected = len(signs) * np.abs(u)
         assert np.all(np.abs(got - expected) <= SUM_RTOL * expected)
-        assert np.all(got >= integrate(grids, Strategy.COHERENT).values)
+        assert np.all(got >= integrate(grids, Strategy.COHERENT))
 
 
 # Each strategy and the kernel that integrate runs for it over row slabs.
@@ -214,7 +215,7 @@ class TestSlabs:
     def test_slabs_equal_whole_grid(self, strategy, kernel, data, cores):
         values = data.draw(slab_cut_units(strategy))
         with row_bands(cores):
-            got = integrate(grids_from_values(values), strategy).values
+            got = integrate(grids_from_values(values), strategy)
         assert np.array_equal(got, kernel(list(values)))
 
 
@@ -270,10 +271,10 @@ class TestInvariances:
         rng = np.random.default_rng(2)
         base = [rng.normal(size=(3, 12)) + 1j * rng.normal(size=(3, 12))
                 for _ in range(20)]
-        ref = integrate(grids_from_values(base), strategy).values
+        ref = integrate(grids_from_values(base), strategy)
         rotated = integrate(
             grids_from_values([np.exp(0.7j) * b for b in base]),
-            strategy).values
+            strategy)
         assert np.allclose(rotated, ref, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("strategy", list(Strategy))
@@ -281,8 +282,8 @@ class TestInvariances:
         rng = np.random.default_rng(3)
         base = [rng.normal(size=(3, 12)) + 1j * rng.normal(size=(3, 12))
                 for _ in range(20)]
-        ref = integrate(grids_from_values(base), strategy).values
-        neg = integrate(grids_from_values([-b for b in base]), strategy).values
+        ref = integrate(grids_from_values(base), strategy)
+        neg = integrate(grids_from_values([-b for b in base]), strategy)
         assert np.allclose(neg, ref, rtol=1e-12, atol=1e-12)
 
     def test_shape_and_plan_preserved(self):
@@ -290,22 +291,15 @@ class TestInvariances:
         grids = _random_units(rng, 20)
         for strategy in Strategy:
             out = integrate(grids, strategy)
-            assert out.values.shape == grids[0].values.shape
-            assert out.plan == grids[0].plan
-            assert np.all(out.values >= 0.0)
-            assert np.all(np.isfinite(out.values))
+            assert out.shape == grids[0].shape and out.dtype == np.float64
+            assert np.all(out >= 0.0)
+            assert np.all(np.isfinite(out))
 
 
 class TestErrors:
     def test_empty(self):
         with pytest.raises(ValueError, match="at least one"):
-            integrate([], Strategy.NON_COHERENT)
-
-    def test_shape_mismatch(self):
-        a = grids_from_values([np.ones((2, 4))])
-        b = grids_from_values([np.ones((3, 4))])
-        with pytest.raises(ValueError, match="share plan and shape"):
-            integrate([a[0], b[0]], Strategy.COHERENT)
+            integrate(np.empty((0, 2, 4), complex), Strategy.NON_COHERENT)
 
     def test_differential_needs_two(self):
         grids = grids_from_values([np.ones((2, 4))])
@@ -337,7 +331,7 @@ class TestErrors:
 
         valid = span_error(strategy, total_ms) is None
         assert accepts(lambda: IntegrationSpec(strategy, total_ms)) == valid
-        grids = grids_from_values([np.ones((2, 4))] * total_ms) if total_ms else []
+        grids = np.ones((total_ms, 2, 4), complex)
         assert accepts(lambda: integrate(grids, strategy)) == valid
 
 
@@ -347,39 +341,39 @@ class TestSynthesizedOrdering:
         sig, _ = synth_units(5, code1, d0=1000.0, fs=FS_FULL, fif=FIF_FULL,
                              code_phase0=773.0)
         plan = make_plan(FIF_FULL, 2e3, 1)
-        grids = process_units(sig, code1, plan)
+        grids = unit_block(sig, code1, plan)
         coh = integrate(grids, Strategy.COHERENT)
-        i, j = np.unravel_index(np.argmax(coh.values), coh.values.shape)
-        single = np.abs(grids[0].values[i, j])
-        assert coh.values[i, j] == pytest.approx(5 * single, rel=1e-9)
+        i, j = np.unravel_index(np.argmax(coh), coh.shape)
+        single = np.abs(grids[0][i, j])
+        assert coh[i, j] == pytest.approx(5 * single, rel=1e-9)
 
     def test_noiseless_ordering_no_flips(self, code1):
         sig, _ = synth_units(20, code1, d0=1000.0, fs=FS_FULL, fif=FIF_FULL)
         plan = make_plan(FIF_FULL, 2e3, 1)
-        grids = process_units(sig, code1, plan)
+        grids = unit_block(sig, code1, plan)
         coh = integrate(grids, Strategy.COHERENT)
-        i, j = np.unravel_index(np.argmax(coh.values), coh.values.shape)
+        i, j = np.unravel_index(np.argmax(coh), coh.shape)
         pg = integrate(grids, Strategy.PRE_GUESS)
         ahb = integrate(grids, Strategy.ALTERNATE_HALF_BIT)
         nc = integrate(grids, Strategy.NON_COHERENT)
-        assert pg.values[i, j] == coh.values[i, j]
-        assert coh.values[i, j] >= ahb.values[i, j]
+        assert pg[i, j] == coh[i, j]
+        assert coh[i, j] >= ahb[i, j]
         # triangle inequality; equality up to rounding on aligned units
-        assert nc.values[i, j] >= coh.values[i, j] - 1e-9 * coh.values[i, j]
-        assert nc.values[i, j] == pytest.approx(coh.values[i, j], rel=1e-6)
+        assert nc[i, j] >= coh[i, j] - 1e-9 * coh[i, j]
+        assert nc[i, j] == pytest.approx(coh[i, j], rel=1e-6)
 
     def test_mid_window_flip_favors_robust_strategies(self, code1):
         bits = np.array([1.0, -1.0, 1.0])
         sig, _ = synth_units(20, code1, d0=1000.0, fs=FS_FULL, fif=FIF_FULL,
                              data_bits=bits, bit_phase0=10.0)
         plan = make_plan(FIF_FULL, 2e3, 1)
-        grids = process_units(sig, code1, plan)
+        grids = unit_block(sig, code1, plan)
         truth_cell = np.unravel_index(
-            np.argmax(np.abs(grids[0].values)), grids[0].values.shape)
-        coh = integrate(grids, Strategy.COHERENT).values[truth_cell]
+            np.argmax(np.abs(grids[0])), grids[0].shape)
+        coh = integrate(grids, Strategy.COHERENT)[truth_cell]
         for strategy in (Strategy.NON_COHERENT, Strategy.PRE_GUESS,
                          Strategy.DIFFERENTIAL, Strategy.ALTERNATE_HALF_BIT):
-            assert integrate(grids, strategy).values[truth_cell] > coh
+            assert integrate(grids, strategy)[truth_cell] > coh
 
     def test_pre_guess_matches_exhaustive_oracle(self, code1):
         # noiseless on-bin units with random bit signs: the recursion must
@@ -398,10 +392,10 @@ class TestSynthesizedOrdering:
             for k in range(m):
                 x[k * n:(k + 1) * n] *= signs[k]
             flipped = SampledSignal(samples=x, sample_rate=FS_FULL)
-            grids = process_units(flipped, code1, plan)
-            cell = np.unravel_index(np.argmax(np.abs(grids[0].values)),
-                                    grids[0].values.shape)
-            vals = np.array([g.values[cell] for g in grids])
+            grids = unit_block(flipped, code1, plan)
+            cell = np.unravel_index(np.argmax(np.abs(grids[0])),
+                                    grids[0].shape)
+            vals = np.array([g[cell] for g in grids])
             best = 0.0
             for pattern in range(2 ** (m - 1)):
                 s = np.ones(m)
@@ -409,7 +403,7 @@ class TestSynthesizedOrdering:
                     if (pattern >> b) & 1:
                         s[b + 1] = -1.0
                 best = max(best, abs(np.sum(s * vals)))
-            got = integrate(grids, Strategy.PRE_GUESS).values[cell]
+            got = integrate(grids, Strategy.PRE_GUESS)[cell]
             assert got == pytest.approx(best, rel=1e-12)
 
     def test_detection_probability_grows_with_m(self, code1):
@@ -422,9 +416,9 @@ class TestSynthesizedOrdering:
             for k in range(60):
                 sig, _ = synth_units(m, code1, d0=500.0, cn0=cn0,
                                      seed=5000 + k, fs=FS_FAST, fif=FIF_FAST)
-                det = integrate(process_units(sig, code1, plan),
+                det = integrate(unit_block(sig, code1, plan),
                                 Strategy.NON_COHERENT)
-                if decide(fed_search(det).mtsmr()):
+                if decide(fed_search(det, l_spc=1).mtsmr()):
                     hits += 1
             rates.append(hits / 60)
         assert rates[0] < rates[1] <= rates[2]
@@ -432,7 +426,6 @@ class TestSynthesizedOrdering:
     def test_integrate_dispatcher(self, code1):
         # each strategy runs its own kernel over the units in unit order
         sig, _ = synth_units(20, code1)
-        grids = process_units(sig, code1, plan_for(1))
+        grids = unit_block(sig, code1, plan_for(1))
         for strategy, kernel in _KERNELS:
-            assert np.array_equal(integrate(grids, strategy).values,
-                                  kernel([g.values for g in grids]))
+            assert np.array_equal(integrate(grids, strategy), kernel(grids))

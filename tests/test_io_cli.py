@@ -15,9 +15,8 @@ from leoacq import eval_harness, io_cli, signal_synth
 from leoacq.acq_core import make_plan
 from leoacq.eval_harness import run_span
 from leoacq.integrators import IntegrationSpec, Strategy
-from leoacq.io_cli import (_FORMATS, ReadRangeError, SampleFileError,
-                           SampleFileMeta, ScenarioConfig, TruncatedFileError,
-                           UnknownFormatError, cli, pass_epochs, read_samples,
+from leoacq.io_cli import (_FORMATS, SampleFileError, SampleFileMeta,
+                           ScenarioConfig, cli, pass_epochs, read_samples,
                            read_truth_sidecar, write_samples,
                            write_truth_sidecar)
 from leoacq.prn_code import generate_code
@@ -130,7 +129,7 @@ class TestSampleFiles:
         assert back.t0 == 8 / FS_FAST
 
     def test_unknown_format(self):
-        with pytest.raises(UnknownFormatError, match="unknown sample format"):
+        with pytest.raises(SampleFileError, match="unknown sample format"):
             SampleFileMeta(sample_rate=1e6, intermediate_freq=0.0, format="int4-real")
 
     def test_truncated_file_names_byte_offset(self, tmp_path):
@@ -138,13 +137,13 @@ class TestSampleFiles:
         write_samples(_sig(np.zeros(16)), path, _meta())
         with open(path, "ab") as f:
             f.write(b"\x00")
-        with pytest.raises(TruncatedFileError, match="byte 65"):
+        with pytest.raises(SampleFileError, match="byte 65"):
             read_samples(path, _meta())
 
     def test_out_of_range_read(self, tmp_path):
         path = tmp_path / "f32.bin"
         write_samples(_sig(np.zeros(16)), path, _meta())
-        with pytest.raises(ReadRangeError, match="outside"):
+        with pytest.raises(SampleFileError, match="outside"):
             read_samples(path, _meta(), offset=10, count=10)
 
     @pytest.mark.parametrize("fmt", ["float32-real", "float32-iq"])
@@ -866,9 +865,12 @@ class TestCli:
          "sample_rate"),
         (lambda r: {**r, "epochs": [{**r["epochs"][0], "doppler0": "x"}]},
          "doppler0"),
+        (lambda r: {**r, "epoch_count": len(r["epochs"]) + 1}, "epoch_count"),
+        (lambda r: {**r, "epoch_count": len(r["epochs"]) - 1}, "epoch_count"),
     ], ids=["list", "epoch-int", "epochs-int", "sample_rate-str",
             "intermediate_freq-null", "t0-bool", "samples_per_epoch-float",
-            "format-list", "sample_rate-missing", "doppler0-str"])
+            "format-list", "sample_rate-missing", "doppler0-str",
+            "epoch_count-more", "epoch_count-fewer"])
     def test_acquire_malformed_sidecar_exits_two(
             self, strong_config, tmp_path, capsys, edit, field_name):
         samples = tmp_path / "pass.bin"
