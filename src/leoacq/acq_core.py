@@ -36,9 +36,12 @@ strategy's walk over steps of one row slab.  The forward and inverse FFTs
 stay one 2-D scipy.fft call each on the calling thread (they thread
 themselves through workers=), so a tracer that wraps scipy.fft from
 outside sees every call nested in its process_units call, with bins x
-units rows each way.  Bands write disjoint rows, so results do not depend
-on the band count.  The bands of every call inside one band_scope run on
-its one worker pool; a call outside any opens its own.
+units rows each way.  io_cli.pass_epochs synthesizes a pass in the same
+bands, over rows of epochs: each epoch's samples depend only on its own
+SynthParams (its noise seed and data bits), so a band may synthesize its
+epochs on any thread.  Bands write disjoint rows, so results do not
+depend on the band count.  The bands of every call inside one band_scope
+run on its one worker pool; a call outside any opens its own.
 """
 
 from __future__ import annotations
@@ -122,7 +125,8 @@ def _row_bands(fn, rows: int, cells: int, align: int = 1) -> None:
     slices = [slice(a, b) for a, b in zip(edges, edges[1:])]
     # Looked up here, not imported by name: concurrent.futures loads its
     # thread module on first use, so a run that never bands never pays the
-    # memory for loading it.
+    # memory for loading it (tests/test_imports.py checks that importing
+    # leoacq leaves it unloaded).
     if len(slices) > 1 and scope.pool is None:
         scope.pool = concurrent.futures.ThreadPoolExecutor(scope.cores - 1)
     futures = [scope.pool.submit(fn, band) for band in slices[1:]]

@@ -29,8 +29,9 @@ import numpy as np
 
 from .prn_code import generate_code, samples_per_code
 from .geometry import simulate_pass, PassScenario
-from .signal_synth import SampledSignal, SynthParams, synthesize_pass_signal
-from .acq_core import make_plan
+from . import signal_synth
+from .signal_synth import SampledSignal, SynthParams, pass_params
+from .acq_core import _row_bands, make_plan
 from .detector import DEFAULT_MTSMR_THRESHOLD
 from .integrators import IntegrationSpec, Strategy, span_error
 from .eval_harness import (acquisition_timeline, pf_sweep, run_span,
@@ -319,8 +320,8 @@ class ScenarioConfig:
             raise ValueError(
                 f"epoch duration {self.duration}s shorter than the longest "
                 f"integration {max(self.total_ms)} ms")
-        if self.sample_format not in _FORMATS:
-            raise SampleFileError(f"unknown sample format {self.sample_format!r}")
+        SampleFileMeta(self.sample_rate, self.intermediate_freq,
+                       self.sample_format)  # validates the sample format
         generate_code(self.prn_id)  # validates the PRN id
         if next(self.run_combos(), None) is None:
             raise ValueError(
@@ -376,9 +377,16 @@ def pass_epochs(config: ScenarioConfig) -> list[SampledSignal]:
 
     All samples live in one C-ordered (epochs, samples per epoch) float32
     array: epoch k's samples are a view of row k.  Each epoch is synthesized
-    in float64, rounded to float32 as it is copied into its row, and its own
-    array dropped, so the pass is held once, at 4 bytes a sample, and the
-    whole array is one contiguous stream in epoch order.
+    in float64 and rounded to float32 as it is copied into its row, so the
+    pass is held once, at 4 bytes a sample, and the whole array is one
+    contiguous stream in epoch order.
+
+    The rows are synthesized in the row bands of acq_core._row_bands, on
+    its gate: a pass of at least _BAND_CELLS samples gets one band of
+    epochs per core, each band writing only its own rows.  An epoch's
+    samples depend on its own SynthParams alone (its seed, its data bits;
+    see signal_synth.pass_params), so whatever the band count each row is
+    bitwise the serial pass's epoch (synthesize_pass_signal) in float32.
 
     The rounding costs acquisition nothing: process_units mixes real samples
     as complex64, which rounds them to float32 in the same way, so the
@@ -386,21 +394,25 @@ def pass_epochs(config: ScenarioConfig) -> list[SampledSignal]:
     float64 epochs.  A written integer format can differ by one code where a
     float64 sample lay within float32 resolution of a rounding tie.
     """
-    scenario = config.scenario()
-    rows, epochs = None, []
-    for k, epoch in enumerate(synthesize_pass_signal(
-            scenario, config.base_synth_params(),
-            random_bits=config.data_bits == "random")):
-        if rows is None:
-            rows = np.empty((len(scenario.samples), len(epoch.samples)),
-                            dtype=np.float32)
-        rows[k] = epoch.samples  # the one rounding to float32
-        # The epoch's own array is freed only after the next epoch is made,
-        # so the allocator reuses the synthesis heap instead of returning
-        # its pages and faulting them in again every epoch.
-        held, epoch.samples = epoch.samples, rows[k]
-        epochs.append(epoch)
-    return epochs
+    t0s, truths = zip(*pass_params(config.scenario(),
+                                   config.base_synth_params(),
+                                   random_bits=config.data_bits == "random"))
+    code = generate_code(config.prn_id)
+    rows = np.empty((len(truths), round(config.duration * config.sample_rate)),
+                    dtype=np.float32)
+
+    def band(epochs):
+        for k in range(epochs.start, epochs.stop):
+            # samples keeps the last epoch's array until the next is made,
+            # so the allocator reuses its heap instead of returning the
+            # pages and faulting them in again every epoch
+            samples = signal_synth.synthesize(truths[k], code=code).samples
+            rows[k] = samples  # the one rounding to float32
+
+    _row_bands(band, len(rows), rows.size)
+    return [SampledSignal(samples=row, sample_rate=config.sample_rate,
+                          t0=t0, truth=truth)
+            for row, t0, truth in zip(rows, t0s, truths)]
 
 
 # ---------------------------------------------------------------------------

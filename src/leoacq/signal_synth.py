@@ -101,19 +101,32 @@ def synthesize(params: SynthParams, code: ChipSequence | None = None) -> Sampled
 
     if code is None:
         code = generate_code(params.prn_id)
-    t = np.arange(n, dtype=np.float64) / fs
-
-    # Doppler phase integral, shared by carrier chirp and code-rate scaling.
-    doppler_cycles = params.doppler0 * t + 0.5 * params.doppler_rate * t * t
-    carrier_cycles = params.intermediate_freq * t + doppler_cycles
-
-    chip_phase = (params.code_phase0
-                  + code.chip_rate * (t + doppler_cycles / params.carrier_freq))
-    chips = code.chips[np.floor(chip_phase).astype(np.int64) % code.code_length]
-
-    if params.data_bits is None:
-        bits = 1.0
-    else:
+    # In-place ufuncs over three float64 buffers (t, cycles, x), each step in
+    # the order of the expression in the comment above it, so the samples
+    # are bitwise those of evaluating the expressions whole.
+    t = np.arange(n, dtype=np.float64)
+    t /= fs
+    # Doppler phase integral, shared by carrier chirp and code-rate scaling:
+    # cycles = doppler0 * t + 0.5 * doppler_rate * t * t
+    cycles = np.multiply(0.5 * params.doppler_rate, t)
+    cycles *= t
+    x = np.multiply(params.doppler0, t)
+    cycles += x
+    # chips[floor(code_phase0 + chip_rate * (t + cycles / carrier_freq)) % length]
+    np.divide(cycles, params.carrier_freq, out=x)
+    x += t
+    x *= code.chip_rate
+    x += params.code_phase0
+    # One int64 temporary: with a second one here, glibc returned and
+    # refaulted the heap's top pages every epoch of a pass (57k more minor
+    # faults synthesizing a 539-epoch, 40 ms fast-profile pass).
+    index = np.floor(x, out=x).astype(np.int64)
+    index %= code.code_length
+    # samples = amplitude * chips * bits * sin(2 pi (intermediate_freq * t + cycles))
+    samples = np.take(code.chips, index, out=x, mode="clip")
+    del index
+    samples *= params.amplitude
+    if params.data_bits is not None:
         data = np.asarray(params.data_bits, dtype=np.float64)
         if not np.all(np.abs(data) == 1.0):
             raise ValueError("data_bits must all be +1 or -1")
@@ -122,30 +135,36 @@ def synthesize(params: SynthParams, code: ChipSequence | None = None) -> Sampled
             raise ValueError(
                 f"data_bits too short: need {idx[-1] + 1} bits for "
                 f"{params.duration} s, got {len(data)}")
-        bits = data[idx]
-
-    samples = params.amplitude * chips * bits * np.sin(2.0 * np.pi * carrier_cycles)
+        samples *= data[idx]
+    carrier = np.multiply(params.intermediate_freq, t, out=t)
+    carrier += cycles
+    carrier *= 2.0 * np.pi
+    samples *= np.sin(carrier, out=carrier)
     if params.cn0 is not None:
+        # the draws of rng.normal(0.0, sigma, n), into the free cycles buffer
         sigma = noise_sigma(params.cn0, params.amplitude, fs)
-        rng = np.random.default_rng(params.seed)
-        samples = samples + rng.normal(0.0, sigma, n)
+        noise = np.random.default_rng(params.seed).standard_normal(out=cycles)
+        noise *= sigma
+        samples += noise
     return SampledSignal(samples=samples, sample_rate=fs, t0=0.0, truth=params)
 
 
-def synthesize_pass_signal(scenario: PassScenario, base: SynthParams,
-                           random_bits: bool = False):
-    """Yield one signal epoch per scenario sample.
+def pass_params(scenario: PassScenario, base: SynthParams,
+                random_bits: bool = False):
+    """Yield each epoch's (t0, SynthParams) of a pass, one per scenario
+    sample and in order, without synthesizing any samples.
 
     Epoch Doppler/Doppler-rate follow the scenario; amplitude and C/N0 are
     both reduced by the path-loss excess over the pass minimum, which keeps
     the synthesized noise floor constant while the signal fades.  Per-epoch
-    seeds are derived as base.seed XOR epoch index so epochs can be produced
-    independently in any order.  With random_bits, each epoch gets its own
-    seeded random +/-1 data sequence (a stream independent of the noise).
+    seeds are derived as base.seed XOR epoch index, and with random_bits
+    each epoch gets its own seeded random +/-1 data sequence (a stream
+    independent of the noise).  So an epoch's samples depend on its params
+    alone, and the epochs of a pass can be synthesized in any order, on any
+    thread (io_cli.pass_epochs synthesizes them in row bands).
     """
     if not scenario.samples:
         raise ValueError("empty pass scenario")
-    code = generate_code(base.prn_id)
     loss_min = min(s.path_loss_db for s in scenario.samples)
     n_bits = int(base.duration * 1e3 / BIT_PERIOD_MS) + 2
     for k, s in enumerate(scenario.samples):
@@ -163,6 +182,15 @@ def synthesize_pass_signal(scenario: PassScenario, base: SynthParams,
             params = replace(
                 params,
                 data_bits=1.0 - 2.0 * bit_rng.integers(0, 2, n_bits))
+        yield s.t, params
+
+
+def synthesize_pass_signal(scenario: PassScenario, base: SynthParams,
+                           random_bits: bool = False):
+    """Yield one signal epoch per scenario sample, synthesized one after
+    another from pass_params: the serial pass, one epoch held at a time."""
+    code = generate_code(base.prn_id)
+    for t0, params in pass_params(scenario, base, random_bits):
         epoch = synthesize(params, code=code)
-        epoch.t0 = s.t
+        epoch.t0 = t0
         yield epoch

@@ -52,6 +52,12 @@ def row_bands(cores, gate=1):
         yield
 
 
+def no_pool(*args, **kwargs):
+    """A concurrent.futures.ThreadPoolExecutor for code that must start no
+    worker thread."""
+    raise AssertionError("the engine started worker threads")
+
+
 @contextlib.contextmanager
 def block_rows(height, n):
     """Make acq_core.row_blocks cut plans of n-sample rows into blocks of

@@ -22,7 +22,7 @@ from leoacq.prn_code import ChipSequence, generate_code, sample_code
 from leoacq.signal_synth import SampledSignal, noise_sigma
 
 from conftest import (FS_FAST, FIF_FAST, FS_FULL, FIF_FULL, fed_search,
-                      plan_for, row_bands, synth_units, unit_block)
+                      no_pool, plan_for, row_bands, synth_units, unit_block)
 
 
 class TestMakePlan:
@@ -634,10 +634,6 @@ class TestMixingTable:
         assert peak < 1.25 * table.nbytes
 
 
-def _no_pool(*args, **kwargs):
-    raise AssertionError("the engine started worker threads")
-
-
 class TestRowBands:
     """Row-wise work split into bands of Doppler rows, one per core."""
 
@@ -742,7 +738,7 @@ class TestRowBands:
         sig.t0 = 20.0
         plan = make_plan(FIF_FAST, 10e3, total_ms)
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
-                            _no_pool)
+                            no_pool)
         with row_bands(8, gate=acq_core._BAND_CELLS):
             units = unit_block(sig, code1, plan)
             for strategy in Strategy:
@@ -755,7 +751,7 @@ class TestRowBands:
         sig.t0 = 3.0
         want = process_units(sig, code1, plan_for(2))
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
-                            _no_pool)
+                            no_pool)
         with row_bands(None):
             got = process_units(sig, code1, plan_for(2))
             det = integrate(np.stack([g.values for g in got]),
@@ -804,7 +800,7 @@ class TestBandScope:
 
     def test_a_scope_that_never_bands_starts_no_thread(self, monkeypatch):
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
-                            _no_pool)
+                            no_pool)
         calls = []
         with row_bands(4, gate=100), band_scope():
             _row_bands(calls.append, 9, 99)

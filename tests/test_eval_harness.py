@@ -29,8 +29,8 @@ from leoacq.prn_code import generate_code
 from leoacq.signal_synth import synthesize_pass_signal
 
 from conftest import (FS_FAST, FIF_FAST, FS_FULL, FIF_FULL, block_rows,
-                      fast_params, fed_search, plan_for, row_bands,
-                      synth_units, unit_block)
+                      fast_params, fed_search, no_pool, plan_for,
+                      row_bands, synth_units, unit_block)
 
 
 def _result(doppler=0.0, code=0, ratio=5.0, decided=True):
@@ -94,10 +94,6 @@ class TestLabeling:
             truth = truth_from_epoch(sig, code1)
             label = label_epochs([res], [truth], PLAN1, FIF_FAST, 1023)[0]
             assert label.estimate_ok
-
-
-def _no_pool(*args, **kwargs):
-    raise AssertionError("the engine started worker threads")
 
 
 def _span_epochs(count, **params):
@@ -306,7 +302,7 @@ class TestRunSpan:
         # fast_sweep's spans over the default +/-10 kHz: 201 bins at 5 ms
         calls = self._record(monkeypatch)
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
-                            _no_pool)
+                            no_pool)
         plan = make_plan(FIF_FAST, 10e3, total_ms)
         specs = [IntegrationSpec(s, total_ms) for s in Strategy
                  if span_error(s, total_ms) is None]

@@ -7,6 +7,9 @@ imports left behind when the code that used them is deleted.  Re-exports in
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,3 +43,23 @@ def test_no_unused_imports(path):
 def test_guard_sees_an_unused_import():
     assert unused_imports("import os\nfrom sys import argv, path\n"
                           "print(path)\n") == ["argv", "os"]
+
+
+def test_import_leaves_the_thread_module_unloaded():
+    """A fresh interpreter that imports every leoacq module has not loaded
+    concurrent.futures.thread: acq_core._row_bands relies on that lazy load
+    so that a run that never bands pays for it in neither set-up time nor
+    memory."""
+    names = sorted(p.stem for p in Path(leoacq.__file__).parent.glob("*.py")
+                   if p.name != "__init__.py")
+    code = ("import importlib, sys\n"
+            f"for name in {names!r}:\n"
+            "    importlib.import_module('leoacq.' + name)\n"
+            "print('concurrent.futures.thread' in sys.modules)\n")
+    src = str(Path(leoacq.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert "io_cli" in names
+    assert out == "False\n"

@@ -1,7 +1,10 @@
 """Sample-file I/O, scenario config, and CLI tests."""
 
+import concurrent.futures
 import json
 import tempfile
+import threading
+import time
 import tracemalloc
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -11,7 +14,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from leoacq import eval_harness, io_cli, signal_synth
+from leoacq import acq_core, eval_harness, io_cli, signal_synth
 from leoacq.acq_core import make_plan
 from leoacq.eval_harness import run_span
 from leoacq.integrators import IntegrationSpec, Strategy
@@ -24,7 +27,7 @@ from leoacq.signal_synth import (SampledSignal, SynthParams, synthesize,
                                  synthesize_pass_signal)
 
 from conftest import (FS_FAST, FIF_FAST, FS_FULL, FIF_FULL, block_rows,
-                      fast_params, row_bands)
+                      fast_params, no_pool, row_bands)
 
 
 def _meta(fmt="float32-real", fs=FS_FAST):
@@ -568,13 +571,31 @@ def _config_with(path, data_bits) -> ScenarioConfig:
 
 
 class TestPassWrite:
+    # The 3 noisy epochs of strong_config in 1, 2 or 3 row bands: each band
+    # must draw every epoch's noise and bits from that epoch's own streams
+    # and write only its own rows.
     @pytest.mark.parametrize("data_bits", ["ones", "random"])
-    def test_pass_epochs_are_rows_of_one_array(self, strong_config, data_bits):
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_pass_epochs_are_rows_of_one_array(self, strong_config,
+                                               monkeypatch, cores, data_bits):
         config = _config_with(strong_config, data_bits)
-        epochs = pass_epochs(config)
         want = list(synthesize_pass_signal(
             config.scenario(), config.base_synth_params(),
             random_bits=data_bits == "random"))
+        threads = set()
+        synthesize = signal_synth.synthesize
+
+        def recorded(params, **kwargs):
+            threads.add(threading.get_ident())
+            # Later epochs return sooner, so a band that wrote a row past
+            # its own would write it after the band that owns it.
+            time.sleep(0.005 * (len(want) - (params.seed ^ config.seed)))
+            return synthesize(params, **kwargs)
+
+        monkeypatch.setattr(signal_synth, "synthesize", recorded)
+        with row_bands(cores):
+            epochs = pass_epochs(config)
+        assert (len(threads) > 1) == (cores > 1)
         rows = epochs[0].samples.base
         assert rows.shape == (len(want), len(want[0].samples))
         assert rows.dtype == np.float32
@@ -633,6 +654,20 @@ class TestPassWrite:
             cli(["synth", "--config", strong_config,
                  "--out", str(tmp_path / "pass.bin")])
 
+    def test_pass_under_the_gate_starts_no_thread(self, tmp_path,
+                                                  monkeypatch):
+        # paper_block's pass: the 3 paper-profile epochs of 20 ms above 70 deg
+        path = tmp_path / "paper.json"
+        path.write_text(json.dumps({
+            "sample_rate": FS_FULL, "intermediate_freq": FIF_FULL,
+            "elevation_mask": 70.0, "epoch_step": 20.0, "duration": 0.02,
+            "total_ms": [20]}))
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        with row_bands(8, gate=acq_core._BAND_CELLS):
+            epochs = pass_epochs(ScenarioConfig.from_file(path))
+        assert len(epochs) == 3
+        assert epochs[0].samples.base.size < acq_core._BAND_CELLS
+
     def test_synth_bad_format_exits_two_before_synthesizing(
             self, strong_config, tmp_path, monkeypatch, capsys):
         calls = []
@@ -676,11 +711,13 @@ class TestWriteMemory:
         config = ScenarioConfig.from_file(path)
         pass_bytes = (len(config.scenario().samples)
                       * round(config.duration * config.sample_rate) * 4)
-        rc, peak = _traced_peak(cli, ["synth", "--config", str(path),
-                                      "--out", str(tmp_path / "pass.bin")])
+        # two row bands, so the banded pass is checked on any host
+        with row_bands(2):
+            rc, peak = _traced_peak(cli, ["synth", "--config", str(path),
+                                          "--out", str(tmp_path / "pass.bin")])
         assert rc == 0
-        # the float32 pass plus one epoch's synthesis and one write chunk;
-        # a float64 pass alone is twice pass_bytes
+        # the float32 pass plus one epoch's synthesis per band and one write
+        # chunk; a float64 pass alone is twice pass_bytes
         assert peak < 1.5 * pass_bytes
 
     def test_write_samples_temporaries_are_chunk_sized(self, tmp_path):
@@ -691,6 +728,27 @@ class TestWriteMemory:
 
 
 class TestCli:
+    # a bad sample_format in a config and a bad --format get one message
+    @pytest.mark.parametrize("command", ["duration", "synth"])
+    def test_unknown_format_has_one_message(self, strong_config, tmp_path,
+                                            capsys, command):
+        with pytest.raises(SampleFileError) as rule:
+            SampleFileMeta(FS_FAST, FIF_FAST, format="int4-real")
+        if command == "duration":
+            config = tmp_path / "bad.json"
+            config.write_text(json.dumps({
+                **json.loads(Path(strong_config).read_text()),
+                "sample_format": "int4-real"}))
+            argv = ["duration", "--config", str(config),
+                    "--out", str(tmp_path / "duration.csv")]
+        else:
+            argv = ["synth", "--config", strong_config,
+                    "--out", str(tmp_path / "pass.bin"), "--format", "int4-real"]
+        assert cli(argv) == 2
+        assert capsys.readouterr().err == \
+            f"leoacq {command}: error: {rule.value}\n"
+        assert "supported: " in str(rule.value)
+
     def test_help_exits_zero(self, capsys):
         assert cli(["synth", "--help"]) == 0
         assert "usage" in capsys.readouterr().out
