@@ -19,14 +19,16 @@ signal levels this engine is for.  tests/test_acq_core.py holds a complex128
 reference engine and checks every grid against it within 1e-5 of the
 largest reference cell (TestSinglePrecision).
 
-Blocks of units.  process_units correlates all units of a signal at once,
+Blocks of units.  process_units correlates the units of a signal at once,
 one stage at a time over their (units, bins, n) block.  Each cell goes
 through the same ufuncs in the same order as in a per-unit loop, so the
 grids are bitwise that loop's.  Every Doppler row is independent until the
-detector, so the block may hold any run of a plan's rows: a caller can walk
-a plan in the row blocks of row_blocks (eval_harness.run_span), passing
-each block's sub-plan, its rows of the plan's mixing table and one reused
-buffer, and hand the filled buffer to integrators.integrate as it is.
+detector, so the block may hold any run of a plan's rows.  The constants
+of a span are its caller's: eval_harness.run_span builds the code
+spectrum (code_spectrum), the plan's mixing table and one unit buffer once
+per span, walks the plan in the row blocks of row_blocks, passes each
+block's sub-plan, its rows of the table and a prefix of the buffer, and
+hands the filled buffer to integrators.integrate as it is.
 
 Row bands.  The row-wise work of a block of at least _BAND_CELLS cells
 (all units together) is split into min(cores, steps) contiguous bands of
@@ -49,7 +51,6 @@ from __future__ import annotations
 import concurrent.futures
 import contextlib
 import contextvars
-import functools
 import math
 import os
 import types
@@ -58,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .prn_code import ChipSequence, sample_code, samples_per_code
+from .prn_code import ChipSequence, sample_code
 from .signal_synth import SampledSignal
 
 _FFT_WORKERS = -1  # all cores; per-row transforms, deterministic
@@ -138,15 +139,6 @@ def _row_bands(fn, rows: int, cells: int, align: int = 1) -> None:
         f.result()
 
 
-def _multiply_rows(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
-    """out = x * y in complex64, in row bands.  y is one row broadcast to
-    every row, or a (rows, 1) column."""
-    def band(rows):
-        np.multiply(x[rows], y[rows] if y.ndim == 2 else y, out=out[rows],
-                    dtype=np.complex64)
-    _row_bands(band, len(out), out.size)
-
-
 @dataclass(frozen=True)
 class FrequencyPlan:
     """Trial Doppler offsets around a mixing center frequency."""
@@ -203,92 +195,73 @@ def _mixing_table(plan: FrequencyPlan, n: int, sample_rate: float) -> np.ndarray
     return table
 
 
-def _code_fft(code: ChipSequence, sample_rate: float) -> np.ndarray:
-    """The conjugate DFT of the sampled code, as read-only complex64, cached:
-    a run correlates against one code at one rate."""
-    return _code_spectrum(code.chips.tobytes(), code.chip_rate, sample_rate)
-
-
-@functools.lru_cache(maxsize=1)  # keyed on bytes: chips are an ndarray
-def _code_spectrum(chips: bytes, chip_rate: float,
-                   sample_rate: float) -> np.ndarray:
-    code = ChipSequence(prn_id=0, chips=np.frombuffer(chips),
-                        chip_rate=chip_rate)
+def code_spectrum(code: ChipSequence, sample_rate: float) -> np.ndarray:
+    """The conjugate DFT of the code sampled at sample_rate, as read-only
+    complex64: the code constant of a span's correlations."""
     spectrum = np.conj(scipy.fft.fft(sample_code(code, sample_rate)))
     spectrum = spectrum.astype(np.complex64)
-    spectrum.flags.writeable = False  # shared by every caller
+    spectrum.flags.writeable = False
     return spectrum
 
 
-def process_units(signal: SampledSignal, code: ChipSequence,
-                  plan: FrequencyPlan, count: int | None = None,
-                  out: np.ndarray | None = None,
-                  table: np.ndarray | None = None) -> list[CorrelationGrid]:
-    """Split a multi-millisecond signal into consecutive units and process each.
+def process_units(signal: SampledSignal, spectrum: np.ndarray,
+                  plan: FrequencyPlan, count: int, out: np.ndarray,
+                  table: np.ndarray) -> list[CorrelationGrid]:
+    """Correlate the first count n-sample units of signal into out.
 
-    Unit m starts count*m samples into the signal with its start time
-    advanced accordingly.  Real and IQ samples of any float dtype are
-    mixed the same way.
-
-    The units are correlated in one C-contiguous complex64 block of shape
-    (count, bins, n): the mixing product, one forward FFT over its
-    count*bins rows, the code-spectrum product, one inverse FFT and the LO
-    rotation, all in the block's memory.  The block is out when given
-    (allocated here otherwise), and grid m's values are the view out[m],
-    valid only until the next call with the same out.  table is plan's
-    (bins, n) complex64 mixing table when the caller holds it, and is
-    built here when None.
+    spectrum (the code's code_spectrum at the signal's rate, n long),
+    table (plan's (bins, n) complex64 mixing table) and out (a C-contiguous
+    complex64 block of shape (count, bins, n)) are built once per span by
+    the caller, eval_harness.run_span.  Real and IQ samples of any float
+    dtype are mixed the same way.  The stages run in out's memory: the
+    mixing product, one forward FFT over the count*bins rows, the
+    code-spectrum product, one inverse FFT and the rotation by the LO phase
+    at each unit's start.  Grid m's values are the view out[m], valid only
+    until the next call with the same out.
     """
-    fs = signal.sample_rate
-    n = samples_per_code(code, fs)
+    n = len(spectrum)
     m_total = len(signal.samples) // n
-    if count is None:
-        count = m_total
-        if count * n != len(signal.samples):
-            raise ValueError(
-                f"signal length {len(signal.samples)} is not a multiple of "
-                f"the {n}-sample unit")
-    elif count > m_total:
+    if not 1 <= count <= m_total:
         raise ValueError(
             f"signal at t={signal.t0} is too short: it has "
             f"{len(signal.samples)} samples and needs {count * n} for "
-            f"{count} units")
-    if count < 1:
-        raise ValueError(f"process_units needs at least one unit, got "
-                         f"count={count}")
+            f"{count} units (count must be 1 to {m_total})")
     rows = len(plan.bins)
-    if table is None:
-        table = _mixing_table(plan, n, fs)
-    elif table.shape != (rows, n) or table.dtype != np.complex64:
+    if table.shape != (rows, n) or table.dtype != np.complex64:
         raise ValueError(
             f"table must be a complex64 array of shape {(rows, n)}, got "
             f"{table.dtype} of shape {table.shape}")
     shape = (count, rows, n)
-    if out is None:
-        out = np.empty(shape, np.complex64)
-    elif (out.shape != shape or out.dtype != np.complex64
-          or not out.flags.c_contiguous):
+    if (out.shape != shape or out.dtype != np.complex64
+            or not out.flags.c_contiguous):
         raise ValueError(
             f"out must be a C-contiguous complex64 array of shape {shape}, "
             f"got {out.dtype} of shape {out.shape}, C-contiguous: "
             f"{out.flags.c_contiguous}")
     units = signal.samples[:count * n].reshape(count, n)
+    flat = out.reshape(-1, n)
+    # Fold in the local-oscillator phase accumulated up to each unit's
+    # start, so the LO is continuous across units: one factor per row.
+    t0 = signal.t0 + np.arange(count) * n / signal.sample_rate
+    freqs = plan.center + np.asarray(plan.bins)
+    lo = np.exp(-2j * np.pi * ((freqs * t0[:, None]) % 1.0))
+    lo = lo.astype(np.complex64).reshape(-1, 1)
 
     def mix(band):
         np.multiply(table[band], units[:, None], out=out[:, band],
                     dtype=np.complex64)
 
+    def correlate(band):
+        np.multiply(flat[band], spectrum, out=flat[band], dtype=np.complex64)
+
+    def rotate(band):
+        np.multiply(flat[band], lo[band], out=flat[band], dtype=np.complex64)
+
     _row_bands(mix, rows, out.size)
-    flat = out.reshape(-1, n)
     _fft_into(scipy.fft.fft, flat)
-    _multiply_rows(flat, _code_fft(code, fs), flat)
+    _row_bands(correlate, len(flat), flat.size)
     _fft_into(scipy.fft.ifft, flat)
-    # Fold in the local-oscillator phase accumulated up to each unit's
-    # start, so the LO is continuous across units.
-    t0 = signal.t0 + np.arange(count) * n / fs
-    freqs = plan.center + np.asarray(plan.bins)
-    lo = np.exp(-2j * np.pi * ((freqs * t0[:, None]) % 1.0))
-    _multiply_rows(flat, lo.astype(np.complex64).reshape(-1, 1), flat)
+    _row_bands(rotate, len(flat), flat.size)
     return [CorrelationGrid(values=out[m]) for m in range(count)]
 
 

@@ -28,7 +28,7 @@ import numpy as np
 from .prn_code import ChipSequence, generate_code, samples_per_code
 from .signal_synth import SampledSignal, SynthParams
 from .acq_core import (FrequencyPlan, _mixing_table, band_scope,
-                       process_units, row_blocks)
+                       code_spectrum, process_units, row_blocks)
 from .integrators import IntegrationSpec, integrate
 from .detector import AcqResult, RowSearch, acquire
 
@@ -146,11 +146,12 @@ def run_span(epochs: Sequence[SampledSignal], code: ChipSequence,
     All specs must share one span (the plan is built for it).  Each epoch
     is correlated once and every strategy integrates the same unit block.
 
-    The plan is walked in the row blocks of acq_core.row_blocks:
-    process_units correlates the block's sub-plan into the (count, rows, n)
-    unit block, and every strategy integrates that block and feeds the rows
-    to its RowSearch for the epoch.  One grid buffer, the sub-plans, the
-    plan's mixing table and a band_scope are made once per span.
+    run_span owns the span's correlation constants and builds each once:
+    the code spectrum, the plan's mixing table, the sub-plans of
+    acq_core.row_blocks, one unit buffer and a band_scope.  process_units
+    correlates each row block's sub-plan into a (count, rows, n) prefix of
+    the buffer, and every strategy integrates it and feeds the rows to its
+    RowSearch for the epoch.
     """
     spans = {spec.total_ms for spec in specs}
     if len(spans) != 1:
@@ -164,6 +165,7 @@ def run_span(epochs: Sequence[SampledSignal], code: ChipSequence,
     blocks = row_blocks(len(plan.bins), count, n)
     sub_plans = [FrequencyPlan(plan.center, plan.bin_width, plan.bins[a:b])
                  for a, b in blocks]
+    spectrum = code_spectrum(code, fs)
     table = _mixing_table(plan, n, fs)
     buffer = np.empty(count * blocks[0][1] * n, np.complex64)
     l_spc = round(fs / code.chip_rate)  # one chip excluded around the peak
@@ -172,8 +174,8 @@ def run_span(epochs: Sequence[SampledSignal], code: ChipSequence,
             searches = [RowSearch(plan, l_spc) for _ in specs]
             for (a, b), sub_plan in zip(blocks, sub_plans):
                 out = buffer[:count * (b - a) * n].reshape(count, b - a, n)
-                process_units(epoch, code, sub_plan, count=count, out=out,
-                              table=table[a:b])
+                process_units(epoch, spectrum, sub_plan, count, out,
+                              table[a:b])
                 for search, spec in zip(searches, specs):
                     search.add(integrate(out, spec.strategy))
             results.append([acquire(search, threshold=threshold)

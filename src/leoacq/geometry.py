@@ -72,10 +72,9 @@ def free_space_loss(range_m: float, freq: float) -> float:
     return 20.0 * np.log10(4.0 * np.pi * range_m * freq / SPEED_OF_LIGHT)
 
 
-def simulate_pass(orbit_height: float, elevation_mask: float = 10.0,
-                  cross_track_offset_deg: float = 0.0,
-                  epoch_step: float = 1.0,
-                  carrier_freq: float = 1.5e9) -> PassScenario:
+def simulate_pass(orbit_height: float, elevation_mask: float,
+                  cross_track_offset_deg: float, epoch_step: float,
+                  carrier_freq: float) -> PassScenario:
     """Simulate one visibility window of an overhead (or offset) pass.
 
     The satellite moves on a circular orbit of radius Re + h; the station

@@ -76,8 +76,8 @@ def _bit_indices(t: np.ndarray, bit_phase0: float) -> np.ndarray:
     return np.floor((t * 1e3 + offset_ms) / BIT_PERIOD_MS).astype(np.int64)
 
 
-def synthesize(params: SynthParams, code: ChipSequence | None = None) -> SampledSignal:
-    """Synthesize one epoch of sampled IF signal.
+def synthesize(params: SynthParams, code: ChipSequence) -> SampledSignal:
+    """Synthesize one epoch of sampled IF signal spread by code.
 
     Deterministic given params.seed.  Carrier phase is accumulated
     continuously across the whole epoch (chirp, not stepped per
@@ -99,8 +99,6 @@ def synthesize(params: SynthParams, code: ChipSequence | None = None) -> Sampled
             f"sample rate {fs} Hz violates Nyquist for max instantaneous "
             f"frequency {f_max} Hz")
 
-    if code is None:
-        code = generate_code(params.prn_id)
     # In-place ufuncs over three float64 buffers (t, cycles, x), each step in
     # the order of the expression in the comment above it, so the samples
     # are bitwise those of evaluating the expressions whole.

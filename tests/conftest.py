@@ -15,9 +15,10 @@ import pytest
 from hypothesis import settings
 
 from leoacq import acq_core
-from leoacq.acq_core import FrequencyPlan, make_plan, process_units
+from leoacq.acq_core import (FrequencyPlan, _mixing_table, code_spectrum,
+                             make_plan, process_units)
 from leoacq.detector import RowSearch
-from leoacq.prn_code import generate_code
+from leoacq.prn_code import generate_code, samples_per_code
 from leoacq.signal_synth import SampledSignal, SynthParams, synthesize
 
 # CPU speed on shared hosts drifts between runs, so per-example deadlines
@@ -102,11 +103,29 @@ def grids_from_values(value_arrays):
                      for v in value_arrays])
 
 
+def correlate(signal, code, plan, count=None, out=None, table=None):
+    """process_units of signal over plan, with the constants that run_span
+    builds once per span made here unless given: the code spectrum, plan's
+    mixing table and a (count, bins, n) unit buffer.  count defaults to the
+    signal's whole units; one below 1 gets an empty buffer, so that
+    process_units rejects the count itself."""
+    fs = signal.sample_rate
+    n = samples_per_code(code, fs)
+    if count is None:
+        count = len(signal.samples) // n
+    if table is None:
+        table = _mixing_table(plan, n, fs)
+    if out is None:
+        out = np.empty((max(count, 0), len(plan.bins), n), np.complex64)
+    return process_units(signal, code_spectrum(code, fs), plan, count, out,
+                         table)
+
+
 def unit_block(signal, code, plan, **kwargs):
-    """process_units' grids of signal over plan as one (units, bins, n)
+    """correlate's grids of signal over plan as one (units, bins, n)
     block, as integrate takes them."""
     return np.stack([g.values
-                     for g in process_units(signal, code, plan, **kwargs)])
+                     for g in correlate(signal, code, plan, **kwargs)])
 
 
 def fed_search(values, l_spc=1, plan=None) -> RowSearch:

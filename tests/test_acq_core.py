@@ -12,17 +12,18 @@ import scipy.fft
 from hypothesis import given, settings, strategies as st
 
 from leoacq import acq_core
-from leoacq.acq_core import (CorrelationGrid, FrequencyPlan, _code_fft,
-                             _mixing_table, _row_bands, band_scope,
-                             make_plan, process_units, row_blocks,
-                             samples_per_code, slab_rows)
+from leoacq.acq_core import (CorrelationGrid, FrequencyPlan, _mixing_table,
+                             _row_bands, band_scope, code_spectrum,
+                             make_plan, row_blocks, slab_rows)
 from leoacq.detector import acquire
 from leoacq.integrators import Strategy, integrate, span_error
-from leoacq.prn_code import ChipSequence, generate_code, sample_code
+from leoacq.prn_code import (ChipSequence, generate_code, sample_code,
+                             samples_per_code)
 from leoacq.signal_synth import SampledSignal, noise_sigma
 
-from conftest import (FS_FAST, FIF_FAST, FS_FULL, FIF_FULL, fed_search,
-                      no_pool, plan_for, row_bands, synth_units, unit_block)
+from conftest import (FS_FAST, FIF_FAST, FS_FULL, FIF_FULL, correlate,
+                      fed_search, no_pool, plan_for, row_bands, synth_units,
+                      unit_block)
 
 
 class TestMakePlan:
@@ -89,7 +90,7 @@ def per_unit_process_units(signal, code, plan):
     fs = signal.sample_rate
     n = samples_per_code(code, fs)
     table = _mixing_table(plan, n, fs)
-    code_fft = _code_fft(code, fs)
+    code_fft = code_spectrum(code, fs)
     freqs = plan.center + np.asarray(plan.bins)
     grids = []
     for m in range(len(signal.samples) // n):
@@ -119,7 +120,7 @@ def f32_bound(n):
 
 
 class TestProcessUnit:
-    @pytest.mark.parametrize("engine", [process_units, reference_process_units])
+    @pytest.mark.parametrize("engine", [correlate, reference_process_units])
     def test_matches_direct_circular_correlation(self, engine):
         # DFT correlation theorem: exact up to rounding, 1e-9 in double
         # precision and f32_bound(n) in the single-precision engine
@@ -144,13 +145,13 @@ class TestProcessUnit:
         sig, _ = synth_units(1, code1, d0=1000.0, fs=FS_FULL, fif=FIF_FULL,
                              code_phase0=(4092 - 1000) / 4)
         plan = make_plan(FIF_FULL, 10e3, 1)
-        (grid,) = process_units(sig, code1, plan)
+        (grid,) = correlate(sig, code1, plan)
         i, j = np.unravel_index(np.argmax(np.abs(grid.values)), grid.values.shape)
         assert plan.bins[i] == 1000.0
         assert j == 1000
         assert grid.values.shape[1] == 4092
 
-    @pytest.mark.parametrize("engine", [process_units, reference_process_units])
+    @pytest.mark.parametrize("engine", [correlate, reference_process_units])
     def test_parseval_energy(self, code1, engine):
         rng = np.random.default_rng(3)
         sig = SampledSignal(samples=rng.normal(size=1023), sample_rate=FS_FAST)
@@ -185,23 +186,18 @@ class TestProcessUnit:
 
 
 class TestProcessUnits:
-    def test_length_must_be_multiple(self, code1):
-        sig = SampledSignal(samples=np.zeros(1023 + 12), sample_rate=FS_FAST)
-        with pytest.raises(ValueError, match="multiple"):
-            process_units(sig, code1, plan_for(1))
-
     def test_count_slices_prefix(self, code1):
         sig, _ = synth_units(3, code1)
-        grids = process_units(sig, code1, plan_for(1), count=2)
+        grids = correlate(sig, code1, plan_for(1), count=2)
         assert len(grids) == 2
         with pytest.raises(ValueError, match="too short"):
-            process_units(sig, code1, plan_for(1), count=4)
+            correlate(sig, code1, plan_for(1), count=4)
 
     def test_peak_phase_advances_by_residual_doppler(self, code1):
         # 100 Hz off the 1000 Hz bin center: expect 2*pi*100*1ms per unit
         sig, _ = synth_units(5, code1, d0=1100.0, fs=FS_FULL, fif=FIF_FULL)
         plan = make_plan(FIF_FULL, 10e3, 1)
-        grids = process_units(sig, code1, plan)
+        grids = correlate(sig, code1, plan)
         mags = np.abs(grids[0].values)
         i, j = np.unravel_index(np.argmax(mags), mags.shape)
         assert plan.bins[i] == 1000.0
@@ -214,7 +210,7 @@ class TestProcessUnits:
         sig, _ = synth_units(2, code1, d0=1000.0, fs=FS_FULL, fif=FIF_FULL,
                              data_bits=bits, bit_phase0=1.0)
         plan = make_plan(FIF_FULL, 2e3, 1)
-        g0, g1 = process_units(sig, code1, plan)
+        g0, g1 = correlate(sig, code1, plan)
         mags = np.abs(g0.values)
         i, j = np.unravel_index(np.argmax(mags), mags.shape)
         ratio = g1.values[i, j] / g0.values[i, j]
@@ -240,14 +236,14 @@ class TestInPlaceTransforms:
 
     def test_equals_fresh_buffer_transforms(self, code1, monkeypatch):
         sig, plan = self._units(code1)
-        got = process_units(sig, code1, plan)
+        got = correlate(sig, code1, plan)
 
         def fresh(name, original, x, *args, **kwargs):
             kwargs["overwrite_x"] = False
             return original(x, *args, **kwargs)
 
         _wrap_fft(monkeypatch, fresh)
-        ref = process_units(sig, code1, plan)
+        ref = correlate(sig, code1, plan)
         assert len(got) == len(ref) == 3
         for g, r in zip(got, ref):
             assert np.array_equal(g.values, r.values)
@@ -258,8 +254,7 @@ class TestInPlaceTransforms:
         n = samples_per_code(code1, sig.sample_rate)
         table = _mixing_table(plan, n, sig.sample_rate)
         before = table.copy()
-        process_units(sig, code1, plan, table=table)
-        process_units(sig, code1, plan)
+        correlate(sig, code1, plan, table=table)
         assert np.array_equal(sig.samples, samples)
         assert not table.flags.writeable
         assert np.array_equal(table, before)
@@ -267,8 +262,8 @@ class TestInPlaceTransforms:
     def test_fft_rows_per_call(self, code1, monkeypatch):
         # The benchmark's traced run (perfbench, --trace 1) wraps the same
         # two functions and requires bins x units 2-D rows each way inside
-        # every process_units call, and a list of the unit grids back, with
-        # or without a caller's block and for a sub-plan of a row block.
+        # every process_units call, and a list of the unit grids back, for
+        # the whole plan and for a sub-plan of a row block.
         rows = {}
 
         def counted(name, original, x, *args, **kwargs):
@@ -282,14 +277,12 @@ class TestInPlaceTransforms:
         table = _mixing_table(plan, 1023, FS_FAST)
         _wrap_fft(monkeypatch, counted)
         for a, b in [(0, len(plan.bins)), (0, 1), (2, 7), (8, 9)]:
-            part = sub_plan(plan, a, b)
-            for out in (None, np.empty((3, b - a, 1023), np.complex64)):
-                for tab in (None, table[a:b]):
-                    rows.clear()
-                    grids = process_units(sig, code1, part, count=3, out=out,
-                                          table=tab)
-                    assert isinstance(grids, list) and len(grids) == 3
-                    assert rows == {"fft": 3 * (b - a), "ifft": 3 * (b - a)}
+            rows.clear()
+            grids = correlate(sig, code1, sub_plan(plan, a, b), count=3,
+                              out=np.empty((3, b - a, 1023), np.complex64),
+                              table=table[a:b])
+            assert isinstance(grids, list) and len(grids) == 3
+            assert rows == {"fft": 3 * (b - a), "ifft": 3 * (b - a)}
 
 
 class TestUnitBlock:
@@ -314,8 +307,8 @@ class TestUnitBlock:
         block = self._block(units, plan, samples_per_code(code1, fs))
         block.fill(np.nan)  # stale contents must not leak into the grids
         with row_bands(bands):
-            want = process_units(sig, code1, plan)
-            got = process_units(sig, code1, plan, out=block)
+            want = correlate(sig, code1, plan)
+            got = correlate(sig, code1, plan, out=block)
         for g, w in zip(got, want, strict=True):
             assert g.values.tobytes() == w.values.tobytes()
 
@@ -337,7 +330,7 @@ class TestUnitBlock:
                              bins=tuple(170.0 * (k - n_bins // 2)
                                         for k in range(n_bins)))
         with row_bands(bands):
-            got = process_units(sig, code1, plan)
+            got = correlate(sig, code1, plan)
         want = per_unit_process_units(sig, code1, plan)
         for g, w in zip(got, want, strict=True):
             assert g.values.tobytes() == w.tobytes()
@@ -356,15 +349,15 @@ class TestUnitBlock:
                              fs=fs, fif=fif)
         sig.t0 = t0
         plan = make_plan(fif, 1e3, units)
-        whole = process_units(sig, code1, plan)
+        whole = correlate(sig, code1, plan)
         table = _mixing_table(plan, n, fs)
         buffer = np.full(units * height * n, np.nan, np.complex64)
         bins = len(plan.bins)
         for a in range(0, bins, height):
             b = min(a + height, bins)
             out = buffer[:units * (b - a) * n].reshape(units, b - a, n)
-            grids = process_units(sig, code1, sub_plan(plan, a, b), out=out,
-                                  table=table[a:b])
+            grids = correlate(sig, code1, sub_plan(plan, a, b), out=out,
+                              table=table[a:b])
             for g, w in zip(grids, whole, strict=True):
                 assert g.values.base is buffer
                 assert g.values.tobytes() == w.values[a:b].tobytes()
@@ -373,28 +366,21 @@ class TestUnitBlock:
         plan = plan_for(2)
         first, _ = synth_units(2, code1, d0=700.0, cn0=45.0, seed=1)
         second, _ = synth_units(2, code1, d0=-900.0, cn0=45.0, seed=2)
-        want = [g.values.copy() for g in process_units(second, code1, plan)]
+        want = [g.values.copy() for g in correlate(second, code1, plan)]
         block = self._block(2, plan)
-        grids = process_units(first, code1, plan, out=block)
+        grids = correlate(first, code1, plan, out=block)
         for m, g in enumerate(grids):
             assert g.values.base is block
             assert np.shares_memory(g.values, block[m])
-        process_units(second, code1, plan, out=block)
+        correlate(second, code1, plan, out=block)
         for g, w in zip(grids, want, strict=True):
             assert np.array_equal(g.values, w)
-
-    def test_without_out_the_grids_share_one_block(self, code1):
-        sig, _ = synth_units(3, code1, cn0=45.0)
-        grids = process_units(sig, code1, plan_for(3))
-        block = grids[0].values.base
-        assert block.shape == (3, len(plan_for(3).bins), 1023)
-        assert all(g.values.base is block for g in grids)
 
     def test_copied_fft_result_is_written_into_out(self, code1, monkeypatch):
         sig, _ = synth_units(2, code1, cn0=45.0, seed=3)
         sig.t0 = 4.0
         plan = plan_for(2)
-        want = process_units(sig, code1, plan)
+        want = correlate(sig, code1, plan)
 
         def fresh(name, original, x, *args, **kwargs):
             kwargs["overwrite_x"] = False
@@ -402,7 +388,7 @@ class TestUnitBlock:
 
         _wrap_fft(monkeypatch, fresh)
         block = self._block(2, plan)
-        got = process_units(sig, code1, plan, out=block)
+        got = correlate(sig, code1, plan, out=block)
         for m, (g, w) in enumerate(zip(got, want, strict=True)):
             assert g.values.tobytes() == w.values.tobytes()
             assert block[m].tobytes() == w.values.tobytes()
@@ -417,7 +403,7 @@ class TestUnitBlock:
     def test_bad_out_rejected(self, code1, bad):
         sig, _ = synth_units(3, code1)
         with pytest.raises(ValueError, match="out must be"):
-            process_units(sig, code1, plan_for(1), out=bad)
+            correlate(sig, code1, plan_for(1), out=bad)
 
     @pytest.mark.parametrize("bad", [
         np.empty((8, 1023), np.complex64),              # too few bins
@@ -429,41 +415,34 @@ class TestUnitBlock:
     def test_bad_table_rejected(self, code1, bad):
         sig, _ = synth_units(2, code1)
         with pytest.raises(ValueError, match="table must be"):
-            process_units(sig, code1, plan_for(1), table=bad)
+            correlate(sig, code1, plan_for(1), table=bad)
 
     @pytest.mark.parametrize("count", [0, -1])
     def test_count_below_one_rejected(self, code1, count):
         sig, _ = synth_units(2, code1)
-        with pytest.raises(ValueError, match="at least one unit"):
-            process_units(sig, code1, plan_for(1), count=count)
+        with pytest.raises(ValueError, match="too short"):
+            correlate(sig, code1, plan_for(1), count=count)
 
     def test_empty_signal_rejected(self, code1):
         sig = SampledSignal(samples=np.zeros(0), sample_rate=FS_FAST)
-        with pytest.raises(ValueError, match="at least one unit"):
-            process_units(sig, code1, plan_for(1))
+        with pytest.raises(ValueError, match="too short"):
+            correlate(sig, code1, plan_for(1))
 
 
 class TestCodeSpectrum:
     @pytest.mark.parametrize("fs", [FS_FAST, FS_FULL])
-    def test_cached_spectrum_equals_a_fresh_one(self, code1, fs):
+    def test_equals_the_conjugate_code_dft(self, code1, fs):
         fresh = np.conj(scipy.fft.fft(sample_code(code1, fs)))
-        got = _code_fft(code1, fs)
+        got = code_spectrum(code1, fs)
         assert got.tobytes() == fresh.astype(np.complex64).tobytes()
-        assert _code_fft(code1, fs) is got
         assert not got.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             got[0] = 0.0
 
-    def test_keyed_on_chips_and_rates(self, code1):
-        other = generate_code(2)
-        a = _code_fft(code1, FS_FAST)
-        b = _code_fft(other, FS_FAST)
-        assert not np.array_equal(a, b)
-        c = _code_fft(ChipSequence(prn_id=1, chips=code1.chips,
-                                   chip_rate=2 * code1.chip_rate),
-                      2 * FS_FAST)
-        assert c is not a
-        assert _code_fft(code1, FS_FAST).tobytes() == a.tobytes()
+    def test_depends_on_the_chips(self, code1):
+        a = code_spectrum(code1, FS_FAST)
+        assert not np.array_equal(a, code_spectrum(generate_code(2), FS_FAST))
+        assert code_spectrum(code1, FS_FAST).tobytes() == a.tobytes()
 
 
 class TestAccuracy:
@@ -474,7 +453,7 @@ class TestAccuracy:
             p0 = (-delay * code1.chip_rate / FS_FULL) % 1023
             sig, _ = synth_units(1, code1, d0=0.0, fs=FS_FULL, fif=FIF_FULL,
                                  code_phase0=p0)
-            grid = process_units(sig, code1, plan)[0]
+            grid = correlate(sig, code1, plan)[0]
             assert int(np.argmax(np.abs(grid.values))) % n == delay
 
     def test_fractional_delay_error_below_half_sample(self, code1):
@@ -489,7 +468,7 @@ class TestAccuracy:
             p0 = (-delay * code1.chip_rate / fs) % 1023
             sig, _ = synth_units(1, code1, d0=0.0, fs=fs, fif=FIF_FULL,
                                  code_phase0=p0)
-            grid = process_units(sig, code1, plan)[0]
+            grid = correlate(sig, code1, plan)[0]
             j = int(np.argmax(np.abs(grid.values))) % n
             err = min(abs(j - delay), n - abs(j - delay))
             assert err <= 0.5
@@ -498,7 +477,7 @@ class TestAccuracy:
         plan = make_plan(FIF_FULL, 2e3, 1)
         for d0 in np.linspace(-800.0, 800.0, 7):
             sig, _ = synth_units(1, code1, d0=float(d0), fs=FS_FULL, fif=FIF_FULL)
-            grid = process_units(sig, code1, plan)[0]
+            grid = correlate(sig, code1, plan)[0]
             i = int(np.argmax(np.abs(grid.values))) // grid.values.shape[1]
             assert abs(plan.bins[i] - d0) <= 250.0
 
@@ -520,7 +499,7 @@ class TestSinglePrecision:
         sig = SampledSignal(samples=sig.samples.astype(dtype), sample_rate=fs,
                             t0=t0)
         plan = make_plan(fif, 1e3, units)
-        got = process_units(sig, code1, plan)
+        got = correlate(sig, code1, plan)
         ref = reference_process_units(sig, code1, plan)
         assert len(got) == len(ref) == units
         for g, r in zip(got, ref):
@@ -562,9 +541,9 @@ class TestSinglePrecision:
         sig, _ = synth_units(units, code1, d0=d0, cn0=cn0, seed=seed,
                              fs=fs, fif=fif)
         plan = make_plan(fif, 1e3, units)
-        grids = [process_units(SampledSignal(samples=sig.samples.astype(dtype),
-                                             sample_rate=fs, t0=t0),
-                               code1, plan)
+        grids = [correlate(SampledSignal(samples=sig.samples.astype(dtype),
+                                         sample_rate=fs, t0=t0),
+                           code1, plan)
                  for dtype in (np.float32, np.float64)]
         for a, b in zip(*grids):
             assert a.values.tobytes() == b.values.tobytes()
@@ -575,7 +554,7 @@ class TestSinglePrecision:
         sig, _ = synth_units(2, code1, cn0=45.0)
         sig = SampledSignal(samples=sig.samples.astype(dtype),
                             sample_rate=FS_FAST, t0=0.5)
-        grids = process_units(sig, code1, plan_for(2))
+        grids = correlate(sig, code1, plan_for(2))
         assert [g.values.dtype for g in grids] == [np.complex64] * 2
 
     def test_table_is_complex64_and_read_only(self, code1):
@@ -584,7 +563,7 @@ class TestSinglePrecision:
         assert not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0] = 0.0
-        assert _code_fft(code1, FS_FAST).dtype == np.complex64
+        assert code_spectrum(code1, FS_FAST).dtype == np.complex64
 
 
 class TestMixingTable:
@@ -674,9 +653,9 @@ class TestRowBands:
                              bins=tuple(170.0 * (k - n_bins // 2)
                                         for k in range(n_bins)))
         with row_bands(1):
-            one = process_units(sig, code1, plan)
+            one = correlate(sig, code1, plan)
         with row_bands(cores):
-            banded = process_units(sig, code1, plan)
+            banded = correlate(sig, code1, plan)
         for a, b in zip(one, banded, strict=True):
             assert a.values.tobytes() == b.values.tobytes()
 
@@ -706,7 +685,7 @@ class TestRowBands:
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
                             counted_pool)
         with row_bands(2, gate=acq_core._BAND_CELLS):
-            process_units(sig, code1, plan)
+            correlate(sig, code1, plan)
         assert pools  # 401 x 4092 cells are over the gate
         assert {ident for _, ident, _ in calls} == {threading.get_ident()}
         for name in ("fft", "ifft"):
@@ -749,11 +728,11 @@ class TestRowBands:
     def test_unknown_core_count_runs_serially(self, code1, monkeypatch):
         sig, _ = synth_units(2, code1, cn0=45.0)
         sig.t0 = 3.0
-        want = process_units(sig, code1, plan_for(2))
+        want = correlate(sig, code1, plan_for(2))
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
                             no_pool)
         with row_bands(None):
-            got = process_units(sig, code1, plan_for(2))
+            got = correlate(sig, code1, plan_for(2))
             det = integrate(np.stack([g.values for g in got]),
                             Strategy.NON_COHERENT)
         for a, b in zip(got, want, strict=True):

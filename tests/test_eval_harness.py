@@ -12,10 +12,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings, strategies as st
 
 from leoacq import acq_core, eval_harness
-from leoacq.acq_core import make_plan, samples_per_code
+from leoacq.acq_core import code_spectrum, make_plan
 from leoacq.detector import AcqResult, RowSearch, acquire
 from leoacq.eval_harness import (EpochLabel, EpochTruth, PfCurve,
                                  acquisition_timeline, cyclic_distance,
@@ -25,7 +26,7 @@ from leoacq.eval_harness import (EpochLabel, EpochTruth, PfCurve,
 from leoacq.geometry import PassSample, PassScenario
 from leoacq.integrators import (IntegrationSpec, Strategy, integrate,
                                 span_error)
-from leoacq.prn_code import generate_code
+from leoacq.prn_code import generate_code, samples_per_code
 from leoacq.signal_synth import synthesize_pass_signal
 
 from conftest import (FS_FAST, FIF_FAST, FS_FULL, FIF_FULL, block_rows,
@@ -201,10 +202,9 @@ class TestRunSpan:
         calls = []
         process_units = eval_harness.process_units
 
-        def recorded(signal, code, plan, count=None, out=None, table=None):
-            calls.append((signal, plan, count, out, table))
-            return process_units(signal, code, plan, count=count, out=out,
-                                 table=table)
+        def recorded(signal, spectrum, plan, count, out, table):
+            calls.append((signal, plan, count, out, table, spectrum))
+            return process_units(signal, spectrum, plan, count, out, table)
 
         monkeypatch.setattr(eval_harness, "process_units", recorded)
         return calls
@@ -212,18 +212,32 @@ class TestRunSpan:
     def test_one_buffer_and_table_per_span(self, code1, monkeypatch):
         # 21 bins in blocks of 8 rows: 8, 8 and a tail of 5
         calls = self._record(monkeypatch)
+        code_ffts = []
+        fft = scipy.fft.fft
+
+        def counted(x, *args, **kwargs):
+            if np.ndim(x) == 1:
+                code_ffts.append(len(x))
+            return fft(x, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, "fft", counted)
         epochs = _span_epochs(3, cn0=45.0)
         plan = make_plan(FIF_FAST, 1e3, 5)
         with block_rows(8, 1023):
             run_span(epochs, code1, plan,
                      [IntegrationSpec(Strategy.COHERENT, 5)], threshold=2.5)
+        assert code_ffts == [1023]  # the code spectrum, once per span
         assert [(c[0], c[2]) for c in calls] == [
             (e, 5) for e in epochs for _ in range(3)]
         buffer, table = calls[0][3].base, calls[0][4].base
+        spectrum = calls[0][5]
         assert buffer.shape == (5 * 8 * 1023,)
         assert table.shape == (21, 1023) and not table.flags.writeable
+        assert spectrum.tobytes() == code_spectrum(code1, FS_FAST).tobytes()
+        assert not spectrum.flags.writeable
         blocks = [(0, 8), (8, 16), (16, 21)]
-        for k, (signal, sub_plan, count, out, tab) in enumerate(calls):
+        for k, (signal, sub_plan, count, out, tab, spec) in enumerate(calls):
+            assert spec is spectrum
             a, b = blocks[k % 3]
             assert sub_plan is calls[k % 3][1]  # made once per span
             assert sub_plan.bins == plan.bins[a:b]

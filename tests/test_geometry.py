@@ -83,7 +83,8 @@ class TestFreeSpaceLoss:
 
 @pytest.fixture(scope="module")
 def pass645():
-    return simulate_pass(645e3, elevation_mask=10.0, epoch_step=1.0,
+    return simulate_pass(645e3, elevation_mask=10.0,
+                         cross_track_offset_deg=0.0, epoch_step=1.0,
                          carrier_freq=1.5e9)
 
 
@@ -132,28 +133,27 @@ class TestSimulatePass:
         assert max(s.elevation_deg for s in pass645.samples) == pytest.approx(90.0)
 
     def test_cross_track_offset_lowers_peak_elevation(self):
-        offset = simulate_pass(645e3, 10.0, cross_track_offset_deg=15.0)
+        offset = simulate_pass(645e3, 10.0, 15.0, 1.0, 1.5e9)
         assert max(s.elevation_deg for s in offset.samples) < 45.0
         assert min(s.range_m for s in offset.samples) > 645e3
 
     def test_no_visibility_error(self):
         with pytest.raises(ValueError, match="no visibility"):
-            simulate_pass(645e3, 10.0, cross_track_offset_deg=60.0)
+            simulate_pass(645e3, 10.0, 60.0, 1.0, 1.5e9)
 
     def test_bad_orbit_height(self):
         with pytest.raises(ValueError, match="orbit height"):
-            simulate_pass(100e3)
+            simulate_pass(100e3, 10.0, 0.0, 1.0, 1.5e9)
 
     @pytest.mark.parametrize("step", [0.0, -5.0, float("nan")])
     def test_bad_epoch_step(self, step):
         with pytest.raises(ValueError, match="epoch_step must be positive"):
-            simulate_pass(645e3, epoch_step=step)
+            simulate_pass(645e3, 10.0, 0.0, step, 1.5e9)
 
     def test_single_epoch_pass_names_its_cause(self):
         # only the zenith epoch clears an 80 deg mask at a 60 s step
         with pytest.raises(ValueError, match="at least two epochs") as e:
-            simulate_pass(645e3, elevation_mask=80.0, epoch_step=60.0)
+            simulate_pass(645e3, 80.0, 0.0, 60.0, 1.5e9)
         assert "epoch_step" in str(e.value)
         assert "elevation_mask" in str(e.value)
-        assert len(simulate_pass(645e3, elevation_mask=70.0,
-                                 epoch_step=20.0).samples) == 3
+        assert len(simulate_pass(645e3, 70.0, 0.0, 20.0, 1.5e9).samples) == 3

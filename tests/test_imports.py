@@ -3,7 +3,9 @@ in that module.
 
 No linter runs over the package or its tests, so this is the guard against
 imports left behind when the code that used them is deleted.  Re-exports in
-``__init__.py`` and ``from __future__`` imports are exempt.
+``__init__.py`` and ``from __future__`` imports are exempt.  The same
+walk guards the package against functools caches, which would hold a
+run's constants for the life of the process.
 """
 
 import ast
@@ -63,3 +65,38 @@ def test_import_leaves_the_thread_module_unloaded():
                          capture_output=True, text=True).stdout
     assert "io_cli" in names
     assert out == "False\n"
+
+
+PACKAGE = sorted(Path(leoacq.__file__).parent.glob("*.py"))
+CACHES = {"lru_cache", "cache"}
+
+
+def global_caches(source: str) -> list[str]:
+    """Each use of functools.lru_cache or functools.cache, by attribute or
+    by import."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr in CACHES
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "functools"):
+            found.append(f"functools.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [f"functools.{a.name}" for a in node.names
+                      if a.name in CACHES]
+    return found
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_global_cache(path):
+    """No leoacq function keeps a process-wide cache: a constant that a run
+    reuses is built by the code that owns the run and passed on (the code
+    spectrum by eval_harness.run_span)."""
+    assert global_caches(path.read_text()) == []
+
+
+def test_cache_guard_sees_both_spellings():
+    assert sorted(global_caches("import functools\n"
+                                "from functools import cache, partial\n"
+                                "@functools.lru_cache(maxsize=1)\n"
+                                "def f(): pass\n")) == [
+        "functools.cache", "functools.lru_cache"]

@@ -80,15 +80,16 @@ class TestSampleFiles:
             assert back.dtype == np.float32
         assert np.array_equal(back, want)
 
-    def test_int8_quantization_bound(self, tmp_path):
-        sig = synthesize(fast_params(cn0=None, duration=1e-3))
+    def test_int8_quantization_bound(self, code1, tmp_path):
+        sig = synthesize(fast_params(cn0=None, duration=1e-3), code1)
         path = tmp_path / "i8.bin"
         write_samples(sig, path, _meta("int8-real"))
         back = read_samples(path, _meta("int8-real"))
         assert np.abs(back.samples - sig.samples).max() <= 1.0 / 127.0
 
-    def test_clip_count_reported(self, tmp_path):
-        sig = synthesize(fast_params(cn0=None, duration=1e-3, amplitude=2.0))
+    def test_clip_count_reported(self, code1, tmp_path):
+        sig = synthesize(fast_params(cn0=None, duration=1e-3, amplitude=2.0),
+                         code1)
         clipped = write_samples(sig, tmp_path / "clip.bin", _meta("int8-real"))
         assert clipped > 0
 
@@ -371,13 +372,13 @@ class TestTruthSidecarProperties:
 
 
 class TestTruthSidecar:
-    def test_round_trip(self, tmp_path):
+    def test_round_trip(self, code1, tmp_path):
         epochs = []
         for k in range(3):
             p = fast_params(cn0=44.0, duration=2e-3, seed=10 ^ k,
                             doppler0=100.0 * k, code_phase0=7.5,
                             data_bits=np.array([1.0, -1.0]))
-            e = synthesize(p)
+            e = synthesize(p, code1)
             e.t0 = float(k)
             epochs.append(e)
         path = tmp_path / "x.bin.truth"
@@ -391,8 +392,8 @@ class TestTruthSidecar:
         assert truths[0]["cn0"] == 44.0
         assert np.array_equal(truths[0]["data_bits"], [1.0, -1.0])
 
-    def test_noneless_fields(self, tmp_path):
-        e = synthesize(fast_params(cn0=None, duration=1e-3))
+    def test_noneless_fields(self, code1, tmp_path):
+        e = synthesize(fast_params(cn0=None, duration=1e-3), code1)
         e.t0 = 0.0
         path = tmp_path / "y.truth"
         write_truth_sidecar(path, _meta(), [e], 1.0)
@@ -703,11 +704,17 @@ class TestWriteMemory:
     """A full-pass temporary in the write path fails these, not only the
     benchmark's peak RSS."""
 
-    def test_synth_holds_the_pass_about_once(self, tmp_path, capsys):
+    @staticmethod
+    def _config(tmp_path):
+        """A fast-profile int16 pass: 53 epochs of 40,920 samples."""
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps({
             "sample_rate": FS_FAST, "intermediate_freq": FIF_FAST,
             "epoch_step": 10.0, "sample_format": "int16-real"}))
+        return path
+
+    def test_synth_holds_the_pass_about_once(self, tmp_path, capsys):
+        path = self._config(tmp_path)
         config = ScenarioConfig.from_file(path)
         pass_bytes = (len(config.scenario().samples)
                       * round(config.duration * config.sample_rate) * 4)
@@ -719,6 +726,21 @@ class TestWriteMemory:
         # the float32 pass plus one epoch's synthesis per band and one write
         # chunk; a float64 pass alone is twice pass_bytes
         assert peak < 1.5 * pass_bytes
+
+    def test_synthesis_scratch_per_band(self, tmp_path):
+        # Each band of pass_epochs synthesizes its epochs one at a time in
+        # float64 scratch: three float64 buffers, the int64 code index and
+        # the held samples, about 40 B a sample of one epoch.  So the peak
+        # grows with the band count; this bounds the growth until streaming
+        # synthesis (ROADMAP item 3) removes it.
+        config = ScenarioConfig.from_file(self._config(tmp_path))
+        epoch = round(config.duration * config.sample_rate)
+        peaks = {}
+        for bands in (1, 2, 4):
+            with row_bands(bands):
+                _, peaks[bands] = _traced_peak(pass_epochs, config)
+        for bands in (2, 4):
+            assert peaks[bands] - peaks[1] <= (bands - 1) * 48 * epoch
 
     def test_write_samples_temporaries_are_chunk_sized(self, tmp_path):
         x = np.random.default_rng(0).normal(0.0, 0.5, 1 << 22)  # 33.5 MB
@@ -1074,10 +1096,9 @@ class TestCli:
         calls = []
         process_units = eval_harness.process_units
 
-        def recorded(signal, code, plan, count=None, out=None, table=None):
+        def recorded(signal, spectrum, plan, count, out, table):
             calls.append((count, len(plan.bins), out, table))
-            return process_units(signal, code, plan, count=count, out=out,
-                                 table=table)
+            return process_units(signal, spectrum, plan, count, out, table)
 
         monkeypatch.setattr(eval_harness, "process_units", recorded)
         with block_rows(16, 1023):

@@ -35,13 +35,13 @@ class TestNoiseSigma:
 
 
 class TestSynthesize:
-    def test_first_sample_is_zero(self):
-        sig = synthesize(full_params(doppler0=0.0))
+    def test_first_sample_is_zero(self, code1):
+        sig = synthesize(full_params(doppler0=0.0), code1)
         assert sig.samples[0] == 0.0
         assert len(sig.samples) == round(1e-3 * FS_FULL)
 
     def test_despread_spectrum_peaks_at_if_plus_doppler(self, code1):
-        sig = synthesize(full_params(doppler0=1000.0, duration=1e-3))
+        sig = synthesize(full_params(doppler0=1000.0, duration=1e-3), code1)
         from leoacq.prn_code import sample_code
         despread = sig.samples * sample_code(code1, FS_FULL)
         spec = np.abs(np.fft.rfft(despread))
@@ -50,52 +50,56 @@ class TestSynthesize:
 
     def test_despread_energy_concentration(self, code1):
         from leoacq.prn_code import sample_code
-        sig = synthesize(full_params(doppler0=1000.0))
+        sig = synthesize(full_params(doppler0=1000.0), code1)
         despread = sig.samples * sample_code(code1, FS_FULL)
         spec = np.abs(np.fft.rfft(despread)) ** 2
         assert spec.max() / spec.sum() >= 0.99
 
-    def test_deterministic_given_seed(self):
+    def test_deterministic_given_seed(self, code1):
         p = full_params(cn0=40.0, seed=123, duration=2e-3)
-        assert np.array_equal(synthesize(p).samples, synthesize(p).samples)
+        assert np.array_equal(synthesize(p, code1).samples,
+                              synthesize(p, code1).samples)
         p2 = full_params(cn0=40.0, seed=124, duration=2e-3)
-        assert not np.array_equal(synthesize(p).samples, synthesize(p2).samples)
+        assert not np.array_equal(synthesize(p, code1).samples,
+                                  synthesize(p2, code1).samples)
 
-    def test_noise_statistics(self):
+    def test_noise_statistics(self, code1):
         # noise = noisy minus noiseless; mean within 4 sigma / sqrt(N),
         # variance within 1% of sigma^2
         p_noisy = fast_params(cn0=45.0, seed=5, duration=1.0)
         p_clean = fast_params(cn0=None, duration=1.0)
-        noise = synthesize(p_noisy).samples - synthesize(p_clean).samples
+        noise = (synthesize(p_noisy, code1).samples
+                 - synthesize(p_clean, code1).samples)
         sigma = noise_sigma(45.0, 1.0, p_noisy.sample_rate)
         n = len(noise)
         assert n >= 1_000_000
         assert abs(noise.mean()) <= 4.0 * sigma / np.sqrt(n)
         assert noise.var() == pytest.approx(sigma ** 2, rel=0.01)
 
-    def test_bit_flip_negates_signal(self):
+    def test_bit_flip_negates_signal(self, code1):
         bits = np.ones(3)
         p = full_params(data_bits=bits, duration=20e-3)
         flipped = full_params(data_bits=-bits, duration=20e-3)
-        assert np.array_equal(synthesize(flipped).samples, -synthesize(p).samples)
+        assert np.array_equal(synthesize(flipped, code1).samples,
+                              -synthesize(p, code1).samples)
 
-    def test_bit_boundary_placement(self):
+    def test_bit_boundary_placement(self, code1):
         # bit_phase0 = 5 ms puts the first transition 5 ms in
         bits = np.array([1.0, -1.0, 1.0])
         p = full_params(data_bits=bits, bit_phase0=5.0, duration=10e-3)
         ref = full_params(data_bits=np.ones(3), bit_phase0=5.0, duration=10e-3)
-        x = synthesize(p).samples
-        y = synthesize(ref).samples
+        x = synthesize(p, code1).samples
+        y = synthesize(ref, code1).samples
         k = round(5e-3 * FS_FULL)
         assert np.array_equal(x[:k], y[:k])
         assert np.array_equal(x[k:], -y[k:])
 
-    def test_carrier_phase_is_continuous_chirp(self):
+    def test_carrier_phase_is_continuous_chirp(self, code1):
         # independent oracle: trapezoid integration of the instantaneous
         # frequency is exact for a linear chirp
         p = full_params(doppler0=2000.0, doppler_rate=5000.0, duration=5e-3,
                         code_phase0=0.0)
-        sig = synthesize(p).samples
+        sig = synthesize(p, code1).samples
         t = np.arange(len(sig)) / FS_FULL
         f_inst = FIF_FULL + 2000.0 + 5000.0 * t
         phase = cumulative_trapezoid(f_inst, t, initial=0.0)
@@ -106,31 +110,34 @@ class TestSynthesize:
         expected = chips * np.sin(2 * np.pi * phase)
         assert np.allclose(sig, expected, atol=1e-7)
 
-    def test_nyquist_precondition(self):
+    def test_nyquist_precondition(self, code1):
         with pytest.raises(ValueError, match="Nyquist"):
-            synthesize(SynthParams(sample_rate=2.4e6, intermediate_freq=1.25e6))
+            synthesize(SynthParams(sample_rate=2.4e6, intermediate_freq=1.25e6),
+                       code1)
 
-    def test_data_bits_too_short(self):
+    def test_data_bits_too_short(self, code1):
         with pytest.raises(ValueError, match="data_bits too short"):
-            synthesize(full_params(data_bits=np.ones(1), duration=30e-3))
+            synthesize(full_params(data_bits=np.ones(1), duration=30e-3),
+                       code1)
 
-    def test_bad_bits_rejected(self):
+    def test_bad_bits_rejected(self, code1):
         with pytest.raises(ValueError, match=r"\+1 or -1"):
-            synthesize(full_params(data_bits=np.array([1.0, 0.0]), duration=1e-3))
+            synthesize(full_params(data_bits=np.array([1.0, 0.0]),
+                                   duration=1e-3), code1)
 
 
     @pytest.mark.parametrize("duration", [0.0, 1e-9, -1e-3])
     @pytest.mark.parametrize("bits", [None, np.ones(3)], ids=["ones", "bits"])
-    def test_duration_under_one_sample_rejected(self, duration, bits):
+    def test_duration_under_one_sample_rejected(self, code1, duration, bits):
         with pytest.raises(ValueError, match="under one sample"):
-            synthesize(full_params(duration=duration, data_bits=bits))
+            synthesize(full_params(duration=duration, data_bits=bits), code1)
 
     @pytest.mark.parametrize("field", ["doppler0", "doppler_rate",
                                        "code_phase0", "duration"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_non_finite_field_rejected(self, field, value):
+    def test_non_finite_field_rejected(self, code1, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
-            synthesize(full_params(**{field: value}))
+            synthesize(full_params(**{field: value}), code1)
 
 
 def _reference_synthesize(params, code):
@@ -199,7 +206,8 @@ class TestPassSignal:
         assert not np.array_equal(epochs[0].samples, epochs[1].samples)
 
     def test_closest_approach_strongest_and_slowest(self):
-        scen = simulate_pass(645e3, 30.0, epoch_step=5.0, carrier_freq=1.5e9)
+        scen = simulate_pass(645e3, 30.0, 0.0, epoch_step=5.0,
+                             carrier_freq=1.5e9)
         epochs = list(synthesize_pass_signal(scen, fast_params(cn0=None)))
         amps = np.array([e.truth.amplitude for e in epochs])
         dops = np.array([abs(e.truth.doppler0) for e in epochs])
@@ -209,7 +217,8 @@ class TestPassSignal:
         assert amps[k] == fast_params().amplitude  # zero excess loss at minimum
 
     def test_epoch_doppler_deltas_match_rate(self):
-        scen = simulate_pass(645e3, 20.0, epoch_step=1.0, carrier_freq=1.5e9)
+        scen = simulate_pass(645e3, 20.0, 0.0, epoch_step=1.0,
+                             carrier_freq=1.5e9)
         epochs = list(synthesize_pass_signal(scen, fast_params(cn0=None)))
         d = np.array([e.truth.doppler0 for e in epochs])
         rate = np.array([s.doppler_rate for s in scen.samples])
