@@ -1,8 +1,9 @@
 """Pass-level evaluation: labeling, false-alarm sweeps, duration curves.
 
-Acquisition results are labelled epoch by epoch against the injected
-ground truth (correct Doppler to half a search bin, correct code phase to
-one sample, cyclically), and give the two figure-analog products:
+Acquisition results are labelled epoch by epoch against the truth each
+epoch was synthesized with, its own SynthParams (correct Doppler to half a
+search bin, correct code phase to one sample, cyclically; see
+label_epochs), and give the two figure-analog products:
 
   * probability of false alarm versus decision threshold, where a "false
     alarm" counts both decided-but-wrong and undecided-but-right epochs
@@ -34,19 +35,9 @@ from .detector import AcqResult, RowSearch, acquire
 
 
 @dataclass
-class EpochTruth:
-    """Injected ground truth for one epoch."""
-
-    t: float
-    doppler: float              # Hz
-    code_phase_samples: float   # truth peak position, may be fractional
-
-
-@dataclass
 class EpochLabel:
     t: float
     truth_doppler: float
-    truth_code_phase: float
     estimate_ok: bool
 
 
@@ -72,39 +63,28 @@ def truth_code_phase(params: SynthParams, n_samples: int,
     return (-params.code_phase0 * params.sample_rate / chip_rate) % n_samples
 
 
-def truth_from_epoch(epoch: SampledSignal, code: ChipSequence) -> EpochTruth:
-    """Pull the injected truth out of a synthesized epoch."""
-    if epoch.truth is None:
-        raise ValueError("epoch carries no truth metadata")
-    n = samples_per_code(code, epoch.sample_rate)
-    return EpochTruth(
-        t=epoch.t0,
-        doppler=epoch.truth.doppler0,
-        code_phase_samples=truth_code_phase(epoch.truth, n, code.chip_rate),
-    )
-
-
 def cyclic_distance(a: float, b: float, n: int) -> float:
     d = abs(a - b) % n
     return min(d, n - d)
 
 
-def label_epochs(results: Sequence[AcqResult], truths: Sequence[EpochTruth],
-                 plan: FrequencyPlan, intermediate_freq: float,
-                 n_samples: int) -> list[EpochLabel]:
-    """Label each epoch: estimate correct iff Doppler within half a search
-    bin and code phase within one sample, cyclically."""
-    if len(results) != len(truths):
-        raise ValueError(
-            f"{len(results)} results vs {len(truths)} truth epochs")
+def label_epochs(results: Sequence[AcqResult], epochs: Sequence[SampledSignal],
+                 plan: FrequencyPlan, code: ChipSequence) -> list[EpochLabel]:
+    """Label each epoch against its own SynthParams (doppler0, code_phase0,
+    intermediate_freq) and t0: the estimate is correct iff its Doppler is
+    within half a search bin of doppler0 and its code phase within one
+    sample of truth_code_phase, cyclically."""
+    if len(results) != len(epochs):
+        raise ValueError(f"{len(results)} results vs {len(epochs)} truth epochs")
     labels = []
-    for res, tru in zip(results, truths):
-        doppler_est = (plan.center - intermediate_freq) + res.doppler_hat
-        dopp_ok = abs(doppler_est - tru.doppler) <= plan.bin_width / 2.0
-        code_ok = cyclic_distance(res.code_phase_hat,
-                                  tru.code_phase_samples, n_samples) <= 1.0
-        labels.append(EpochLabel(t=tru.t, truth_doppler=tru.doppler,
-                                 truth_code_phase=tru.code_phase_samples,
+    for res, epoch in zip(results, epochs):
+        truth = epoch.truth
+        n = samples_per_code(code, epoch.sample_rate)
+        code_phase = truth_code_phase(truth, n, code.chip_rate)
+        doppler_est = (plan.center - truth.intermediate_freq) + res.doppler_hat
+        dopp_ok = abs(doppler_est - truth.doppler0) <= plan.bin_width / 2.0
+        code_ok = cyclic_distance(res.code_phase_hat, code_phase, n) <= 1.0
+        labels.append(EpochLabel(t=epoch.t0, truth_doppler=truth.doppler0,
                                  estimate_ok=bool(dopp_ok and code_ok)))
     return labels
 
@@ -127,10 +107,14 @@ def pf_sweep(results: Sequence[AcqResult], labels: Sequence[EpochLabel],
                    false_alarm_rate=fa)
 
 
-def threshold_bounds(curve: PfCurve, target: float) -> tuple[float, float] | None:
-    """Smallest and largest threshold with pf <= target, or None."""
+def check_pf_target(target: float) -> None:
     if not 0 < target < 1:
         raise ValueError(f"target must be in (0, 1), got {target}")
+
+
+def threshold_bounds(curve: PfCurve, target: float) -> tuple[float, float] | None:
+    """Smallest and largest threshold with pf <= target, or None."""
+    check_pf_target(target)
     below = np.flatnonzero(curve.pf <= target)
     if below.size == 0:
         return None
@@ -192,7 +176,7 @@ def run_epoch(epoch: SampledSignal, code: ChipSequence, plan: FrequencyPlan,
 def acquisition_timeline(pass_epochs: Sequence[SampledSignal],
                          spec: IntegrationSpec, plan: FrequencyPlan,
                          threshold: float, results: list[AcqResult],
-                         code: ChipSequence | None = None,
+                         epoch_step: float, code: ChipSequence | None = None,
                          ) -> tuple[list[AcqResult], list[EpochLabel], TimelineSummary]:
     """Label one strategy's results, one per epoch of a pass (see run_span),
     and summarize.  spec and threshold name the run that gave the results
@@ -200,21 +184,17 @@ def acquisition_timeline(pass_epochs: Sequence[SampledSignal],
 
     Success duration counts truth-correct epochs (the desk-scale analog of
     Doppler-continuity checking); the threshold-based decided duration is
-    reported separately.  Durations are epoch counts scaled by the epoch
-    cadence inferred from the stream.
+    reported separately.  Durations are epoch counts times the pass's
+    epoch_step, as floats whatever its JSON type.
     """
     epochs = list(pass_epochs)
     if not epochs:
         raise ValueError("empty epoch stream")
     if code is None:
         code = generate_code(epochs[0].truth.prn_id)
-    truths = [truth_from_epoch(e, code) for e in epochs]
-    n = samples_per_code(code, epochs[0].sample_rate)
-    labels = label_epochs(results, truths, plan,
-                          epochs[0].truth.intermediate_freq, n)
-    step = epochs[1].t0 - epochs[0].t0 if len(epochs) > 1 else 1.0
+    labels = label_epochs(results, epochs, plan, code)
     summary = TimelineSummary(
-        success_s=sum(1 for l in labels if l.estimate_ok) * step,
-        decided_s=sum(1 for r in results if r.decided) * step,
+        success_s=sum(1 for l in labels if l.estimate_ok) * float(epoch_step),
+        decided_s=sum(1 for r in results if r.decided) * float(epoch_step),
     )
     return results, labels, summary

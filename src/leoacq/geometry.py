@@ -22,24 +22,18 @@ EARTH_RADIUS = 6371e3  # m, spherical model
 MU_EARTH = 3.986004418e14  # m^3/s^2
 
 
-@dataclass
-class PassSample:
-    """State of the link at one epoch of a pass."""
-
-    t: float                 # seconds since scenario start
-    range_m: float
-    elevation_deg: float
-    radial_velocity: float   # m/s, positive closing
-    doppler: float           # Hz
-    doppler_rate: float      # Hz/s
-    path_loss_db: float
+# Columns of a pass: t (s from scenario start), range_m, elevation_deg,
+# radial_velocity (m/s, + closing), doppler (Hz), doppler_rate (Hz/s), path_loss_db
+PASS_COLUMNS = ("t", "range_m", "elevation_deg", "radial_velocity",
+                "doppler", "doppler_rate", "path_loss_db")
 
 
 @dataclass
 class PassScenario:
-    """Time series of link geometry over one visibility window."""
+    """Time series of link geometry over one visibility window: a float64
+    record array with the PASS_COLUMNS fields, one record per epoch."""
 
-    samples: list[PassSample]
+    samples: np.recarray
 
 
 def doppler_shift(carrier_freq: float, radial_velocity: float) -> float:
@@ -127,12 +121,6 @@ def simulate_pass(orbit_height: float, elevation_mask: float,
     dopp_rate = _central_difference(dopp, epoch_step)
     loss = free_space_loss(rng, carrier_freq)
 
-    t = (k + k_max) * epoch_step
-    samples = [PassSample(t=float(t[i]), range_m=float(rng[i]),
-                          elevation_deg=float(elev[i]),
-                          radial_velocity=float(vrad[i]),
-                          doppler=float(dopp[i]),
-                          doppler_rate=float(dopp_rate[i]),
-                          path_loss_db=float(loss[i]))
-               for i in range(len(k))]
-    return PassScenario(samples=samples)
+    t = (k + k_max) * float(epoch_step)  # a float column for an int step
+    return PassScenario(samples=np.rec.fromarrays(
+        [t, rng, elev, vrad, dopp, dopp_rate, loss], names=PASS_COLUMNS))

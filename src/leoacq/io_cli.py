@@ -23,7 +23,7 @@ import math
 import numbers
 import os
 import sys
-from dataclasses import asdict, astuple, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -34,8 +34,8 @@ from .signal_synth import SampledSignal, SynthParams, pass_params
 from .acq_core import _row_bands, make_plan
 from .detector import DEFAULT_MTSMR_THRESHOLD
 from .integrators import IntegrationSpec, Strategy, span_error
-from .eval_harness import (acquisition_timeline, pf_sweep, run_span,
-                           threshold_bounds)
+from .eval_harness import (acquisition_timeline, check_pf_target, pf_sweep,
+                           run_span, threshold_bounds)
 
 
 class SampleFileError(Exception):
@@ -229,6 +229,9 @@ def read_truth_sidecar(path) -> tuple[dict, list[dict]]:
                           complete=True)
         if e["data_bits"] is not None:
             e["data_bits"] = np.array(e["data_bits"], dtype=np.float64)
+    if not header["epoch_step"] > 0:
+        raise SampleFileError(f"{path}: epoch_step must be positive, got "
+                              f"{header['epoch_step']!r}")
     if header["epoch_count"] != len(epochs):
         raise SampleFileError(
             f"{path}: epoch_count is {header['epoch_count']}, but the "
@@ -524,7 +527,7 @@ def _cmd_pass(args) -> int:
     config = _load_config(args)
     write_csv(args.out, "t_s,range_m,elev_deg,vrad_mps,doppler_hz,"
               "doppler_rate_hzps,path_loss_db",
-              map(astuple, config.scenario().samples))
+              config.scenario().samples.tolist())
     return 0
 
 
@@ -556,7 +559,7 @@ def _cmd_acquire(args) -> int:
     results = [r for (r,) in run_span(epochs, code, plan, [spec],
                                       args.threshold)]
     results, labels, summary = acquisition_timeline(
-        epochs, spec, plan, args.threshold, results, code=code)
+        epochs, spec, plan, args.threshold, results, header["epoch_step"], code=code)
     write_csv(args.out, "t_s,strategy,total_ms,doppler_hz,code_phase_samples,"
               "mtsmr,mtmr,decided,ok",
               ([l.t, strategy.value, args.total_ms, float(r.doppler_hat),
@@ -591,11 +594,12 @@ def _run_matrix(config: ScenarioConfig):
             results[spec.strategy, t_ms] = [r[k] for r in per_epoch]
     for strategy, t_ms in combos:
         yield (strategy, t_ms, *acquisition_timeline(
-            epochs, IntegrationSpec(strategy, t_ms), plans[t_ms],
-            config.threshold, results[strategy, t_ms], code=code))
+            epochs, IntegrationSpec(strategy, t_ms), plans[t_ms], config.threshold,
+            results[strategy, t_ms], config.epoch_step, code=code))
 
 
 def _cmd_sweep(args) -> int:
+    check_pf_target(args.pf_target)  # before the pass runs
     config = _load_config(args)
     os.makedirs(args.out_dir, exist_ok=True)
     thresholds = config.threshold_grid()

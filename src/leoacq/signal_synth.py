@@ -161,16 +161,19 @@ def pass_params(scenario: PassScenario, base: SynthParams,
     alone, and the epochs of a pass can be synthesized in any order, on any
     thread (io_cli.pass_epochs synthesizes them in row bands).
     """
-    if not scenario.samples:
+    # Python floats, so that each SynthParams is that of the scalar sums
+    columns = ("t", "doppler", "doppler_rate", "path_loss_db")
+    ts, dopplers, rates, losses = (scenario.samples[c].tolist() for c in columns)
+    if not ts:
         raise ValueError("empty pass scenario")
-    loss_min = min(s.path_loss_db for s in scenario.samples)
+    loss_min = min(losses)
     n_bits = int(base.duration * 1e3 / BIT_PERIOD_MS) + 2
-    for k, s in enumerate(scenario.samples):
-        excess_db = s.path_loss_db - loss_min
+    for k, (t, doppler, rate, loss) in enumerate(zip(ts, dopplers, rates, losses)):
+        excess_db = loss - loss_min
         params = replace(
             base,
-            doppler0=s.doppler,
-            doppler_rate=s.doppler_rate,
+            doppler0=doppler,
+            doppler_rate=rate,
             amplitude=base.amplitude * 10.0 ** (-excess_db / 20.0),
             cn0=None if base.cn0 is None else base.cn0 - excess_db,
             seed=base.seed ^ k,
@@ -180,7 +183,7 @@ def pass_params(scenario: PassScenario, base: SynthParams,
             params = replace(
                 params,
                 data_bits=1.0 - 2.0 * bit_rng.integers(0, 2, n_bits))
-        yield s.t, params
+        yield t, params
 
 
 def synthesize_pass_signal(scenario: PassScenario, base: SynthParams,

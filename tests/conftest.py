@@ -18,6 +18,7 @@ from leoacq import acq_core
 from leoacq.acq_core import (FrequencyPlan, _mixing_table, code_spectrum,
                              make_plan, process_units)
 from leoacq.detector import RowSearch
+from leoacq.geometry import PASS_COLUMNS, PassScenario
 from leoacq.prn_code import generate_code, samples_per_code
 from leoacq.signal_synth import SampledSignal, SynthParams, synthesize
 
@@ -154,3 +155,13 @@ def synth_units(m, code, d0=1000.0, cn0=None, seed=0, fs=FS_FAST,
 
 def plan_for(total_ms, fif=FIF_FAST, half_span=2e3):
     return make_plan(fif, half_span, total_ms)
+
+
+def flat_scenario(n, doppler=0.0, step=1.0) -> PassScenario:
+    """A pass of n epochs step s apart at one range (1000 km, 45 deg, 150 dB
+    path loss) and one Doppler, so that every epoch gets the same amplitude."""
+    link = dict(range_m=1000e3, elevation_deg=45.0, radial_velocity=0.0,
+                doppler=doppler, doppler_rate=0.0, path_loss_db=150.0)
+    columns = [np.arange(n) * float(step)]
+    columns += [np.full(n, float(link[name])) for name in PASS_COLUMNS[1:]]
+    return PassScenario(samples=np.rec.fromarrays(columns, names=PASS_COLUMNS))

@@ -13,25 +13,23 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.fft
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from leoacq import acq_core, eval_harness
 from leoacq.acq_core import code_spectrum, make_plan
 from leoacq.detector import AcqResult, RowSearch, acquire
-from leoacq.eval_harness import (EpochLabel, EpochTruth, PfCurve,
-                                 acquisition_timeline, cyclic_distance,
-                                 label_epochs, pf_sweep, run_epoch,
-                                 run_span, threshold_bounds,
-                                 truth_code_phase, truth_from_epoch)
-from leoacq.geometry import PassSample, PassScenario
+from leoacq.eval_harness import (EpochLabel, PfCurve, acquisition_timeline,
+                                 cyclic_distance, label_epochs, pf_sweep,
+                                 run_epoch, run_span, threshold_bounds,
+                                 truth_code_phase)
 from leoacq.integrators import (IntegrationSpec, Strategy, integrate,
                                 span_error)
 from leoacq.prn_code import generate_code, samples_per_code
-from leoacq.signal_synth import synthesize_pass_signal
+from leoacq.signal_synth import SampledSignal, synthesize_pass_signal
 
 from conftest import (FS_FAST, FIF_FAST, FS_FULL, FIF_FULL, block_rows,
-                      fast_params, fed_search, no_pool, plan_for,
-                      row_bands, synth_units, unit_block)
+                      fast_params, fed_search, flat_scenario, full_params,
+                      no_pool, plan_for, row_bands, synth_units, unit_block)
 
 
 def _result(doppler=0.0, code=0, ratio=5.0, decided=True):
@@ -39,39 +37,57 @@ def _result(doppler=0.0, code=0, ratio=5.0, decided=True):
                      mtmr=ratio * 2, decided=decided)
 
 
-def _truth(t=0.0, doppler=0.0, code=0.0):
-    return EpochTruth(t=t, doppler=doppler, code_phase_samples=code)
+def _epoch(t=0.0, doppler=0.0, code_phase0=0.0, params=fast_params):
+    """An epoch that carries only its truth: labelling reads no samples."""
+    truth = params(doppler0=doppler, code_phase0=code_phase0)
+    return SampledSignal(samples=np.zeros(0), sample_rate=truth.sample_rate,
+                         t0=t, truth=truth)
 
 
 PLAN1 = plan_for(1)  # 500 Hz bins around the fast-profile IF
 
 
 class TestLabeling:
-    def test_exact_estimate_ok(self):
-        labels = label_epochs([_result()], [_truth()], PLAN1, FIF_FAST, 1023)
+    def test_exact_estimate_ok(self, code1):
+        labels = label_epochs([_result()], [_epoch()], PLAN1, code1)
         assert labels[0].estimate_ok
 
-    def test_one_bin_off_not_ok(self):
-        labels = label_epochs([_result(doppler=500.0)], [_truth(doppler=0.0)],
-                              PLAN1, FIF_FAST, 1023)
+    def test_label_carries_the_epoch_truth(self, code1):
+        [label] = label_epochs([_result()], [_epoch(t=7.0, doppler=120.0)],
+                               PLAN1, code1)
+        assert label == EpochLabel(t=7.0, truth_doppler=120.0,
+                                   estimate_ok=True)
+
+    def test_one_bin_off_not_ok(self, code1):
+        labels = label_epochs([_result(doppler=500.0)], [_epoch(doppler=0.0)],
+                              PLAN1, code1)
         assert not labels[0].estimate_ok
 
-    def test_half_bin_boundary_inclusive(self):
-        labels = label_epochs([_result(doppler=250.0)], [_truth(doppler=0.0)],
-                              PLAN1, FIF_FAST, 1023)
+    def test_half_bin_boundary_inclusive(self, code1):
+        labels = label_epochs([_result(doppler=250.0)], [_epoch(doppler=0.0)],
+                              PLAN1, code1)
         assert labels[0].estimate_ok
 
-    def test_code_phase_cyclic_tolerance(self):
-        ok = label_epochs([_result(code=0)], [_truth(code=1022.5)],
-                          PLAN1, FIF_FAST, 1023)[0].estimate_ok
+    def test_code_phase_cyclic_tolerance(self, code1):
+        # 1 sample a chip: code_phase0 c chips correlates at -c samples
+        ok = label_epochs([_result(code=0)], [_epoch(code_phase0=0.5)],
+                          PLAN1, code1)[0].estimate_ok
         assert ok  # 0 vs 1022.5 is 0.5 samples away cyclically
-        bad = label_epochs([_result(code=3)], [_truth(code=1022.0)],
-                           PLAN1, FIF_FAST, 1023)[0].estimate_ok
-        assert not bad
+        bad = label_epochs([_result(code=3)], [_epoch(code_phase0=1.0)],
+                           PLAN1, code1)[0].estimate_ok
+        assert not bad  # 3 vs 1022 is 4 samples away
 
-    def test_length_mismatch(self):
+    def test_each_epoch_labelled_at_its_own_if(self, code1):
+        # the same estimate is on the truth for an epoch synthesized at the
+        # plan's IF and a full bin off for one synthesized 500 Hz above it
+        epochs = [_epoch(), _epoch(params=functools.partial(
+            fast_params, intermediate_freq=FIF_FAST + 500.0))]
+        labels = label_epochs([_result(), _result()], epochs, PLAN1, code1)
+        assert [l.estimate_ok for l in labels] == [True, False]
+
+    def test_length_mismatch(self, code1):
         with pytest.raises(ValueError, match="truth"):
-            label_epochs([_result()], [], PLAN1, FIF_FAST, 1023)
+            label_epochs([_result()], [], PLAN1, code1)
 
     def test_cyclic_distance(self):
         assert cyclic_distance(0, 1022, 1023) == 1.0
@@ -84,6 +100,34 @@ class TestLabeling:
         params = fast_params(code_phase0=0.0)
         assert truth_code_phase(params, 1023, code1.chip_rate) == 0.0
 
+    @settings(max_examples=200)
+    @given(params=st.sampled_from([fast_params, full_params]),
+           code_phase0=st.floats(0.0, 1023.0, exclude_max=True),
+           frac=st.floats(-1.0, 1.0), total_ms=st.integers(1, 40),
+           sign=st.sampled_from([-1, 1]))
+    # truth at 0 samples, and at 1022.7 whose nearest sample wraps to 0
+    @example(params=fast_params, code_phase0=0.0, frac=0.0, total_ms=1, sign=1)
+    @example(params=fast_params, code_phase0=0.3, frac=0.5, total_ms=20,
+             sign=-1)
+    def test_only_the_true_cell_is_ok(self, code1, params, code_phase0, frac,
+                                      total_ms, sign):
+        # the truth Doppler anywhere within the plan's span; the estimate
+        # at the bin and the sample nearest the truth is ok, and one a
+        # full bin or two samples further, cyclically, is not
+        plan = plan_for(total_ms, fif=params().intermediate_freq)
+        epoch = _epoch(doppler=frac * 2e3, code_phase0=code_phase0,
+                       params=params)
+        n = samples_per_code(code1, epoch.sample_rate)
+        truth = truth_code_phase(epoch.truth, n, code1.chip_rate)
+        cell = round(truth) % n
+        bin_hat = min(plan.bins, key=lambda b: abs(b - frac * 2e3))
+        results = [_result(doppler=bin_hat, code=cell),
+                   _result(doppler=frac * 2e3 + sign * plan.bin_width,
+                           code=cell),
+                   _result(doppler=bin_hat, code=(cell + sign * 2) % n)]
+        labels = label_epochs(results, [epoch] * 3, plan, code1)
+        assert [l.estimate_ok for l in labels] == [True, False, False]
+
     def test_noiseless_sweep_labels_all_ok(self, code1):
         # fractional delays across the sweep all label ok (ties acquisition
         # accuracy to the 1-sample labeling tolerance)
@@ -92,8 +136,7 @@ class TestLabeling:
             sig, params = synth_units(1, code1, d0=300.0,
                                       code_phase0=200.0 + frac)
             res = run_epoch(sig, code1, PLAN1, spec, threshold=2.5)
-            truth = truth_from_epoch(sig, code1)
-            label = label_epochs([res], [truth], PLAN1, FIF_FAST, 1023)[0]
+            label = label_epochs([res], [sig], PLAN1, code1)[0]
             assert label.estimate_ok
 
 
@@ -409,7 +452,7 @@ class TestRunSpan:
 class TestPfSweep:
     def test_all_correct_and_confident(self):
         results = [_result(ratio=10.0)] * 8
-        labels = [EpochLabel(0.0, 0.0, 0.0, True)] * 8
+        labels = [EpochLabel(0.0, 0.0, True)] * 8
         curve = pf_sweep(results, labels, [1.0, 5.0, 10.0, 10.5])
         assert np.array_equal(curve.pf, [0.0, 0.0, 0.0, 1.0])
         assert np.array_equal(curve.false_alarm_rate, [0.0, 0.0, 0.0, 0.0])
@@ -417,14 +460,14 @@ class TestPfSweep:
 
     def test_all_wrong_and_confident(self):
         results = [_result(ratio=10.0)] * 8
-        labels = [EpochLabel(0.0, 0.0, 0.0, False)] * 8
+        labels = [EpochLabel(0.0, 0.0, False)] * 8
         curve = pf_sweep(results, labels, [1.0, 10.0, 10.5])
         assert np.array_equal(curve.pf, [1.0, 1.0, 0.0])
 
     def test_monotone_components(self):
         rng = np.random.default_rng(3)
         results = [_result(ratio=float(r)) for r in rng.uniform(1, 6, 50)]
-        labels = [EpochLabel(0.0, 0.0, 0.0, bool(b))
+        labels = [EpochLabel(0.0, 0.0, bool(b))
                   for b in rng.random(50) < 0.6]
         curve = pf_sweep(results, labels, np.linspace(1.0, 6.0, 21))
         assert np.all(np.diff(curve.false_alarm_rate) <= 0)
@@ -433,14 +476,14 @@ class TestPfSweep:
 
     def test_validation(self):
         with pytest.raises(ValueError, match="ascending"):
-            pf_sweep([_result()], [EpochLabel(0, 0, 0, True)], [2.0, 1.0])
+            pf_sweep([_result()], [EpochLabel(0, 0, True)], [2.0, 1.0])
         with pytest.raises(ValueError, match="empty"):
             pf_sweep([], [], [1.0])
 
     @pytest.mark.parametrize("labels", [1, 2, 4])
     def test_results_and_labels_must_pair(self, labels):
         with pytest.raises(ValueError, match="3 results vs"):
-            pf_sweep([_result()] * 3, [EpochLabel(0, 0, 0, True)] * labels,
+            pf_sweep([_result()] * 3, [EpochLabel(0, 0, True)] * labels,
                      [1.0, 2.0])
 
 
@@ -475,19 +518,16 @@ class TestThresholdBounds:
             threshold_bounds(curve, 1.5)
 
 
-def _flat_scenario(n, doppler=300.0, step=1.0):
-    samples = [PassSample(t=k * step, range_m=1000e3, elevation_deg=45.0,
-                          radial_velocity=0.0, doppler=doppler,
-                          doppler_rate=0.0, path_loss_db=150.0)
-               for k in range(n)]
-    return PassScenario(samples=samples)
+# the passes of these tests: one range and a 300 Hz Doppler at every epoch
+_flat_scenario = functools.partial(flat_scenario, doppler=300.0)
 
 
-def _timeline(epochs, spec, plan=PLAN1, threshold=2.5):
+def _timeline(epochs, spec, epoch_step=1.0, plan=PLAN1, threshold=2.5):
     """run_span over the epochs, then acquisition_timeline on its results."""
     code = generate_code(epochs[0].truth.prn_id)
     results = [r for (r,) in run_span(epochs, code, plan, [spec], threshold)]
-    return acquisition_timeline(epochs, spec, plan, threshold, results)
+    return acquisition_timeline(epochs, spec, plan, threshold, results,
+                                epoch_step)
 
 
 class TestTimeline:
@@ -510,12 +550,20 @@ class TestTimeline:
         assert [r.mtsmr for r in a[0]] == [r.mtsmr for r in b[0]]
         assert a[2] == b[2]
 
-    def test_cadence_scales_durations(self, code1):
+    def test_epoch_step_scales_durations(self, code1):
         epochs = list(synthesize_pass_signal(
             _flat_scenario(4, step=3.0), fast_params(cn0=None, duration=1e-3)))
         spec = IntegrationSpec(Strategy.COHERENT, total_ms=1)
-        _, _, summary = _timeline(epochs, spec)
-        assert summary.success_s == 12.0
+        for epoch_step in (3.0, 3):  # a JSON int step still gives floats
+            _, _, summary = _timeline(epochs, spec, epoch_step=epoch_step)
+            assert repr(summary.success_s) == repr(summary.decided_s) == "12.0"
+
+    def test_one_epoch_counts_one_epoch_step(self, code1):
+        epochs = list(synthesize_pass_signal(
+            _flat_scenario(1), fast_params(cn0=None, duration=1e-3)))
+        spec = IntegrationSpec(Strategy.COHERENT, total_ms=1)
+        _, _, summary = _timeline(epochs, spec, epoch_step=60.0)
+        assert summary.success_s == summary.decided_s == 60.0
 
     def test_given_results_are_labelled_not_recomputed(self, code1, monkeypatch):
         epochs = list(synthesize_pass_signal(
@@ -524,12 +572,12 @@ class TestTimeline:
         expected = _timeline(epochs, spec)
         for name in ("run_span", "process_units", "integrate", "acquire"):
             monkeypatch.setattr(eval_harness, name, None)
-        assert acquisition_timeline(epochs, spec, PLAN1, 2.5,
-                                    expected[0]) == expected
         assert acquisition_timeline(epochs, spec, PLAN1, 2.5, expected[0],
-                                    code=code1) == expected
+                                    1.0) == expected
+        assert acquisition_timeline(epochs, spec, PLAN1, 2.5, expected[0],
+                                    1.0, code=code1) == expected
 
     def test_empty_stream(self):
         spec = IntegrationSpec(Strategy.COHERENT, total_ms=1)
         with pytest.raises(ValueError, match="empty"):
-            acquisition_timeline([], spec, PLAN1, 2.5, [])
+            acquisition_timeline([], spec, PLAN1, 2.5, [], 1.0)

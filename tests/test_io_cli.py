@@ -792,13 +792,11 @@ class TestCli:
         out = tmp_path / "pass.csv"
         assert cli(["pass", "--config", strong_config, "--out", str(out)]) == 0
         samples = ScenarioConfig.from_file(strong_config).scenario().samples
-        s = samples[1]
         lines = out.read_bytes().split(b"\n")
         assert lines[0] == (b"t_s,range_m,elev_deg,vrad_mps,doppler_hz,"
                             b"doppler_rate_hzps,path_loss_db")
-        assert lines[2] == (f"{s.t!r},{s.range_m!r},{s.elevation_deg!r},"
-                            f"{s.radial_velocity!r},{s.doppler!r},"
-                            f"{s.doppler_rate!r},{s.path_loss_db!r}").encode()
+        # each column of the epoch as its Python float repr
+        assert lines[2] == ",".join(map(repr, samples.tolist()[1])).encode()
         assert len(lines) == len(samples) + 2 and lines[-1] == b""
 
     def test_single_epoch_pass_exits_two(self, strong_config, tmp_path,
@@ -947,10 +945,13 @@ class TestCli:
          "doppler0"),
         (lambda r: {**r, "epoch_count": len(r["epochs"]) + 1}, "epoch_count"),
         (lambda r: {**r, "epoch_count": len(r["epochs"]) - 1}, "epoch_count"),
+        (lambda r: {**r, "epoch_step": -5.0}, "epoch_step"),
+        (lambda r: {**r, "epoch_step": 0}, "epoch_step"),
     ], ids=["list", "epoch-int", "epochs-int", "sample_rate-str",
             "intermediate_freq-null", "t0-bool", "samples_per_epoch-float",
             "format-list", "sample_rate-missing", "doppler0-str",
-            "epoch_count-more", "epoch_count-fewer"])
+            "epoch_count-more", "epoch_count-fewer", "epoch_step-negative",
+            "epoch_step-zero"])
     def test_acquire_malformed_sidecar_exits_two(
             self, strong_config, tmp_path, capsys, edit, field_name):
         samples = tmp_path / "pass.bin"
@@ -1011,6 +1012,24 @@ class TestCli:
         assert outputs[0] == outputs[1]
         assert outputs[0].count(b"\n") == 6
 
+    def test_acquire_one_epoch_counts_the_sidecar_epoch_step(
+            self, strong_config, tmp_path, capsys):
+        # a one-epoch file: its durations come from the sidecar's epoch_step
+        samples = tmp_path / "pass.bin"
+        assert cli(["synth", "--config", strong_config,
+                    "--out", str(samples)]) == 0
+        sidecar = Path(str(samples) + ".truth")
+        record = json.loads(sidecar.read_text())
+        sidecar.write_text(json.dumps({**record, "epoch_step": 60.0,
+                                       "epoch_count": 1,
+                                       "epochs": record["epochs"][:1]}))
+        capsys.readouterr()
+        out = tmp_path / "timeline.csv"
+        assert cli(["acquire", "--samples", str(samples), "--total-ms", "5",
+                    "--half-span", "2000", "--out", str(out)]) == 0
+        assert out.read_text().count("\n") == 2
+        assert capsys.readouterr().err == "success 60.0 s, decided 60.0 s\n"
+
     def test_acquire_missing_sidecar_exits_two(self, tmp_path, capsys):
         path = tmp_path / "lonely.bin"
         path.write_bytes(b"\x00" * 16)
@@ -1034,6 +1053,19 @@ class TestCli:
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "strategy,total_ms,success_s,decided_s"
         assert len(lines) == 5  # 2 strategies x 2 durations
+
+    @pytest.mark.parametrize("target", ["0", "1", "1.5", "-0.1", "nan"])
+    def test_sweep_target_checked_before_the_pass(self, strong_config, tmp_path,
+                                                  monkeypatch, capsys, target):
+        def run_span(*args, **kwargs):
+            raise AssertionError("sweep ran the pass")
+
+        monkeypatch.setattr(io_cli, "run_span", run_span)
+        out_dir = tmp_path / "sweep"
+        assert cli(["sweep", "--config", strong_config, "--out-dir",
+                    str(out_dir), "--pf-target", target]) == 2
+        assert "target must be in (0, 1)" in capsys.readouterr().err
+        assert not out_dir.exists() or not any(out_dir.iterdir())
 
     def test_sweep_unreachable_target_bounds_none(self, strong_config,
                                                   tmp_path, capsys):

@@ -6,12 +6,12 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import cumulative_trapezoid
 
 from leoacq import signal_synth
-from leoacq.geometry import PassSample, PassScenario, simulate_pass
+from leoacq.geometry import simulate_pass
 from leoacq.prn_code import generate_code
 from leoacq.signal_synth import (SynthParams, noise_sigma, synthesize,
                                  synthesize_pass_signal)
 
-from conftest import FS_FULL, FIF_FULL, full_params, fast_params
+from conftest import FS_FULL, FIF_FULL, fast_params, flat_scenario, full_params
 
 
 class TestNoiseSigma:
@@ -186,17 +186,9 @@ class TestReferenceSynthesis:
         assert got.tobytes() == _reference_synthesize(params, code1).tobytes()
 
 
-def _flat_scenario(n, rng_m=1000e3, doppler=0.0):
-    samples = [PassSample(t=float(k), range_m=rng_m, elevation_deg=45.0,
-                          radial_velocity=0.0, doppler=doppler,
-                          doppler_rate=0.0, path_loss_db=150.0)
-               for k in range(n)]
-    return PassScenario(samples=samples)
-
-
 class TestPassSignal:
     def test_constant_range_epochs_identical_params(self):
-        epochs = list(synthesize_pass_signal(_flat_scenario(4),
+        epochs = list(synthesize_pass_signal(flat_scenario(4),
                                              fast_params(cn0=45.0)))
         assert len(epochs) == 4
         assert all(e.truth.doppler0 == 0.0 for e in epochs)
@@ -229,13 +221,13 @@ class TestPassSignal:
         assert np.all(np.abs(deltas - mid_rate[lo:hi]) <= 0.01 * np.abs(deltas))
 
     def test_epoch_t0_and_seed_derivation(self):
-        scen = _flat_scenario(3)
+        scen = flat_scenario(3)
         epochs = list(synthesize_pass_signal(scen, fast_params(cn0=40.0, seed=6)))
         assert [e.t0 for e in epochs] == [0.0, 1.0, 2.0]
         assert [e.truth.seed for e in epochs] == [6 ^ 0, 6 ^ 1, 6 ^ 2]
 
     def test_random_bits_reproducible_and_bipolar(self):
-        scen = _flat_scenario(3)
+        scen = flat_scenario(3)
         base = fast_params(cn0=None, duration=40e-3, seed=9)
         a = list(synthesize_pass_signal(scen, base, random_bits=True))
         b = list(synthesize_pass_signal(scen, base, random_bits=True))
@@ -246,4 +238,4 @@ class TestPassSignal:
 
     def test_empty_scenario(self):
         with pytest.raises(ValueError, match="empty"):
-            list(synthesize_pass_signal(PassScenario([]), fast_params()))
+            list(synthesize_pass_signal(flat_scenario(0), fast_params()))
