@@ -6,8 +6,9 @@ interleave I then Q per sample.  A synthesized sample file is accompanied
 by a JSON truth sidecar (<name>.truth) that records the file layout and
 each epoch's start time and SynthParams, which is enough to label
 acquisition results without re-synthesizing.  A sidecar in the older
-key=value text form, or with a field missing, unknown or of the wrong
-type, is rejected with a data error (exit 2).
+key=value text form, with a field missing, unknown or of the wrong type,
+or with an epoch whose sample rate, IF or PRN differs from the file's, is
+rejected with a data error (exit 2).
 
 Subcommands: synth, pass, acquire, sweep, duration.  Exit codes: 0 success,
 1 usage error, 2 data error.
@@ -27,7 +28,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .prn_code import generate_code, samples_per_code
+from .prn_code import ChipSequence, generate_code, samples_per_code
 from .geometry import simulate_pass, PassScenario
 from . import signal_synth
 from .signal_synth import SampledSignal, SynthParams, pass_params
@@ -207,7 +208,8 @@ def read_truth_sidecar(path) -> tuple[dict, list[dict]]:
     The header must hold exactly the keys write_truth_sidecar writes, with
     epoch_count the length of a non-empty epochs list, and each epoch
     exactly "t" plus every SynthParams field, each a JSON value of its
-    field's type; data_bits comes back as an array or None.
+    field's type, with the header's sample_rate and intermediate_freq and
+    epoch 0's prn_id; data_bits comes back as an array or None.
     """
     try:
         with open(path) as f:
@@ -224,9 +226,18 @@ def read_truth_sidecar(path) -> tuple[dict, list[dict]]:
     if not epochs:
         raise SampleFileError(f"{path}: the sidecar lists no epochs")
     per_epoch = {"t": "float", **{f.name: f.type for f in fields(SynthParams)}}
+    # acquire reads and searches at the header's rate and IF, with epoch 0's
+    # code, so every epoch must have been synthesized with them
+    agree = (("sample_rate", header, "the header's"),
+             ("intermediate_freq", header, "the header's"),
+             ("prn_id", epochs[0], "epoch 0's"))
     for k, e in enumerate(epochs):
         _check_json_types(f"{path}: epoch {k}", e, per_epoch, SampleFileError,
                           complete=True)
+        for key, source, whose in agree:
+            if e[key] != source[key]:
+                raise SampleFileError(f"{path}: epoch {k}: {key} is "
+                                      f"{e[key]!r}, not {whose} {source[key]!r}")
         if e["data_bits"] is not None:
             e["data_bits"] = np.array(e["data_bits"], dtype=np.float64)
     if not header["epoch_step"] > 0:
@@ -262,6 +273,13 @@ def _check_search(threshold: float, half_span: float, sample_rate: float) -> Non
                          f"got {half_span!r}")
 
 
+def span_samples(code: ChipSequence, sample_rate: float, total_ms: int) -> int:
+    """Samples a span of total_ms units correlates from the start of each
+    epoch (eval_harness.run_span): the length an epoch must have for it.
+    duration and sweep synthesize, and acquire reads, only these samples."""
+    return total_ms * samples_per_code(code, sample_rate)
+
+
 @dataclass
 class ScenarioConfig:
     """One experiment: synthesis + geometry + run parameters (JSON file)."""
@@ -275,7 +293,9 @@ class ScenarioConfig:
     bit_phase0: float = 0.0
     data_bits: str = "ones"         # "ones" | "random"
     cn0: float | None = 45.0        # dB-Hz at the pass minimum range
-    duration: float = 0.04          # s of signal per epoch
+    # s of signal per epoch that synth writes; duration and sweep
+    # synthesize only the span_samples of the longest span in total_ms
+    duration: float = 0.04
     seed: int = 1
     orbit_height: float = 645e3
     elevation_mask: float = 10.0
@@ -319,13 +339,16 @@ class ScenarioConfig:
         if self.data_bits not in ("ones", "random"):
             raise ValueError("data_bits must be 'ones' or 'random'")
         _check_search(self.threshold, self.half_span, self.sample_rate)
-        if self.duration < max(self.total_ms) / 1e3:
-            raise ValueError(
-                f"epoch duration {self.duration}s shorter than the longest "
-                f"integration {max(self.total_ms)} ms")
         SampleFileMeta(self.sample_rate, self.intermediate_freq,
                        self.sample_format)  # validates the sample format
-        generate_code(self.prn_id)  # validates the PRN id
+        code = generate_code(self.prn_id)  # validates the PRN id
+        have = self.duration * self.sample_rate
+        need = span_samples(code, self.sample_rate, max(self.total_ms))
+        if not (math.isfinite(have) and round(have) >= need):
+            raise ValueError(
+                f"epoch duration {self.duration}s ({have:.0f} samples) is "
+                f"shorter than the longest integration {max(self.total_ms)} "
+                f"ms ({need} samples)")
         if next(self.run_combos(), None) is None:
             raise ValueError(
                 f"no strategy in strategies {self.strategies} is defined at "
@@ -376,7 +399,11 @@ class ScenarioConfig:
 
 
 def pass_epochs(config: ScenarioConfig) -> list[SampledSignal]:
-    """Geometry + synthesis for the configured pass, in memory.
+    """Geometry + synthesis for the configured pass, in memory: each epoch
+    holds config.duration of signal.  An epoch of a shorter duration is
+    bitwise the start of a longer one (its time base, chirp, code index,
+    noise draws and data bits are all prefixes), so _run_matrix asks only
+    for the samples its spans correlate.
 
     All samples live in one C-ordered (epochs, samples per epoch) float32
     array: epoch k's samples are a view of row k.  Each epoch is synthesized
@@ -545,10 +572,13 @@ def _cmd_acquire(args) -> int:
         raise SampleFileError(
             f"{args.samples}: {total} samples, fewer than the sidecar's "
             f"{len(epoch_truths)} epochs of {spe}")
-    # Each epoch is read only as far as the span correlates; an epoch
-    # shorter than the span fails in process_units as too short.
+    # Each epoch is read only as far as the span correlates.
     code = generate_code(epoch_truths[0]["prn_id"])
-    count = min(spe, args.total_ms * samples_per_code(code, meta.sample_rate))
+    count = span_samples(code, meta.sample_rate, args.total_ms)
+    if count > spe:
+        raise SampleFileError(
+            f"{args.samples}: epochs of {spe} samples are too short for a "
+            f"{args.total_ms} ms span of {count} samples")
     epochs = []
     for k, truth in enumerate(epoch_truths):
         sig = read_samples(args.samples, meta, offset=k * spe, count=count)
@@ -575,12 +605,16 @@ def _run_matrix(config: ScenarioConfig):
     """Run every valid (strategy, span) of the config over its pass.
 
     Yields (strategy, total_ms, results, labels, summary) in config order.
-    Each epoch is correlated once per span, into one unit block reused for
-    every epoch (eval_harness.run_span): the strategies at that span all
-    integrate the same unit grids.
+    The pass is synthesized only as far as the longest span correlates
+    (span_samples), not at the full duration that synth writes; the
+    outputs are those of the full epochs.  Each epoch is correlated once
+    per span, into one unit block reused for every epoch
+    (eval_harness.run_span): the strategies at that span all integrate the
+    same unit grids.
     """
-    epochs = pass_epochs(config)
     code = generate_code(config.prn_id)
+    count = span_samples(code, config.sample_rate, max(config.total_ms))
+    epochs = pass_epochs(replace(config, duration=count / config.sample_rate))
     combos = list(config.run_combos())
     by_span: dict[int, list[IntegrationSpec]] = {}
     for strategy, t_ms in combos:

@@ -353,11 +353,18 @@ class TestTruthSidecarProperties:
     @given(st.lists(st.tuples(finite, synth_params), min_size=1, max_size=4))
     @example([(-0.0, EXTREMES), (1.0, SynthParams())])
     def test_synth_params_round_trip(self, epochs):
+        # every epoch at the header's rate and IF and epoch 0's PRN
+        first = epochs[0][1]
+        epochs = [(t, replace(p, prn_id=first.prn_id,
+                              sample_rate=first.sample_rate,
+                              intermediate_freq=first.intermediate_freq))
+                  for t, p in epochs]
+        meta = SampleFileMeta(first.sample_rate, first.intermediate_freq)
         signals = [SampledSignal(samples=np.zeros(3), sample_rate=1.0, t0=t,
                                  truth=p) for t, p in epochs]
         with tempfile.TemporaryDirectory() as d:
             path = Path(d) / "x.bin.truth"
-            write_truth_sidecar(path, _meta(), signals, epoch_step=1.0)
+            write_truth_sidecar(path, meta, signals, epoch_step=1.0)
             header, truths = read_truth_sidecar(path)
         assert header["epoch_count"] == len(epochs)
         for (t, want), truth in zip(epochs, truths):
@@ -428,6 +435,18 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="shorter"):
             ScenarioConfig.from_file(self._write(tmp_path, total_ms=[40],
                                                  duration=5e-3))
+
+    def test_epoch_a_few_samples_short_of_the_span(self, tmp_path):
+        # 0.02 s at 4.0919 MHz is 81,838 samples; 20 code periods need
+        # 81,840, though duration equals max(total_ms) / 1e3
+        with pytest.raises(ValueError, match="shorter.*81840 samples"):
+            ScenarioConfig.from_file(self._write(
+                tmp_path, sample_rate=4.0919e6, intermediate_freq=1.25e6,
+                strategies=["coherent"], total_ms=[20], duration=0.02))
+        config = ScenarioConfig.from_file(self._write(
+            tmp_path, sample_rate=4.0919e6, intermediate_freq=1.25e6,
+            strategies=["coherent"], total_ms=[20], duration=0.0201))
+        assert config.duration == 0.0201
 
     def test_invalid_combos_skipped(self, tmp_path):
         from leoacq.integrators import Strategy
@@ -900,12 +919,17 @@ class TestCli:
         assert timelines[0] == timelines[1]
 
     def test_acquire_span_longer_than_epochs_exits_two(self, strong_config,
-                                                       tmp_path, capsys):
+                                                       tmp_path, capsys,
+                                                       monkeypatch):
         samples = str(tmp_path / "pass.bin")
         assert cli(["synth", "--config", strong_config, "--out", samples]) == 0
         capsys.readouterr()
+        calls = []
+        monkeypatch.setattr(io_cli, "read_samples",
+                            lambda *args, **kwargs: calls.append("read"))
         assert cli(["acquire", "--samples", samples, "--total-ms", "6"]) == 2
         assert "too short" in capsys.readouterr().err
+        assert calls == []
 
     def test_acquire_file_short_of_whole_samples_exits_two(
             self, strong_config, tmp_path, capsys):
@@ -965,6 +989,32 @@ class TestCli:
         assert cli(["acquire", "--samples", str(samples)]) == 2
         assert field_name in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k, key, edit, want", [
+        (2, "intermediate_freq", lambda e: e["intermediate_freq"] + 500.0,
+         "the header's"),
+        (1, "sample_rate", lambda e: e["sample_rate"] * 2, "the header's"),
+        (1, "prn_id", lambda e: 2, "epoch 0's"),
+    ], ids=["intermediate_freq", "sample_rate", "prn_id"])
+    def test_acquire_sidecar_epoch_off_the_header_exits_two(
+            self, strong_config, tmp_path, capsys, k, key, edit, want):
+        # acquire searches at the header's rate and IF with epoch 0's code,
+        # so an epoch synthesized otherwise cannot be labelled against it
+        samples = tmp_path / "pass.bin"
+        assert cli(["synth", "--config", strong_config,
+                    "--out", str(samples)]) == 0
+        sidecar = Path(str(samples) + ".truth")
+        record = json.loads(sidecar.read_text())
+        record["epochs"][k][key] = edit(record["epochs"][k])
+        sidecar.write_text(json.dumps(record))
+        capsys.readouterr()
+        out = tmp_path / "timeline.csv"
+        assert cli(["acquire", "--samples", str(samples),
+                    "--out", str(out)]) == 2
+        assert f"epoch {k}: {key} is " in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(SampleFileError, match=want):
+            read_truth_sidecar(sidecar)
+
     @pytest.mark.parametrize("strategy, total_ms", [
         ("coherent", 1), ("noncoherent", 5), ("differential", 2)])
     def test_acquire_equals_run_span_over_the_pass(
@@ -1011,6 +1061,37 @@ class TestCli:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
         assert outputs[0].count(b"\n") == 6
+
+    @pytest.mark.parametrize("command, out_flag",
+                             [("duration", "--out"), ("sweep", "--out-dir")])
+    def test_matrix_synthesizes_only_the_longest_span(
+            self, strong_config, tmp_path, monkeypatch, capsys, command,
+            out_flag):
+        # 40 ms epochs and spans of 1 and 5 ms: each epoch is synthesized
+        # to its first 5 code periods, and the outputs are those of the
+        # whole epochs
+        config = tmp_path / "long.json"
+        config.write_text(json.dumps({
+            **json.loads(Path(strong_config).read_text()),
+            "duration": 0.04, "data_bits": "random"}))
+        lengths, outputs = [], []
+        synthesize_pass = io_cli.pass_epochs
+        for whole_epochs in (False, True):
+            def recorded(cfg):
+                epochs = synthesize_pass(
+                    replace(cfg, duration=0.04) if whole_epochs else cfg)
+                lengths.append({len(e.samples) for e in epochs})
+                return epochs
+
+            monkeypatch.setattr(io_cli, "pass_epochs", recorded)
+            out = tmp_path / str(whole_epochs) / "out"
+            out.parent.mkdir()
+            assert cli([command, "--config", str(config),
+                        out_flag, str(out)]) == 0
+            outputs.append({p.name: p.read_bytes() for p in
+                            (out.iterdir() if out.is_dir() else [out])})
+        assert lengths == [{5 * 1023}, {40920}]
+        assert outputs[0] == outputs[1]
 
     def test_acquire_one_epoch_counts_the_sidecar_epoch_step(
             self, strong_config, tmp_path, capsys):

@@ -1,15 +1,17 @@
 """IF signal synthesis tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import cumulative_trapezoid
 
 from leoacq import signal_synth
 from leoacq.geometry import simulate_pass
 from leoacq.prn_code import generate_code
-from leoacq.signal_synth import (SynthParams, noise_sigma, synthesize,
-                                 synthesize_pass_signal)
+from leoacq.signal_synth import (SynthParams, noise_sigma, pass_params,
+                                 synthesize, synthesize_pass_signal)
 
 from conftest import FS_FULL, FIF_FULL, fast_params, flat_scenario, full_params
 
@@ -184,6 +186,40 @@ class TestReferenceSynthesis:
                       bit_phase0=bit_phase0, seed=seed)
         got = synthesize(params, code=code1).samples
         assert got.tobytes() == _reference_synthesize(params, code1).tobytes()
+
+
+class TestPassPrefix:
+    # io_cli._run_matrix synthesizes each epoch only as far as its spans
+    # correlate; its outputs are those of the whole epochs because every
+    # epoch of a shorter pass is bitwise the start of the longer one's.
+    @settings(max_examples=30)
+    @given(paper=st.booleans(), random_bits=st.booleans(),
+           cn0=st.none() | st.floats(30.0, 60.0),
+           short=st.integers(1, 50_000), extra=st.integers(1, 100_000),
+           d0=st.floats(-40e3, 40e3), rate=st.floats(-600.0, 600.0),
+           p0=st.floats(0.0, 1023.0), bit_phase0=st.floats(0.0, 19.9),
+           loss=st.floats(0.0, 20.0), seed=st.integers(0, 2 ** 16))
+    # 25 and 65 ms of random bits: the longer epoch draws more bits
+    @example(paper=False, random_bits=True, cn0=None, short=25_575,
+             extra=40_920, d0=0.0, rate=0.0, p0=0.0, bit_phase0=0.0, loss=0.0,
+             seed=1)
+    def test_shorter_epochs_are_prefixes(self, code1, paper, random_bits, cn0,
+                                         short, extra, d0, rate, p0,
+                                         bit_phase0, loss, seed):
+        scenario = flat_scenario(2, doppler=d0)
+        scenario.samples.doppler_rate[:] = rate
+        scenario.samples.path_loss_db[1] += loss
+        base = (full_params if paper else fast_params)(
+            code_phase0=p0, bit_phase0=bit_phase0, cn0=cn0, seed=seed)
+
+        def epochs(n):
+            duration = n / base.sample_rate
+            return [synthesize(p, code1).samples for _, p in pass_params(
+                scenario, replace(base, duration=duration), random_bits)]
+
+        for head, whole in zip(epochs(short), epochs(short + extra)):
+            assert len(head) == short and len(whole) == short + extra
+            assert head.tobytes() == whole[:short].tobytes()
 
 
 class TestPassSignal:
