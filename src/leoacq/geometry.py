@@ -3,8 +3,12 @@
 Models a circular two-body orbit over a spherical Earth and derives the
 range, elevation, radial velocity, Doppler shift, Doppler rate, and
 free-space propagation loss time series that drive the long-run
-acquisition experiments.  No ephemeris ingestion, no J2, no atmosphere:
-the geometry only has to reproduce realistic LEO Doppler/power dynamics.
+acquisition experiments.  Range rate and its derivative are the closed
+forms of that geometry (Vallado, Fundamentals of Astrodynamics and
+Applications, 4th ed., 2013), so an epoch's Doppler and rate depend on its
+time from closest approach alone, not on the epoch step.  No ephemeris
+ingestion, no J2, no atmosphere: the geometry only has to reproduce
+realistic LEO Doppler/power dynamics.
 
 Sign convention: positive radial velocity means closing range and positive
 Doppler, applied consistently everywhere.
@@ -41,26 +45,6 @@ def doppler_shift(carrier_freq: float, radial_velocity: float) -> float:
     return carrier_freq * radial_velocity / SPEED_OF_LIGHT
 
 
-def radial_velocity(range_series, dt: float) -> np.ndarray:
-    """Radial velocity from a range series sampled at fixed step dt.
-
-    Central differences at interior points, one-sided at the ends, negated
-    so that closing range gives positive velocity.
-    """
-    r = np.asarray(range_series, dtype=np.float64)
-    if r.size < 2:
-        raise ValueError("range series needs at least 2 samples")
-    return -_central_difference(r, dt)
-
-
-def _central_difference(y: np.ndarray, dt: float) -> np.ndarray:
-    d = np.empty_like(y)
-    d[1:-1] = (y[2:] - y[:-2]) / (2.0 * dt)
-    d[0] = (y[1] - y[0]) / dt
-    d[-1] = (y[-1] - y[-2]) / dt
-    return d
-
-
 def free_space_loss(range_m: float, freq: float) -> float:
     """Free-space path loss 20*log10(4*pi*d*f/c) in dB."""
     return 20.0 * np.log10(4.0 * np.pi * range_m * freq / SPEED_OF_LIGHT)
@@ -75,8 +59,14 @@ def simulate_pass(orbit_height: float, elevation_mask: float,
     sits at a fixed cross-track angular offset from the orbit plane.  The
     sample grid is symmetric about the point of closest approach, so for a
     directly-overhead pass the zenith sample has range == orbit_height
-    exactly.  Samples are emitted only while elevation >= elevation_mask,
-    and there must be at least two: radial velocity is a finite difference.
+    exactly.  Samples are emitted only while elevation >= elevation_mask;
+    a step longer than the visible half-arc leaves the zenith sample alone.
+
+    With R = Re + h, theta = omega * t from closest approach and beta the
+    cross-track angle, r^2 = Re^2 + R^2 - 2 Re R cos(beta) cos(theta), so
+        r' = Re R omega cos(beta) sin(theta) / r,
+        r'' = (Re R omega^2 cos(beta) cos(theta) - r'^2) / r,
+    and the Doppler and its rate are doppler_shift of -r' and -r''.
     """
     if not 200e3 < orbit_height < 2000e3:
         raise ValueError(f"orbit height {orbit_height} m outside (200 km, 2000 km)")
@@ -102,10 +92,6 @@ def simulate_pass(orbit_height: float, elevation_mask: float,
     # about closest approach (k = 0).
     theta_vis = math.acos(min(1.0, math.cos(psi_max) / math.cos(beta)))
     k_max = int(math.floor(theta_vis / (omega * epoch_step)))
-    if k_max < 1:
-        raise ValueError(f"epoch_step {epoch_step} s leaves one epoch above the "
-                         f"{elevation_mask} deg elevation_mask; a pass needs "
-                         f"at least two epochs")
     k = np.arange(-k_max, k_max + 1)
     theta = omega * epoch_step * k
 
@@ -116,9 +102,13 @@ def simulate_pass(orbit_height: float, elevation_mask: float,
     sin_elev = (r_orb * cos_psi - re) / rng
     elev = np.degrees(np.arcsin(np.clip(sin_elev, -1.0, 1.0)))
 
-    vrad = radial_velocity(rng, epoch_step)
+    # the derivatives of r^2 / 2: r r' and then r r'' + r'^2
+    coupling = re * r_orb * omega * math.cos(beta)
+    range_rate = coupling * np.sin(theta) / rng
+    range_accel = (coupling * omega * np.cos(theta) - range_rate ** 2) / rng
+    vrad = -range_rate  # + closing
     dopp = doppler_shift(carrier_freq, vrad)
-    dopp_rate = _central_difference(dopp, epoch_step)
+    dopp_rate = doppler_shift(carrier_freq, -range_accel)
     loss = free_space_loss(rng, carrier_freq)
 
     t = (k + k_max) * float(epoch_step)  # a float column for an int step

@@ -338,6 +338,12 @@ class ScenarioConfig:
                              f"strictly ascending, got {t!r}")
         if self.data_bits not in ("ones", "random"):
             raise ValueError("data_bits must be 'ones' or 'random'")
+        for name in ("carrier_freq", "amplitude"):
+            if not getattr(self, name) > 0:
+                raise ValueError(
+                    f"{name} must be positive, got {getattr(self, name)!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed!r}")
         _check_search(self.threshold, self.half_span, self.sample_rate)
         SampleFileMeta(self.sample_rate, self.intermediate_freq,
                        self.sample_format)  # validates the sample format

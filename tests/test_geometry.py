@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
-from leoacq.geometry import (EARTH_RADIUS, SPEED_OF_LIGHT, doppler_shift,
-                             free_space_loss, radial_velocity, simulate_pass)
+from leoacq.geometry import (EARTH_RADIUS, MU_EARTH, SPEED_OF_LIGHT,
+                             doppler_shift, free_space_loss, simulate_pass)
 
 
 class TestDopplerShift:
@@ -31,29 +32,6 @@ class TestDopplerShift:
                 a * doppler_shift(f, v), rel=1e-12)
             assert doppler_shift(f, a * v) == pytest.approx(
                 a * doppler_shift(f, v), rel=1e-12)
-
-
-class TestRadialVelocity:
-    def test_constant_range(self):
-        v = radial_velocity(np.full(10, 1e6), 1.0)
-        assert np.array_equal(v, np.zeros(10))
-
-    def test_linear_closing(self):
-        r = 1e6 - 100.0 * np.arange(50)
-        assert radial_velocity(r, 1.0) == pytest.approx(np.full(50, 100.0))
-
-    def test_quadratic_exact_interior(self):
-        # central difference is exact for quadratics: r = r0 + a t^2
-        a = 3.7
-        dt = 0.5
-        t = dt * np.arange(40)
-        r = 1e5 + a * t ** 2
-        v = radial_velocity(r, dt)
-        assert v[1:-1] == pytest.approx(-2.0 * a * t[1:-1], rel=1e-9)
-
-    def test_too_short(self):
-        with pytest.raises(ValueError, match="at least 2"):
-            radial_velocity([1.0], 1.0)
 
 
 class TestFreeSpaceLoss:
@@ -150,10 +128,75 @@ class TestSimulatePass:
         with pytest.raises(ValueError, match="epoch_step must be positive"):
             simulate_pass(645e3, 10.0, 0.0, step, 1.5e9)
 
-    def test_single_epoch_pass_names_its_cause(self):
+    def test_single_epoch_pass_is_the_zenith(self):
         # only the zenith epoch clears an 80 deg mask at a 60 s step
-        with pytest.raises(ValueError, match="at least two epochs") as e:
-            simulate_pass(645e3, 80.0, 0.0, 60.0, 1.5e9)
-        assert "epoch_step" in str(e.value)
-        assert "elevation_mask" in str(e.value)
+        (s,) = simulate_pass(645e3, 80.0, 0.0, 60.0, 1.5e9).samples
+        assert (s.t, s.elevation_deg, s.range_m) == (0.0, 90.0, 645e3)
+        assert s.doppler == 0.0 and s.doppler_rate < 0.0
         assert len(simulate_pass(645e3, 70.0, 0.0, 20.0, 1.5e9).samples) == 3
+
+
+class TestClosedForm:
+    # The Doppler and its rate are those of the exact circular-orbit
+    # geometry at each epoch's time, whatever the epoch step.
+
+    @given(step=st.floats(0.5, 60.0), multiple=st.integers(2, 6),
+           mask=st.floats(0.0, 80.0), offset=st.floats(0.0, 15.0),
+           height=st.floats(400e3, 1500e3))
+    def test_independent_of_epoch_step(self, step, multiple, mask, offset,
+                                       height):
+        try:
+            fine = simulate_pass(height, mask, offset, step, 1.5e9)
+        except ValueError as e:  # the offset hides the pass
+            assume("no visibility" not in str(e))
+            raise
+        coarse = simulate_pass(height, mask, offset, multiple * step, 1.5e9)
+        # coarse epoch j is fine epoch multiple * j, counted from the middle
+        mid_f, mid_c = len(fine.samples) // 2, len(coarse.samples) // 2
+        idx = mid_f + multiple * (np.arange(len(coarse.samples)) - mid_c)
+        for col in ("doppler", "doppler_rate"):
+            # 1e-9 relative, or 1e-6 Hz (Hz/s) where the value is near 0
+            np.testing.assert_allclose(coarse.samples[col],
+                                       fine.samples[col][idx],
+                                       rtol=1e-9, atol=1e-6)
+
+    @pytest.mark.parametrize("offset", [0.0, 15.0])
+    def test_matches_numerical_derivatives_of_range(self, offset):
+        # Range from station and satellite position vectors, independent of
+        # simulate_pass's formulas: the orbit in the x-y plane, the station
+        # at the cross-track angle out of it.
+        h, f, dt = 645e3, 1.5e9, 1e-2
+        r_orb = EARTH_RADIUS + h
+        omega = math.sqrt(MU_EARTH / r_orb ** 3)
+        beta = math.radians(offset)
+        station = EARTH_RADIUS * np.array([math.cos(beta), 0.0, math.sin(beta)])
+
+        def rng(t):
+            theta = omega * np.asarray(t)[:, None]
+            sat = r_orb * np.hstack([np.cos(theta), np.sin(theta),
+                                     np.zeros_like(theta)])
+            return np.linalg.norm(sat - station, axis=1)
+
+        def doppler(t):  # closing range is positive Doppler
+            return -f / SPEED_OF_LIGHT * (rng(t + dt) - rng(t - dt)) / (2 * dt)
+
+        scen = simulate_pass(h, 10.0, offset, 7.0, f)
+        # each epoch's time from closest approach, the middle epoch
+        t = scen.samples.t - scen.samples.t[len(scen.samples) // 2]
+        assert scen.samples.range_m == pytest.approx(rng(t), rel=1e-12)
+        # Central differences at a 10 ms step come within 1e-4 Hz and
+        # 1e-4 Hz/s of the exact values here; the tolerance is 1e-3.
+        assert np.abs(scen.samples.doppler - doppler(t)).max() < 1e-3
+        rate = (doppler(t + dt) - doppler(t - dt)) / (2 * dt)
+        assert np.abs(scen.samples.doppler_rate - rate).max() < 1e-3
+
+    def test_zenith_rate_of_an_overhead_pass(self):
+        h, f = 645e3, 1.5e9
+        scen = simulate_pass(h, 10.0, 0.0, 1.0, f)
+        zenith = scen.samples[len(scen.samples) // 2]
+        assert zenith.range_m == h and zenith.doppler == 0.0
+        r_orb = EARTH_RADIUS + h
+        omega_sq = MU_EARTH / r_orb ** 3
+        want = -f * EARTH_RADIUS * r_orb * omega_sq / (h * SPEED_OF_LIGHT)
+        assert want == pytest.approx(-400.2, abs=0.05)
+        assert zenith.doppler_rate == pytest.approx(want, rel=1e-12)
