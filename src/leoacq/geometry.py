@@ -106,7 +106,7 @@ def simulate_pass(orbit_height: float, elevation_mask: float,
     coupling = re * r_orb * omega * math.cos(beta)
     range_rate = coupling * np.sin(theta) / rng
     range_accel = (coupling * omega * np.cos(theta) - range_rate ** 2) / rng
-    vrad = -range_rate  # + closing
+    vrad = 0.0 - range_rate  # + closing; +0.0, not -0.0, at closest approach
     dopp = doppler_shift(carrier_freq, vrad)
     dopp_rate = doppler_shift(carrier_freq, -range_accel)
     loss = free_space_loss(rng, carrier_freq)

@@ -7,19 +7,20 @@ by cell, into one non-negative (bins, n) detection grid:
   coherent            magnitude of the sum (full gain, killed by bit flips)
   pre-guess test      per-unit sign hypothesis maximizing the running sum
   differential        magnitude of the sum of adjacent conjugate products
-  alternate half-bit  10 ms blocks, odd/even block sets accumulated
-                      non-coherently, cellwise max of the two
+  alternate half-bit  coherent 10 ms blocks, their magnitudes summed per
+                      block parity, cellwise max of the two sums
 
-integrate is the one entry point.  It evaluates a strategy's kernel in
-slabs of acq_core.slab_rows whole Doppler rows, so the working set stays in
-cache, and walks the slabs in the row bands of acq_core._row_bands on the
-caller's band_scope; bands start on slab boundaries.  Every cell depends
-only on its own cell in each unit, combined in ascending unit index, so
-the detection grid is bitwise the whole-grid one whatever the slabs and
-bands, and grids of a block of Doppler rows integrate to those rows of the
-whole plan's detection grid (eval_harness.run_span feeds them to the
-detector block by block).  integrate returns on the caller's thread, so a
-tracer that wraps eval_harness.integrate from outside times each call whole.
+integrate is the one entry point, and it is the slab walk: it evaluates a
+strategy's kernel in slabs of acq_core.slab_rows whole Doppler rows, so the
+working set stays in cache, and walks the slabs in the row bands of
+acq_core._row_bands on the caller's band_scope; bands start on slab
+boundaries.  Every cell depends only on its own cell in each unit, combined
+in ascending unit index, so the detection grid is bitwise the whole-grid
+one whatever the slabs and bands, and grids of a block of Doppler rows
+integrate to those rows of the whole plan's detection grid
+(eval_harness.run_span feeds them to the detector block by block).
+integrate returns on the caller's thread, so a tracer that wraps
+eval_harness.integrate from outside times each call whole.
 
 The kernels keep their accumulators and scratch buffers in the unit grids'
 own precision (the real dtype of the complex units: float32 for the
@@ -30,7 +31,6 @@ detection grid they fill is float64 whatever the units' dtype.
 from __future__ import annotations
 
 import enum
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,25 +74,6 @@ class IntegrationSpec:
             raise ValueError(reason)
 
 
-def _by_slab(units: np.ndarray, strategy: Strategy,
-             kernel: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Apply kernel, which maps the units' (rows, n) complex views in unit
-    order to their (rows, n) detection values, to each slab of whole rows,
-    in row bands gated on the cells of all units together."""
-    IntegrationSpec(strategy, len(units))  # raises if the span is undefined
-    _, bins, n = units.shape
-    out = np.empty((bins, n))
-    height = slab_rows(n)
-
-    def walk(band):
-        for r in range(band.start, band.stop, height):
-            rows = slice(r, min(r + height, band.stop))
-            out[rows] = kernel(units[:, rows])
-
-    _row_bands(walk, bins, units.size, align=height)
-    return out
-
-
 def _noncoherent(units: np.ndarray) -> np.ndarray:
     acc = np.abs(units[0])
     for u in units[1:]:
@@ -101,8 +82,6 @@ def _noncoherent(units: np.ndarray) -> np.ndarray:
 
 
 def _coherent(units: np.ndarray) -> np.ndarray:
-    if len(units) == 1:
-        return np.abs(units[0])
     acc = units[0].copy()
     for u in units[1:]:
         acc += u
@@ -117,8 +96,6 @@ def _pre_guess(units: np.ndarray) -> np.ndarray:
     pattern matters under the outer magnitude).  |a+s| > |a-s| is tested in
     its equivalent form Re(a*conj(s)) > 0, which needs no complex temporaries.
     """
-    if len(units) == 1:
-        return np.abs(units[0])
     acc = units[0].copy()
     dot = np.empty(acc.shape, acc.real.dtype)
     sign = np.empty(acc.shape, acc.real.dtype)
@@ -150,14 +127,9 @@ def _alternate_half_bit(units: np.ndarray) -> np.ndarray:
     parities is guaranteed transition-free inside its blocks; the cellwise
     larger of the two non-coherent accumulations is the detection value.
     """
-    shape, dtype = units[0].shape, units[0].real.dtype
-    parity_acc = [np.zeros(shape, dtype), np.zeros(shape, dtype)]
-    for b in range(len(units) // BLOCK_UNITS):
-        block = units[b * BLOCK_UNITS].copy()
-        for u in units[b * BLOCK_UNITS + 1:(b + 1) * BLOCK_UNITS]:
-            block += u
-        parity_acc[b % 2] += np.abs(block)
-    return np.maximum(parity_acc[0], parity_acc[1])
+    blocks = [_coherent(units[b:b + BLOCK_UNITS])
+              for b in range(0, len(units), BLOCK_UNITS)]
+    return np.maximum(sum(blocks[0::2]), sum(blocks[1::2]))
 
 
 _KERNELS = {
@@ -171,5 +143,19 @@ _KERNELS = {
 
 def integrate(units: np.ndarray, strategy: Strategy) -> np.ndarray:
     """Combine the (count, rows, n) complex block of unit grids, in unit
-    order, into strategy's (rows, n) float64 detection rows."""
-    return _by_slab(units, strategy, _KERNELS[strategy])
+    order, into strategy's (rows, n) float64 detection rows: the strategy's
+    kernel maps each slab of whole rows of all units to its detection rows,
+    in row bands gated on the cells of all units together."""
+    IntegrationSpec(strategy, len(units))  # raises if the span is undefined
+    kernel = _KERNELS[strategy]
+    _, bins, n = units.shape
+    out = np.empty((bins, n))
+    height = slab_rows(n)
+
+    def walk(band):
+        for r in range(band.start, band.stop, height):
+            rows = slice(r, min(r + height, band.stop))
+            out[rows] = kernel(units[:, rows])
+
+    _row_bands(walk, bins, units.size, align=height)
+    return out

@@ -325,25 +325,23 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must be a non-empty list without "
                                  f"repeats, got {entries!r}")
         t = self.pf_thresholds
-        if not t or not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
-                            and math.isfinite(v) for v in t):
-            raise ValueError(f"pf_thresholds must be a non-empty list of "
-                             f"finite numbers, got {t!r}")
-        # An MTSMR is at least 1.  With positive entries an ascending list
-        # never reads as a range, nor a valid range as an ascending list.
-        if min(t) <= 0:
-            raise ValueError(f"pf_thresholds must be positive, got {t!r}")
-        if not self._pf_is_range() and any(b <= a for a, b in zip(t, t[1:])):
-            raise ValueError(f"pf_thresholds must be [lo, hi, step] or "
-                             f"strictly ascending, got {t!r}")
+        if not (len(t) == 3 and all(isinstance(v, numbers.Real)
+                                    and not isinstance(v, bool)
+                                    and math.isfinite(v) for v in t)
+                and 0 < t[0] <= t[1] and t[2] > 0):
+            raise ValueError(f"pf_thresholds must be [lo, hi, step], finite "
+                             f"with 0 < lo <= hi and step > 0, got {t!r}")
         if self.data_bits not in ("ones", "random"):
             raise ValueError("data_bits must be 'ones' or 'random'")
-        for name in ("carrier_freq", "amplitude"):
+        for name in ("sample_rate", "carrier_freq", "amplitude"):
             if not getattr(self, name) > 0:
                 raise ValueError(
                     f"{name} must be positive, got {getattr(self, name)!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed!r}")
+        if not 0 < self.intermediate_freq < self.sample_rate / 2:
+            raise ValueError(f"intermediate_freq must lie in (0, sample_rate/2)"
+                             f", got {self.intermediate_freq!r}")
         _check_search(self.threshold, self.half_span, self.sample_rate)
         SampleFileMeta(self.sample_rate, self.intermediate_freq,
                        self.sample_format)  # validates the sample format
@@ -382,18 +380,10 @@ class ScenarioConfig:
                              self.cross_track_offset_deg, self.epoch_step,
                              self.carrier_freq)
 
-    def _pf_is_range(self) -> bool:
-        """Whether pf_thresholds reads as [lo, hi, step] rather than a list:
-        three entries, the last below the span of the first two."""
-        t = self.pf_thresholds
-        return len(t) == 3 and t[2] < t[1] - t[0]
-
     def threshold_grid(self) -> np.ndarray:
-        t = self.pf_thresholds
-        if self._pf_is_range():
-            lo, hi, step = t
-            return np.round(np.arange(lo, hi + step / 2, step), 10)
-        return np.asarray(t, dtype=np.float64)
+        """lo, lo + step, ... through hi, each rounded to 10 decimals."""
+        lo, hi, step = self.pf_thresholds
+        return np.round(np.arange(lo, hi + step / 2, step), 10)
 
     def run_combos(self):
         """Valid (strategy, total_ms) pairs in config order."""
@@ -488,7 +478,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("synth", help="synthesize a pass into a sample file")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--format", default=None, help="override sample format")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(run=_cmd_synth)
 
@@ -531,10 +520,8 @@ def _load_config(args) -> ScenarioConfig:
 
 def _cmd_synth(args) -> int:
     config = _load_config(args)
-    # validates the format, an override included, before any synthesis
-    meta = SampleFileMeta(sample_rate=config.sample_rate,
-                          intermediate_freq=config.intermediate_freq,
-                          format=args.format or config.sample_format)
+    meta = SampleFileMeta(config.sample_rate, config.intermediate_freq,
+                          format=config.sample_format)
     epochs = pass_epochs(config)
     meta.t0 = epochs[0].t0
     rows = epochs[0].samples.base
@@ -574,10 +561,12 @@ def _cmd_acquire(args) -> int:
 
     spe = header["samples_per_epoch"]
     total = os.path.getsize(args.samples) // meta.bytes_per_sample
-    if total < len(epoch_truths) * spe:
+    want = len(epoch_truths) * spe
+    if total != want:  # else epoch k would not start at sample k * spe
+        which = "fewer" if total < want else "more"
         raise SampleFileError(
-            f"{args.samples}: {total} samples, fewer than the sidecar's "
-            f"{len(epoch_truths)} epochs of {spe}")
+            f"{args.samples}: {total} samples, {which} than the sidecar's "
+            f"{len(epoch_truths)} epochs of {spe} ({want})")
     # Each epoch is read only as far as the span correlates.
     code = generate_code(epoch_truths[0]["prn_id"])
     count = span_samples(code, meta.sample_rate, args.total_ms)

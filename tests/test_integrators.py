@@ -7,7 +7,7 @@ from hypothesis.extra import numpy as hnp
 
 from leoacq.acq_core import _SLAB_CELLS, make_plan, slab_rows
 from leoacq.detector import decide
-from leoacq.integrators import (IntegrationSpec, Strategy,
+from leoacq.integrators import (BLOCK_UNITS, IntegrationSpec, Strategy,
                                 _alternate_half_bit, _coherent, _differential,
                                 _noncoherent, _pre_guess, integrate,
                                 span_error)
@@ -228,6 +228,19 @@ def _differential_two_temporaries(units):
     return np.abs(acc)
 
 
+def _alternate_half_bit_block_loop(units):
+    """The alternate half-bit kernel as first written: each block summed in
+    its own loop into one of two zero-started parity accumulators."""
+    shape, dtype = units[0].shape, units[0].real.dtype
+    parity_acc = [np.zeros(shape, dtype), np.zeros(shape, dtype)]
+    for b in range(len(units) // BLOCK_UNITS):
+        block = units[b * BLOCK_UNITS].copy()
+        for u in units[b * BLOCK_UNITS + 1:(b + 1) * BLOCK_UNITS]:
+            block += u
+        parity_acc[b % 2] += np.abs(block)
+    return np.maximum(parity_acc[0], parity_acc[1])
+
+
 def _magnitude_of_copy(units):
     """The one-unit coherent and pre-guess kernels as first written."""
     return np.abs(units[0].copy())
@@ -252,6 +265,22 @@ class TestKernelRewrites:
                       + 1j * rng.standard_normal(shape)).astype(dtype))
         got = _differential(units)
         assert got.tobytes() == _differential_two_temporaries(units).tobytes()
+
+    @settings(max_examples=30)
+    @given(m=st.sampled_from([20, 40, 60]), rows=st.integers(1, 5),
+           n=st.sampled_from([1, 7, 64]),
+           dtype=st.sampled_from([np.complex64, np.complex128]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_alternate_half_bit_as_coherent_blocks(self, m, rows, n, dtype,
+                                                   seed):
+        rng = np.random.default_rng(seed)
+        shape = (m, rows, n)
+        units = (rng.standard_normal(shape)
+                 + 1j * rng.standard_normal(shape)).astype(dtype)
+        got = _alternate_half_bit(units)
+        want = _alternate_half_bit_block_loop(units)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("kernel", [_coherent, _pre_guess])
     @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])

@@ -487,7 +487,7 @@ class TestScenarioConfig:
         [1.0, 6.0, 0.0], [1.0, 6.0, -0.5], [3.0, 2.0, 1.0], [1.0, 1.0], [],
         [1.0, "a"], [1.0, True], [1.0, None], [1.0, float("nan")],
         [1.0, float("inf"), 0.5], [-5.0, 0.0, 2.0], [0.0, 1.0],
-        [0.0, 5.0, 1.0],
+        [0.0, 5.0, 1.0], [1.5, 2.5], [1.0, 2.0, 3.0, 4.0],
     ])
     def test_bad_pf_thresholds_exit_two_before_correlating(
             self, tmp_path, capsys, monkeypatch, command, out_flag,
@@ -522,6 +522,11 @@ class TestScenarioConfig:
         (dict(amplitude=0.0, cn0=None), "amplitude"),  # an all-zero pass
         (dict(amplitude=-1.0), "amplitude"),
         (dict(seed=-1), "seed"),
+        (dict(sample_rate=0.0), "sample_rate"),
+        (dict(sample_rate=-1.023e6), "sample_rate"),
+        (dict(intermediate_freq=0.0), "intermediate_freq"),
+        (dict(intermediate_freq=-2.5e5), "intermediate_freq"),
+        (dict(intermediate_freq=6e5), "intermediate_freq"),  # past Nyquist
     ])
     def test_bad_numbers_exit_two_before_synthesis_or_plan(
             self, tmp_path, capsys, monkeypatch, command, out_flag,
@@ -551,32 +556,30 @@ class TestScenarioConfig:
         assert np.array_equal(grid, np.round(np.arange(1.0, 6.025, 0.05), 10))
         assert len(grid) == 101 and grid[0] == 1.0 and grid[-1] == 6.0
 
-    def test_threshold_grid_forms(self, tmp_path):
+    def test_threshold_grid_is_the_range(self, tmp_path):
         config = ScenarioConfig.from_file(self._write(
             tmp_path, pf_thresholds=[1.0, 3.0, 0.5]))
         assert config.threshold_grid() == pytest.approx(
             [1.0, 1.5, 2.0, 2.5, 3.0])
+        # a step past hi leaves lo alone
         config = ScenarioConfig.from_file(self._write(
             tmp_path, pf_thresholds=[1.5, 2.5, 4.0]))
-        assert config.threshold_grid() == pytest.approx([1.5, 2.5, 4.0])
+        assert config.threshold_grid().tolist() == [1.5]
 
-    @given(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=4))
-    def test_positive_thresholds_have_one_reading(self, t):
-        # with positive entries at most one reading is valid, and the
-        # config takes that one or rejects the list
-        as_range = len(t) == 3 and t[2] < t[1] - t[0]
-        as_list = all(a < b for a, b in zip(t, t[1:]))
-        assert not (as_range and as_list)
-        if not (as_range or as_list):
-            with pytest.raises(ValueError, match="pf_thresholds"):
-                ScenarioConfig(pf_thresholds=t)
-            return
-        grid = ScenarioConfig(pf_thresholds=t).threshold_grid()
-        if as_list:
-            assert grid.tolist() == t
-        else:
-            assert grid[0] == round(t[0], 10) and np.all(np.diff(grid) > 0)
-            assert grid[-1] <= t[1] + t[2] / 2
+    @given(lo=st.floats(1e-3, 1e3), step=st.floats(1e-6, 1e2),
+           steps=st.floats(0.0, 500.0))
+    @example(lo=1.0, step=0.05, steps=100.0)  # the default grid
+    # hi half a step past the grid: arange keeps or drops that point by a
+    # rounding of its end, here keeping it 2e-11 past hi + step / 2
+    @example(lo=63.48832395937063, step=1.4554592568085667, steps=0.5)
+    def test_range_grid_runs_lo_to_hi(self, lo, step, steps):
+        # every valid [lo, hi, step] gives a grid from lo that ascends
+        # strictly and ends within half a step of hi, up to float rounding
+        hi = lo + steps * step
+        grid = ScenarioConfig(pf_thresholds=[lo, hi, step]).threshold_grid()
+        assert grid[0] == np.round(lo, 10)  # not round(): 1 ulp apart at times
+        assert np.all(np.diff(grid) > 0)
+        assert abs(grid[-1] - hi) <= step / 2 + 1e-9
 
 
 @pytest.fixture(scope="module")
@@ -655,10 +658,13 @@ class TestPassWrite:
             self, strong_config, tmp_path, monkeypatch, capsys, fmt):
         # 1000-sample chunks straddle the 5115-sample epochs
         monkeypatch.setattr(io_cli, "_CHUNK_SAMPLES", 1000)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({
+            **json.loads(Path(strong_config).read_text()),
+            "sample_format": fmt}))
         out = tmp_path / "pass.bin"
-        assert cli(["synth", "--config", strong_config, "--out", str(out),
-                    "--format", fmt]) == 0
-        config = ScenarioConfig.from_file(strong_config)
+        assert cli(["synth", "--config", str(path), "--out", str(out)]) == 0
+        config = ScenarioConfig.from_file(path)
         epochs = synthesize_pass_signal(config.scenario(),
                                         config.base_synth_params())
         ref = tmp_path / "ref.bin"
@@ -704,9 +710,12 @@ class TestPassWrite:
             return synthesize(*args, **kwargs)
 
         monkeypatch.setattr(signal_synth, "synthesize", counted)
+        config = tmp_path / "bogus.json"
+        config.write_text(json.dumps({
+            **json.loads(Path(strong_config).read_text()),
+            "sample_format": "bogus"}))
         out = tmp_path / "pass.bin"
-        assert cli(["synth", "--config", strong_config, "--out", str(out),
-                    "--format", "bogus"]) == 2
+        assert cli(["synth", "--config", str(config), "--out", str(out)]) == 2
         assert "unknown sample format 'bogus'" in capsys.readouterr().err
         assert calls == []
         assert not out.exists()
@@ -775,22 +784,19 @@ class TestWriteMemory:
 
 
 class TestCli:
-    # a bad sample_format in a config and a bad --format get one message
+    # a bad sample_format gets the sample file's one message, whichever
+    # command loads the config
     @pytest.mark.parametrize("command", ["duration", "synth"])
     def test_unknown_format_has_one_message(self, strong_config, tmp_path,
                                             capsys, command):
         with pytest.raises(SampleFileError) as rule:
             SampleFileMeta(FS_FAST, FIF_FAST, format="int4-real")
-        if command == "duration":
-            config = tmp_path / "bad.json"
-            config.write_text(json.dumps({
-                **json.loads(Path(strong_config).read_text()),
-                "sample_format": "int4-real"}))
-            argv = ["duration", "--config", str(config),
-                    "--out", str(tmp_path / "duration.csv")]
-        else:
-            argv = ["synth", "--config", strong_config,
-                    "--out", str(tmp_path / "pass.bin"), "--format", "int4-real"]
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({
+            **json.loads(Path(strong_config).read_text()),
+            "sample_format": "int4-real"}))
+        argv = [command, "--config", str(config),
+                "--out", str(tmp_path / "out")]
         assert cli(argv) == 2
         assert capsys.readouterr().err == \
             f"leoacq {command}: error: {rule.value}\n"
@@ -823,6 +829,15 @@ class TestCli:
         # each column of the epoch as its Python float repr
         assert lines[2] == ",".join(map(repr, samples.tolist()[1])).encode()
         assert len(lines) == len(samples) + 2 and lines[-1] == b""
+
+    def test_pass_zenith_row_reads_positive_zero(self, strong_config, capsys):
+        # closest approach of an overhead pass: no range rate, no Doppler,
+        # written as 0.0 rather than -0.0
+        assert cli(["pass", "--config", strong_config]) == 0
+        rows = [line.split(",")
+                for line in capsys.readouterr().out.splitlines()[1:]]
+        zenith = rows[len(rows) // 2]
+        assert len(rows) % 2 == 1 and zenith[3:5] == ["0.0", "0.0"]
 
     def test_single_epoch_pass_runs(self, strong_config, tmp_path):
         # only the zenith epoch clears an 80 deg mask at a 60 s step
@@ -943,6 +958,35 @@ class TestCli:
         capsys.readouterr()
         assert cli(["acquire", "--samples", str(samples)]) == 2
         assert "fewer than" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", ["halved_samples_per_epoch",
+                                      "extra_epoch"])
+    def test_acquire_file_off_the_sidecar_layout_exits_two(
+            self, strong_config, tmp_path, capsys, edit):
+        # epoch k starts at sample k * samples_per_epoch only when the file
+        # holds exactly the sidecar's epochs
+        samples = tmp_path / "pass.bin"
+        assert cli(["synth", "--config", strong_config,
+                    "--out", str(samples)]) == 0
+        sidecar = Path(str(samples) + ".truth")
+        record = json.loads(sidecar.read_text())
+        spe, epochs = record["samples_per_epoch"], record["epoch_count"]
+        assert (spe, epochs) == (5115, 3)
+        total = spe * epochs
+        if edit == "halved_samples_per_epoch":
+            spe //= 2
+            sidecar.write_text(json.dumps({**record, "samples_per_epoch": spe}))
+        else:  # one more float32 epoch than the sidecar lists
+            data = samples.read_bytes()
+            samples.write_bytes(data + data[:4 * spe])
+            total += spe
+        capsys.readouterr()
+        out = tmp_path / "timeline.csv"
+        assert cli(["acquire", "--samples", str(samples),
+                    "--out", str(out)]) == 2
+        assert (f"{total} samples, more than the sidecar's {epochs} epochs "
+                f"of {spe} ({epochs * spe})") in capsys.readouterr().err
+        assert not out.exists()
 
     def test_acquire_sidecar_without_epochs_exits_two(self, strong_config,
                                                       tmp_path, capsys):
@@ -1106,6 +1150,9 @@ class TestCli:
         sidecar.write_text(json.dumps({**record, "epoch_step": 60.0,
                                        "epoch_count": 1,
                                        "epochs": record["epochs"][:1]}))
+        # the file keeps only its first float32 epoch, as the sidecar says
+        samples.write_bytes(
+            samples.read_bytes()[:4 * record["samples_per_epoch"]])
         capsys.readouterr()
         out = tmp_path / "timeline.csv"
         assert cli(["acquire", "--samples", str(samples), "--total-ms", "5",
@@ -1157,7 +1204,7 @@ class TestCli:
         config = tmp_path / "high_thresholds.json"
         config.write_text(json.dumps({
             **json.loads(Path(strong_config).read_text()),
-            "pf_thresholds": [1e3, 2e3]}))
+            "pf_thresholds": [1e3, 2e3, 1e3]}))
         out_dir = tmp_path / "sweep"
         assert cli(["sweep", "--config", str(config), "--out-dir",
                     str(out_dir), "--pf-target", "0.1"]) == 0
