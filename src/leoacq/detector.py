@@ -113,10 +113,8 @@ def _ratio(top: float, base: float) -> float:
     return top / base if base else (math.inf if top > 0.0 else math.nan)
 
 
-def decide(indicator_value: float, threshold: float = DEFAULT_MTSMR_THRESHOLD) -> bool:
-    """Threshold comparison, inclusive at the boundary."""
-    if threshold <= 0:
-        raise ValueError(f"threshold must be positive, got {threshold}")
+def decide(indicator_value, threshold=DEFAULT_MTSMR_THRESHOLD):
+    """The one decision rule, indicator >= threshold, elementwise on arrays."""
     return indicator_value >= threshold
 
 

@@ -31,7 +31,7 @@ from .signal_synth import SampledSignal, SynthParams
 from .acq_core import (FrequencyPlan, _mixing_table, band_scope,
                        code_spectrum, process_units, row_blocks)
 from .integrators import IntegrationSpec, integrate
-from .detector import AcqResult, RowSearch, acquire
+from .detector import AcqResult, RowSearch, acquire, decide
 
 
 @dataclass
@@ -74,8 +74,6 @@ def label_epochs(results: Sequence[AcqResult], epochs: Sequence[SampledSignal],
     intermediate_freq) and t0: the estimate is correct iff its Doppler is
     within half a search bin of doppler0 and its code phase within one
     sample of truth_code_phase, cyclically."""
-    if len(results) != len(epochs):
-        raise ValueError(f"{len(results)} results vs {len(epochs)} truth epochs")
     labels = []
     for res, epoch in zip(results, epochs):
         truth = epoch.truth
@@ -91,15 +89,9 @@ def label_epochs(results: Sequence[AcqResult], epochs: Sequence[SampledSignal],
 
 def pf_sweep(results: Sequence[AcqResult], labels: Sequence[EpochLabel],
              thresholds: Sequence[float]) -> PfCurve:
-    """Combined error rate (misses + false alarms) per MTSMR threshold."""
+    """Combined error rate (misses + false alarms) per ascending threshold."""
     thresholds = np.asarray(thresholds, dtype=np.float64)
-    if thresholds.size == 0 or not results:
-        raise ValueError("empty inputs to pf_sweep")
-    if len(results) != len(labels):
-        raise ValueError(f"{len(results)} results vs {len(labels)} labels")
-    if np.any(np.diff(thresholds) <= 0):
-        raise ValueError("thresholds must be strictly ascending")
-    decided = np.array([r.mtsmr for r in results]) >= thresholds[:, None]
+    decided = decide(np.array([r.mtsmr for r in results]), thresholds[:, None])
     ok = np.array([l.estimate_ok for l in labels])
     fa = np.count_nonzero(decided & ~ok, axis=1) / len(results)
     miss = np.count_nonzero(~decided & ok, axis=1) / len(results)
@@ -187,12 +179,9 @@ def acquisition_timeline(pass_epochs: Sequence[SampledSignal],
     reported separately.  Durations are epoch counts times the pass's
     epoch_step, as floats whatever its JSON type.
     """
-    epochs = list(pass_epochs)
-    if not epochs:
-        raise ValueError("empty epoch stream")
     if code is None:
-        code = generate_code(epochs[0].truth.prn_id)
-    labels = label_epochs(results, epochs, plan, code)
+        code = generate_code(pass_epochs[0].truth.prn_id)
+    labels = label_epochs(results, pass_epochs, plan, code)
     summary = TimelineSummary(
         success_s=sum(1 for l in labels if l.estimate_ok) * float(epoch_step),
         decided_s=sum(1 for r in results if r.decided) * float(epoch_step),

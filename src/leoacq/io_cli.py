@@ -5,10 +5,15 @@ scaled to [-1, 1) by the type's max magnitude, and the -iq variants
 interleave I then Q per sample.  A synthesized sample file is accompanied
 by a JSON truth sidecar (<name>.truth) that records the file layout and
 each epoch's start time and SynthParams, which is enough to label
-acquisition results without re-synthesizing.  A sidecar in the older
-key=value text form, with a field missing, unknown or of the wrong type,
-or with an epoch whose sample rate, IF or PRN differs from the file's, is
-rejected with a data error (exit 2).
+acquisition results without re-synthesizing.
+
+Validation.  Each input rule is checked once, where the input enters, and
+a violation is a data error (exit 2): a config by from_file's JSON check
+and ScenarioConfig.__post_init__; a sample file by read_truth_sidecar
+(which rejects the older key=value sidecar too) and acquire's layout
+check; acquire's arguments by _check_search and IntegrationSpec.  The
+engine modules trust their inputs and check only what no boundary sees,
+such as each epoch's Nyquist margin in signal_synth.synthesize.
 
 Subcommands: synth, pass, acquire, sweep, duration.  Exit codes: 0 success,
 1 usage error, 2 data error.
@@ -191,6 +196,16 @@ def _check_json_types(where, record, types: dict, error=ValueError,
                         f"got {value!r}")
 
 
+def _check_sampling(sample_rate, intermediate_freq, error=ValueError) -> None:
+    """Raise error unless sample_rate is positive and intermediate_freq lies
+    in (0, sample_rate / 2): the sampling plan of a config and of a sidecar."""
+    if not sample_rate > 0:
+        raise error(f"sample_rate must be positive, got {sample_rate!r}")
+    if not 0 < intermediate_freq < sample_rate / 2:
+        raise error(f"intermediate_freq must lie in (0, sample_rate/2), "
+                    f"got {intermediate_freq!r}")
+
+
 def write_truth_sidecar(path, meta: SampleFileMeta, epochs: list[SampledSignal],
                         epoch_step: float) -> None:
     """Record the file layout plus each epoch's start time and SynthParams."""
@@ -222,6 +237,8 @@ def read_truth_sidecar(path) -> tuple[dict, list[dict]]:
             "epoch_step": "float", "samples_per_epoch": "int",
             "epoch_count": "int", "epochs": "list"}
     _check_json_types(path, header, head, SampleFileError, complete=True)
+    _check_sampling(header["sample_rate"], header["intermediate_freq"],
+                    lambda msg: SampleFileError(f"{path}: {msg}"))
     epochs = header.pop("epochs")
     if not epochs:
         raise SampleFileError(f"{path}: the sidecar lists no epochs")
@@ -255,6 +272,7 @@ def read_truth_sidecar(path) -> tuple[dict, list[dict]]:
 # ---------------------------------------------------------------------------
 
 _STRATEGY_NAMES = {s.value: s for s in Strategy}
+_MAX_THRESHOLDS = 10_000  # pf_thresholds grid points (the default grid: 101)
 
 
 def _check_search(threshold: float, half_span: float, sample_rate: float) -> None:
@@ -328,20 +346,23 @@ class ScenarioConfig:
         if not (len(t) == 3 and all(isinstance(v, numbers.Real)
                                     and not isinstance(v, bool)
                                     and math.isfinite(v) for v in t)
-                and 0 < t[0] <= t[1] and t[2] > 0):
+                and 0 < t[0] <= t[1] and t[2] > 0
+                # np.arange's length, before threshold_grid builds the grid
+                and (t[1] + t[2] / 2 - t[0]) / t[2] <= _MAX_THRESHOLDS
+                and np.all(np.diff(self.threshold_grid()) > 0)):
             raise ValueError(f"pf_thresholds must be [lo, hi, step], finite "
-                             f"with 0 < lo <= hi and step > 0, got {t!r}")
+                             f"with 0 < lo <= hi and step > 0, giving at most "
+                             f"{_MAX_THRESHOLDS} thresholds, distinct to 10 "
+                             f"decimals; got {t!r}")
         if self.data_bits not in ("ones", "random"):
             raise ValueError("data_bits must be 'ones' or 'random'")
-        for name in ("sample_rate", "carrier_freq", "amplitude"):
+        for name in ("carrier_freq", "amplitude"):
             if not getattr(self, name) > 0:
                 raise ValueError(
                     f"{name} must be positive, got {getattr(self, name)!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed!r}")
-        if not 0 < self.intermediate_freq < self.sample_rate / 2:
-            raise ValueError(f"intermediate_freq must lie in (0, sample_rate/2)"
-                             f", got {self.intermediate_freq!r}")
+        _check_sampling(self.sample_rate, self.intermediate_freq)
         _check_search(self.threshold, self.half_span, self.sample_rate)
         SampleFileMeta(self.sample_rate, self.intermediate_freq,
                        self.sample_format)  # validates the sample format

@@ -43,11 +43,6 @@ class ChipSequence:
     chips: np.ndarray
     chip_rate: float = CHIP_RATE
 
-    def __post_init__(self):
-        self.chips = np.asarray(self.chips, dtype=np.float64)
-        if not np.all(np.abs(self.chips) == 1.0):
-            raise ValueError("chips must all be +1 or -1")
-
     @property
     def code_length(self) -> int:
         return len(self.chips)
@@ -88,7 +83,5 @@ def sample_code(code: ChipSequence, sample_rate: float) -> np.ndarray:
     the nearest-lower chip.  The output covers exactly one unit duration
     (samples_per_code samples).
     """
-    if not np.isfinite(sample_rate) or sample_rate <= 0:
-        raise ValueError(f"sample_rate must be finite and positive, got {sample_rate}")
     k = np.arange(samples_per_code(code, sample_rate))
     return code.chips[np.floor(k * (code.chip_rate / sample_rate)).astype(np.int64)]

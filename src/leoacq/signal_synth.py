@@ -61,10 +61,6 @@ def noise_sigma(cn0: float, amplitude: float, sample_rate: float) -> float:
     Solves (A^2/2) / (sigma^2 / (fs/2)) = 10^(cn0/10): real sampling with the
     noise power spread over the full Nyquist band.
     """
-    if not np.isfinite(cn0):
-        raise ValueError(f"cn0 must be finite, got {cn0}")
-    if amplitude <= 0:
-        raise ValueError(f"amplitude must be positive, got {amplitude}")
     return float(np.sqrt(amplitude ** 2 / 2.0 * (sample_rate / 2.0)
                          / 10.0 ** (cn0 / 10.0)))
 
@@ -83,15 +79,8 @@ def synthesize(params: SynthParams, code: ChipSequence) -> SampledSignal:
     continuously across the whole epoch (chirp, not stepped per
     millisecond); the code NCO runs at chip_rate * (1 + doppler/carrier).
     """
-    for name in ("doppler0", "doppler_rate", "code_phase0", "duration"):
-        value = getattr(params, name)
-        if not np.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
     fs = params.sample_rate
     n = round(params.duration * fs)
-    if n < 1:
-        raise ValueError(f"duration {params.duration!r} s is under one "
-                         f"sample at {fs} Hz")
     f_max = (params.intermediate_freq + abs(params.doppler0)
              + abs(params.doppler_rate) * params.duration)
     if fs <= 2.0 * f_max:
@@ -125,15 +114,7 @@ def synthesize(params: SynthParams, code: ChipSequence) -> SampledSignal:
     del index
     samples *= params.amplitude
     if params.data_bits is not None:
-        data = np.asarray(params.data_bits, dtype=np.float64)
-        if not np.all(np.abs(data) == 1.0):
-            raise ValueError("data_bits must all be +1 or -1")
-        idx = _bit_indices(t, params.bit_phase0)
-        if idx[-1] >= len(data):
-            raise ValueError(
-                f"data_bits too short: need {idx[-1] + 1} bits for "
-                f"{params.duration} s, got {len(data)}")
-        samples *= data[idx]
+        samples *= params.data_bits[_bit_indices(t, params.bit_phase0)]
     carrier = np.multiply(params.intermediate_freq, t, out=t)
     carrier += cycles
     carrier *= 2.0 * np.pi
@@ -164,8 +145,6 @@ def pass_params(scenario: PassScenario, base: SynthParams,
     # Python floats, so that each SynthParams is that of the scalar sums
     columns = ("t", "doppler", "doppler_rate", "path_loss_db")
     ts, dopplers, rates, losses = (scenario.samples[c].tolist() for c in columns)
-    if not ts:
-        raise ValueError("empty pass scenario")
     loss_min = min(losses)
     n_bits = int(base.duration * 1e3 / BIT_PERIOD_MS) + 2
     for k, (t, doppler, rate, loss) in enumerate(zip(ts, dopplers, rates, losses)):

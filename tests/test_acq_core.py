@@ -46,16 +46,6 @@ class TestMakePlan:
         assert plan.bins[-1] >= 1.2e3
         assert np.allclose(np.diff(plan.bins), plan.bin_width)
 
-    def test_preconditions(self):
-        with pytest.raises(ValueError):
-            make_plan(0.0, -1.0, 1)
-        with pytest.raises(ValueError):
-            make_plan(0.0, 1e3, 0)
-
-    @pytest.mark.parametrize("half_span", [np.inf, -np.inf, np.nan])
-    def test_non_finite_half_span_rejected(self, half_span):
-        with pytest.raises(ValueError, match="half_span must be finite"):
-            make_plan(0.0, half_span, 1)
 
 
 def _direct_circular_correlation(x_mixed, code_samples):

@@ -164,10 +164,6 @@ class TestDecide:
     def test_default_threshold(self):
         assert decide(2.50001) and not decide(2.49999)
 
-    def test_threshold_positive(self):
-        with pytest.raises(ValueError, match="positive"):
-            decide(1.0, 0.0)
-
 
 def _detection(sig, code, plan, strategy):
     """The detection grid of strategy over the units of sig."""

@@ -2,6 +2,9 @@
 
 import concurrent.futures
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import threading
 import time
@@ -348,18 +351,24 @@ EXTREMES = SynthParams(
     data_bits=np.array([-1.0, 1.0, -1.0]), bit_phase0=-5e-324, cn0=None,
     duration=1e-3, seed=2 ** 64 - 1)
 
+# (sample_rate, intermediate_freq) that a sidecar accepts: 0 < IF < rate / 2
+sampling_plans = st.floats(1.0, 1.7976931348623157e308).flatmap(
+    lambda fs: st.tuples(st.just(fs), st.floats(0.0, fs / 2, exclude_min=True,
+                                                exclude_max=True)))
+
 
 class TestTruthSidecarProperties:
-    @given(st.lists(st.tuples(finite, synth_params), min_size=1, max_size=4))
-    @example([(-0.0, EXTREMES), (1.0, SynthParams())])
-    def test_synth_params_round_trip(self, epochs):
+    @given(st.lists(st.tuples(finite, synth_params), min_size=1, max_size=4),
+           sampling_plans)
+    @example([(-0.0, EXTREMES), (1.0, SynthParams())],
+             (1.7976931348623157e308, 5e-324))
+    def test_synth_params_round_trip(self, epochs, plan):
         # every epoch at the header's rate and IF and epoch 0's PRN
-        first = epochs[0][1]
-        epochs = [(t, replace(p, prn_id=first.prn_id,
-                              sample_rate=first.sample_rate,
-                              intermediate_freq=first.intermediate_freq))
+        (fs, fif), prn_id = plan, epochs[0][1].prn_id
+        epochs = [(t, replace(p, prn_id=prn_id, sample_rate=fs,
+                              intermediate_freq=fif))
                   for t, p in epochs]
-        meta = SampleFileMeta(first.sample_rate, first.intermediate_freq)
+        meta = SampleFileMeta(fs, fif)
         signals = [SampledSignal(samples=np.zeros(3), sample_rate=1.0, t0=t,
                                  truth=p) for t, p in epochs]
         with tempfile.TemporaryDirectory() as d:
@@ -473,12 +482,18 @@ class TestScenarioConfig:
         (dict(total_ms=[[1]]), "total_ms"),
         (dict(threshold="2.5"), "threshold"),
     ])
-    def test_bad_lists_exit_two(self, tmp_path, capsys, command, out_flag,
-                                overrides, field_name):
+    def test_bad_lists_exit_two(self, tmp_path, capsys, monkeypatch, command,
+                                out_flag, overrides, field_name):
+        calls = []
+        monkeypatch.setattr(signal_synth, "synthesize",
+                            lambda *args, **kwargs: calls.append("synthesize"))
+        monkeypatch.setattr(eval_harness, "process_units",
+                            lambda *args, **kwargs: calls.append("correlate"))
         config = self._write(tmp_path, **overrides)
         out = tmp_path / "out"
         assert cli([command, "--config", str(config), out_flag, str(out)]) == 2
         assert field_name in capsys.readouterr().err
+        assert calls == []
         assert not out.exists()
 
     @pytest.mark.parametrize("command, out_flag",
@@ -488,6 +503,8 @@ class TestScenarioConfig:
         [1.0, "a"], [1.0, True], [1.0, None], [1.0, float("nan")],
         [1.0, float("inf"), 0.5], [-5.0, 0.0, 2.0], [0.0, 1.0],
         [0.0, 5.0, 1.0], [1.5, 2.5], [1.0, 2.0, 3.0, 4.0],
+        [1.0, 1e9, 1e-3],  # 1e12 thresholds
+        [1.0, 1.000000001, 1e-11],  # 101 thresholds, 11 distinct
     ])
     def test_bad_pf_thresholds_exit_two_before_correlating(
             self, tmp_path, capsys, monkeypatch, command, out_flag,
@@ -527,6 +544,13 @@ class TestScenarioConfig:
         (dict(intermediate_freq=0.0), "intermediate_freq"),
         (dict(intermediate_freq=-2.5e5), "intermediate_freq"),
         (dict(intermediate_freq=6e5), "intermediate_freq"),  # past Nyquist
+        (dict(code_phase0=float("nan")), "code_phase0"),
+        (dict(code_phase0=float("inf")), "code_phase0"),
+        (dict(code_phase0=float("-inf")), "code_phase0"),
+        (dict(bit_phase0=float("nan")), "bit_phase0"),
+        (dict(duration=0.0), "duration"),  # under one sample
+        (dict(duration=-1e-3), "duration"),
+        (dict(data_bits="zeros"), "data_bits"),
     ])
     def test_bad_numbers_exit_two_before_synthesis_or_plan(
             self, tmp_path, capsys, monkeypatch, command, out_flag,
@@ -597,6 +621,12 @@ def strong_config(tmp_path_factory):
 
 def _config_with(path, data_bits) -> ScenarioConfig:
     return replace(ScenarioConfig.from_file(path), data_bits=data_bits)
+
+
+def _sampling(record, **plan):
+    """A sidecar record with plan set in its header and in every epoch."""
+    return {**record, **plan,
+            "epochs": [{**e, **plan} for e in record["epochs"]]}
 
 
 class TestPassWrite:
@@ -1017,13 +1047,20 @@ class TestCli:
         (lambda r: {**r, "epoch_count": len(r["epochs"]) - 1}, "epoch_count"),
         (lambda r: {**r, "epoch_step": -5.0}, "epoch_step"),
         (lambda r: {**r, "epoch_step": 0}, "epoch_step"),
+        (lambda r: _sampling(r, intermediate_freq=6e5), "intermediate_freq"),
+        (lambda r: _sampling(r, intermediate_freq=-2.5e5), "intermediate_freq"),
+        (lambda r: _sampling(r, sample_rate=0.0), "sample_rate"),
+        (lambda r: _sampling(r, sample_rate=-1.023e6), "sample_rate"),
     ], ids=["list", "epoch-int", "epochs-int", "sample_rate-str",
             "intermediate_freq-null", "t0-bool", "samples_per_epoch-float",
             "format-list", "sample_rate-missing", "doppler0-str",
             "epoch_count-more", "epoch_count-fewer", "epoch_step-negative",
-            "epoch_step-zero"])
+            "epoch_step-zero", "intermediate_freq-past-nyquist",
+            "intermediate_freq-negative", "sample_rate-zero",
+            "sample_rate-negative"])
     def test_acquire_malformed_sidecar_exits_two(
-            self, strong_config, tmp_path, capsys, edit, field_name):
+            self, strong_config, tmp_path, capsys, monkeypatch, edit,
+            field_name):
         samples = tmp_path / "pass.bin"
         assert cli(["synth", "--config", strong_config,
                     "--out", str(samples)]) == 0
@@ -1032,8 +1069,12 @@ class TestCli:
         with pytest.raises(SampleFileError, match=field_name):
             read_truth_sidecar(sidecar)
         capsys.readouterr()
+        calls = []
+        monkeypatch.setattr(io_cli, "read_samples",
+                            lambda *args, **kwargs: calls.append("read"))
         assert cli(["acquire", "--samples", str(samples)]) == 2
         assert field_name in capsys.readouterr().err
+        assert calls == []
 
     @pytest.mark.parametrize("k, key, edit, want", [
         (2, "intermediate_freq", lambda e: e["intermediate_freq"] + 500.0,
@@ -1341,16 +1382,42 @@ class TestCli:
     @pytest.mark.parametrize("strategy, total_ms, reason", [
         ("alternatehalfbit", "10", "multiple of 20"),
         ("differential", "1", "at least two"),
+        ("coherent", "0", "at least one"),
     ])
     def test_acquire_undefined_span_exits_two(self, strong_config, tmp_path,
-                                              capsys, strategy, total_ms,
-                                              reason):
+                                              capsys, monkeypatch, strategy,
+                                              total_ms, reason):
         samples = str(tmp_path / "pass.bin")
         assert cli(["synth", "--config", strong_config, "--out", samples]) == 0
         capsys.readouterr()
+        calls = []
+        monkeypatch.setattr(io_cli, "make_plan",
+                            lambda *args, **kwargs: calls.append("make_plan"))
+        monkeypatch.setattr(io_cli, "read_samples",
+                            lambda *args, **kwargs: calls.append("read"))
         assert cli(["acquire", "--samples", samples, "--strategy", strategy,
                     "--total-ms", total_ms]) == 2
         assert reason in capsys.readouterr().err
+        assert calls == []
+
+    @pytest.mark.parametrize("argv, code", [
+        (["pass", "--config", "CONFIG"], 0),
+        (["fly"], 1),  # unknown subcommand
+        (["pass", "--config", "missing.json"], 2),
+    ], ids=["pass", "unknown-subcommand", "missing-config"])
+    def test_module_entry_point_exit_codes(self, strong_config, tmp_path,
+                                           argv, code):
+        # python -m leoacq.io_cli runs main(), the console script's target
+        src = str(Path(io_cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        argv = [strong_config if a == "CONFIG" else a for a in argv]
+        run = subprocess.run([sys.executable, "-m", "leoacq.io_cli", *argv],
+                             cwd=tmp_path, env=env, capture_output=True,
+                             text=True)
+        assert run.returncode == code, run.stderr
+        if code == 0:
+            assert run.stdout.startswith("t_s,range_m,elev_deg,")
 
     def test_bad_config_json_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
