@@ -99,14 +99,8 @@ def pf_sweep(results: Sequence[AcqResult], labels: Sequence[EpochLabel],
                    false_alarm_rate=fa)
 
 
-def check_pf_target(target: float) -> None:
-    if not 0 < target < 1:
-        raise ValueError(f"target must be in (0, 1), got {target}")
-
-
 def threshold_bounds(curve: PfCurve, target: float) -> tuple[float, float] | None:
     """Smallest and largest threshold with pf <= target, or None."""
-    check_pf_target(target)
     below = np.flatnonzero(curve.pf <= target)
     if below.size == 0:
         return None

@@ -3,17 +3,20 @@
 Binary sample formats are little-endian; integer formats carry samples
 scaled to [-1, 1) by the type's max magnitude, and the -iq variants
 interleave I then Q per sample.  A synthesized sample file is accompanied
-by a JSON truth sidecar (<name>.truth) that records the file layout and
-each epoch's start time and SynthParams, which is enough to label
-acquisition results without re-synthesizing.
+by a JSON truth sidecar (<name>.truth): the effective ScenarioConfig that
+synthesized it.  The file layout (format, rate, samples per epoch, epoch
+count) and each epoch's start time and SynthParams follow from that config
+(signal_synth.pass_params), which is enough to label acquisition results
+without re-synthesizing any samples.
 
 Validation.  Each input rule is checked once, where the input enters, and
 a violation is a data error (exit 2): a config by from_file's JSON check
-and ScenarioConfig.__post_init__; a sample file by read_truth_sidecar
-(which rejects the older key=value sidecar too) and acquire's layout
-check; acquire's arguments by _check_search and IntegrationSpec.  The
-engine modules trust their inputs and check only what no boundary sees,
-such as each epoch's Nyquist margin in signal_synth.synthesize.
+and ScenarioConfig.__post_init__.  A sidecar is a config and passes the
+same two checks; acquire's arguments replace its strategies, total_ms,
+threshold and half_span, so __post_init__ checks them too.  A sample file
+is checked by acquire's layout check and read_samples.  The engine
+modules trust their inputs and check only what no boundary sees, such as
+each epoch's Nyquist margin in signal_synth.synthesize.
 
 Subcommands: synth, pass, acquire, sweep, duration.  Exit codes: 0 success,
 1 usage error, 2 data error.
@@ -33,19 +36,19 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .prn_code import ChipSequence, generate_code, samples_per_code
+from .prn_code import generate_code, samples_per_code
 from .geometry import simulate_pass, PassScenario
 from . import signal_synth
 from .signal_synth import SampledSignal, SynthParams, pass_params
 from .acq_core import _row_bands, make_plan
 from .detector import DEFAULT_MTSMR_THRESHOLD
 from .integrators import IntegrationSpec, Strategy, span_error
-from .eval_harness import (acquisition_timeline, check_pf_target, pf_sweep,
-                           run_span, threshold_bounds)
+from .eval_harness import (acquisition_timeline, pf_sweep, run_span,
+                           threshold_bounds)
 
 
 class SampleFileError(Exception):
-    """A sample file, its format or its truth sidecar is unusable."""
+    """A sample file or its format is unusable."""
 
 
 # format tag -> (little-endian dtype, integer full-scale or None, is_iq)
@@ -67,7 +70,6 @@ class SampleFileMeta:
     sample_rate: float
     intermediate_freq: float
     format: str = "float32-real"
-    t0: float = 0.0
 
     def __post_init__(self):
         if self.format not in _FORMATS:
@@ -116,7 +118,7 @@ def read_samples(path, meta: SampleFileMeta, offset: int = 0,
     if is_iq:
         vals = vals.view(np.complex64)
     return SampledSignal(samples=vals, sample_rate=meta.sample_rate,
-                         t0=meta.t0 + offset / meta.sample_rate)
+                         t0=offset / meta.sample_rate)
 
 
 def write_samples(signal: SampledSignal, path, meta: SampleFileMeta) -> int:
@@ -167,140 +169,22 @@ def write_samples(signal: SampledSignal, path, meta: SampleFileMeta) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Truth sidecar
-# ---------------------------------------------------------------------------
-
-# dataclass field annotation -> the JSON value types it accepts
-_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,),
-               "float | None": (int, float, type(None)), "list": (list,),
-               "np.ndarray | None": (list, type(None))}
-
-
-def _check_json_types(where, record, types: dict, error=ValueError,
-                      complete: bool = False) -> None:
-    """Raise error, naming the key, unless record is a JSON object of keys
-    that types annotates (all of them if complete), each with a finite JSON
-    value of its annotation's type (json reads NaN and 1e400 as floats)."""
-    if not isinstance(record, dict):
-        raise error(f"{where}: not a JSON object: {record!r}")
-    if complete and types.keys() - record.keys():
-        raise error(f"{where}: missing {sorted(types.keys() - record.keys())}")
-    for key, value in record.items():
-        if key not in types:
-            raise error(f"{where}: unknown key {key!r}")
-        if (isinstance(value, bool)
-                or not isinstance(value, _JSON_TYPES[types[key]])):
-            raise error(f"{where}: {key} must be {types[key]}, got {value!r}")
-        if isinstance(value, float) and not math.isfinite(value):
-            raise error(f"{where}: {key} must be a finite number, "
-                        f"got {value!r}")
-
-
-def _check_sampling(sample_rate, intermediate_freq, error=ValueError) -> None:
-    """Raise error unless sample_rate is positive and intermediate_freq lies
-    in (0, sample_rate / 2): the sampling plan of a config and of a sidecar."""
-    if not sample_rate > 0:
-        raise error(f"sample_rate must be positive, got {sample_rate!r}")
-    if not 0 < intermediate_freq < sample_rate / 2:
-        raise error(f"intermediate_freq must lie in (0, sample_rate/2), "
-                    f"got {intermediate_freq!r}")
-
-
-def write_truth_sidecar(path, meta: SampleFileMeta, epochs: list[SampledSignal],
-                        epoch_step: float) -> None:
-    """Record the file layout plus each epoch's start time and SynthParams."""
-    record = {**asdict(meta), "epoch_step": epoch_step,
-              "samples_per_epoch": len(epochs[0].samples),
-              "epoch_count": len(epochs),
-              "epochs": [{"t": e.t0, **vars(e.truth)} for e in epochs]}
-    with open(path, "w", newline="\n") as f:
-        f.write(json.dumps(record, default=np.ndarray.tolist))  # data_bits arrays
-
-
-def read_truth_sidecar(path) -> tuple[dict, list[dict]]:
-    """Parse a truth sidecar into a header dict and per-epoch dicts.
-
-    The header must hold exactly the keys write_truth_sidecar writes, with
-    epoch_count the length of a non-empty epochs list, and each epoch
-    exactly "t" plus every SynthParams field, each a JSON value of its
-    field's type, with the header's sample_rate and intermediate_freq and
-    epoch 0's prn_id; data_bits comes back as an array or None.
-    """
-    try:
-        with open(path) as f:
-            header = json.load(f)
-    except json.JSONDecodeError as e:
-        raise SampleFileError(
-            f"{path}: not a JSON truth sidecar ({e}); re-run synth to "
-            f"regenerate it") from e
-    head = {**{f.name: f.type for f in fields(SampleFileMeta)},
-            "epoch_step": "float", "samples_per_epoch": "int",
-            "epoch_count": "int", "epochs": "list"}
-    _check_json_types(path, header, head, SampleFileError, complete=True)
-    _check_sampling(header["sample_rate"], header["intermediate_freq"],
-                    lambda msg: SampleFileError(f"{path}: {msg}"))
-    epochs = header.pop("epochs")
-    if not epochs:
-        raise SampleFileError(f"{path}: the sidecar lists no epochs")
-    per_epoch = {"t": "float", **{f.name: f.type for f in fields(SynthParams)}}
-    # acquire reads and searches at the header's rate and IF, with epoch 0's
-    # code, so every epoch must have been synthesized with them
-    agree = (("sample_rate", header, "the header's"),
-             ("intermediate_freq", header, "the header's"),
-             ("prn_id", epochs[0], "epoch 0's"))
-    for k, e in enumerate(epochs):
-        _check_json_types(f"{path}: epoch {k}", e, per_epoch, SampleFileError,
-                          complete=True)
-        for key, source, whose in agree:
-            if e[key] != source[key]:
-                raise SampleFileError(f"{path}: epoch {k}: {key} is "
-                                      f"{e[key]!r}, not {whose} {source[key]!r}")
-        if e["data_bits"] is not None:
-            e["data_bits"] = np.array(e["data_bits"], dtype=np.float64)
-    if not header["epoch_step"] > 0:
-        raise SampleFileError(f"{path}: epoch_step must be positive, got "
-                              f"{header['epoch_step']!r}")
-    if header["epoch_count"] != len(epochs):
-        raise SampleFileError(
-            f"{path}: epoch_count is {header['epoch_count']}, but the "
-            f"sidecar lists {len(epochs)} epochs")
-    return header, epochs
-
-
-# ---------------------------------------------------------------------------
 # Scenario configuration
 # ---------------------------------------------------------------------------
 
 _STRATEGY_NAMES = {s.value: s for s in Strategy}
 _MAX_THRESHOLDS = 10_000  # pf_thresholds grid points (the default grid: 101)
 
-
-def _check_search(threshold: float, half_span: float, sample_rate: float) -> None:
-    """Reject a detection threshold or Doppler half-span no search can use.
-
-    The threshold must be finite and positive.  The half-span must lie in
-    (0, sample_rate / 2): past Nyquist, bins alias onto each other.  A NaN
-    fails both comparisons and is rejected too.
-    """
-    if not (math.isfinite(threshold) and threshold > 0):
-        raise ValueError(f"threshold must be finite and positive, "
-                         f"got {threshold!r}")
-    if not 0 < half_span < sample_rate / 2:
-        raise ValueError(f"half_span must lie in (0, {sample_rate / 2!r}) Hz, "
-                         f"below Nyquist at sample rate {sample_rate!r} Hz, "
-                         f"got {half_span!r}")
-
-
-def span_samples(code: ChipSequence, sample_rate: float, total_ms: int) -> int:
-    """Samples a span of total_ms units correlates from the start of each
-    epoch (eval_harness.run_span): the length an epoch must have for it.
-    duration and sweep synthesize, and acquire reads, only these samples."""
-    return total_ms * samples_per_code(code, sample_rate)
+# dataclass field annotation -> the JSON value types it accepts
+_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,),
+               "float | None": (int, float, type(None)), "list": (list,)}
 
 
 @dataclass
 class ScenarioConfig:
-    """One experiment: synthesis + geometry + run parameters (JSON file)."""
+    """One experiment: synthesis + geometry + run parameters (JSON file).
+
+    It is also a sample file's truth sidecar (write_truth_sidecar)."""
 
     prn_id: int = 1
     sample_rate: float = 1.023e6
@@ -342,6 +226,13 @@ class ScenarioConfig:
             if not entries or len(set(entries)) != len(entries):
                 raise ValueError(f"{name} must be a non-empty list without "
                                  f"repeats, got {entries!r}")
+        if next(self.run_combos(), None) is None:
+            reasons = "; ".join(span_error(_STRATEGY_NAMES[name], t_ms)
+                                for name in self.strategies
+                                for t_ms in self.total_ms)
+            raise ValueError(
+                f"no strategy in strategies {self.strategies} is defined at "
+                f"any span in total_ms {self.total_ms}: {reasons}")
         t = self.pf_thresholds
         if not (len(t) == 3 and all(isinstance(v, numbers.Real)
                                     and not isinstance(v, bool)
@@ -362,31 +253,69 @@ class ScenarioConfig:
                     f"{name} must be positive, got {getattr(self, name)!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed!r}")
-        _check_sampling(self.sample_rate, self.intermediate_freq)
-        _check_search(self.threshold, self.half_span, self.sample_rate)
+        if not self.sample_rate > 0:
+            raise ValueError(
+                f"sample_rate must be positive, got {self.sample_rate!r}")
+        if not 0 < self.intermediate_freq < self.sample_rate / 2:
+            raise ValueError(f"intermediate_freq must lie in (0, sample_rate/2), "
+                             f"got {self.intermediate_freq!r}")
+        if not (math.isfinite(self.threshold) and self.threshold > 0):
+            raise ValueError(f"threshold must be finite and positive, "
+                             f"got {self.threshold!r}")
+        # past Nyquist, search bins alias onto each other (a NaN fails too)
+        if not 0 < self.half_span < self.sample_rate / 2:
+            raise ValueError(
+                f"half_span must lie in (0, {self.sample_rate / 2!r}) Hz, "
+                f"below Nyquist at sample rate {self.sample_rate!r} Hz, "
+                f"got {self.half_span!r}")
         SampleFileMeta(self.sample_rate, self.intermediate_freq,
                        self.sample_format)  # validates the sample format
-        code = generate_code(self.prn_id)  # validates the PRN id
         have = self.duration * self.sample_rate
-        need = span_samples(code, self.sample_rate, max(self.total_ms))
+        need = self.span_samples()  # validates the PRN id
         if not (math.isfinite(have) and round(have) >= need):
             raise ValueError(
                 f"epoch duration {self.duration}s ({have:.0f} samples) is "
                 f"shorter than the longest integration {max(self.total_ms)} "
                 f"ms ({need} samples)")
-        if next(self.run_combos(), None) is None:
-            raise ValueError(
-                f"no strategy in strategies {self.strategies} is defined at "
-                f"any span in total_ms {self.total_ms}")
 
     @classmethod
     def from_file(cls, path) -> "ScenarioConfig":
-        """Load a JSON object whose keys are field names with values of the
-        field's type (a JSON number for a float field)."""
+        """Load a JSON object whose keys are field names, each with a finite
+        JSON value of the field's type (a JSON number for a float field;
+        json reads NaN and 1e400 as floats).  Config files and truth
+        sidecars both load here."""
         with open(path) as f:
-            record = json.load(f)
-        _check_json_types(path, record, {f.name: f.type for f in fields(cls)})
+            try:
+                record = json.load(f)
+            except json.JSONDecodeError as e:
+                raise ValueError(f"{path}: not a JSON scenario config "
+                                 f"({e})") from e
+        if not isinstance(record, dict):
+            raise ValueError(f"{path}: not a JSON object: {record!r}")
+        types = {f.name: f.type for f in fields(cls)}
+        for key, value in record.items():
+            if key not in types:
+                raise ValueError(f"{path}: unknown key {key!r}")
+            if (isinstance(value, bool)
+                    or not isinstance(value, _JSON_TYPES[types[key]])):
+                raise ValueError(
+                    f"{path}: {key} must be {types[key]}, got {value!r}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{path}: {key} must be a finite number, "
+                                 f"got {value!r}")
         return cls(**record)
+
+    @property
+    def samples_per_epoch(self) -> int:
+        """Samples of each epoch that synth writes."""
+        return round(self.duration * self.sample_rate)
+
+    def span_samples(self) -> int:
+        """Samples the longest span in total_ms correlates from the start of
+        each epoch (eval_harness.run_span): duration and sweep synthesize,
+        and acquire reads, only these samples of each epoch."""
+        code = generate_code(self.prn_id)
+        return max(self.total_ms) * samples_per_code(code, self.sample_rate)
 
     def base_synth_params(self) -> SynthParams:
         return SynthParams(
@@ -400,6 +329,12 @@ class ScenarioConfig:
         return simulate_pass(self.orbit_height, self.elevation_mask,
                              self.cross_track_offset_deg, self.epoch_step,
                              self.carrier_freq)
+
+    def pass_truths(self) -> list[tuple[float, SynthParams]]:
+        """Each epoch's (t0, SynthParams) of the pass, in order, without
+        synthesizing any samples (signal_synth.pass_params)."""
+        return list(pass_params(self.scenario(), self.base_synth_params(),
+                                random_bits=self.data_bits == "random"))
 
     def threshold_grid(self) -> np.ndarray:
         """lo, lo + step, ... through hi, each rounded to 10 decimals."""
@@ -441,12 +376,9 @@ def pass_epochs(config: ScenarioConfig) -> list[SampledSignal]:
     float64 epochs.  A written integer format can differ by one code where a
     float64 sample lay within float32 resolution of a rounding tie.
     """
-    t0s, truths = zip(*pass_params(config.scenario(),
-                                   config.base_synth_params(),
-                                   random_bits=config.data_bits == "random"))
+    t0s, truths = zip(*config.pass_truths())
     code = generate_code(config.prn_id)
-    rows = np.empty((len(truths), round(config.duration * config.sample_rate)),
-                    dtype=np.float32)
+    rows = np.empty((len(truths), config.samples_per_epoch), dtype=np.float32)
 
     def band(epochs):
         for k in range(epochs.start, epochs.stop):
@@ -460,6 +392,36 @@ def pass_epochs(config: ScenarioConfig) -> list[SampledSignal]:
     return [SampledSignal(samples=row, sample_rate=config.sample_rate,
                           t0=t0, truth=truth)
             for row, t0, truth in zip(rows, t0s, truths)]
+
+
+# ---------------------------------------------------------------------------
+# Truth sidecar
+# ---------------------------------------------------------------------------
+
+def write_truth_sidecar(path, config: ScenarioConfig) -> None:
+    """Write config, the effective config of a synthesized sample file
+    (after any --seed), as the file's JSON truth sidecar."""
+    with open(path, "w", newline="\n") as f:
+        f.write(json.dumps(asdict(config)))
+
+
+def read_truth_sidecar(path) -> tuple[dict, list[dict]]:
+    """Load a truth sidecar with ScenarioConfig.from_file and derive from it
+    a header of the file layout and each epoch's dict of "t" plus every
+    SynthParams field (data_bits an array or None).
+
+    The epochs are regenerated (ScenarioConfig.pass_truths), so an existing
+    sidecar keeps its meaning only while pass_params and synthesize do.
+    """
+    config = ScenarioConfig.from_file(path)
+    truths = config.pass_truths()
+    header = {"format": config.sample_format,
+              "sample_rate": config.sample_rate,
+              "intermediate_freq": config.intermediate_freq,
+              "epoch_step": config.epoch_step,
+              "samples_per_epoch": config.samples_per_epoch,
+              "epoch_count": len(truths)}
+    return header, [{"t": t0, **vars(truth)} for t0, truth in truths]
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +506,6 @@ def _cmd_synth(args) -> int:
     meta = SampleFileMeta(config.sample_rate, config.intermediate_freq,
                           format=config.sample_format)
     epochs = pass_epochs(config)
-    meta.t0 = epochs[0].t0
     rows = epochs[0].samples.base
     if (rows is None or len(rows) != len(epochs) or not rows.flags.c_contiguous
             or any(e.samples.base is not rows for e in epochs)):
@@ -552,10 +513,9 @@ def _cmd_synth(args) -> int:
         raise RuntimeError("pass_epochs did not return the rows of one "
                            "C-ordered pass array")
     stream = SampledSignal(samples=rows.reshape(-1),
-                           sample_rate=config.sample_rate, t0=meta.t0)
+                           sample_rate=config.sample_rate)
     clipped = write_samples(stream, args.out, meta)
-    write_truth_sidecar(args.out + ".truth", meta, epochs,
-                        epoch_step=config.epoch_step)
+    write_truth_sidecar(args.out + ".truth", config)
     msg = (f"wrote {len(epochs)} epochs x {len(epochs[0].samples)} samples "
            f"({meta.format}) to {args.out}")
     if clipped:
@@ -573,42 +533,34 @@ def _cmd_pass(args) -> int:
 
 
 def _cmd_acquire(args) -> int:
-    strategy = _STRATEGY_NAMES[args.strategy]
-    spec = IntegrationSpec(strategy=strategy, total_ms=args.total_ms)
-    header, epoch_truths = read_truth_sidecar(args.samples + ".truth")
-    meta = SampleFileMeta(**{f.name: header[f.name] for f in fields(SampleFileMeta)})
-    _check_search(args.threshold, args.half_span, meta.sample_rate)
-    plan = make_plan(meta.intermediate_freq, args.half_span, args.total_ms)
-
-    spe = header["samples_per_epoch"]
+    # the sidecar's config, running the arguments' one strategy and span:
+    # __post_init__ checks them before any sample is read
+    config = replace(ScenarioConfig.from_file(args.samples + ".truth"),
+                     strategies=[args.strategy], total_ms=[args.total_ms],
+                     threshold=args.threshold, half_span=args.half_span)
+    meta = SampleFileMeta(config.sample_rate, config.intermediate_freq,
+                          format=config.sample_format)
+    truths = config.pass_truths()
+    spe = config.samples_per_epoch
     total = os.path.getsize(args.samples) // meta.bytes_per_sample
-    want = len(epoch_truths) * spe
+    want = len(truths) * spe
     if total != want:  # else epoch k would not start at sample k * spe
         which = "fewer" if total < want else "more"
         raise SampleFileError(
             f"{args.samples}: {total} samples, {which} than the sidecar's "
-            f"{len(epoch_truths)} epochs of {spe} ({want})")
+            f"{len(truths)} epochs of {spe} ({want})")
     # Each epoch is read only as far as the span correlates.
-    code = generate_code(epoch_truths[0]["prn_id"])
-    count = span_samples(code, meta.sample_rate, args.total_ms)
-    if count > spe:
-        raise SampleFileError(
-            f"{args.samples}: epochs of {spe} samples are too short for a "
-            f"{args.total_ms} ms span of {count} samples")
+    count = config.span_samples()
     epochs = []
-    for k, truth in enumerate(epoch_truths):
+    for k, (t0, truth) in enumerate(truths):
         sig = read_samples(args.samples, meta, offset=k * spe, count=count)
-        sig.t0 = truth.pop("t")
-        sig.truth = SynthParams(**truth)
+        sig.t0, sig.truth = t0, truth
         epochs.append(sig)
 
-    results = [r for (r,) in run_span(epochs, code, plan, [spec],
-                                      args.threshold)]
-    results, labels, summary = acquisition_timeline(
-        epochs, spec, plan, args.threshold, results, header["epoch_step"], code=code)
+    [(strategy, t_ms, results, labels, summary)] = _run_matrix(config, epochs)
     write_csv(args.out, "t_s,strategy,total_ms,doppler_hz,code_phase_samples,"
               "mtsmr,mtmr,decided,ok",
-              ([l.t, strategy.value, args.total_ms, float(r.doppler_hat),
+              ([l.t, strategy.value, t_ms, float(r.doppler_hat),
                 r.code_phase_hat, float(r.mtsmr), float(r.mtmr),
                 int(r.decided), int(l.estimate_ok)]
                for r, l in zip(results, labels)))
@@ -617,20 +569,25 @@ def _cmd_acquire(args) -> int:
     return 0
 
 
-def _run_matrix(config: ScenarioConfig):
-    """Run every valid (strategy, span) of the config over its pass.
+def _span_pass(config: ScenarioConfig) -> list[SampledSignal]:
+    """The config's pass, synthesized only as far as its longest span
+    correlates (span_samples), not at the full duration that synth writes;
+    the outputs of _run_matrix are those of the full epochs."""
+    return pass_epochs(replace(
+        config, duration=config.span_samples() / config.sample_rate))
+
+
+def _run_matrix(config: ScenarioConfig, epochs: list[SampledSignal]):
+    """Run every valid (strategy, span) of the config over epochs, the
+    pass's epochs through at least their first span_samples.
 
     Yields (strategy, total_ms, results, labels, summary) in config order.
-    The pass is synthesized only as far as the longest span correlates
-    (span_samples), not at the full duration that synth writes; the
-    outputs are those of the full epochs.  Each epoch is correlated once
-    per span, into one unit block reused for every epoch
-    (eval_harness.run_span): the strategies at that span all integrate the
-    same unit grids.
+    duration and sweep run it over _span_pass, acquire over the epochs it
+    reads from a sample file.  Each epoch is correlated once per span, into
+    one unit block reused for every epoch (eval_harness.run_span): the
+    strategies at that span all integrate the same unit grids.
     """
     code = generate_code(config.prn_id)
-    count = span_samples(code, config.sample_rate, max(config.total_ms))
-    epochs = pass_epochs(replace(config, duration=count / config.sample_rate))
     combos = list(config.run_combos())
     by_span: dict[int, list[IntegrationSpec]] = {}
     for strategy, t_ms in combos:
@@ -649,12 +606,15 @@ def _run_matrix(config: ScenarioConfig):
 
 
 def _cmd_sweep(args) -> int:
-    check_pf_target(args.pf_target)  # before the pass runs
+    if not 0 < args.pf_target < 1:  # before the pass runs
+        raise ValueError(
+            f"--pf-target must be in (0, 1), got {args.pf_target}")
     config = _load_config(args)
     os.makedirs(args.out_dir, exist_ok=True)
     thresholds = config.threshold_grid()
     bounds = []
-    for strategy, t_ms, results, labels, _ in _run_matrix(config):
+    for strategy, t_ms, results, labels, _ in _run_matrix(
+            config, _span_pass(config)):
         curve = pf_sweep(results, labels, thresholds)
         rows = np.column_stack((curve.thresholds, curve.pf, curve.miss_rate,
                                 curve.false_alarm_rate)).tolist()
@@ -676,7 +636,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_duration(args) -> int:
     config = _load_config(args)
     rows = [[strategy.value, t_ms, summary.success_s, summary.decided_s]
-            for strategy, t_ms, _, _, summary in _run_matrix(config)]
+            for strategy, t_ms, _, _, summary in _run_matrix(
+                config, _span_pass(config))]
     write_csv(args.out, "strategy,total_ms,success_s,decided_s", rows)
     print(f"wrote {len(rows)} duration rows to {args.out}")
     return 0

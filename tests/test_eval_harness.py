@@ -495,12 +495,6 @@ class TestThresholdBounds:
             assert outer is not None
             assert outer[0] <= inner[0] and inner[1] <= outer[1]
 
-    def test_target_validation(self):
-        curve = PfCurve(np.array([1.0]), np.array([0.0]),
-                        np.zeros(1), np.zeros(1))
-        with pytest.raises(ValueError, match="target"):
-            threshold_bounds(curve, 1.5)
-
 
 # the passes of these tests: one range and a 300 Hz Doppler at every epoch
 _flat_scenario = functools.partial(flat_scenario, doppler=300.0)

@@ -207,7 +207,6 @@ def _round_trip(signal, fmt):
         return read_samples(path, _meta(fmt)).samples, clipped
 
 
-finite = st.floats(allow_nan=False, allow_infinity=False)
 float32s = st.floats(allow_nan=False, allow_infinity=False, width=32)
 unit_interval = st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True)
 
@@ -334,88 +333,39 @@ class TestSinglePrecisionWrite:
         assert got == want
 
 
-synth_params = st.builds(
-    SynthParams,
-    prn_id=st.integers(1, 37), sample_rate=finite, intermediate_freq=finite,
-    carrier_freq=finite, amplitude=finite, code_phase0=finite,
-    doppler0=finite, doppler_rate=finite,
-    data_bits=st.none() | hnp.arrays(np.float64, st.integers(1, 8),
-                                     elements=st.sampled_from([1.0, -1.0])),
-    bit_phase0=finite, cn0=st.none() | finite, duration=finite,
-    seed=st.integers(0, 2 ** 64 - 1))
-
-EXTREMES = SynthParams(
-    prn_id=37, sample_rate=1.7976931348623157e308, intermediate_freq=-0.0,
-    carrier_freq=5e-324, amplitude=-1.7976931348623157e308,
-    code_phase0=2.2250738585072014e-308, doppler0=-0.0, doppler_rate=0.1,
-    data_bits=np.array([-1.0, 1.0, -1.0]), bit_phase0=-5e-324, cn0=None,
-    duration=1e-3, seed=2 ** 64 - 1)
-
-# (sample_rate, intermediate_freq) that a sidecar accepts: 0 < IF < rate / 2
-sampling_plans = st.floats(1.0, 1.7976931348623157e308).flatmap(
-    lambda fs: st.tuples(st.just(fs), st.floats(0.0, fs / 2, exclude_min=True,
-                                                exclude_max=True)))
-
-
-class TestTruthSidecarProperties:
-    @given(st.lists(st.tuples(finite, synth_params), min_size=1, max_size=4),
-           sampling_plans)
-    @example([(-0.0, EXTREMES), (1.0, SynthParams())],
-             (1.7976931348623157e308, 5e-324))
-    def test_synth_params_round_trip(self, epochs, plan):
-        # every epoch at the header's rate and IF and epoch 0's PRN
-        (fs, fif), prn_id = plan, epochs[0][1].prn_id
-        epochs = [(t, replace(p, prn_id=prn_id, sample_rate=fs,
-                              intermediate_freq=fif))
-                  for t, p in epochs]
-        meta = SampleFileMeta(fs, fif)
-        signals = [SampledSignal(samples=np.zeros(3), sample_rate=1.0, t0=t,
-                                 truth=p) for t, p in epochs]
+class TestTruthSidecar:
+    # Passes of 1 ms epochs over masks and steps that keep them under about
+    # 60 epochs.
+    @given(seed=st.integers(0, 2 ** 64 - 1),
+           data_bits=st.sampled_from(["ones", "random"]),
+           cn0=st.none() | st.floats(20.0, 60.0),
+           elevation_mask=st.floats(30.0, 89.9),
+           epoch_step=st.floats(5.0, 600.0))
+    def test_epochs_are_the_synthesized_truths(self, seed, data_bits, cn0,
+                                               elevation_mask, epoch_step):
+        config = ScenarioConfig(
+            prn_id=5, sample_rate=FS_FAST, intermediate_freq=FIF_FAST,
+            duration=1e-3, seed=seed, data_bits=data_bits, cn0=cn0,
+            elevation_mask=elevation_mask, epoch_step=epoch_step)
         with tempfile.TemporaryDirectory() as d:
             path = Path(d) / "x.bin.truth"
-            write_truth_sidecar(path, meta, signals, epoch_step=1.0)
-            header, truths = read_truth_sidecar(path)
-        assert header["epoch_count"] == len(epochs)
-        for (t, want), truth in zip(epochs, truths):
-            assert repr(truth.pop("t")) == repr(t)
-            got = SynthParams(**truth)
+            write_truth_sidecar(path, config)
+            header, epochs = read_truth_sidecar(path)
+        want = [(e.t0, e.truth) for e in pass_epochs(config)]
+        assert header == {"format": "float32-real", "sample_rate": FS_FAST,
+                          "intermediate_freq": FIF_FAST,
+                          "epoch_step": epoch_step, "samples_per_epoch": 1023,
+                          "epoch_count": len(want)}
+        assert len(epochs) == len(want)
+        for epoch, (t0, truth) in zip(epochs, want):
+            assert repr(epoch.pop("t")) == repr(t0)
+            got = SynthParams(**epoch)
             for f in fields(SynthParams):
-                a, b = getattr(got, f.name), getattr(want, f.name)
+                a, b = getattr(got, f.name), getattr(truth, f.name)
                 if f.name == "data_bits" and b is not None:
                     assert np.array_equal(a, b)
                 else:
                     assert repr(a) == repr(b), f.name
-
-
-class TestTruthSidecar:
-    def test_round_trip(self, code1, tmp_path):
-        epochs = []
-        for k in range(3):
-            p = fast_params(cn0=44.0, duration=2e-3, seed=10 ^ k,
-                            doppler0=100.0 * k, code_phase0=7.5,
-                            data_bits=np.array([1.0, -1.0]))
-            e = synthesize(p, code1)
-            e.t0 = float(k)
-            epochs.append(e)
-        path = tmp_path / "x.bin.truth"
-        write_truth_sidecar(path, _meta(), epochs, epoch_step=1.0)
-        header, truths = read_truth_sidecar(path)
-        assert header["epoch_count"] == 3
-        assert header["sample_rate"] == FS_FAST
-        assert header["samples_per_epoch"] == 2046
-        assert truths[1]["doppler0"] == 100.0
-        assert truths[2]["code_phase0"] == 7.5
-        assert truths[0]["cn0"] == 44.0
-        assert np.array_equal(truths[0]["data_bits"], [1.0, -1.0])
-
-    def test_noneless_fields(self, code1, tmp_path):
-        e = synthesize(fast_params(cn0=None, duration=1e-3), code1)
-        e.t0 = 0.0
-        path = tmp_path / "y.truth"
-        write_truth_sidecar(path, _meta(), [e], 1.0)
-        _, truths = read_truth_sidecar(path)
-        assert truths[0]["cn0"] is None
-        assert truths[0]["data_bits"] is None
 
 
 class TestScenarioConfig:
@@ -623,12 +573,6 @@ def _config_with(path, data_bits) -> ScenarioConfig:
     return replace(ScenarioConfig.from_file(path), data_bits=data_bits)
 
 
-def _sampling(record, **plan):
-    """A sidecar record with plan set in its header and in every epoch."""
-    return {**record, **plan,
-            "epochs": [{**e, **plan} for e in record["epochs"]]}
-
-
 class TestPassWrite:
     # The 3 noisy epochs of strong_config in 1, 2 or 3 row bands: each band
     # must draw every epoch's noise and bits from that epoch's own streams
@@ -667,21 +611,14 @@ class TestPassWrite:
                     == ref.samples.astype(np.float32).tobytes())
             assert got.t0 == ref.t0
 
-    @pytest.mark.parametrize("data_bits", ["ones", "random"])
-    def test_sidecar_bytes_equal_asdict_reference(self, strong_config,
-                                                  tmp_path, data_bits):
-        config = _config_with(strong_config, data_bits)
-        epochs = pass_epochs(config)
-        meta = SampleFileMeta(config.sample_rate, config.intermediate_freq,
-                              t0=epochs[0].t0)
-        path = tmp_path / "pass.bin.truth"
-        write_truth_sidecar(path, meta, epochs, epoch_step=config.epoch_step)
-        reference = {**asdict(meta), "epoch_step": config.epoch_step,
-                     "samples_per_epoch": len(epochs[0].samples),
-                     "epoch_count": len(epochs),
-                     "epochs": [{"t": e.t0, **asdict(e.truth)} for e in epochs]}
-        assert path.read_bytes() == json.dumps(
-            reference, default=np.ndarray.tolist).encode()
+    def test_sidecar_is_the_effective_config(self, strong_config, tmp_path,
+                                             capsys):
+        out = tmp_path / "pass.bin"
+        assert cli(["synth", "--config", strong_config, "--out", str(out),
+                    "--seed", "7"]) == 0
+        config = replace(ScenarioConfig.from_file(strong_config), seed=7)
+        assert (Path(str(out) + ".truth").read_bytes()
+                == json.dumps(asdict(config)).encode())
 
     @pytest.mark.parametrize("fmt", ["int16-real", "float32-iq"])
     def test_synth_file_equals_concatenated_one_shot_write(
@@ -975,7 +912,8 @@ class TestCli:
         monkeypatch.setattr(io_cli, "read_samples",
                             lambda *args, **kwargs: calls.append("read"))
         assert cli(["acquire", "--samples", samples, "--total-ms", "6"]) == 2
-        assert "too short" in capsys.readouterr().err
+        assert ("shorter than the longest integration 6 ms"
+                in capsys.readouterr().err)
         assert calls == []
 
     def test_acquire_file_short_of_whole_samples_exits_two(
@@ -989,10 +927,11 @@ class TestCli:
         assert cli(["acquire", "--samples", str(samples)]) == 2
         assert "fewer than" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("edit", ["halved_samples_per_epoch",
-                                      "extra_epoch"])
+    @pytest.mark.parametrize("edit, which", [
+        ("shorter_epochs", "more"), ("extra_epoch", "more"),
+        ("lower_mask", "fewer")])
     def test_acquire_file_off_the_sidecar_layout_exits_two(
-            self, strong_config, tmp_path, capsys, edit):
+            self, strong_config, tmp_path, capsys, edit, which):
         # epoch k starts at sample k * samples_per_epoch only when the file
         # holds exactly the sidecar's epochs
         samples = tmp_path / "pass.bin"
@@ -1000,64 +939,47 @@ class TestCli:
                     "--out", str(samples)]) == 0
         sidecar = Path(str(samples) + ".truth")
         record = json.loads(sidecar.read_text())
-        spe, epochs = record["samples_per_epoch"], record["epoch_count"]
-        assert (spe, epochs) == (5115, 3)
-        total = spe * epochs
-        if edit == "halved_samples_per_epoch":
-            spe //= 2
-            sidecar.write_text(json.dumps({**record, "samples_per_epoch": spe}))
+        total = 5115 * 3  # 5 ms float32 epochs
+        if edit == "shorter_epochs":
+            sidecar.write_text(json.dumps({**record, "duration": 0.004,
+                                           "total_ms": [1]}))
+        elif edit == "lower_mask":
+            sidecar.write_text(json.dumps({**record, "elevation_mask": 70.0}))
         else:  # one more float32 epoch than the sidecar lists
             data = samples.read_bytes()
-            samples.write_bytes(data + data[:4 * spe])
-            total += spe
+            samples.write_bytes(data + data[:4 * 5115])
+            total += 5115
+        header, _ = read_truth_sidecar(sidecar)
+        spe, epochs = header["samples_per_epoch"], header["epoch_count"]
+        assert (spe == 5115) != (edit == "shorter_epochs")
+        assert (epochs == 3) != (edit == "lower_mask")
         capsys.readouterr()
         out = tmp_path / "timeline.csv"
         assert cli(["acquire", "--samples", str(samples),
                     "--out", str(out)]) == 2
-        assert (f"{total} samples, more than the sidecar's {epochs} epochs "
+        assert (f"{total} samples, {which} than the sidecar's {epochs} epochs "
                 f"of {spe} ({epochs * spe})") in capsys.readouterr().err
         assert not out.exists()
 
-    def test_acquire_sidecar_without_epochs_exits_two(self, strong_config,
-                                                      tmp_path, capsys):
-        samples = tmp_path / "pass.bin"
-        assert cli(["synth", "--config", strong_config,
-                    "--out", str(samples)]) == 0
-        sidecar = Path(str(samples) + ".truth")
-        sidecar.write_text(json.dumps(
-            {**json.loads(sidecar.read_text()), "epochs": []}))
-        capsys.readouterr()
-        assert cli(["acquire", "--samples", str(samples)]) == 2
-        assert "no epochs" in capsys.readouterr().err
-
     @pytest.mark.parametrize("edit, field_name", [
         (lambda r: [], "not a JSON object"),
-        (lambda r: {**r, "epochs": [5]}, "epoch 0"),
-        (lambda r: {**r, "epochs": 5}, "epochs"),
         (lambda r: {**r, "sample_rate": "x"}, "sample_rate"),
         (lambda r: {**r, "intermediate_freq": None}, "intermediate_freq"),
-        (lambda r: {**r, "t0": True}, "t0"),
-        (lambda r: {**r, "samples_per_epoch": 5115.0}, "samples_per_epoch"),
-        (lambda r: {**r, "format": ["float32-real"]}, "format"),
-        (lambda r: {k: v for k, v in r.items() if k != "sample_rate"},
-         "sample_rate"),
-        (lambda r: {**r, "epochs": [{**r["epochs"][0], "doppler0": "x"}]},
-         "doppler0"),
-        (lambda r: {**r, "epoch_count": len(r["epochs"]) + 1}, "epoch_count"),
-        (lambda r: {**r, "epoch_count": len(r["epochs"]) - 1}, "epoch_count"),
+        (lambda r: {**r, "duration": True}, "duration"),
+        (lambda r: {**r, "seed": 11.0}, "seed"),
+        (lambda r: {**r, "sample_format": ["float32-real"]}, "sample_format"),
         (lambda r: {**r, "epoch_step": -5.0}, "epoch_step"),
         (lambda r: {**r, "epoch_step": 0}, "epoch_step"),
-        (lambda r: _sampling(r, intermediate_freq=6e5), "intermediate_freq"),
-        (lambda r: _sampling(r, intermediate_freq=-2.5e5), "intermediate_freq"),
-        (lambda r: _sampling(r, sample_rate=0.0), "sample_rate"),
-        (lambda r: _sampling(r, sample_rate=-1.023e6), "sample_rate"),
-    ], ids=["list", "epoch-int", "epochs-int", "sample_rate-str",
-            "intermediate_freq-null", "t0-bool", "samples_per_epoch-float",
-            "format-list", "sample_rate-missing", "doppler0-str",
-            "epoch_count-more", "epoch_count-fewer", "epoch_step-negative",
-            "epoch_step-zero", "intermediate_freq-past-nyquist",
-            "intermediate_freq-negative", "sample_rate-zero",
-            "sample_rate-negative"])
+        (lambda r: {**r, "intermediate_freq": 6e5}, "intermediate_freq"),
+        (lambda r: {**r, "intermediate_freq": -2.5e5}, "intermediate_freq"),
+        (lambda r: {**r, "sample_rate": 0.0}, "sample_rate"),
+        (lambda r: {**r, "sample_rate": -1.023e6}, "sample_rate"),
+        (lambda r: {**r, "cross_track_offset_deg": 60.0}, "no visibility"),
+    ], ids=["list", "sample_rate-str", "intermediate_freq-null",
+            "duration-bool", "seed-float", "sample_format-list",
+            "epoch_step-negative", "epoch_step-zero",
+            "intermediate_freq-past-nyquist", "intermediate_freq-negative",
+            "sample_rate-zero", "sample_rate-negative", "no-epochs"])
     def test_acquire_malformed_sidecar_exits_two(
             self, strong_config, tmp_path, capsys, monkeypatch, edit,
             field_name):
@@ -1066,7 +988,7 @@ class TestCli:
                     "--out", str(samples)]) == 0
         sidecar = Path(str(samples) + ".truth")
         sidecar.write_text(json.dumps(edit(json.loads(sidecar.read_text()))))
-        with pytest.raises(SampleFileError, match=field_name):
+        with pytest.raises(ValueError, match=field_name):
             read_truth_sidecar(sidecar)
         capsys.readouterr()
         calls = []
@@ -1075,32 +997,6 @@ class TestCli:
         assert cli(["acquire", "--samples", str(samples)]) == 2
         assert field_name in capsys.readouterr().err
         assert calls == []
-
-    @pytest.mark.parametrize("k, key, edit, want", [
-        (2, "intermediate_freq", lambda e: e["intermediate_freq"] + 500.0,
-         "the header's"),
-        (1, "sample_rate", lambda e: e["sample_rate"] * 2, "the header's"),
-        (1, "prn_id", lambda e: 2, "epoch 0's"),
-    ], ids=["intermediate_freq", "sample_rate", "prn_id"])
-    def test_acquire_sidecar_epoch_off_the_header_exits_two(
-            self, strong_config, tmp_path, capsys, k, key, edit, want):
-        # acquire searches at the header's rate and IF with epoch 0's code,
-        # so an epoch synthesized otherwise cannot be labelled against it
-        samples = tmp_path / "pass.bin"
-        assert cli(["synth", "--config", strong_config,
-                    "--out", str(samples)]) == 0
-        sidecar = Path(str(samples) + ".truth")
-        record = json.loads(sidecar.read_text())
-        record["epochs"][k][key] = edit(record["epochs"][k])
-        sidecar.write_text(json.dumps(record))
-        capsys.readouterr()
-        out = tmp_path / "timeline.csv"
-        assert cli(["acquire", "--samples", str(samples),
-                    "--out", str(out)]) == 2
-        assert f"epoch {k}: {key} is " in capsys.readouterr().err
-        assert not out.exists()
-        with pytest.raises(SampleFileError, match=want):
-            read_truth_sidecar(sidecar)
 
     @pytest.mark.parametrize("strategy, total_ms", [
         ("coherent", 1), ("noncoherent", 5), ("differential", 2)])
@@ -1182,18 +1078,16 @@ class TestCli:
 
     def test_acquire_one_epoch_counts_the_sidecar_epoch_step(
             self, strong_config, tmp_path, capsys):
-        # a one-epoch file: its durations come from the sidecar's epoch_step
+        # a one-epoch file: only the zenith epoch clears an 80 deg mask at a
+        # 60 s step, and its durations come from the sidecar's epoch_step
+        config = tmp_path / "one_epoch.json"
+        config.write_text(json.dumps({
+            **json.loads(Path(strong_config).read_text()),
+            "elevation_mask": 80.0, "epoch_step": 60.0}))
         samples = tmp_path / "pass.bin"
-        assert cli(["synth", "--config", strong_config,
+        assert cli(["synth", "--config", str(config),
                     "--out", str(samples)]) == 0
-        sidecar = Path(str(samples) + ".truth")
-        record = json.loads(sidecar.read_text())
-        sidecar.write_text(json.dumps({**record, "epoch_step": 60.0,
-                                       "epoch_count": 1,
-                                       "epochs": record["epochs"][:1]}))
-        # the file keeps only its first float32 epoch, as the sidecar says
-        samples.write_bytes(
-            samples.read_bytes()[:4 * record["samples_per_epoch"]])
+        assert samples.stat().st_size == 4 * 5115
         capsys.readouterr()
         out = tmp_path / "timeline.csv"
         assert cli(["acquire", "--samples", str(samples), "--total-ms", "5",
@@ -1340,15 +1234,26 @@ class TestCli:
         assert ((d1 / "pf_curve.csv").read_bytes()
                 != (d2 / "pf_curve.csv").read_bytes())
 
-    def test_acquire_old_key_value_sidecar_exits_two(self, strong_config,
-                                                     tmp_path, capsys):
+    @pytest.mark.parametrize("old", [
+        "format=float32-real\nsample_rate=1023000.0\n",
+        json.dumps({"sample_rate": FS_FAST, "intermediate_freq": FIF_FAST,
+                    "format": "float32-real", "t0": -5.0, "epoch_step": 5.0,
+                    "samples_per_epoch": 5115, "epoch_count": 1,
+                    "epochs": [{"t": -5.0, **asdict(SynthParams())}]}),
+    ], ids=["key-value", "per-epoch"])
+    def test_acquire_old_sidecar_exits_two(self, strong_config, tmp_path,
+                                           capsys, monkeypatch, old):
         samples = str(tmp_path / "pass.bin")
         assert cli(["synth", "--config", strong_config, "--out", samples]) == 0
         with open(samples + ".truth", "w") as f:
-            f.write("format=float32-real\nsample_rate=1023000.0\n")
+            f.write(old)
         capsys.readouterr()
+        calls = []
+        monkeypatch.setattr(io_cli, "read_samples",
+                            lambda *args, **kwargs: calls.append("read"))
         assert cli(["acquire", "--samples", samples]) == 2
-        assert samples + ".truth" in capsys.readouterr().err
+        assert samples + ".truth: " in capsys.readouterr().err
+        assert calls == []
 
     @pytest.mark.parametrize("flag, value, field_name", [
         ("--half-span", "inf", "half_span"),
