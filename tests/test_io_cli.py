@@ -367,6 +367,39 @@ class TestTruthSidecar:
                 else:
                     assert repr(a) == repr(b), f.name
 
+    def test_round_trip(self, tmp_path):
+        # three epochs of a 70 deg mask at a 20 s step, closest in the middle
+        config = ScenarioConfig(
+            sample_rate=FS_FAST, intermediate_freq=FIF_FAST, cn0=44.0,
+            duration=2e-3, seed=10, data_bits="random", elevation_mask=70.0,
+            epoch_step=20.0)
+        path = tmp_path / "x.bin.truth"
+        write_truth_sidecar(path, config)
+        header, truths = read_truth_sidecar(path)
+        assert header["epoch_count"] == len(truths) == 3
+        assert header["sample_rate"] == FS_FAST
+        assert header["samples_per_epoch"] == 2046
+        assert [e["t"] - truths[0]["t"] for e in truths] == [0.0, 20.0, 40.0]
+        assert truths[1]["cn0"] == 44.0
+        assert truths[0]["cn0"] == truths[2]["cn0"] < 44.0
+        assert truths[1]["doppler0"] == 0.0
+        assert truths[0]["doppler0"] == -truths[2]["doppler0"] > 0.0
+        for e in truths:
+            assert e["prn_id"] == 1 and e["duration"] == 2e-3
+            assert e["data_bits"].shape == (2,)
+            assert set(np.abs(e["data_bits"])) == {1.0}
+
+    def test_noneless_fields(self, tmp_path):
+        config = ScenarioConfig(
+            sample_rate=FS_FAST, intermediate_freq=FIF_FAST, cn0=None,
+            duration=1e-3, elevation_mask=80.0, epoch_step=60.0)
+        path = tmp_path / "y.truth"
+        write_truth_sidecar(path, config)
+        _, truths = read_truth_sidecar(path)
+        assert len(truths) == 1
+        assert truths[0]["cn0"] is None
+        assert truths[0]["data_bits"] is None
+
 
 class TestScenarioConfig:
     def _write(self, tmp_path, **kw):
@@ -611,12 +644,16 @@ class TestPassWrite:
                     == ref.samples.astype(np.float32).tobytes())
             assert got.t0 == ref.t0
 
+    @pytest.mark.parametrize("data_bits", ["ones", "random"])
     def test_sidecar_is_the_effective_config(self, strong_config, tmp_path,
-                                             capsys):
+                                             capsys, data_bits):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(asdict(_config_with(strong_config,
+                                                       data_bits))))
         out = tmp_path / "pass.bin"
-        assert cli(["synth", "--config", strong_config, "--out", str(out),
+        assert cli(["synth", "--config", str(path), "--out", str(out),
                     "--seed", "7"]) == 0
-        config = replace(ScenarioConfig.from_file(strong_config), seed=7)
+        config = replace(ScenarioConfig.from_file(path), seed=7)
         assert (Path(str(out) + ".truth").read_bytes()
                 == json.dumps(asdict(config)).encode())
 
@@ -974,12 +1011,24 @@ class TestCli:
         (lambda r: {**r, "intermediate_freq": -2.5e5}, "intermediate_freq"),
         (lambda r: {**r, "sample_rate": 0.0}, "sample_rate"),
         (lambda r: {**r, "sample_rate": -1.023e6}, "sample_rate"),
+        (lambda r: {**r, "sample_rate": float("inf")}, "sample_rate"),
+        (lambda r: {**r, "cn0": "50"}, "cn0"),
+        (lambda r: {**r, "prn_id": 38}, "PRN 38"),
+        (lambda r: {**r, "data_bits": "zeros"}, "data_bits"),
+        (lambda r: {**r, "carrier_freq": -4.0e8}, "carrier_freq"),
+        (lambda r: {**r, "seed": -1}, "seed"),
+        (lambda r: {**r, "duration": 0.0}, "duration"),
+        # the epoch count comes from the pass, never from the sidecar
+        (lambda r: {**r, "epoch_count": 3}, "unknown key 'epoch_count'"),
         (lambda r: {**r, "cross_track_offset_deg": 60.0}, "no visibility"),
     ], ids=["list", "sample_rate-str", "intermediate_freq-null",
             "duration-bool", "seed-float", "sample_format-list",
             "epoch_step-negative", "epoch_step-zero",
             "intermediate_freq-past-nyquist", "intermediate_freq-negative",
-            "sample_rate-zero", "sample_rate-negative", "no-epochs"])
+            "sample_rate-zero", "sample_rate-negative", "sample_rate-infinite",
+            "cn0-str", "prn_id-unknown", "data_bits-unknown",
+            "carrier_freq-negative", "seed-negative", "duration-zero",
+            "epoch_count-key", "no-epochs"])
     def test_acquire_malformed_sidecar_exits_two(
             self, strong_config, tmp_path, capsys, monkeypatch, edit,
             field_name):
