@@ -207,9 +207,9 @@ def process_units(signal: SampledSignal, spectrum: np.ndarray,
     spectrum (the code's code_spectrum at the signal's rate, n long),
     table (plan's (bins, n) complex64 mixing table) and out (a C-contiguous
     complex64 block of shape (count, bins, n)) are built once per span by
-    the caller, eval_harness.run_span.  Real and IQ samples of any float
-    dtype are mixed the same way.  The stages run in out's memory: the
-    mixing product, one forward FFT over the count*bins rows, the
+    the caller, eval_harness.run_span.  Samples of any float dtype are
+    mixed the same way.  The stages run in out's memory: the mixing
+    product, one forward FFT over the count*bins rows, the
     code-spectrum product, one inverse FFT and the rotation by the LO phase
     at each unit's start.  Grid m's values are the view out[m], valid only
     until the next call with the same out.

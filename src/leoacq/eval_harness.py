@@ -73,14 +73,23 @@ def label_epochs(results: Sequence[AcqResult], epochs: Sequence[SampledSignal],
     """Label each epoch against its own SynthParams (doppler0, code_phase0,
     intermediate_freq) and t0: the estimate is correct iff its Doppler is
     within half a search bin of doppler0 and its code phase within one
-    sample of truth_code_phase, cyclically."""
+    sample of truth_code_phase, cyclically.
+
+    Doppler is compared in make_plan's 500/T Hz bins, exactly at a tie (a
+    truth half a bin from two bins is ok at both): d Hz is d * T / 500
+    bins, and a grid estimate is its whole bin index, not Doppler / width.
+    """
+    span_ms = round(500.0 / plan.bin_width)
     labels = []
     for res, epoch in zip(results, epochs):
         truth = epoch.truth
         n = samples_per_code(code, epoch.sample_rate)
         code_phase = truth_code_phase(truth, n, code.chip_rate)
-        doppler_est = (plan.center - truth.intermediate_freq) + res.doppler_hat
-        dopp_ok = abs(doppler_est - truth.doppler0) <= plan.bin_width / 2.0
+        j = round(res.doppler_hat / plan.bin_width)
+        est_bins = (j if j * plan.bin_width == res.doppler_hat
+                    else res.doppler_hat / plan.bin_width)
+        offset = truth.doppler0 - (plan.center - truth.intermediate_freq)
+        dopp_ok = abs(est_bins - offset * span_ms / 500.0) <= 0.5
         code_ok = cyclic_distance(res.code_phase_hat, code_phase, n) <= 1.0
         labels.append(EpochLabel(t=epoch.t0, truth_doppler=truth.doppler0,
                                  estimate_ok=bool(dopp_ok and code_ok)))

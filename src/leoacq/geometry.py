@@ -69,9 +69,9 @@ def simulate_pass(orbit_height: float, elevation_mask: float,
     and the Doppler and its rate are doppler_shift of -r' and -r''.
     """
     if not 200e3 < orbit_height < 2000e3:
-        raise ValueError(f"orbit height {orbit_height} m outside (200 km, 2000 km)")
+        raise ValueError(f"orbit_height {orbit_height} m outside (200 km, 2000 km)")
     if not 0 <= elevation_mask < 90:
-        raise ValueError(f"elevation mask {elevation_mask} outside [0, 90)")
+        raise ValueError(f"elevation_mask {elevation_mask} deg outside [0, 90)")
     if not epoch_step > 0:
         raise ValueError(f"epoch_step must be positive, got {epoch_step}")
 
@@ -85,8 +85,8 @@ def simulate_pass(orbit_height: float, elevation_mask: float,
     psi_max = math.acos(re / r_orb * math.cos(e_mask)) - e_mask
     if math.cos(psi_max) > math.cos(beta):
         raise ValueError(
-            f"no visibility: cross-track offset {cross_track_offset_deg} deg "
-            f"keeps the satellite below the {elevation_mask} deg mask")
+            f"no visibility: cross_track_offset_deg {cross_track_offset_deg} "
+            f"keeps the satellite below the {elevation_mask} deg elevation_mask")
 
     # Along-track half-angle of the visible arc, then a symmetric time grid
     # about closest approach (k = 0).

@@ -43,9 +43,9 @@ class SampledSignal:
     """IF sample stream with its sampling metadata.
 
     synthesize makes real float64 samples.  A synthesized pass holds them as
-    float32 (io_cli.pass_epochs), and read_samples returns float32 for the
-    real formats and complex64 for the IQ ones.  The engine mixes every
-    sample to complex64 (acq_core.process_units), so float32 input loses
+    float32 (io_cli.pass_epochs), and read_samples returns float32 from
+    every sample format, all of them real.  The engine mixes every sample
+    to complex64 (acq_core.process_units), so float32 input loses
     acquisition nothing that float64 input keeps.
     """
 

@@ -105,6 +105,9 @@ class TestLabeling:
     @example(params=fast_params, code_phase0=0.0, frac=0.0, total_ms=1, sign=1)
     @example(params=fast_params, code_phase0=0.3, frac=0.5, total_ms=20,
              sign=-1)
+    # 250 Hz at 7 ms: half a bin from 214.29 and 285.71 Hz, ok at both
+    @example(params=fast_params, code_phase0=0.0, frac=0.125, total_ms=7,
+             sign=1)
     def test_only_the_true_cell_is_ok(self, code1, params, code_phase0, frac,
                                       total_ms, sign):
         # the truth Doppler anywhere within the plan's span; the estimate

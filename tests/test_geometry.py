@@ -120,7 +120,7 @@ class TestSimulatePass:
             simulate_pass(645e3, 10.0, 60.0, 1.0, 1.5e9)
 
     def test_bad_orbit_height(self):
-        with pytest.raises(ValueError, match="orbit height"):
+        with pytest.raises(ValueError, match="orbit_height"):
             simulate_pass(100e3, 10.0, 0.0, 1.0, 1.5e9)
 
     @pytest.mark.parametrize("step", [0.0, -5.0, float("nan")])

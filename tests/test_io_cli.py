@@ -66,7 +66,7 @@ class TestSampleFiles:
     def test_reads_single_precision_exactly(self, tmp_path, fmt):
         # every code of every format, scaled by its power-of-two full scale,
         # is a float32: the single-precision read equals a float64 read
-        dtype, scale, is_iq = _FORMATS[fmt]
+        dtype, scale = _FORMATS[fmt]
         if scale is None:
             raw = np.random.default_rng(5).normal(size=512).astype(dtype)
         else:
@@ -75,13 +75,8 @@ class TestSampleFiles:
         path = tmp_path / "x.bin"
         raw.tofile(path)
         back = read_samples(path, _meta(fmt)).samples
-        want = raw.astype(np.float64) / (scale or 1.0)
-        if is_iq:
-            assert back.dtype == np.complex64
-            want = want.view(np.complex128)
-        else:
-            assert back.dtype == np.float32
-        assert np.array_equal(back, want)
+        assert back.dtype == np.float32
+        assert np.array_equal(back, raw.astype(np.float64) / (scale or 1.0))
 
     def test_int8_quantization_bound(self, code1, tmp_path):
         sig = synthesize(fast_params(cn0=None, duration=1e-3), code1)
@@ -101,22 +96,6 @@ class TestSampleFiles:
         assert write_samples(_sig(np.zeros(0)), path, _meta()) == 0
         assert path.stat().st_size == 0
         assert len(read_samples(path, _meta()).samples) == 0
-
-    def test_iq_round_trip(self, tmp_path):
-        rng = np.random.default_rng(1)
-        vals = (rng.normal(size=64) + 1j * rng.normal(size=64))
-        vals = vals.astype(np.complex64).astype(np.complex128)
-        path = tmp_path / "iq.bin"
-        write_samples(_sig(vals), path, _meta("float32-iq"))
-        back = read_samples(path, _meta("float32-iq"))
-        assert np.array_equal(back.samples, vals)
-
-    def test_real_signal_to_iq_gets_zero_q(self, tmp_path):
-        path = tmp_path / "riq.bin"
-        write_samples(_sig(np.array([0.5, -0.25])), path, _meta("float32-iq"))
-        back = read_samples(path, _meta("float32-iq"))
-        assert np.array_equal(back.samples.real, [0.5, -0.25])
-        assert np.array_equal(back.samples.imag, [0.0, 0.0])
 
     def test_complex_to_real_format_rejected(self, tmp_path, monkeypatch):
         # checked before the file is opened: an existing file keeps its bytes
@@ -153,22 +132,20 @@ class TestSampleFiles:
         with pytest.raises(SampleFileError, match="outside"):
             read_samples(path, _meta(), offset=10, count=10)
 
-    @pytest.mark.parametrize("fmt", ["float32-real", "float32-iq"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_nonfinite_read_rejected(self, tmp_path, fmt, bad):
-        # sample 5 holds the bad value (its Q part in an IQ file); reads
-        # that cover it fail naming the file and the sample, others do not
-        is_iq = fmt.endswith("-iq")
-        raw = np.arange(32 if is_iq else 16, dtype="<f4")
-        raw[11 if is_iq else 5] = bad
+    def test_nonfinite_read_rejected(self, tmp_path, bad):
+        # sample 5 holds the bad value; reads that cover it fail naming the
+        # file and the sample, others do not
+        raw = np.arange(16, dtype="<f4")
+        raw[5] = bad
         path = tmp_path / "x.bin"
         raw.tofile(path)
         for offset, count in [(0, None), (3, 4), (5, 1)]:
             with pytest.raises(SampleFileError,
                                match=rf"x\.bin: sample 5 is not finite"):
-                read_samples(path, _meta(fmt), offset=offset, count=count)
+                read_samples(path, _meta(), offset=offset, count=count)
         for offset, count in [(0, 5), (6, None)]:
-            back = read_samples(path, _meta(fmt), offset=offset, count=count)
+            back = read_samples(path, _meta(), offset=offset, count=count)
             assert np.isfinite(back.samples).all()
 
     def test_nonfinite_rejected(self, tmp_path, monkeypatch):
@@ -184,10 +161,8 @@ class TestSampleFiles:
 
 def _reference_write(signal, path, meta) -> int:
     """write_samples as a one-shot quantiser: the whole signal at once."""
-    dtype, scale, is_iq = _FORMATS[meta.format]
-    x = np.asarray(signal.samples)
-    flat = (x.astype(np.complex128).view(np.float64) if is_iq
-            else x.astype(np.float64))
+    dtype, scale = _FORMATS[meta.format]
+    flat = np.asarray(signal.samples).astype(np.float64)
     clipped = 0
     if scale is None:
         out = flat.astype(dtype)
@@ -218,16 +193,7 @@ class TestSampleFileProperties:
         assert back.dtype == np.float32
         assert back.tobytes() == vals.tobytes()
 
-    @given(hnp.arrays(np.float32, st.tuples(st.integers(0, 64), st.just(2)),
-                      elements=float32s))
-    def test_float32_iq_round_trip_bitwise(self, pairs):
-        x = pairs.astype(np.float64).view(np.complex128).ravel()
-        back, _ = _round_trip(_sig(x), "float32-iq")
-        assert back.dtype == np.complex64
-        assert back.tobytes() == pairs.tobytes()
-
-    @pytest.mark.parametrize("fmt", ["int8-real", "int16-real",
-                                     "int8-iq", "int16-iq"])
+    @pytest.mark.parametrize("fmt", ["int8-real", "int16-real"])
     @given(data=st.data())
     def test_integer_round_trip_within_half_lsb(self, fmt, data):
         # Inside the format's range the error is at most half an LSB.
@@ -235,21 +201,12 @@ class TestSampleFileProperties:
         # counted as clipped.
         n = data.draw(st.integers(0, 64))
         x = data.draw(hnp.arrays(np.float64, n, elements=unit_interval))
-        if fmt.endswith("-iq"):
-            x = x + 1j * data.draw(hnp.arrays(np.float64, n,
-                                              elements=unit_interval))
-        scale = {"int8": 128.0, "int16": 32768.0}[fmt.split("-")[0]]
-        top = (scale - 1) / scale
+        scale = _FORMATS[fmt][1]
         back, clipped = _round_trip(_sig(x), fmt)
-        parts = [(x, back)] if not fmt.endswith("-iq") else [
-            (x.real, back.real), (x.imag, back.imag)]
-        saturated = 0
-        for want, got in parts:
-            over = np.round(want * scale) > scale - 1
-            saturated += np.count_nonzero(over)
-            assert np.all(np.abs(got - want)[~over] <= 0.5 / scale)
-            assert np.all(got[over] == top)
-        assert clipped == saturated
+        over = np.round(x * scale) > scale - 1
+        assert np.all(np.abs(back - x)[~over] <= 0.5 / scale)
+        assert np.all(back[over] == (scale - 1) / scale)
+        assert clipped == np.count_nonzero(over)
 
 
 class TestChunkedWriter:
@@ -257,14 +214,9 @@ class TestChunkedWriter:
     def test_equals_one_shot_reference(self, fmt, data):
         # [-3, 3] drives the integer formats into clipping
         n = data.draw(st.integers(0, 3 * CHUNK + 5))
-        dtypes = [np.float64, np.float32] + (
-            [np.complex128, np.complex64] if _FORMATS[fmt][2] else [])
-        dtype = np.dtype(data.draw(st.sampled_from(dtypes)))
+        dtype = data.draw(st.sampled_from([np.float64, np.float32]))
         values = st.floats(-3.0, 3.0, width=32)
-        x = data.draw(hnp.arrays(np.float64, n, elements=values))
-        if dtype.kind == "c":
-            x = x + 1j * data.draw(hnp.arrays(np.float64, n, elements=values))
-        x = x.astype(dtype)
+        x = data.draw(hnp.arrays(np.float64, n, elements=values)).astype(dtype)
         with tempfile.TemporaryDirectory() as d, \
                 pytest.MonkeyPatch.context() as mp:
             mp.setattr(io_cli, "_CHUNK_SAMPLES", CHUNK)
@@ -281,16 +233,12 @@ half_codes = st.sampled_from([128, 32768]).flatmap(
         lambda k: (k + 0.5) / scale))
 
 
-def _upcast(x):
-    return x.astype(np.complex128 if x.dtype.kind == "c" else np.float64)
-
-
 def _write_both_precisions(x, d, fmt):
     """write_samples on x and on its double-precision upcast: the clip
     counts and the bytes of both files."""
     single, double = Path(d) / "single.bin", Path(d) / "double.bin"
     clips = (write_samples(_sig(x), single, _meta(fmt)),
-             write_samples(_sig(_upcast(x)), double, _meta(fmt)))
+             write_samples(_sig(x.astype(np.float64)), double, _meta(fmt)))
     return clips, (single.read_bytes(), double.read_bytes())
 
 
@@ -303,9 +251,6 @@ class TestSinglePrecisionWrite:
         n = data.draw(st.integers(0, 3 * CHUNK + 5))
         values = st.floats(-3.0, 3.0, width=32) | half_codes
         x = data.draw(hnp.arrays(np.float32, n, elements=values))
-        if _FORMATS[fmt][2] and data.draw(st.booleans()):
-            q = data.draw(hnp.arrays(np.float32, n, elements=values))
-            x = np.stack([x, q], axis=-1).reshape(-1).view(np.complex64)
         with tempfile.TemporaryDirectory() as d, \
                 pytest.MonkeyPatch.context() as mp:
             mp.setattr(io_cli, "_CHUNK_SAMPLES", CHUNK)
@@ -325,8 +270,6 @@ class TestSinglePrecisionWrite:
             np.nextafter(edges, np.float32(2)),
             np.random.default_rng(3).normal(0.0, 0.6, 1 << 16)]).astype(
                 np.float32)
-        if _FORMATS[fmt][2]:
-            x = np.stack([x, x[::-1]], axis=-1).reshape(-1).view(np.complex64)
         (clip32, clip64), (got, want) = _write_both_precisions(x, tmp_path,
                                                                fmt)
         assert clip32 == clip64
@@ -534,6 +477,11 @@ class TestScenarioConfig:
         (dict(duration=0.0), "duration"),  # under one sample
         (dict(duration=-1e-3), "duration"),
         (dict(data_bits="zeros"), "data_bits"),
+        # the pass geometry's rules, checked when the config loads
+        (dict(orbit_height=100e3), "orbit_height"),
+        (dict(elevation_mask=90.0), "elevation_mask"),
+        (dict(epoch_step=0.0), "epoch_step"),
+        (dict(cross_track_offset_deg=60.0), "cross_track_offset_deg"),
     ])
     def test_bad_numbers_exit_two_before_synthesis_or_plan(
             self, tmp_path, capsys, monkeypatch, command, out_flag,
@@ -657,7 +605,7 @@ class TestPassWrite:
         assert (Path(str(out) + ".truth").read_bytes()
                 == json.dumps(asdict(config)).encode())
 
-    @pytest.mark.parametrize("fmt", ["int16-real", "float32-iq"])
+    @pytest.mark.parametrize("fmt", ["int16-real", "float32-real"])
     def test_synth_file_equals_concatenated_one_shot_write(
             self, strong_config, tmp_path, monkeypatch, capsys, fmt):
         # 1000-sample chunks straddle the 5115-sample epochs
@@ -861,8 +809,7 @@ class TestCli:
         capsys.readouterr()
         out_csv = tmp_path / "timeline.csv"
         assert cli(["acquire", "--samples", samples, "--strategy", "coherent",
-                    "--total-ms", "5", "--half-span", "2000",
-                    "--out", str(out_csv)]) == 0
+                    "--total-ms", "5", "--out", str(out_csv)]) == 0
         lines = out_csv.read_text().strip().split("\n")
         assert lines[0] == ("t_s,strategy,total_ms,doppler_hz,"
                             "code_phase_samples,mtsmr,mtmr,decided,ok")
@@ -878,7 +825,7 @@ class TestCli:
         np.zeros_like(np.fromfile(samples, dtype="<f4")).tofile(samples)
         out_csv = tmp_path / "timeline.csv"
         assert cli(["acquire", "--samples", samples, "--total-ms", "5",
-                    "--half-span", "2000", "--out", str(out_csv)]) == 0
+                    "--out", str(out_csv)]) == 0
         rows = [l.split(",") for l in
                 out_csv.read_text().strip().split("\n")[1:]]
         assert rows and all(r[5:] == ["nan", "nan", "0", "0"] for r in rows)
@@ -891,8 +838,7 @@ class TestCli:
         capsys.readouterr()
         out_csv = tmp_path / "timeline_nc.csv"
         assert cli(["acquire", "--samples", samples, "--strategy", "noncoherent",
-                    "--total-ms", "5", "--half-span", "2000",
-                    "--out", str(out_csv)]) == 0
+                    "--total-ms", "5", "--out", str(out_csv)]) == 0
         rows = [l.split(",") for l in
                 out_csv.read_text().strip().split("\n")[1:]]
         assert all(r[7] == "1" for r in rows)
@@ -934,7 +880,7 @@ class TestCli:
             monkeypatch.setattr(io_cli, "read_samples", recorded)
             out = tmp_path / f"timeline{whole_epochs}.csv"
             assert cli(["acquire", "--samples", samples, "--total-ms", "2",
-                        "--half-span", "2000", "--out", str(out)]) == 0
+                        "--out", str(out)]) == 0
             timelines.append(out.read_bytes())
         assert set(counts) == {2 * 1023}  # of 5 ms (5115-sample) epochs
         assert timelines[0] == timelines[1]
@@ -1005,6 +951,7 @@ class TestCli:
         (lambda r: {**r, "duration": True}, "duration"),
         (lambda r: {**r, "seed": 11.0}, "seed"),
         (lambda r: {**r, "sample_format": ["float32-real"]}, "sample_format"),
+        (lambda r: {**r, "sample_format": "int16-iq"}, "supported: float32"),
         (lambda r: {**r, "epoch_step": -5.0}, "epoch_step"),
         (lambda r: {**r, "epoch_step": 0}, "epoch_step"),
         (lambda r: {**r, "intermediate_freq": 6e5}, "intermediate_freq"),
@@ -1020,9 +967,11 @@ class TestCli:
         (lambda r: {**r, "duration": 0.0}, "duration"),
         # the epoch count comes from the pass, never from the sidecar
         (lambda r: {**r, "epoch_count": 3}, "unknown key 'epoch_count'"),
-        (lambda r: {**r, "cross_track_offset_deg": 60.0}, "no visibility"),
+        (lambda r: {**r, "cross_track_offset_deg": 60.0},
+         "cross_track_offset_deg"),
     ], ids=["list", "sample_rate-str", "intermediate_freq-null",
             "duration-bool", "seed-float", "sample_format-list",
+            "sample_format-iq",
             "epoch_step-negative", "epoch_step-zero",
             "intermediate_freq-past-nyquist", "intermediate_freq-negative",
             "sample_rate-zero", "sample_rate-negative", "sample_rate-infinite",
@@ -1037,7 +986,7 @@ class TestCli:
                     "--out", str(samples)]) == 0
         sidecar = Path(str(samples) + ".truth")
         sidecar.write_text(json.dumps(edit(json.loads(sidecar.read_text()))))
-        with pytest.raises(ValueError, match=field_name):
+        with pytest.raises((ValueError, SampleFileError), match=field_name):
             read_truth_sidecar(sidecar)
         capsys.readouterr()
         calls = []
@@ -1061,8 +1010,7 @@ class TestCli:
         assert cli(["synth", "--config", str(path), "--out", samples]) == 0
         out = tmp_path / "timeline.csv"
         assert cli(["acquire", "--samples", samples, "--strategy", strategy,
-                    "--total-ms", str(total_ms), "--half-span", "2000",
-                    "--out", str(out)]) == 0
+                    "--total-ms", str(total_ms), "--out", str(out)]) == 0
         rows = [line.split(",")[3:8]
                 for line in out.read_text().splitlines()[1:]]
         spec = IntegrationSpec(Strategy(strategy), total_ms)
@@ -1140,9 +1088,51 @@ class TestCli:
         capsys.readouterr()
         out = tmp_path / "timeline.csv"
         assert cli(["acquire", "--samples", str(samples), "--total-ms", "5",
-                    "--half-span", "2000", "--out", str(out)]) == 0
+                    "--out", str(out)]) == 0
         assert out.read_text().count("\n") == 2
         assert capsys.readouterr().err == "success 60.0 s, decided 60.0 s\n"
+
+    # a config may leave a field to its default, a sidecar may not: the
+    # default did not synthesize the file
+    @pytest.mark.parametrize("dropped", [
+        ["half_span"], ["carrier_freq"], ["threshold", "half_span"]],
+        ids=["half_span", "carrier_freq", "threshold-half_span"])
+    def test_acquire_incomplete_sidecar_exits_two(
+            self, strong_config, tmp_path, capsys, monkeypatch, dropped):
+        samples = str(tmp_path / "pass.bin")
+        assert cli(["synth", "--config", strong_config, "--out", samples]) == 0
+        sidecar = Path(samples + ".truth")
+        record = json.loads(sidecar.read_text())
+        sidecar.write_text(json.dumps(
+            {k: v for k, v in record.items() if k not in dropped}))
+        ScenarioConfig.from_file(sidecar)  # a complete config otherwise
+        missing = ", ".join(f.name for f in fields(ScenarioConfig)
+                            if f.name in dropped)
+        with pytest.raises(ValueError, match=f"lacks {missing}$"):
+            read_truth_sidecar(sidecar)
+        capsys.readouterr()
+        calls = []
+        monkeypatch.setattr(io_cli, "read_samples",
+                            lambda *args, **kwargs: calls.append("read"))
+        assert cli(["acquire", "--samples", samples]) == 2
+        assert capsys.readouterr().err == (f"leoacq acquire: error: {sidecar}: "
+                                           f"truth sidecar lacks {missing}\n")
+        assert calls == []
+
+    @pytest.mark.parametrize("command", ["synth", "duration"])
+    def test_iq_format_exits_two(self, strong_config, tmp_path, capsys,
+                                 command):
+        # sample files are real IF: the IQ formats are gone
+        config = tmp_path / "iq.json"
+        config.write_text(json.dumps({
+            **json.loads(Path(strong_config).read_text()),
+            "sample_format": "float32-iq"}))
+        out = tmp_path / "out"
+        assert cli([command, "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.endswith(
+            "unknown sample format 'float32-iq'; supported: float32-real, "
+            "int16-real, int8-real\n")
+        assert not out.exists()
 
     def test_acquire_missing_sidecar_exits_two(self, tmp_path, capsys):
         path = tmp_path / "lonely.bin"
@@ -1232,8 +1222,7 @@ class TestCli:
         if command == "acquire":
             assert cli(["synth", "--config", strong_config,
                         "--out", samples]) == 0
-            argv = ["acquire", "--samples", samples, "--total-ms", "5",
-                    "--half-span", "2000", "--out"]
+            argv = ["acquire", "--samples", samples, "--total-ms", "5", "--out"]
             spans = [5]
         else:
             argv = ["duration", "--config", strong_config, "--out"]
@@ -1304,22 +1293,27 @@ class TestCli:
         assert samples + ".truth: " in capsys.readouterr().err
         assert calls == []
 
-    @pytest.mark.parametrize("flag, value, field_name", [
-        ("--half-span", "inf", "half_span"),
-        ("--half-span", "nan", "half_span"),
-        ("--half-span", "1e300", "half_span"),
-        ("--half-span", str(FS_FAST / 2), "half_span"),
-        ("--half-span", "-1", "half_span"),
-        ("--threshold", "nan", "threshold"),
-        ("--threshold", "inf", "threshold"),
-        ("--threshold", "0", "threshold"),
+    # acquire searches the sidecar's half_span at its threshold, so a bad
+    # search is a sidecar edit (NaN and infinities are JSON's extensions)
+    @pytest.mark.parametrize("field_name, value", [
+        ("half_span", float("inf")),
+        ("half_span", float("nan")),
+        ("half_span", 1e300),  # a plan of 1e297 bins
+        ("half_span", FS_FAST / 2),  # bins alias past Nyquist
+        ("half_span", -1.0),
+        ("threshold", float("nan")),
+        ("threshold", float("inf")),
+        ("threshold", 0.0),
     ])
     def test_acquire_bad_search_exits_two_before_reading(
-            self, strong_config, tmp_path, capsys, monkeypatch, flag, value,
-            field_name):
+            self, strong_config, tmp_path, capsys, monkeypatch, field_name,
+            value):
         samples = tmp_path / "pass.bin"
         assert cli(["synth", "--config", strong_config,
                     "--out", str(samples)]) == 0
+        sidecar = Path(str(samples) + ".truth")
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()),
+                                       field_name: value}))
         capsys.readouterr()
         calls = []
         monkeypatch.setattr(io_cli, "make_plan",
@@ -1327,11 +1321,39 @@ class TestCli:
         monkeypatch.setattr(io_cli, "read_samples",
                             lambda *args, **kwargs: calls.append("read"))
         out = tmp_path / "timeline.csv"
-        assert cli(["acquire", "--samples", str(samples), flag, value,
+        assert cli(["acquire", "--samples", str(samples),
                     "--out", str(out)]) == 2
         assert field_name in capsys.readouterr().err
         assert calls == []
         assert not out.exists()
+
+    def test_acquire_searches_as_the_sidecar_says(self, strong_config,
+                                                  tmp_path, capsys,
+                                                  monkeypatch):
+        # half_span and threshold come from the config synth wrote, with no
+        # acquire flag: a 2 kHz plan, not the default 10 kHz, and decided at
+        # MTSMR 3.0; at 48 dB-Hz an epoch's MTSMR lies between the default
+        # 2.5 and 3.0, so it is decided only at the default
+        config = tmp_path / "search.json"
+        config.write_text(json.dumps({
+            **json.loads(Path(strong_config).read_text()),
+            "cn0": 48.0, "half_span": 2000.0, "threshold": 3.0}))
+        samples = str(tmp_path / "pass.bin")
+        assert cli(["synth", "--config", str(config), "--out", samples]) == 0
+        plans = []
+
+        def recorded(center, half_span, total_ms):
+            plans.append((half_span, total_ms))
+            return make_plan(center, half_span, total_ms)
+
+        monkeypatch.setattr(io_cli, "make_plan", recorded)
+        out = tmp_path / "timeline.csv"
+        assert cli(["acquire", "--samples", samples, "--out", str(out)]) == 0
+        assert plans == [(2000.0, 1)]
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 3
+        assert any(2.5 <= float(r[5]) < 3.0 for r in rows)
+        assert all(r[7] == str(int(float(r[5]) >= 3.0)) for r in rows)
 
     @pytest.mark.parametrize("strategy, total_ms, reason", [
         ("alternatehalfbit", "10", "multiple of 20"),
