@@ -25,10 +25,13 @@ through the same ufuncs in the same order as in a per-unit loop, so the
 grids are bitwise that loop's.  Every Doppler row is independent until the
 detector, so the block may hold any run of a plan's rows.  The constants
 of a span are its caller's: eval_harness.run_span builds the code
-spectrum (code_spectrum), the plan's mixing table and one unit buffer once
-per span, walks the plan in the row blocks of row_blocks, passes each
-block's sub-plan, its rows of the table and a prefix of the buffer, and
-hands the filled buffer to integrators.integrate as it is.
+spectrum (code_spectrum) and one unit buffer once per span, and walks the
+plan in the row blocks of row_blocks in its outer loop.  For each block it
+builds the block's mixing rows (_mixing_table of its sub-plan, bitwise
+those rows of the whole plan's table), correlates each epoch of a chunk
+of epochs with them into a prefix of the buffer, and hands the filled
+buffer to integrators.integrate as it is, so it holds one row block's
+mixing rows at a time, not the whole plan's table.
 
 Row bands.  The row-wise work of a block of at least _BAND_CELLS cells
 (all units together) is split into min(cores, steps) contiguous bands of
@@ -204,14 +207,14 @@ def process_units(signal: SampledSignal, spectrum: np.ndarray,
                   table: np.ndarray) -> list[CorrelationGrid]:
     """Correlate the first count n-sample units of signal into out.
 
-    spectrum (the code's code_spectrum at the signal's rate, n long),
-    table (plan's (bins, n) complex64 mixing table) and out (a C-contiguous
-    complex64 block of shape (count, bins, n)) are built once per span by
-    the caller, eval_harness.run_span.  Samples of any float dtype are
-    mixed the same way.  The stages run in out's memory: the mixing
-    product, one forward FFT over the count*bins rows, the
-    code-spectrum product, one inverse FFT and the rotation by the LO phase
-    at each unit's start.  Grid m's values are the view out[m], valid only
+    spectrum (the code's code_spectrum at the signal's rate, n long) and
+    out (a C-contiguous complex64 block of shape (count, bins, n)) are
+    built once per span by the caller, eval_harness.run_span, and table
+    (plan's (bins, n) complex64 mixing table) once per row block and chunk
+    of epochs.  Samples of any float dtype are mixed the same way.  The
+    stages run in out's memory: the mixing product, one forward FFT over
+    the count*bins rows, the code-spectrum product, one inverse FFT and the
+    rotation by the LO phase at each unit's start.  Grid m's values are the view out[m], valid only
     until the next call with the same out.
     """
     n = len(spectrum)

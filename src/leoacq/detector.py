@@ -16,15 +16,17 @@ so deciding on it always requires an explicit caller threshold.
 
 Row blocks.  The detector reads a grid only through a RowSearch, fed as
 consecutive blocks of Doppler rows, so no caller need hold a whole grid
-(eval_harness.run_span feeds it each row block as it is integrated).  Per
-block it adds the block's sum to a running total and takes the block's
-first maximum, kept only if strictly greater than the one before: ties
-break to the lowest bin, then sample.  It copies the peak's row and its
-neighbour rows, and each block's last row in case the next block starts
-with the peak.  acquire reads the peak and both indicators off a search fed
-every row.  The peak and MTSMR do not depend on the blocks; MTMR's total is
-summed block by block, so a grid fed in several blocks gives an MTMR within
-1e-12 relative of the one-block value (tests/test_detector.py::TestRowSearch).
+(eval_harness.run_span walks a chunk of epochs block by block, feeds each
+epoch's searches each row block as it is integrated and acquires an epoch
+once its last block is fed).  Per block it adds the block's sum to a
+running total and takes the block's first maximum, kept only if strictly
+greater than the one before: ties break to the lowest bin, then sample.
+It copies the peak's row and its neighbour rows, and each block's last row
+in case the next block starts with the peak.  acquire reads the peak and
+both indicators off a search fed every row.  The peak and MTSMR do not
+depend on the blocks; MTMR's total is summed block by block, so a grid fed
+in several blocks gives an MTMR within 1e-12 relative of the one-block
+value (tests/test_detector.py::TestRowSearch).
 """
 
 from __future__ import annotations

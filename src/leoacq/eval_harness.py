@@ -116,6 +116,14 @@ def threshold_bounds(curve: PfCurve, target: float) -> tuple[float, float] | Non
     return float(curve.thresholds[below[0]]), float(curve.thresholds[below[-1]])
 
 
+# Epochs walked together when a plan has several row blocks.  The chunk
+# bounds the live search state at _EPOCH_CHUNK x len(specs) RowSearches of
+# up to 4 rows each, and each chunk builds the plan's mixing rows once more:
+# a whole table costs about 1/16 of one epoch's correlation CPU (401 x 4092
+# paper-profile rows), so over 8 epochs the rebuild stays under 1%.
+_EPOCH_CHUNK = 8
+
+
 def run_span(epochs: Sequence[SampledSignal], code: ChipSequence,
              plan: FrequencyPlan, specs: Sequence[IntegrationSpec],
              threshold: float) -> list[list[AcqResult]]:
@@ -126,11 +134,16 @@ def run_span(epochs: Sequence[SampledSignal], code: ChipSequence,
     is correlated once and every strategy integrates the same unit block.
 
     run_span owns the span's correlation constants and builds each once:
-    the code spectrum, the plan's mixing table, the sub-plans of
-    acq_core.row_blocks, one unit buffer and a band_scope.  process_units
-    correlates each row block's sub-plan into a (count, rows, n) prefix of
-    the buffer, and every strategy integrates it and feeds the rows to its
-    RowSearch for the epoch.
+    the code spectrum, the sub-plans of acq_core.row_blocks, one unit
+    buffer and a band_scope.  It walks the row blocks in the outer loop,
+    over chunks of epochs: for each block it builds the block's mixing
+    rows, then process_units correlates each epoch of the chunk into a
+    (count, rows, n) prefix of the buffer, and every strategy integrates
+    it and feeds the rows to the epoch's RowSearch.  An epoch is acquired
+    once its last block is fed.  A plan of one block is one chunk of every
+    epoch, so its table is built once and each epoch is acquired right
+    after it is correlated; a longer plan walks chunks of _EPOCH_CHUNK
+    epochs, so only one block's rows of the table are held at a time.
     """
     spans = {spec.total_ms for spec in specs}
     if len(spans) != 1:
@@ -145,20 +158,26 @@ def run_span(epochs: Sequence[SampledSignal], code: ChipSequence,
     sub_plans = [FrequencyPlan(plan.center, plan.bin_width, plan.bins[a:b])
                  for a, b in blocks]
     spectrum = code_spectrum(code, fs)
-    table = _mixing_table(plan, n, fs)
     buffer = np.empty(count * blocks[0][1] * n, np.complex64)
     l_spc = round(fs / code.chip_rate)  # one chip excluded around the peak
+    chunk = len(epochs) if len(blocks) == 1 else _EPOCH_CHUNK
     with band_scope():
-        for epoch in epochs:
-            searches = [RowSearch(plan, l_spc) for _ in specs]
+        for start in range(0, len(epochs), chunk):
+            group = epochs[start:start + chunk]
+            searches = [[RowSearch(plan, l_spc) for _ in specs]
+                        for _ in group]
             for (a, b), sub_plan in zip(blocks, sub_plans):
+                table = _mixing_table(sub_plan, n, fs)
                 out = buffer[:count * (b - a) * n].reshape(count, b - a, n)
-                process_units(epoch, spectrum, sub_plan, count, out,
-                              table[a:b])
-                for search, spec in zip(searches, specs):
-                    search.add(integrate(out, spec.strategy))
-            results.append([acquire(search, threshold=threshold)
-                            for search in searches])
+                for k, epoch in enumerate(group):
+                    process_units(epoch, spectrum, sub_plan, count, out,
+                                  table)
+                    for search, spec in zip(searches[k], specs):
+                        search.add(integrate(out, spec.strategy))
+                    if b == len(plan.bins):  # the epoch's last block
+                        results.append([acquire(search, threshold=threshold)
+                                        for search in searches[k]])
+                        searches[k] = None  # frees the rows they copied
     return results
 
 

@@ -25,6 +25,11 @@ SPEED_OF_LIGHT = 299792458.0  # m/s
 EARTH_RADIUS = 6371e3  # m, spherical model
 MU_EARTH = 3.986004418e14  # m^3/s^2
 
+# Most epochs a pass may have.  Each epoch costs a record here and a
+# SynthParams when the pass is synthesized; the default pass (645 km, 10 deg
+# mask, 1 s step) has 539, and a step near zero would ask for billions.
+_MAX_EPOCHS = 100_000
+
 
 # Columns of a pass: t (s from scenario start), range_m, elevation_deg,
 # radial_velocity (m/s, + closing), doppler (Hz), doppler_rate (Hz/s), path_loss_db
@@ -60,7 +65,8 @@ def simulate_pass(orbit_height: float, elevation_mask: float,
     sample grid is symmetric about the point of closest approach, so for a
     directly-overhead pass the zenith sample has range == orbit_height
     exactly.  Samples are emitted only while elevation >= elevation_mask;
-    a step longer than the visible half-arc leaves the zenith sample alone.
+    a step longer than the visible half-arc leaves the zenith sample alone,
+    and one that would give more than _MAX_EPOCHS epochs is rejected.
 
     With R = Re + h, theta = omega * t from closest approach and beta the
     cross-track angle, r^2 = Re^2 + R^2 - 2 Re R cos(beta) cos(theta), so
@@ -91,6 +97,11 @@ def simulate_pass(orbit_height: float, elevation_mask: float,
     # Along-track half-angle of the visible arc, then a symmetric time grid
     # about closest approach (k = 0).
     theta_vis = math.acos(min(1.0, math.cos(psi_max) / math.cos(beta)))
+    half_arc = theta_vis / omega  # s from closest approach to the mask
+    if half_arc >= _MAX_EPOCHS / 2 * epoch_step:
+        raise ValueError(
+            f"epoch_step {epoch_step} s is too short: the {2 * half_arc:.0f} s "
+            f"visible arc would take more than {_MAX_EPOCHS} epochs")
     k_max = int(math.floor(theta_vis / (omega * epoch_step)))
     k = np.arange(-k_max, k_max + 1)
     theta = omega * epoch_step * k

@@ -13,7 +13,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.fft
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from leoacq import acq_core, eval_harness
 from leoacq.acq_core import code_spectrum, make_plan
@@ -251,60 +251,82 @@ class TestRunSpan:
         monkeypatch.setattr(eval_harness, "process_units", recorded)
         return calls
 
-    def test_one_buffer_and_table_per_span(self, code1, monkeypatch):
-        # 21 bins in blocks of 8 rows: 8, 8 and a tail of 5
+    def test_one_buffer_per_span_and_table_per_block(self, code1,
+                                                      monkeypatch):
+        # 21 bins in blocks of 8 rows (8, 8 and a tail of 5) and 3 epochs
+        # in chunks of 2: each block's rows are built once per chunk, and
+        # every epoch of the chunk is correlated with them in turn
         calls = self._record(monkeypatch)
-        code_ffts = []
+        code_ffts, tables = [], []
         fft = scipy.fft.fft
+        mixing_table = eval_harness._mixing_table
 
         def counted(x, *args, **kwargs):
             if np.ndim(x) == 1:
                 code_ffts.append(len(x))
             return fft(x, *args, **kwargs)
 
+        def recorded_table(plan, n, fs):
+            tables.append((plan, mixing_table(plan, n, fs)))
+            return tables[-1][1]
+
         monkeypatch.setattr(scipy.fft, "fft", counted)
+        monkeypatch.setattr(eval_harness, "_mixing_table", recorded_table)
+        monkeypatch.setattr(eval_harness, "_EPOCH_CHUNK", 2)
         epochs = _span_epochs(3, cn0=45.0)
         plan = make_plan(FIF_FAST, 1e3, 5)
         with block_rows(8, 1023):
             run_span(epochs, code1, plan,
                      [IntegrationSpec(Strategy.COHERENT, 5)], threshold=2.5)
         assert code_ffts == [1023]  # the code spectrum, once per span
-        assert [(c[0], c[2]) for c in calls] == [
-            (e, 5) for e in epochs for _ in range(3)]
-        buffer, table = calls[0][3].base, calls[0][4].base
+        blocks = [(0, 8), (8, 16), (16, 21)]
+        # (chunk, epoch, block) of each process_units call
+        walk = [(c, k, block) for c, chunk in enumerate(([0, 1], [2]))
+                for block in range(3) for k in chunk]
+        assert [(c[0], c[2]) for c in calls] == [(epochs[k], 5)
+                                                 for _, k, _ in walk]
+        buffer = calls[0][3].base
         spectrum = calls[0][5]
         assert buffer.shape == (5 * 8 * 1023,)
-        assert table.shape == (21, 1023) and not table.flags.writeable
         assert spectrum.tobytes() == code_spectrum(code1, FS_FAST).tobytes()
         assert not spectrum.flags.writeable
-        blocks = [(0, 8), (8, 16), (16, 21)]
-        for k, (signal, sub_plan, count, out, tab, spec) in enumerate(calls):
-            assert spec is spectrum
+        sub_plans = [calls[2 * j][1] for j in range(3)]
+        whole = acq_core._mixing_table(plan, 1023, FS_FAST)
+        assert len(tables) == 6  # one per (chunk, block)
+        for k, (table_plan, table) in enumerate(tables):
             a, b = blocks[k % 3]
-            assert sub_plan is calls[k % 3][1]  # made once per span
+            assert table_plan is sub_plans[k % 3]
+            assert table.shape == (b - a, 1023) and not table.flags.writeable
+            assert table.tobytes() == whole[a:b].tobytes()
+        for (c, _, block), call in zip(walk, calls, strict=True):
+            signal, sub_plan, count, out, tab, spec = call
+            a, b = blocks[block]
+            assert spec is spectrum
+            assert sub_plan is sub_plans[block]  # made once per span
             assert sub_plan.bins == plan.bins[a:b]
             assert (sub_plan.center, sub_plan.bin_width) == (
                 plan.center, plan.bin_width)
             assert out.base is buffer and out.flags.c_contiguous
             assert out.shape == (5, b - a, 1023)
             assert out.ctypes.data == buffer.ctypes.data  # a prefix
-            assert tab.base is table and tab.shape == (b - a, 1023)
-            assert tab.ctypes.data == table[a:b].ctypes.data
+            assert tab is tables[3 * c + block][1]
 
     def test_split_plan_acquires_row_searches(self, code1, monkeypatch):
         # 21 bins in blocks of 8 rows: each strategy's rows feed one search
-        # per epoch in three blocks, and no (bins, n) grid is integrated
-        acquired, integrated = [], []
+        # per epoch in three blocks, block by block over the chunk's
+        # epochs, and each epoch is acquired once its last block is fed;
+        # no (bins, n) grid is integrated
+        events = []
         real_acquire = eval_harness.acquire
         real_integrate = eval_harness.integrate
 
         def recorded_acquire(search, threshold):
-            acquired.append((search, search.rows))
+            events.append(("acquire", search, search.rows))
             return real_acquire(search, threshold=threshold)
 
         def recorded_integrate(units, strategy):
             rows = real_integrate(units, strategy)
-            integrated.append(rows.shape)
+            events.append(("integrate", strategy, rows.shape))
             return rows
 
         monkeypatch.setattr(eval_harness, "acquire", recorded_acquire)
@@ -315,13 +337,22 @@ class TestRunSpan:
         epochs = _span_epochs(3, cn0=45.0)
         with block_rows(8, 1023):
             got = run_span(epochs, code1, plan, specs, 2.5)
+        acquired = [(search, rows) for kind, search, rows in events
+                    if kind == "acquire"]
         assert len(acquired) == 3 * len(specs)
         assert len({id(search) for search, _ in acquired}) == len(acquired)
         for search, rows in acquired:
             assert isinstance(search, RowSearch)
             assert search.plan is plan and rows == 21
-        assert integrated == [(h, 1023) for _ in epochs
-                              for h in (8, 8, 5) for _ in specs]
+        want = []
+        for h in (8, 8, 5):
+            for _ in epochs:
+                want += [("integrate", spec.strategy, (h, 1023))
+                         for spec in specs]
+                if h == 5:
+                    want += [("acquire", 21)] * len(specs)
+        assert [e if e[0] == "integrate" else (e[0], e[2])
+                for e in events] == want
         # a split plan sums MTMR's total block by block
         for epoch, row in zip(epochs, got, strict=True):
             units = unit_block(epoch, code1, plan)
@@ -330,6 +361,100 @@ class TestRunSpan:
                                           l_spc=1, plan=plan), 2.5)
                 assert r.mtmr == pytest.approx(want.mtmr, rel=1e-12, abs=0)
                 assert dataclasses.replace(r, mtmr=want.mtmr) == want
+
+    @staticmethod
+    def _epoch_major(epochs, code, plan, specs, threshold):
+        """The reference for run_span's block-major walk: each epoch in
+        turn through every row block, with the rows of the whole plan's
+        mixing table, then acquired."""
+        count = specs[0].total_ms
+        fs = epochs[0].sample_rate
+        n = samples_per_code(code, fs)
+        spectrum = code_spectrum(code, fs)
+        table = acq_core._mixing_table(plan, n, fs)
+        l_spc = round(fs / code.chip_rate)
+        results = []
+        for epoch in epochs:
+            searches = [RowSearch(plan, l_spc) for _ in specs]
+            for a, b in acq_core.row_blocks(len(plan.bins), count, n):
+                sub_plan = acq_core.FrequencyPlan(plan.center, plan.bin_width,
+                                                  plan.bins[a:b])
+                out = np.empty((count, b - a, n), np.complex64)
+                acq_core.process_units(epoch, spectrum, sub_plan, count, out,
+                                       table[a:b])
+                for search, spec in zip(searches, specs):
+                    search.add(integrate(out, spec.strategy))
+            results.append([acquire(search, threshold=threshold)
+                            for search in searches])
+        return results
+
+    # Chunks of 1-3 epochs over spans of 1-7 epochs (a chunk boundary
+    # anywhere, a short last chunk, one chunk), blocks of 1, 3 or 8 rows
+    # over plans of 5 to 81 bins, and any set of strategies valid at the
+    # span, in any order
+    @settings(max_examples=30)
+    @given(chunk=st.integers(1, 3), epochs=st.integers(1, 7),
+           total_ms=st.sampled_from([1, 2, 5, 20]),
+           height=st.sampled_from([1, 3, 8]),
+           strategies=st.lists(st.sampled_from(Strategy), min_size=1,
+                               unique=True),
+           seed=st.integers(0, 2 ** 16))
+    @example(chunk=3, epochs=7, total_ms=20, height=8,
+             strategies=list(Strategy), seed=0)
+    def test_equals_the_epoch_major_walk(self, code1, chunk, epochs,
+                                         total_ms, height, strategies, seed):
+        assume(all(span_error(s, total_ms) is None for s in strategies))
+        signals = list(synthesize_pass_signal(
+            _flat_scenario(epochs), fast_params(cn0=41.0, seed=seed,
+                                                duration=total_ms * 1e-3)))
+        plan = make_plan(FIF_FAST, 1e3, total_ms)
+        specs = [IntegrationSpec(s, total_ms) for s in strategies]
+        with block_rows(height, 1023), \
+                mock.patch.object(eval_harness, "_EPOCH_CHUNK", chunk):
+            got = run_span(signals, code1, plan, specs, 2.5)
+            want = self._epoch_major(signals, code1, plan, specs, 2.5)
+        assert ([[repr(dataclasses.astuple(r)) for r in row] for row in got]
+                == [[repr(dataclasses.astuple(r)) for r in row]
+                    for row in want])
+
+    @pytest.mark.parametrize("chunk", [1, 8])
+    def test_one_block_plan_acquires_each_epoch_as_it_is_correlated(
+            self, code1, monkeypatch, chunk):
+        # 21 bins in one block: the table is built once whatever the
+        # chunk, and each epoch's searches are acquired right after its
+        # process_units call and not held once acquired (the feeding
+        # loop's name may keep the last until the next epoch is fed)
+        events, acquired = [], []
+        real_process_units = eval_harness.process_units
+        real_acquire = eval_harness.acquire
+        mixing_table = eval_harness._mixing_table
+
+        def recorded_units(signal, *args):
+            assert sum(ref() is not None for ref in acquired) <= 1
+            events.append(("units", signal.t0))
+            return real_process_units(signal, *args)
+
+        def recorded_acquire(search, threshold):
+            events.append(("acquire", search.rows))
+            acquired.append(weakref.ref(search))
+            return real_acquire(search, threshold=threshold)
+
+        def recorded_table(plan, n, fs):
+            events.append(("table", len(plan.bins)))
+            return mixing_table(plan, n, fs)
+
+        monkeypatch.setattr(eval_harness, "process_units", recorded_units)
+        monkeypatch.setattr(eval_harness, "acquire", recorded_acquire)
+        monkeypatch.setattr(eval_harness, "_mixing_table", recorded_table)
+        monkeypatch.setattr(eval_harness, "_EPOCH_CHUNK", chunk)
+        epochs = _span_epochs(3, cn0=45.0)
+        specs = [IntegrationSpec(s, 5) for s in Strategy
+                 if span_error(s, 5) is None]
+        run_span(epochs, code1, make_plan(FIF_FAST, 1e3, 5), specs, 2.5)
+        want = [("table", 21)]
+        for epoch in epochs:
+            want += [("units", epoch.t0)] + [("acquire", 21)] * len(specs)
+        assert events == want
 
     @pytest.mark.parametrize("height", [None, 8], ids=["one-block", "split"])
     def test_one_integrated_grid_alive_at_a_time(self, code1, monkeypatch,
@@ -369,23 +494,32 @@ class TestRunSpan:
 
     @staticmethod
     @functools.cache
-    def _paper_span(cores):
-        """One epoch of paper_block's shape (20 units of 401 x 4092, five
-        strategies) through run_span, banded for `cores` cores (None: the
-        host's own count), once per count: its tracemalloc peak, the
-        worker pools it made and the threads that outlived it."""
+    def _paper_span(cores, epochs=1):
+        """`epochs` epochs of paper_block's shape (20 units of 401 x 4092,
+        five strategies) through run_span, banded for `cores` cores (None:
+        the host's own count), once per count: its tracemalloc peak, the
+        worker pools it made, the threads that outlived it and the rows of
+        each mixing table it built."""
         code1 = generate_code(1)
-        sig, _ = synth_units(20, code1, d0=1200.0, cn0=45.0, fs=FS_FULL,
-                             fif=FIF_FULL)
-        sig.t0 = 40.0
+        signals = []
+        for k in range(epochs):
+            sig, _ = synth_units(20, code1, d0=1200.0, cn0=45.0, fs=FS_FULL,
+                                 fif=FIF_FULL, seed=k)
+            sig.t0 = 40.0 + 20.0 * k
+            signals.append(sig)
         plan = make_plan(FIF_FULL, 5e3, 20)
         specs = [IntegrationSpec(s, 20) for s in Strategy]
-        pools = []
+        pools, table_rows = [], []
         pool = concurrent.futures.ThreadPoolExecutor
+        mixing_table = eval_harness._mixing_table
 
         def counted_pool(*args, **kwargs):
             pools.append(args)
             return pool(*args, **kwargs)
+
+        def counted_table(plan, n, fs):
+            table_rows.append(len(plan.bins))
+            return mixing_table(plan, n, fs)
 
         threads = set(threading.enumerate())
         tracemalloc.start()
@@ -395,13 +529,17 @@ class TestRunSpan:
             with (contextlib.nullcontext() if cores is None
                   else row_bands(cores, gate=acq_core._BAND_CELLS)), \
                     mock.patch.object(concurrent.futures,
-                                      "ThreadPoolExecutor", counted_pool):
-                (row,) = run_span([sig], code1, plan, specs, 2.5)
+                                      "ThreadPoolExecutor", counted_pool), \
+                    mock.patch.object(eval_harness, "_mixing_table",
+                                      counted_table):
+                rows = run_span(signals, code1, plan, specs, 2.5)
             peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
-        assert all(r.decided and r.code_phase_hat == 0 for r in row)
-        return peak, pools, set(threading.enumerate()) - threads
+        assert len(rows) == epochs
+        assert all(r.decided and r.code_phase_hat == 0
+                   for row in rows for r in row)
+        return peak, pools, set(threading.enumerate()) - threads, table_rows
 
     def test_paper_span_holds_under_half_the_unit_block(self):
         # A whole-span (units, bins, n) complex64 block alone is 262.5 MB.
@@ -409,23 +547,36 @@ class TestRunSpan:
         assert self._paper_span(None)[0] < block_bytes / 2
 
     def test_paper_span_holds_no_detection_grid(self):
-        # The unit-grid buffer, the 12.5 MiB mixing table and a block's
-        # rows in flight fit; five held (401, 4092) float64 detection grids
+        # The unit-grid buffer, one block's mixing rows and a block's rows
+        # in flight fit; five held (401, 4092) float64 detection grids
         # (62.6 MiB) would not.
         assert self._paper_span(None)[0] < 56 << 20
 
     @pytest.mark.parametrize("cores", [None, 2, 8, 64])
     def test_paper_span_holds_whole_slab_blocks(self, cores):
-        # 16-row blocks (10 MiB of unit grids, two 8-row slabs) beside the
-        # 12.5 MiB mixing table, whatever the core count; 51-row blocks
-        # (32 MiB) would not fit.
+        # 16-row blocks (10 MiB of unit grids, two 8-row slabs), whatever
+        # the core count; 51-row blocks (32 MiB) would not fit.
         assert self._paper_span(cores)[0] < 28 << 20
+
+    def test_paper_span_holds_one_block_of_the_table(self):
+        # paper_block's span, 3 epochs over 401 bins in blocks of 16 rows
+        # and a 1-row tail, holds the 10 MiB unit buffer, one block's
+        # 0.5 MiB of mixing rows, the chunk's 15 searches of 4 rows (1.9 MiB)
+        # and 4 MiB for the rest: a block table's complex128 build
+        # temporaries and the rows in flight (2.3 MiB measured).  The whole
+        # plan's 12.5 MiB table would not fit, and no table has more than
+        # one block's rows.
+        peak, _, _, table_rows = self._paper_span(None, epochs=3)
+        row = 4092 * 8  # bytes of a complex64 or float64 row
+        buffer, table, searches = 20 * 16 * row, 16 * row, 3 * 5 * 4 * row
+        assert peak < buffer + table + searches + (4 << 20)
+        assert table_rows == [16] * 25 + [1]
 
     @pytest.mark.parametrize("cores", [None, 2, 8, 64])
     def test_paper_span_makes_one_pool(self, cores):
         # every banded pass of the span's 26 blocks runs on one pool, and
         # its workers are joined when the span ends
-        _, pools, outlived = self._paper_span(cores)
+        _, pools, outlived, _ = self._paper_span(cores)
         workers = (cores or os.cpu_count() or 1) - 1
         assert pools == ([(workers,)] if workers else [])
         assert not outlived

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from leoacq import geometry
 from leoacq.geometry import (EARTH_RADIUS, MU_EARTH, SPEED_OF_LIGHT,
                              doppler_shift, free_space_loss, simulate_pass)
 
@@ -127,6 +128,21 @@ class TestSimulatePass:
     def test_bad_epoch_step(self, step):
         with pytest.raises(ValueError, match="epoch_step must be positive"):
             simulate_pass(645e3, 10.0, 0.0, step, 1.5e9)
+
+    @pytest.mark.parametrize("step", [538.0 / 200_000, 5e-324])
+    def test_too_many_epochs(self, step):
+        # the default pass's 538 s arc at about twice the epoch limit (an
+        # 11 MB pass without the check), and at the smallest step, whose
+        # omega * step underflows to zero
+        with pytest.raises(ValueError, match="epoch_step .* too short"):
+            simulate_pass(645e3, 10.0, 0.0, step, 1.5e9)
+
+    def test_pass_under_the_epoch_limit(self):
+        # the default pass's 539 epochs at a 1 s step, about 99,000 at a
+        # step 99,000 / 539 times shorter
+        n = len(simulate_pass(645e3, 10.0, 0.0, 539.0 / 99_000,
+                              1.5e9).samples)
+        assert 98_000 < n <= geometry._MAX_EPOCHS
 
     def test_single_epoch_pass_is_the_zenith(self):
         # only the zenith epoch clears an 80 deg mask at a 60 s step

@@ -1213,10 +1213,12 @@ class TestCli:
     @pytest.mark.parametrize("command", ["duration", "acquire"])
     def test_one_unit_block_per_span(self, strong_config, tmp_path,
                                      monkeypatch, capsys, command):
-        # One buffer of unit grids and one mixing table per span, and one
-        # process_units call per (epoch, block of Doppler rows).  Blocks
-        # of 16 rows split the 5 ms plan (41 bins) into 16, 16 and 9 rows
-        # and leave the 1 ms plan (9 bins) whole; the outputs are those of
+        # One buffer of unit grids per span, and one process_units call per
+        # (epoch, block of Doppler rows).  Blocks of 16 rows split the 5 ms
+        # plan (41 bins) into 16, 16 and 9 rows, walked block by block over
+        # chunks of 2 of the 3 epochs, with each block's mixing rows built
+        # once per chunk; they leave the 1 ms plan (9 bins) whole, one
+        # chunk of every epoch and one table.  The outputs are those of
         # whole plans.
         samples = str(tmp_path / "pass.bin")
         if command == "acquire":
@@ -1232,28 +1234,36 @@ class TestCli:
         process_units = eval_harness.process_units
 
         def recorded(signal, spectrum, plan, count, out, table):
-            calls.append((count, len(plan.bins), out, table))
+            calls.append((signal.t0, count, len(plan.bins), out, table))
             return process_units(signal, spectrum, plan, count, out, table)
 
         monkeypatch.setattr(eval_harness, "process_units", recorded)
+        monkeypatch.setattr(eval_harness, "_EPOCH_CHUNK", 2)
         with block_rows(16, 1023):
             assert cli(argv + [str(tmp_path / "blocks.csv")]) == 0
         assert ((tmp_path / "blocks.csv").read_bytes()
                 == (tmp_path / "whole.csv").read_bytes())
         config = ScenarioConfig.from_file(strong_config)
-        epochs = len(config.scenario().samples)
+        t0 = list(config.scenario().samples.t)
+        assert len(t0) == 3
         heights = {1: [9], 5: [16, 16, 9]}
-        assert [(count, rows) for count, rows, _, _ in calls] == [
-            (t_ms, rows) for t_ms in spans for _ in range(epochs)
-            for rows in heights[t_ms]]
+        chunks = {1: [t0], 5: [t0[:2], t0[2:]]}
+        assert [call[:3] for call in calls] == [
+            (t, t_ms, rows) for t_ms in spans for chunk in chunks[t_ms]
+            for rows in heights[t_ms] for t in chunk]
         start = 0
         for t_ms in spans:
-            span = calls[start:start + epochs * len(heights[t_ms])]
+            span = calls[start:start + len(t0) * len(heights[t_ms])]
             start += len(span)
-            buffer, table = span[0][2].base, span[0][3].base
+            buffer = span[0][3].base
             assert buffer.size == t_ms * heights[t_ms][0] * 1023
-            assert all(out.base is buffer and tab.base is table
-                       for _, _, out, tab in span)
+            assert all(out.base is buffer for *_, out, _ in span)
+            # one table per (chunk, block), shared by the chunk's epochs
+            tables = [tab for k, (*_, tab) in enumerate(span)
+                      if k == 0 or tab is not span[k - 1][4]]
+            assert [len(tab) for tab in tables] == [
+                rows for _ in chunks[t_ms] for rows in heights[t_ms]]
+            assert len({id(tab) for tab in tables}) == len(tables)
         assert start == len(calls)
 
     def test_pipeline_determinism(self, strong_config, tmp_path, capsys):
