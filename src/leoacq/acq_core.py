@@ -62,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .prn_code import ChipSequence, sample_code
+from .prn_code import sample_code
 from .signal_synth import SampledSignal
 
 _FFT_WORKERS = -1  # all cores; per-row transforms, deterministic
@@ -173,27 +173,24 @@ class CorrelationGrid:
     values: np.ndarray          # shape (len(plan.bins), samples per code)
 
 
-# The mixing table is filled _TABLE_BLOCK rows at a time, so its float64
-# phase and complex128 temporaries stay a few MB beside it; each element is
-# computed as in a one-shot build, so the table is bitwise the same.
-_TABLE_BLOCK = 32
-
-
 def _mixing_table(plan: FrequencyPlan, n: int, sample_rate: float) -> np.ndarray:
     """The (bins, n) complex64 mixing rows of plan, read-only.  Each row
     depends only on its own bin, so rows [a, b) of a plan's table are
-    bitwise the table of the sub-plan of bins[a:b]."""
+    bitwise the table of the sub-plan of bins[a:b].  It is filled one row
+    slab at a time, so the float64 and complex128 temporaries stay small;
+    each element is computed as in a one-shot build."""
     freqs = plan.center + np.asarray(plan.bins)
     t = np.arange(n) / sample_rate
     table = np.empty((len(freqs), n), dtype=np.complex64)
-    for i in range(0, len(freqs), _TABLE_BLOCK):
-        block = -2j * np.pi * np.outer(freqs[i:i + _TABLE_BLOCK], t)
-        table[i:i + _TABLE_BLOCK] = np.exp(block, out=block)
+    height = slab_rows(n)
+    for i in range(0, len(freqs), height):
+        block = -2j * np.pi * np.outer(freqs[i:i + height], t)
+        table[i:i + height] = np.exp(block, out=block)
     table.flags.writeable = False
     return table
 
 
-def code_spectrum(code: ChipSequence, sample_rate: float) -> np.ndarray:
+def code_spectrum(code: np.ndarray, sample_rate: float) -> np.ndarray:
     """The conjugate DFT of the code sampled at sample_rate, as read-only
     complex64: the code constant of a span's correlations."""
     spectrum = np.conj(scipy.fft.fft(sample_code(code, sample_rate)))

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .prn_code import ChipSequence, generate_code, samples_per_code
+from .prn_code import CHIP_RATE, generate_code, samples_per_code
 from .signal_synth import SampledSignal, SynthParams
 from .acq_core import (FrequencyPlan, _mixing_table, band_scope,
                        code_spectrum, process_units, row_blocks)
@@ -55,12 +55,11 @@ class TimelineSummary:
     decided_s: float
 
 
-def truth_code_phase(params: SynthParams, n_samples: int,
-                     chip_rate: float) -> float:
+def truth_code_phase(params: SynthParams, n_samples: int) -> float:
     """Grid code-phase position (in samples) where a signal synthesized with
     the given initial code phase correlates: the phase-accumulator start
     offset maps to the negated sample delay, cyclically."""
-    return (-params.code_phase0 * params.sample_rate / chip_rate) % n_samples
+    return (-params.code_phase0 * params.sample_rate / CHIP_RATE) % n_samples
 
 
 def cyclic_distance(a: float, b: float, n: int) -> float:
@@ -69,7 +68,7 @@ def cyclic_distance(a: float, b: float, n: int) -> float:
 
 
 def label_epochs(results: Sequence[AcqResult], epochs: Sequence[SampledSignal],
-                 plan: FrequencyPlan, code: ChipSequence) -> list[EpochLabel]:
+                 plan: FrequencyPlan, code: np.ndarray) -> list[EpochLabel]:
     """Label each epoch against its own SynthParams (doppler0, code_phase0,
     intermediate_freq) and t0: the estimate is correct iff its Doppler is
     within half a search bin of doppler0 and its code phase within one
@@ -83,8 +82,8 @@ def label_epochs(results: Sequence[AcqResult], epochs: Sequence[SampledSignal],
     labels = []
     for res, epoch in zip(results, epochs):
         truth = epoch.truth
-        n = samples_per_code(code, epoch.sample_rate)
-        code_phase = truth_code_phase(truth, n, code.chip_rate)
+        n = samples_per_code(len(code), epoch.sample_rate)
+        code_phase = truth_code_phase(truth, n)
         j = round(res.doppler_hat / plan.bin_width)
         est_bins = (j if j * plan.bin_width == res.doppler_hat
                     else res.doppler_hat / plan.bin_width)
@@ -124,7 +123,7 @@ def threshold_bounds(curve: PfCurve, target: float) -> tuple[float, float] | Non
 _EPOCH_CHUNK = 8
 
 
-def run_span(epochs: Sequence[SampledSignal], code: ChipSequence,
+def run_span(epochs: Sequence[SampledSignal], code: np.ndarray,
              plan: FrequencyPlan, specs: Sequence[IntegrationSpec],
              threshold: float) -> list[list[AcqResult]]:
     """Acquire every epoch with every strategy in specs: result [k][i] is
@@ -152,14 +151,14 @@ def run_span(epochs: Sequence[SampledSignal], code: ChipSequence,
         return []
     count = specs[0].total_ms
     fs = epochs[0].sample_rate
-    n = samples_per_code(code, fs)
+    n = samples_per_code(len(code), fs)
     results = []
     blocks = row_blocks(len(plan.bins), count, n)
     sub_plans = [FrequencyPlan(plan.center, plan.bin_width, plan.bins[a:b])
                  for a, b in blocks]
     spectrum = code_spectrum(code, fs)
     buffer = np.empty(count * blocks[0][1] * n, np.complex64)
-    l_spc = round(fs / code.chip_rate)  # one chip excluded around the peak
+    l_spc = round(fs / CHIP_RATE)  # one chip excluded around the peak
     chunk = len(epochs) if len(blocks) == 1 else _EPOCH_CHUNK
     with band_scope():
         for start in range(0, len(epochs), chunk):
@@ -181,7 +180,7 @@ def run_span(epochs: Sequence[SampledSignal], code: ChipSequence,
     return results
 
 
-def run_epoch(epoch: SampledSignal, code: ChipSequence, plan: FrequencyPlan,
+def run_epoch(epoch: SampledSignal, code: np.ndarray, plan: FrequencyPlan,
               spec: IntegrationSpec, threshold: float) -> AcqResult:
     """Acquire one epoch with the given integration strategy."""
     return run_span([epoch], code, plan, [spec], threshold)[0][0]
@@ -190,7 +189,7 @@ def run_epoch(epoch: SampledSignal, code: ChipSequence, plan: FrequencyPlan,
 def acquisition_timeline(pass_epochs: Sequence[SampledSignal],
                          spec: IntegrationSpec, plan: FrequencyPlan,
                          threshold: float, results: list[AcqResult],
-                         epoch_step: float, code: ChipSequence | None = None,
+                         epoch_step: float, code: np.ndarray | None = None,
                          ) -> tuple[list[AcqResult], list[EpochLabel], TimelineSummary]:
     """Label one strategy's results, one per epoch of a pass (see run_span),
     and summarize.  spec and threshold name the run that gave the results

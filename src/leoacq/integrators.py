@@ -36,8 +36,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .acq_core import _row_bands, slab_rows
+from .prn_code import BIT_PERIOD_MS
 
-BLOCK_UNITS = 10  # alternate half-bit block length in units (10 ms)
+# alternate half-bit block length in 1 ms units: half a data bit (10 ms)
+BLOCK_UNITS = BIT_PERIOD_MS // 2
 
 
 class Strategy(enum.Enum):

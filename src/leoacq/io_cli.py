@@ -38,7 +38,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .prn_code import generate_code, samples_per_code
+from .prn_code import CODE_LENGTH, check_prn, generate_code, samples_per_code
 from .geometry import simulate_pass, PassScenario
 from . import signal_synth
 from .signal_synth import SampledSignal, SynthParams, pass_params
@@ -259,8 +259,9 @@ class ScenarioConfig:
         SampleFileMeta(self.sample_rate, self.intermediate_freq,
                        self.sample_format)  # validates the sample format
         self.scenario()  # validates the pass geometry's four fields
+        check_prn(self.prn_id)
         have = self.duration * self.sample_rate
-        need = self.span_samples()  # validates the PRN id
+        need = self.span_samples()
         if not (math.isfinite(have) and round(have) >= need):
             raise ValueError(
                 f"epoch duration {self.duration}s ({have:.0f} samples) is "
@@ -306,8 +307,7 @@ class ScenarioConfig:
         """Samples the longest span in total_ms correlates from the start of
         each epoch (eval_harness.run_span): duration and sweep synthesize,
         and acquire reads, only these samples of each epoch."""
-        code = generate_code(self.prn_id)
-        return max(self.total_ms) * samples_per_code(code, self.sample_rate)
+        return max(self.total_ms) * samples_per_code(CODE_LENGTH, self.sample_rate)
 
     def base_synth_params(self) -> SynthParams:
         return SynthParams(
@@ -342,6 +342,12 @@ class ScenarioConfig:
                     yield strat, t_ms
 
 
+# Most samples a pass may hold: pass_epochs allocates it whole as float32,
+# so 2^30 samples is 4 GiB (the default pass holds 22 M).  duration and
+# sweep synthesize only their spans, so only synth counts a long duration.
+_MAX_PASS_SAMPLES = 1 << 30
+
+
 def pass_epochs(config: ScenarioConfig) -> list[SampledSignal]:
     """Geometry + synthesis for the configured pass, in memory: each epoch
     holds config.duration of signal.  An epoch of a shorter duration is
@@ -369,6 +375,12 @@ def pass_epochs(config: ScenarioConfig) -> list[SampledSignal]:
     float64 sample lay within float32 resolution of a rounding tie.
     """
     t0s, truths = zip(*config.pass_truths())
+    if len(truths) * config.samples_per_epoch > _MAX_PASS_SAMPLES:
+        raise ValueError(
+            f"a pass of {len(truths)} epochs (epoch_step {config.epoch_step} s)"
+            f" x {config.samples_per_epoch} samples (duration {config.duration}"
+            f" s, sample_rate {config.sample_rate} Hz) exceeds "
+            f"{_MAX_PASS_SAMPLES} samples")
     code = generate_code(config.prn_id)
     rows = np.empty((len(truths), config.samples_per_epoch), dtype=np.float32)
 
@@ -642,7 +654,7 @@ def cli(argv) -> int:
         return int(e.code or 0)
     try:
         return args.run(args)
-    except (SampleFileError, OSError, ValueError, KeyError) as e:
+    except (SampleFileError, OSError, ValueError) as e:
         print(f"leoacq {args.command}: error: {e}", file=sys.stderr)
         return 2
 

@@ -1,21 +1,20 @@
-"""Spreading-code generation and resampling.
+"""The transmitted signal's constants, and its spreading codes.
 
-The transmitted navigation signal is BPSK-spread with a 1023-chip Gold code
-at 1.023 Mchip/s (one period per millisecond), generated from the classic
-pair of 10-stage linear feedback shift registers.  The actual code family of
-the target satellite is not public, so the GPS C/A family (PRN 1..37) is
-used as a stand-in; the chip rate is carried on the sequence object and the
-length is that of its chips, so other families can be substituted.
+A 1023-chip Gold code (CODE_LENGTH) at 1.023 Mchip/s (CHIP_RATE) spreads
+the signal, so one code period, the acquisition unit, spans 1 ms.  The
+50 bps data changes sign only at 20 ms bit boundaries (BIT_PERIOD_MS),
+which alternate half-bit integration splits in two.  The codes come from
+two 10-stage LFSRs; the target satellite's code family is not public, so
+the GPS C/A family (PRN 1..37) stands in.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 CODE_LENGTH = 1023
 CHIP_RATE = 1.023e6  # chips/s; one period spans exactly 1 ms
+BIT_PERIOD_MS = 20  # 50 bps navigation data
 
 # Per-PRN phase-selector taps on the G2 register (1-based stage numbers).
 # PRNs 34 and 37 intentionally share taps and produce identical sequences.
@@ -31,32 +30,20 @@ _G2_TAPS = {
 }
 
 
-@dataclass
-class ChipSequence:
-    """One period of a bipolar spreading code.
-
-    chips take values in {+1, -1}; one period at chip_rate spans the unit
-    duration used by acquisition (1 ms with the defaults).
-    """
-
-    prn_id: int
-    chips: np.ndarray
-    chip_rate: float = CHIP_RATE
-
-    @property
-    def code_length(self) -> int:
-        return len(self.chips)
+def check_prn(prn_id: int) -> None:
+    """Raise ValueError unless prn_id names a code of the family."""
+    if prn_id not in _G2_TAPS:
+        raise ValueError(f"unknown PRN {prn_id} (supported: 1..{len(_G2_TAPS)})")
 
 
-def generate_code(prn_id: int) -> ChipSequence:
-    """Generate one period of the Gold code for the given PRN.
+def generate_code(prn_id: int) -> np.ndarray:
+    """One period of the Gold code for the given PRN: CODE_LENGTH +/-1 chips.
 
     Deterministic: the same prn_id always yields an identical sequence.
     Register bit 0 maps to chip +1 and bit 1 to chip -1, so BPSK modulation
     is plain multiplication.
     """
-    if prn_id not in _G2_TAPS:
-        raise ValueError(f"unknown PRN {prn_id} (supported: 1..{len(_G2_TAPS)})")
+    check_prn(prn_id)
     tap1, tap2 = _G2_TAPS[prn_id]
     g1 = [1] * 10
     g2 = [1] * 10
@@ -68,20 +55,20 @@ def generate_code(prn_id: int) -> ChipSequence:
         fb2 = g2[1] ^ g2[2] ^ g2[5] ^ g2[7] ^ g2[8] ^ g2[9]
         g1 = [fb1] + g1[:9]
         g2 = [fb2] + g2[:9]
-    return ChipSequence(prn_id=prn_id, chips=out)
+    return out
 
 
-def samples_per_code(code: ChipSequence, sample_rate: float) -> int:
-    """Samples in one code period (one 1 ms unit) at the given rate."""
-    return round(sample_rate * code.code_length / code.chip_rate)
+def samples_per_code(chips: int, sample_rate: float) -> int:
+    """Samples in one period of a code chips long, at CHIP_RATE."""
+    return round(sample_rate * chips / CHIP_RATE)
 
 
-def sample_code(code: ChipSequence, sample_rate: float) -> np.ndarray:
+def sample_code(code: np.ndarray, sample_rate: float) -> np.ndarray:
     """Resample one code period at the receiver sampling rate.
 
-    Sample k holds the chip at index floor(k * chip_rate / sample_rate),
-    the nearest-lower chip.  The output covers exactly one unit duration
+    Sample k holds the chip at index floor(k * CHIP_RATE / sample_rate),
+    the nearest-lower chip.  The output covers exactly one code period
     (samples_per_code samples).
     """
-    k = np.arange(samples_per_code(code, sample_rate))
-    return code.chips[np.floor(k * (code.chip_rate / sample_rate)).astype(np.int64)]
+    k = np.arange(samples_per_code(len(code), sample_rate))
+    return code[np.floor(k * (CHIP_RATE / sample_rate)).astype(np.int64)]

@@ -13,10 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .prn_code import ChipSequence, generate_code
+from .prn_code import BIT_PERIOD_MS, CHIP_RATE, generate_code
 from .geometry import PassScenario
-
-BIT_PERIOD_MS = 20.0  # 50 bps navigation data
 
 
 @dataclass
@@ -72,12 +70,12 @@ def _bit_indices(t: np.ndarray, bit_phase0: float) -> np.ndarray:
     return np.floor((t * 1e3 + offset_ms) / BIT_PERIOD_MS).astype(np.int64)
 
 
-def synthesize(params: SynthParams, code: ChipSequence) -> SampledSignal:
-    """Synthesize one epoch of sampled IF signal spread by code.
+def synthesize(params: SynthParams, code: np.ndarray) -> SampledSignal:
+    """Synthesize one epoch of sampled IF signal spread by code's chips.
 
     Deterministic given params.seed.  Carrier phase is accumulated
     continuously across the whole epoch (chirp, not stepped per
-    millisecond); the code NCO runs at chip_rate * (1 + doppler/carrier).
+    millisecond); the code NCO runs at CHIP_RATE * (1 + doppler/carrier).
     """
     fs = params.sample_rate
     n = round(params.duration * fs)
@@ -99,18 +97,18 @@ def synthesize(params: SynthParams, code: ChipSequence) -> SampledSignal:
     cycles *= t
     x = np.multiply(params.doppler0, t)
     cycles += x
-    # chips[floor(code_phase0 + chip_rate * (t + cycles / carrier_freq)) % length]
+    # code[floor(code_phase0 + CHIP_RATE * (t + cycles / carrier_freq)) % len(code)]
     np.divide(cycles, params.carrier_freq, out=x)
     x += t
-    x *= code.chip_rate
+    x *= CHIP_RATE
     x += params.code_phase0
     # One int64 temporary: with a second one here, glibc returned and
     # refaulted the heap's top pages every epoch of a pass (57k more minor
     # faults synthesizing a 539-epoch, 40 ms fast-profile pass).
     index = np.floor(x, out=x).astype(np.int64)
-    index %= code.code_length
-    # samples = amplitude * chips * bits * sin(2 pi (intermediate_freq * t + cycles))
-    samples = np.take(code.chips, index, out=x, mode="clip")
+    index %= len(code)
+    # samples = amplitude * code[index] * bits * sin(2 pi (intermediate_freq * t + cycles))
+    samples = np.take(code, index, out=x, mode="clip")
     del index
     samples *= params.amplitude
     if params.data_bits is not None:

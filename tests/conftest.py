@@ -111,7 +111,7 @@ def correlate(signal, code, plan, count=None, out=None, table=None):
     signal's whole units; one below 1 gets an empty buffer, so that
     process_units rejects the count itself."""
     fs = signal.sample_rate
-    n = samples_per_code(code, fs)
+    n = samples_per_code(len(code), fs)
     if count is None:
         count = len(signal.samples) // n
     if table is None:
@@ -142,9 +142,10 @@ def fed_search(values, l_spc=1, plan=None) -> RowSearch:
 
 def synth_units(m, code, d0=1000.0, cn0=None, seed=0, fs=FS_FAST,
                 fif=FIF_FAST, code_phase0=0.0, data_bits=None,
-                bit_phase0=0.0, amplitude=1.0, doppler_rate=0.0):
-    """Synthesize m milliseconds and return (signal, plan-ready params)."""
-    params = SynthParams(prn_id=code.prn_id, sample_rate=fs,
+                bit_phase0=0.0, amplitude=1.0, doppler_rate=0.0, prn_id=1):
+    """Synthesize m milliseconds of code, the code of prn_id, and return
+    (signal, plan-ready params)."""
+    params = SynthParams(prn_id=prn_id, sample_rate=fs,
                          intermediate_freq=fif, carrier_freq=1.5e9,
                          amplitude=amplitude, code_phase0=code_phase0,
                          doppler0=d0, doppler_rate=doppler_rate,

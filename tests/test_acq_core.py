@@ -17,8 +17,8 @@ from leoacq.acq_core import (CorrelationGrid, FrequencyPlan, _mixing_table,
                              make_plan, row_blocks, slab_rows)
 from leoacq.detector import acquire
 from leoacq.integrators import Strategy, integrate, span_error
-from leoacq.prn_code import (ChipSequence, generate_code, sample_code,
-                             samples_per_code)
+from leoacq.prn_code import (CHIP_RATE, CODE_LENGTH, generate_code,
+                             sample_code, samples_per_code)
 from leoacq.signal_synth import SampledSignal, noise_sigma
 
 from conftest import (FS_FAST, FIF_FAST, FS_FULL, FIF_FULL, correlate,
@@ -58,7 +58,7 @@ def reference_process_units(signal, code, plan):
     phase all in double precision.  The oracle for the single-precision
     engine."""
     fs = signal.sample_rate
-    n = samples_per_code(code, fs)
+    n = samples_per_code(len(code), fs)
     freqs = plan.center + np.asarray(plan.bins)
     table = np.exp(-2j * np.pi * np.outer(freqs, np.arange(n) / fs))
     code_fft = np.conj(scipy.fft.fft(sample_code(code, fs)))
@@ -78,7 +78,7 @@ def per_unit_process_units(signal, code, plan):
     (bins, n) matrix mixed, transformed and rotated on its own.  The oracle
     for process_units' block-wide stages, which must match it bitwise."""
     fs = signal.sample_rate
-    n = samples_per_code(code, fs)
+    n = samples_per_code(len(code), fs)
     table = _mixing_table(plan, n, fs)
     code_fft = code_spectrum(code, fs)
     freqs = plan.center + np.asarray(plan.bins)
@@ -115,17 +115,16 @@ class TestProcessUnit:
         # DFT correlation theorem: exact up to rounding, 1e-9 in double
         # precision and f32_bound(n) in the single-precision engine
         rng = np.random.default_rng(42)
-        n = 512
-        chips = rng.choice([-1.0, 1.0], n)
-        code = ChipSequence(prn_id=1, chips=chips, chip_rate=n * 1000.0)
-        sig = SampledSignal(samples=rng.normal(size=n), sample_rate=n * 1000.0)
+        n = CODE_LENGTH
+        code = rng.choice([-1.0, 1.0], n)
+        sig = SampledSignal(samples=rng.normal(size=n), sample_rate=CHIP_RATE)
         plan = make_plan(0.0, 1e3, 1)  # bins at -1000..1000
         (grid,) = engine(sig, code, plan)
         tol = 1e-9 if engine is reference_process_units else f32_bound(n)
         t = np.arange(n) / sig.sample_rate
         for i, df in enumerate(plan.bins):
             mixed = sig.samples * np.exp(-2j * np.pi * df * t)
-            direct = _direct_circular_correlation(mixed, chips)
+            direct = _direct_circular_correlation(mixed, code)
             err = np.abs(grid.values[i] - direct).max()
             assert err <= tol * np.abs(direct).max()
 
@@ -241,7 +240,7 @@ class TestInPlaceTransforms:
     def test_inputs_unchanged(self, code1):
         sig, plan = self._units(code1)
         samples = sig.samples.copy()
-        n = samples_per_code(code1, sig.sample_rate)
+        n = samples_per_code(len(code1), sig.sample_rate)
         table = _mixing_table(plan, n, sig.sample_rate)
         before = table.copy()
         correlate(sig, code1, plan, table=table)
@@ -294,7 +293,7 @@ class TestUnitBlock:
                              fs=fs, fif=fif)
         sig.t0 = t0
         plan = make_plan(fif, 1e3, units)
-        block = self._block(units, plan, samples_per_code(code1, fs))
+        block = self._block(units, plan, samples_per_code(len(code1), fs))
         block.fill(np.nan)  # stale contents must not leak into the grids
         with row_bands(bands):
             want = correlate(sig, code1, plan)
@@ -334,7 +333,7 @@ class TestUnitBlock:
         # run_span's walk: sub-plans, rows of one table, and outs that are
         # prefixes of one flat buffer (the tail block shorter)
         fs, fif = (FS_FULL, FIF_FULL) if paper else (FS_FAST, FIF_FAST)
-        n = samples_per_code(code1, fs)
+        n = samples_per_code(len(code1), fs)
         sig, _ = synth_units(units, code1, d0=-400.0, cn0=40.0, seed=seed,
                              fs=fs, fif=fif)
         sig.t0 = t0
@@ -438,9 +437,9 @@ class TestCodeSpectrum:
 class TestAccuracy:
     def test_sample_aligned_delay_estimated_exactly(self, code1):
         plan = make_plan(FIF_FULL, 2e3, 1)
-        n = samples_per_code(code1, FS_FULL)
+        n = samples_per_code(len(code1), FS_FULL)
         for delay in (0, 1, 517, 4091):
-            p0 = (-delay * code1.chip_rate / FS_FULL) % 1023
+            p0 = (-delay * CHIP_RATE / FS_FULL) % 1023
             sig, _ = synth_units(1, code1, d0=0.0, fs=FS_FULL, fif=FIF_FULL,
                                  code_phase0=p0)
             grid = correlate(sig, code1, plan)[0]
@@ -452,10 +451,10 @@ class TestAccuracy:
         # peak lands on the sample nearest the true fractional delay.
         fs = 5.0e6
         plan = make_plan(FIF_FULL, 2e3, 1)
-        n = samples_per_code(code1, fs)
+        n = samples_per_code(len(code1), fs)
         for frac in np.arange(0.01, 1.0, 0.125):
             delay = 1200.0 + frac  # samples
-            p0 = (-delay * code1.chip_rate / fs) % 1023
+            p0 = (-delay * CHIP_RATE / fs) % 1023
             sig, _ = synth_units(1, code1, d0=0.0, fs=fs, fif=FIF_FULL,
                                  code_phase0=p0)
             grid = correlate(sig, code1, plan)[0]
@@ -570,7 +569,7 @@ class TestMixingTable:
     def test_equals_one_shot_build_bitwise(self, code1, fif, fs, half_span,
                                            total_ms):
         plan = make_plan(fif, half_span, total_ms)
-        n = samples_per_code(code1, fs)
+        n = samples_per_code(len(code1), fs)
         table = _mixing_table(plan, n, fs)
         want = self.one_shot(plan, n, fs)
         assert table.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
@@ -580,7 +579,7 @@ class TestMixingTable:
     def test_rows_are_the_sub_plan_table(self, code1, paper, a, size):
         fs, fif = (FS_FULL, FIF_FULL) if paper else (FS_FAST, FIF_FAST)
         plan = make_plan(fif, 10e3, 20)  # 801 bins
-        n = samples_per_code(code1, fs)
+        n = samples_per_code(len(code1), fs)
         b = min(a + size, len(plan.bins))
         want = _mixing_table(plan, n, fs)[a:b]
         got = _mixing_table(sub_plan(plan, a, b), n, fs)
@@ -590,7 +589,7 @@ class TestMixingTable:
         # a one-shot build peaks at 4x the table: a float64 phase array,
         # two complex128 arrays and the complex64 cast
         plan = make_plan(FIF_FULL, 10e3, 20)
-        n = samples_per_code(code1, FS_FULL)
+        n = samples_per_code(len(code1), FS_FULL)
         tracemalloc.start()
         try:
             held = tracemalloc.get_traced_memory()[0]

@@ -24,7 +24,7 @@ from leoacq.eval_harness import (EpochLabel, PfCurve, acquisition_timeline,
                                  truth_code_phase)
 from leoacq.integrators import (IntegrationSpec, Strategy, integrate,
                                 span_error)
-from leoacq.prn_code import generate_code, samples_per_code
+from leoacq.prn_code import CHIP_RATE, generate_code, samples_per_code
 from leoacq.signal_synth import SampledSignal, synthesize_pass_signal
 
 from conftest import (FS_FAST, FIF_FAST, FS_FULL, FIF_FULL, block_rows,
@@ -90,11 +90,11 @@ class TestLabeling:
         assert cyclic_distance(511, 512, 1023) == 1.0
         assert cyclic_distance(5.25, 5.25, 1023) == 0.0
 
-    def test_truth_code_phase_mapping(self, code1):
+    def test_truth_code_phase_mapping(self):
         params = fast_params(code_phase0=100.0)
-        assert truth_code_phase(params, 1023, code1.chip_rate) == 923.0
+        assert truth_code_phase(params, 1023) == 923.0
         params = fast_params(code_phase0=0.0)
-        assert truth_code_phase(params, 1023, code1.chip_rate) == 0.0
+        assert truth_code_phase(params, 1023) == 0.0
 
     @settings(max_examples=200)
     @given(params=st.sampled_from([fast_params, full_params]),
@@ -116,8 +116,8 @@ class TestLabeling:
         plan = plan_for(total_ms, fif=params().intermediate_freq)
         epoch = _epoch(doppler=frac * 2e3, code_phase0=code_phase0,
                        params=params)
-        n = samples_per_code(code1, epoch.sample_rate)
-        truth = truth_code_phase(epoch.truth, n, code1.chip_rate)
+        n = samples_per_code(len(code1), epoch.sample_rate)
+        truth = truth_code_phase(epoch.truth, n)
         cell = round(truth) % n
         bin_hat = min(plan.bins, key=lambda b: abs(b - frac * 2e3))
         results = [_result(doppler=bin_hat, code=cell),
@@ -179,7 +179,7 @@ class TestRunSpan:
     def test_row_blocks_give_the_whole_plan_results(
             self, code1, paper, total_ms, slab, cores, seed):
         fs, fif = (FS_FULL, FIF_FULL) if paper else (FS_FAST, FIF_FAST)
-        n = samples_per_code(code1, fs)
+        n = samples_per_code(len(code1), fs)
         epochs = []
         for k, d0 in enumerate((350.0, -600.0)):
             sig, _ = synth_units(total_ms, code1, d0=d0, cn0=44.0,
@@ -195,7 +195,7 @@ class TestRunSpan:
         for epoch, row in zip(epochs, got, strict=True):
             units = unit_block(epoch, code1, plan)
             want = [acquire(fed_search(integrate(units, spec.strategy),
-                                       l_spc=round(fs / code1.chip_rate),
+                                       l_spc=round(fs / CHIP_RATE),
                                        plan=plan), threshold=2.5)
                     for spec in specs]
             assert ([dataclasses.astuple(r) for r in row]
@@ -369,10 +369,10 @@ class TestRunSpan:
         mixing table, then acquired."""
         count = specs[0].total_ms
         fs = epochs[0].sample_rate
-        n = samples_per_code(code, fs)
+        n = samples_per_code(len(code), fs)
         spectrum = code_spectrum(code, fs)
         table = acq_core._mixing_table(plan, n, fs)
-        l_spc = round(fs / code.chip_rate)
+        l_spc = round(fs / CHIP_RATE)
         results = []
         for epoch in epochs:
             searches = [RowSearch(plan, l_spc) for _ in specs]

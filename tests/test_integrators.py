@@ -11,6 +11,7 @@ from leoacq.integrators import (BLOCK_UNITS, IntegrationSpec, Strategy,
                                 _alternate_half_bit, _coherent, _differential,
                                 _noncoherent, _pre_guess, integrate,
                                 span_error)
+from leoacq.prn_code import BIT_PERIOD_MS
 from leoacq.signal_synth import SampledSignal
 
 from conftest import (FS_FULL, FIF_FULL, FS_FAST, FIF_FAST, fed_search,
@@ -239,6 +240,15 @@ def _alternate_half_bit_block_loop(units):
             block += u
         parity_acc[b % 2] += np.abs(block)
     return np.maximum(parity_acc[0], parity_acc[1])
+
+
+def test_half_bit_block_is_half_a_data_bit():
+    # the block is derived from the one bit period, still the int 10, and
+    # the span rule's message names the whole bit
+    assert BLOCK_UNITS == BIT_PERIOD_MS // 2 == 10
+    assert isinstance(BLOCK_UNITS, int)
+    assert span_error(Strategy.ALTERNATE_HALF_BIT, 30) == \
+        "alternate half-bit needs a multiple of 20 units, got 30"
 
 
 def _magnitude_of_copy(units):

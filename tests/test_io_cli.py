@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from leoacq import acq_core, eval_harness, io_cli, signal_synth
+from leoacq import acq_core, eval_harness, io_cli, prn_code, signal_synth
 from leoacq.acq_core import make_plan
 from leoacq.eval_harness import run_span
 from leoacq.integrators import IntegrationSpec, Strategy
@@ -1410,3 +1410,83 @@ class TestCli:
         for text in ("{not json", "[1, 2]"):
             bad.write_text(text)
             assert cli(["pass", "--config", str(bad)]) == 2
+
+
+class TestConfigMakesNoCode:
+    # A config counts its span samples from CODE_LENGTH and checks its PRN
+    # by the code table's own rule, so it never generates a code.
+    @staticmethod
+    def _forbid_codes(monkeypatch):
+        def generate_code(prn_id):
+            raise AssertionError(f"generated the code of PRN {prn_id}")
+        monkeypatch.setattr(prn_code, "generate_code", generate_code)
+        monkeypatch.setattr(io_cli, "generate_code", generate_code)
+
+    def test_load_replace_and_span_samples(self, strong_config, monkeypatch):
+        self._forbid_codes(monkeypatch)
+        config = ScenarioConfig.from_file(strong_config)
+        config = replace(config, seed=3, total_ms=[1, 5], duration=0.04)
+        assert config.span_samples() == 5 * 1023
+
+    def test_unknown_prn_has_the_code_rule_message(
+            self, strong_config, tmp_path, capsys, monkeypatch):
+        with pytest.raises(ValueError) as rule:
+            generate_code(38)
+        assert str(rule.value) == "unknown PRN 38 (supported: 1..37)"
+        self._forbid_codes(monkeypatch)
+        config = tmp_path / "prn38.json"
+        config.write_text(json.dumps({
+            **json.loads(Path(strong_config).read_text()), "prn_id": 38}))
+        assert cli(["pass", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == f"leoacq pass: error: {rule.value}\n"
+
+
+class TestPassCap:
+    # A pass is held whole as float32 (pass_epochs), so one over the cap is
+    # a data error before any epoch is synthesized.  duration and sweep
+    # synthesize only their spans, so only those count against it.
+    @pytest.fixture
+    def long_epochs(self, strong_config, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({
+            **json.loads(Path(strong_config).read_text()), "duration": 0.04}))
+        config = ScenarioConfig.from_file(path)
+        return str(path), len(config.pass_truths()), config
+
+    def test_synth_over_the_cap_exits_two_before_synthesis(
+            self, long_epochs, tmp_path, capsys, monkeypatch):
+        path, epochs, config = long_epochs
+        monkeypatch.setattr(io_cli, "_MAX_PASS_SAMPLES",
+                            epochs * config.samples_per_epoch - 1,
+                            raising=False)
+        calls = []
+        monkeypatch.setattr(signal_synth, "synthesize",
+                            lambda *args, **kwargs: calls.append("synth"))
+        out = tmp_path / "pass.bin"
+        assert cli(["synth", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        for name in ("duration", "epoch_step", "sample_rate"):
+            assert name in err
+        assert calls == [] and not out.exists()
+
+    @pytest.mark.parametrize("command", ["duration", "sweep"])
+    def test_runs_count_only_their_spans(self, long_epochs, tmp_path,
+                                         monkeypatch, command):
+        path, epochs, config = long_epochs
+        monkeypatch.setattr(io_cli, "_MAX_PASS_SAMPLES",
+                            epochs * config.span_samples(), raising=False)
+        out = ["--out", str(tmp_path / "d.csv")] if command == "duration" \
+            else ["--out-dir", str(tmp_path / "sweep")]
+        assert cli([command, "--config", path, *out]) == 0
+        assert cli(["synth", "--config", path,
+                    "--out", str(tmp_path / "pass.bin")]) == 2
+
+
+def test_a_key_error_is_a_bug_not_a_data_error(strong_config, monkeypatch):
+    # No input raises KeyError, so one from a command is a bug: it
+    # propagates with its traceback instead of exiting 2.
+    def broken(*args, **kwargs):
+        raise KeyError("bug")
+    monkeypatch.setattr(io_cli, "simulate_pass", broken)
+    with pytest.raises(KeyError):
+        cli(["pass", "--config", strong_config])

@@ -50,31 +50,32 @@ def test_generator_registers_are_maximal_length():
 
 def test_code_length_is_one_register_period():
     code = generate_code(1)
-    assert code.code_length == 1023
-    assert len(code.chips) == 1023
-    assert code.chip_rate == CHIP_RATE
+    assert CODE_LENGTH == 1023
+    assert code.shape == (1023,)
+    # one period at the chip rate spans the 1 ms unit
+    assert samples_per_code(len(code), CHIP_RATE) == 1023
 
 
 def test_matches_independent_lfsr_oracle():
     # PRN 1 uses G2 stages 2 and 6.
     oracle_bits = _lfsr_oracle_prn(2, 6)
-    assert np.array_equal(generate_code(1).chips, 1.0 - 2.0 * oracle_bits)
+    assert np.array_equal(generate_code(1), 1.0 - 2.0 * oracle_bits)
 
 
 def test_known_first_chips_prn1():
     # First ten chips of PRN 1 are 1100100000 in bit form.
-    bits = ((1 - generate_code(1).chips[:10]) / 2).astype(int)
+    bits = ((1 - generate_code(1)[:10]) / 2).astype(int)
     assert "".join(map(str, bits)) == "1100100000"
 
 
 @pytest.mark.parametrize("prn", [1, 7, 19, 37])
 def test_determinism(prn):
-    assert np.array_equal(generate_code(prn).chips, generate_code(prn).chips)
+    assert np.array_equal(generate_code(prn), generate_code(prn))
 
 
 def test_balance_single_chip_imbalance():
     for prn in range(1, 38):
-        assert abs(int(generate_code(prn).chips.sum())) == 1
+        assert abs(int(generate_code(prn).sum())) == 1
 
 
 @pytest.mark.parametrize("prn", [0, 38, -3])
@@ -86,29 +87,29 @@ def test_unknown_prn_rejected(prn):
 def test_sample_code_integer_oversampling(code1):
     out = sample_code(code1, 4 * CHIP_RATE)
     assert len(out) == 4092
-    assert np.array_equal(out, np.repeat(code1.chips, 4))
+    assert np.array_equal(out, np.repeat(code1, 4))
 
 
 def test_sample_code_non_integer_rate(code1):
     # 2.5 samples per chip: one unit of samples, nearest-lower chip each
     fs = 2.5 * CHIP_RATE
     out = sample_code(code1, fs)
-    assert len(out) == samples_per_code(code1, fs) == 2558
+    assert len(out) == samples_per_code(len(code1), fs) == 2558
     k = np.arange(len(out))
-    assert np.array_equal(out, code1.chips[(k * 2 // 5)])
+    assert np.array_equal(out, code1[(k * 2 // 5)])
 
 
 def test_gold_family_cross_correlation_bound():
     # Three-valued cross-correlation: bounded by 65 for every distinct pair
     # in the family except 34/37, which are the same sequence by design.
-    ffts = {p: np.fft.fft(generate_code(p).chips) for p in range(1, 38)}
+    ffts = {p: np.fft.fft(generate_code(p)) for p in range(1, 38)}
     for a in range(1, 38):
         cc_auto = np.fft.ifft(ffts[a] * np.conj(ffts[a])).real
         assert round(cc_auto[0]) == CODE_LENGTH
         for b in range(a + 1, 38):
             if (a, b) == (34, 37):
-                assert np.array_equal(generate_code(34).chips,
-                                      generate_code(37).chips)
+                assert np.array_equal(generate_code(34),
+                                      generate_code(37))
                 continue
             cc = np.fft.ifft(ffts[a] * np.conj(ffts[b])).real
             assert np.abs(np.rint(cc)).max() <= 65

@@ -9,7 +9,7 @@ from scipy.integrate import cumulative_trapezoid
 
 from leoacq import signal_synth
 from leoacq.geometry import simulate_pass
-from leoacq.prn_code import generate_code
+from leoacq.prn_code import CHIP_RATE, generate_code
 from leoacq.signal_synth import (SynthParams, noise_sigma, pass_params,
                                  synthesize, synthesize_pass_signal)
 
@@ -101,8 +101,8 @@ class TestSynthesize:
         phase = cumulative_trapezoid(f_inst, t, initial=0.0)
         code = generate_code(1)
         # reconstruct the code chipping including code-Doppler coupling
-        chip_phase = code.chip_rate * (t + (2000.0 * t + 0.5 * 5000.0 * t * t) / 1.5e9)
-        chips = code.chips[np.floor(chip_phase).astype(np.int64) % 1023]
+        chip_phase = CHIP_RATE * (t + (2000.0 * t + 0.5 * 5000.0 * t * t) / 1.5e9)
+        chips = code[np.floor(chip_phase).astype(np.int64) % 1023]
         expected = chips * np.sin(2 * np.pi * phase)
         assert np.allclose(sig, expected, atol=1e-7)
 
@@ -122,8 +122,8 @@ def _reference_synthesize(params, code):
     doppler_cycles = params.doppler0 * t + 0.5 * params.doppler_rate * t * t
     carrier_cycles = params.intermediate_freq * t + doppler_cycles
     chip_phase = (params.code_phase0
-                  + code.chip_rate * (t + doppler_cycles / params.carrier_freq))
-    chips = code.chips[np.floor(chip_phase).astype(np.int64) % code.code_length]
+                  + CHIP_RATE * (t + doppler_cycles / params.carrier_freq))
+    chips = code[np.floor(chip_phase).astype(np.int64) % len(code)]
     if params.data_bits is None:
         bits = 1.0
     else:
