@@ -151,14 +151,17 @@ class FrequencyPlan:
     bins: tuple         # Doppler offsets relative to center, ascending
 
 
-def make_plan(center: float, half_span: float, total_coh_ms: int) -> FrequencyPlan:
-    """Build the Doppler search plan for a given coherent span.
-
-    Bin width follows the 500/T rule (T in ms): longer coherent integration
-    narrows the frequency search bandwidth.
-    """
+def plan_side(half_span: float, total_coh_ms: int) -> tuple[int, float]:
+    """make_plan's bins on each side of the center, reaching half_span, and
+    their width by the 500/T rule (T in ms): longer coherent integration
+    narrows the frequency search bandwidth."""
     bin_width = 500.0 / total_coh_ms
-    n_side = math.ceil(half_span / bin_width)
+    return math.ceil(half_span / bin_width), bin_width
+
+
+def make_plan(center: float, half_span: float, total_coh_ms: int) -> FrequencyPlan:
+    """Build the Doppler search plan for a given coherent span (plan_side)."""
+    n_side, bin_width = plan_side(half_span, total_coh_ms)
     bins = tuple((k - n_side) * bin_width for k in range(2 * n_side + 1))
     return FrequencyPlan(center=center, bin_width=bin_width, bins=bins)
 

@@ -55,7 +55,7 @@ class AcqResult:
 class RowSearch:
     """Peak and indicator reductions of one detection grid over plan, fed
     its rows in order by add; the indicators exclude l_spc code samples
-    around the peak."""
+    around the peak (a config's sample-per-chip rule leaves cells outside)."""
 
     def __init__(self, plan: FrequencyPlan, l_spc: int):
         self.plan = plan
@@ -91,12 +91,8 @@ class RowSearch:
     def mtsmr(self) -> float:
         (i, j, r_max), l_spc = self.peak(), self.l_spc
         row = self._near[i - max(0, i - 1)]
-        excluded = np.zeros(len(row), dtype=bool)
-        excluded[(np.arange(-l_spc, l_spc + 1) + j) % len(row)] = True
-        if excluded.all():
-            raise ValueError(f"exclusion window of +/-{l_spc} samples "
-                             f"covers the whole {len(row)}-sample row")
-        return _ratio(r_max, float(np.max(row[~excluded])))
+        outside = np.delete(row, (np.arange(-l_spc, l_spc + 1) + j) % len(row))
+        return _ratio(r_max, float(np.max(outside)))
 
     def mtmr(self) -> float:
         i, j, r_max = self.peak()
@@ -104,8 +100,6 @@ class RowSearch:
         n = near.shape[1]
         col_idx = np.unique((np.arange(-self.l_spc, self.l_spc + 1) + j) % n)
         n_kept = len(self.plan.bins) * n - len(near) * len(col_idx)
-        if n_kept < 1:
-            raise ValueError("peak exclusion leaves no cells to average")
         rect = near[np.ix_(np.arange(len(near)), col_idx)]
         return _ratio(r_max, (self.total - float(np.sum(rect))) / n_kept)
 

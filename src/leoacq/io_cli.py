@@ -17,8 +17,8 @@ acquire's arguments replace only its strategies and total_ms, so it
 searches the sidecar's half_span at its threshold, and __post_init__
 checks the replaced fields too.  A sample file is checked by acquire's
 layout check and read_samples.  The engine modules trust their inputs and
-check only what no boundary sees, such as each epoch's Nyquist margin in
-signal_synth.synthesize.
+check only what no boundary sees, such as process_units' buffer shapes;
+the sampling rules (a sample per chip, real-IF) live in __post_init__.
 
 Subcommands: synth, pass, acquire, sweep, duration.  Exit codes: 0 success,
 1 usage error, 2 data error.
@@ -38,11 +38,12 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .prn_code import CODE_LENGTH, check_prn, generate_code, samples_per_code
+from .prn_code import (CHIP_RATE, CODE_LENGTH, check_prn, generate_code,
+                       samples_per_code)
 from .geometry import simulate_pass, PassScenario
 from . import signal_synth
 from .signal_synth import SampledSignal, SynthParams, pass_params
-from .acq_core import _row_bands, make_plan
+from .acq_core import _row_bands, make_plan, plan_side
 from .detector import DEFAULT_MTSMR_THRESHOLD
 from .integrators import IntegrationSpec, Strategy, span_error
 from .eval_harness import (acquisition_timeline, pf_sweep, run_span,
@@ -241,24 +242,16 @@ class ScenarioConfig:
                     f"{name} must be positive, got {getattr(self, name)!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed!r}")
-        if not self.sample_rate > 0:
-            raise ValueError(
-                f"sample_rate must be positive, got {self.sample_rate!r}")
-        if not 0 < self.intermediate_freq < self.sample_rate / 2:
-            raise ValueError(f"intermediate_freq must lie in (0, sample_rate/2), "
-                             f"got {self.intermediate_freq!r}")
+        # a sample per chip leaves the detector cells outside its exclusion
+        if not self.sample_rate >= CHIP_RATE:
+            raise ValueError(f"sample_rate must be at least the chip rate "
+                             f"{CHIP_RATE!r} Hz, got {self.sample_rate!r}")
         if not (math.isfinite(self.threshold) and self.threshold > 0):
             raise ValueError(f"threshold must be finite and positive, "
                              f"got {self.threshold!r}")
-        # past Nyquist, search bins alias onto each other (a NaN fails too)
-        if not 0 < self.half_span < self.sample_rate / 2:
-            raise ValueError(
-                f"half_span must lie in (0, {self.sample_rate / 2!r}) Hz, "
-                f"below Nyquist at sample rate {self.sample_rate!r} Hz, "
-                f"got {self.half_span!r}")
         SampleFileMeta(self.sample_rate, self.intermediate_freq,
                        self.sample_format)  # validates the sample format
-        self.scenario()  # validates the pass geometry's four fields
+        geo = self.scenario().samples  # validates the geometry's fields
         check_prn(self.prn_id)
         have = self.duration * self.sample_rate
         need = self.span_samples()
@@ -267,6 +260,20 @@ class ScenarioConfig:
                 f"epoch duration {self.duration}s ({have:.0f} samples) is "
                 f"shorter than the longest integration {max(self.total_ms)} "
                 f"ms ({need} samples)")
+        # Real-IF sampling: every epoch's chirp and every bin make_plan
+        # searches, +- half a bin, lie in (0, fs/2), so none meets its image.
+        reach = math.nan  # fails a half_span that is not positive and finite
+        if 0 < self.half_span < math.inf:
+            sides = [plan_side(self.half_span, t_ms) for t_ms in self.total_ms]
+            chirps = abs(geo.doppler) + abs(geo.doppler_rate) * self.duration
+            reach = max(float(chirps.max()), *((n + 0.5) * w for n, w in sides))
+        f = self.intermediate_freq
+        if not (0 < f - reach and f + reach < self.sample_rate / 2):
+            raise ValueError(
+                f"intermediate_freq {f!r} Hz +- {reach!r} Hz (the pass's Doppler"
+                f" over duration {self.duration!r} s, or a search of half_span "
+                f"{self.half_span!r} Hz > 0) must lie in (0, sample_rate/2) at "
+                f"sample_rate {self.sample_rate!r} Hz")
 
     @classmethod
     def from_file(cls, path, complete: bool = False) -> "ScenarioConfig":

@@ -76,15 +76,10 @@ def synthesize(params: SynthParams, code: np.ndarray) -> SampledSignal:
     Deterministic given params.seed.  Carrier phase is accumulated
     continuously across the whole epoch (chirp, not stepped per
     millisecond); the code NCO runs at CHIP_RATE * (1 + doppler/carrier).
+    ScenarioConfig's real-IF rule keeps the signal below Nyquist.
     """
     fs = params.sample_rate
     n = round(params.duration * fs)
-    f_max = (params.intermediate_freq + abs(params.doppler0)
-             + abs(params.doppler_rate) * params.duration)
-    if fs <= 2.0 * f_max:
-        raise ValueError(
-            f"sample rate {fs} Hz violates Nyquist for max instantaneous "
-            f"frequency {f_max} Hz")
 
     # In-place ufuncs over three float64 buffers (t, cycles, x), each step in
     # the order of the expression in the comment above it, so the samples

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from leoacq import acq_core, eval_harness, io_cli, prn_code, signal_synth
@@ -25,7 +25,7 @@ from leoacq.io_cli import (_FORMATS, SampleFileError, SampleFileMeta,
                            ScenarioConfig, cli, pass_epochs, read_samples,
                            read_truth_sidecar, write_samples,
                            write_truth_sidecar)
-from leoacq.prn_code import generate_code
+from leoacq.prn_code import CHIP_RATE, generate_code
 from leoacq.signal_synth import (SampledSignal, SynthParams, synthesize,
                                  synthesize_pass_signal)
 
@@ -1311,6 +1311,7 @@ class TestCli:
         ("half_span", 1e300),  # a plan of 1e297 bins
         ("half_span", FS_FAST / 2),  # bins alias past Nyquist
         ("half_span", -1.0),
+        ("half_span", 505000.0),  # searches the image at -2 IF
         ("threshold", float("nan")),
         ("threshold", float("inf")),
         ("threshold", 0.0),
@@ -1439,6 +1440,126 @@ class TestConfigMakesNoCode:
             **json.loads(Path(strong_config).read_text()), "prn_id": 38}))
         assert cli(["pass", "--config", str(config)]) == 2
         assert capsys.readouterr().err == f"leoacq pass: error: {rule.value}\n"
+
+
+# Configs that break the receiver's sampling rules, with the rule's field
+# and a fragment of its message: a search past Nyquist, which finds the
+# signal's image at -2 IF; under a sample per chip, a code period of no
+# samples; end epochs that chirp past Nyquist.
+_SAMPLING_VIOLATIONS = [
+    ({"half_span": 505000.0, "elevation_mask": 85.0, "epoch_step": 30.0,
+      "duration": 0.001}, "half_span", "(0, sample_rate/2)"),
+    ({"sample_rate": 400.0, "intermediate_freq": 100.0, "half_span": 50.0,
+      "carrier_freq": 1e6, "total_ms": [20], "epoch_step": 60.0},
+     "sample_rate", "at least the chip rate"),
+    ({"intermediate_freq": 500000.0, "half_span": 5000.0},
+     "intermediate_freq", "(0, sample_rate/2)"),
+]
+_VIOLATION_IDS = ["image-search", "under-a-sample-per-chip", "chirp-past-nyquist"]
+
+
+@st.composite
+def _sampling_fields(draw):
+    """A config's sampling fields, valid or not, over a short pass."""
+    fs = draw(st.sampled_from([FS_FAST, FS_FULL])
+              | st.floats(0.5 * CHIP_RATE, 8 * CHIP_RATE))
+    total_ms = draw(st.lists(st.integers(1, 20), min_size=1, max_size=3,
+                             unique=True))
+    return dict(sample_rate=fs, total_ms=total_ms,
+                intermediate_freq=draw(st.floats(-0.02, 0.52)) * fs,
+                half_span=draw(st.floats(1e-4, 0.3)) * fs,
+                duration=(max(total_ms) + 1) * 1e-3, epoch_step=30.0,
+                elevation_mask=draw(st.sampled_from([10.0, 80.0])))
+
+
+class TestSamplingRules:
+    """A sample per chip and real-IF sampling: checked once, when a config
+    or sidecar loads, and trusted by synthesize and the detector."""
+
+    @staticmethod
+    def _record_engine(monkeypatch):
+        calls = []
+        for module, name in ((signal_synth, "synthesize"),
+                             (io_cli, "make_plan"), (io_cli, "read_samples")):
+            monkeypatch.setattr(module, name, lambda *args, _name=name,
+                                **kwargs: calls.append(_name))
+        return calls
+
+    @pytest.mark.parametrize("command, out_flag", [
+        ("pass", "--out"), ("synth", "--out"), ("duration", "--out"),
+        ("sweep", "--out-dir")])
+    @pytest.mark.parametrize("overrides, field_name, rule",
+                             _SAMPLING_VIOLATIONS, ids=_VIOLATION_IDS)
+    def test_config_exits_two_at_load(self, tmp_path, capsys, monkeypatch,
+                                      command, out_flag, overrides,
+                                      field_name, rule):
+        calls = self._record_engine(monkeypatch)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(overrides))
+        out = tmp_path / "out"
+        assert cli([command, "--config", str(config), out_flag, str(out)]) == 2
+        err = capsys.readouterr().err
+        assert field_name in err and rule in err
+        assert calls == [] and not out.exists()
+
+    @pytest.mark.parametrize("overrides, field_name, rule",
+                             _SAMPLING_VIOLATIONS, ids=_VIOLATION_IDS)
+    def test_sidecar_exits_two_at_load(self, tmp_path, capsys, monkeypatch,
+                                       overrides, field_name, rule):
+        calls = self._record_engine(monkeypatch)
+        samples = tmp_path / "pass.bin"
+        samples.write_bytes(b"")
+        Path(str(samples) + ".truth").write_text(
+            json.dumps({**asdict(ScenarioConfig()), **overrides}))
+        out = tmp_path / "timeline.csv"
+        assert cli(["acquire", "--samples", str(samples),
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert field_name in err and rule in err
+        assert calls == [] and not out.exists()
+
+    @settings(max_examples=300)
+    @given(fields=_sampling_fields())
+    @example(fields=dict(_SAMPLING_VIOLATIONS[0][0], sample_rate=FS_FAST,
+                         intermediate_freq=FIF_FAST, total_ms=[1]))
+    @example(fields=dict(_SAMPLING_VIOLATIONS[2][0], sample_rate=FS_FAST,
+                         total_ms=[1], duration=2e-3, epoch_step=30.0,
+                         elevation_mask=10.0))
+    # the outermost bin's centre lies above 0 Hz, its lower half below
+    @example(fields=dict(sample_rate=FS_FAST, intermediate_freq=249600.0,
+                         half_span=249400.0, total_ms=[1], duration=2e-3,
+                         epoch_step=30.0, elevation_mask=80.0))
+    def test_loads_exactly_when_every_epoch_and_bin_is_below_nyquist(
+            self, fields):
+        fs, f_if = fields["sample_rate"], fields["intermediate_freq"]
+        # the same pass at a valid IF and search: its epochs' Doppler
+        epochs = ScenarioConfig(**{**fields, "sample_rate": FS_FULL,
+                                   "intermediate_freq": FIF_FULL,
+                                   "half_span": 1e3}).pass_truths()
+        bands = [(f_if - reach, f_if + reach) for reach in (
+            abs(p.doppler0) + abs(p.doppler_rate) * p.duration
+            for _, p in epochs)]
+        for t_ms in fields["total_ms"]:
+            plan = make_plan(f_if, fields["half_span"], t_ms)
+            freqs = plan.center + np.asarray(plan.bins)
+            bands += [(np.min(freqs - plan.bin_width / 2),
+                       np.max(freqs + plan.bin_width / 2))]
+        brute = fs >= CHIP_RATE and all(0 < lo and hi < fs / 2
+                                        for lo, hi in bands)
+        try:
+            config = ScenarioConfig(**fields)
+        except ValueError:
+            config = None
+        assert (config is not None) == brute
+        if config is None:
+            return
+        # what synthesize and the detector checked before
+        for _, p in config.pass_truths():
+            f_max = (p.intermediate_freq + abs(p.doppler0)
+                     + abs(p.doppler_rate) * p.duration)
+            assert not p.sample_rate <= 2.0 * f_max
+        n = prn_code.samples_per_code(prn_code.CODE_LENGTH, fs)
+        assert n >= 2 * round(fs / CHIP_RATE) + 2
 
 
 class TestPassCap:

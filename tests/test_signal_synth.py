@@ -10,8 +10,8 @@ from scipy.integrate import cumulative_trapezoid
 from leoacq import signal_synth
 from leoacq.geometry import simulate_pass
 from leoacq.prn_code import CHIP_RATE, generate_code
-from leoacq.signal_synth import (SynthParams, noise_sigma, pass_params,
-                                 synthesize, synthesize_pass_signal)
+from leoacq.signal_synth import (noise_sigma, pass_params, synthesize,
+                                 synthesize_pass_signal)
 
 from conftest import FS_FULL, FIF_FULL, fast_params, flat_scenario, full_params
 
@@ -105,11 +105,6 @@ class TestSynthesize:
         chips = code[np.floor(chip_phase).astype(np.int64) % 1023]
         expected = chips * np.sin(2 * np.pi * phase)
         assert np.allclose(sig, expected, atol=1e-7)
-
-    def test_nyquist_precondition(self, code1):
-        with pytest.raises(ValueError, match="Nyquist"):
-            synthesize(SynthParams(sample_rate=2.4e6, intermediate_freq=1.25e6),
-                       code1)
 
 
 
