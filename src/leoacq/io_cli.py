@@ -10,12 +10,13 @@ count) and each epoch's start time and SynthParams follow from that config
 without re-synthesizing any samples.
 
 Validation.  Each input rule is checked once, where the input enters, and
-a violation is a data error (exit 2): a config by from_file's JSON check
-and ScenarioConfig.__post_init__.  A sidecar is a config that must name
-every field (from_file's complete check) and passes the same two checks;
-acquire's arguments replace only its strategies and total_ms, so it
-searches the sidecar's half_span at its threshold, and __post_init__
-checks the replaced fields too.  A sample file is checked by acquire's
+a violation is a data error (exit 2).  ScenarioConfig.__post_init__ holds
+every field rule, JSON types and finiteness too, however a config is made
+(from_file, directly or by replace), and a checked config is frozen.
+from_file checks only what a file alone can get wrong: its JSON, an
+unknown key, a sidecar lacking a field (complete).  acquire replaces only
+a sidecar's strategies and total_ms, so it searches the sidecar's
+half_span at its threshold.  A sample file is checked by acquire's
 layout check and read_samples.  The engine modules trust their inputs and
 check only what no boundary sees, such as process_units' buffer shapes;
 the sampling rules (a sample per chip, real-IF) live in __post_init__.
@@ -169,7 +170,7 @@ _JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,),
                "float | None": (int, float, type(None)), "list": (list,)}
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
     """One experiment: synthesis + geometry + run parameters (JSON file).
 
@@ -200,6 +201,12 @@ class ScenarioConfig:
     sample_format: str = "float32-real"
 
     def __post_init__(self):
+        for f in fields(self):  # JSON's types, where a bool is not a number
+            v = getattr(self, f.name)
+            if isinstance(v, bool) or not isinstance(v, _JSON_TYPES[f.type]):
+                raise ValueError(f"{f.name} must be {f.type}, got {v!r}")
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValueError(f"{f.name} must be a finite number, got {v!r}")
         for name in self.strategies:
             if not isinstance(name, str) or name not in _STRATEGY_NAMES:
                 raise ValueError(
@@ -246,9 +253,8 @@ class ScenarioConfig:
         if not self.sample_rate >= CHIP_RATE:
             raise ValueError(f"sample_rate must be at least the chip rate "
                              f"{CHIP_RATE!r} Hz, got {self.sample_rate!r}")
-        if not (math.isfinite(self.threshold) and self.threshold > 0):
-            raise ValueError(f"threshold must be finite and positive, "
-                             f"got {self.threshold!r}")
+        if not self.threshold > 0:
+            raise ValueError(f"threshold must be positive, got {self.threshold!r}")
         SampleFileMeta(self.sample_rate, self.intermediate_freq,
                        self.sample_format)  # validates the sample format
         geo = self.scenario().samples  # validates the geometry's fields
@@ -262,8 +268,8 @@ class ScenarioConfig:
                 f"ms ({need} samples)")
         # Real-IF sampling: every epoch's chirp and every bin make_plan
         # searches, +- half a bin, lie in (0, fs/2), so none meets its image.
-        reach = math.nan  # fails a half_span that is not positive and finite
-        if 0 < self.half_span < math.inf:
+        reach = math.nan  # fails a half_span that is not positive
+        if self.half_span > 0:
             sides = [plan_side(self.half_span, t_ms) for t_ms in self.total_ms]
             chirps = abs(geo.doppler) + abs(geo.doppler_rate) * self.duration
             reach = max(float(chirps.max()), *((n + 0.5) * w for n, w in sides))
@@ -277,10 +283,10 @@ class ScenarioConfig:
 
     @classmethod
     def from_file(cls, path, complete: bool = False) -> "ScenarioConfig":
-        """Load a JSON object whose keys are field names, each with a finite
-        JSON value of the field's type (a JSON number for a float field;
-        json reads NaN and 1e400 as floats): a config file, or a truth
-        sidecar (complete), which must name every field it was made with."""
+        """Load a JSON object whose keys are field names: a config file, or a
+        truth sidecar (complete), which must name every field it was made
+        with.  Every field rule, types and finiteness too (json reads NaN
+        and 1e400 as floats), is __post_init__'s, however a config is made."""
         with open(path) as f:
             try:
                 record = json.load(f)
@@ -289,18 +295,11 @@ class ScenarioConfig:
                                  f"({e})") from e
         if not isinstance(record, dict):
             raise ValueError(f"{path}: not a JSON object: {record!r}")
-        types = {f.name: f.type for f in fields(cls)}
-        for key, value in record.items():
-            if key not in types:
+        names = [f.name for f in fields(cls)]
+        for key in record:
+            if key not in names:
                 raise ValueError(f"{path}: unknown key {key!r}")
-            if (isinstance(value, bool)
-                    or not isinstance(value, _JSON_TYPES[types[key]])):
-                raise ValueError(
-                    f"{path}: {key} must be {types[key]}, got {value!r}")
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{path}: {key} must be a finite number, "
-                                 f"got {value!r}")
-        missing = [name for name in types if name not in record]
+        missing = [name for name in names if name not in record]
         if complete and missing:
             raise ValueError(f"{path}: truth sidecar lacks {', '.join(missing)}")
         return cls(**record)

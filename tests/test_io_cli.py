@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import tempfile
 import threading
 import time
 import tracemalloc
-from dataclasses import asdict, fields, replace
+from dataclasses import FrozenInstanceError, asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -1611,3 +1612,63 @@ def test_a_key_error_is_a_bug_not_a_data_error(strong_config, monkeypatch):
     monkeypatch.setattr(io_cli, "simulate_pass", broken)
     with pytest.raises(KeyError):
         cli(["pass", "--config", strong_config])
+
+
+# every scalar field -> its annotation: int, float, "float | None" or str
+_SCALAR_FIELDS = {f.name: f.type for f in fields(ScenarioConfig)
+                  if f.type != "list"}
+# a short pass that loads in well under a millisecond
+_BASE = dict(elevation_mask=80.0, half_span=2000.0)
+
+
+@st.composite
+def _bad_scalar(draw):
+    """A scalar field and a value of it that is not finite or not of its
+    JSON type; json writes and reads every one of them."""
+    name = draw(st.sampled_from(sorted(_SCALAR_FIELDS)))
+    kind = _SCALAR_FIELDS[name]
+    bad = [st.booleans(), st.sampled_from([math.nan, math.inf, -math.inf])]
+    if kind == "str":
+        bad += [st.floats(), st.integers()]
+    else:
+        bad.append(st.text(max_size=4))
+    if kind == "int":
+        bad.append(st.floats())  # 1.5, and 1.0: JSON keeps it a float
+    return name, draw(st.one_of(bad))
+
+
+class TestOneValidationPath:
+    # __post_init__ holds the type and finiteness rule, so a config built
+    # directly, by replace, or from a file meets the same rule.
+    @given(case=_bad_scalar())
+    # unchecked, these three give passes that read 1 s or 0 s with no error,
+    # PRN True runs as PRN 1, seed 1.5 is a TypeError in pass_params, and
+    # an infinite rate an OverflowError
+    @example(case=("cn0", math.nan))
+    @example(case=("amplitude", math.inf))
+    @example(case=("code_phase0", math.nan))
+    @example(case=("prn_id", True))
+    @example(case=("seed", 1.5))
+    @example(case=("sample_rate", math.inf))
+    @example(case=("seed", 1.0))
+    @example(case=("data_bits", 1.5))
+    @example(case=("sample_format", None))
+    def test_every_way_of_making_a_config_names_the_field(self, case):
+        name, bad = case
+        named = rf"^{name} must be "
+        with pytest.raises(ValueError, match=named):
+            ScenarioConfig(**{**_BASE, name: bad})
+        with pytest.raises(ValueError, match=named):
+            replace(ScenarioConfig(**_BASE), **{name: bad})
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "cfg.json"
+            path.write_text(json.dumps({**_BASE, name: bad}))
+            with pytest.raises(ValueError, match=named):
+                ScenarioConfig.from_file(path)
+
+    def test_a_config_is_frozen(self):
+        config = ScenarioConfig(**_BASE)
+        for name, value in [("cn0", math.nan), ("seed", 2), ("strategies", [])]:
+            with pytest.raises(FrozenInstanceError):
+                setattr(config, name, value)
+        assert config == ScenarioConfig(**_BASE)
