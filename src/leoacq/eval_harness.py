@@ -15,8 +15,9 @@ One path leads from epochs to labelled results.  run_span, the one epoch
 loop of acquisition, correlates each epoch of a span once, integrates the
 units with every strategy at that span and feeds each strategy's rows to
 the detector's row search, block by block (see run_span); run_epoch calls
-it with one epoch and one strategy.  acquisition_timeline then labels and
-summarises the results it is given, and acquires nothing itself.
+it with one epoch and one strategy.  acquisition_timeline then labels the
+results it is given into a table of COLUMNS, a row per epoch, and acquires
+nothing itself; both products reduce its columns (pf_sweep, durations).
 """
 
 from __future__ import annotations
@@ -49,10 +50,9 @@ class PfCurve:
     false_alarm_rate: np.ndarray
 
 
-@dataclass
-class TimelineSummary:
-    success_s: float
-    decided_s: float
+# The per-epoch table's columns (acquisition_timeline), in the CSV's order
+COLUMNS = ("t_s", "strategy", "total_ms", "doppler_hz", "code_phase_samples",
+           "mtsmr", "mtmr", "decided", "ok")
 
 
 def truth_code_phase(params: SynthParams, n_samples: int) -> float:
@@ -95,16 +95,21 @@ def label_epochs(results: Sequence[AcqResult], epochs: Sequence[SampledSignal],
     return labels
 
 
-def pf_sweep(results: Sequence[AcqResult], labels: Sequence[EpochLabel],
-             thresholds: Sequence[float]) -> PfCurve:
+def pf_sweep(mtsmr, ok, thresholds: Sequence[float]) -> PfCurve:
     """Combined error rate (misses + false alarms) per ascending threshold."""
     thresholds = np.asarray(thresholds, dtype=np.float64)
-    decided = decide(np.array([r.mtsmr for r in results]), thresholds[:, None])
-    ok = np.array([l.estimate_ok for l in labels])
-    fa = np.count_nonzero(decided & ~ok, axis=1) / len(results)
-    miss = np.count_nonzero(~decided & ok, axis=1) / len(results)
+    decided = decide(np.asarray(mtsmr, dtype=np.float64), thresholds[:, None])
+    ok = np.asarray(ok, dtype=bool)
+    fa = np.count_nonzero(decided & ~ok, axis=1) / len(ok)
+    miss = np.count_nonzero(~decided & ok, axis=1) / len(ok)
     return PfCurve(thresholds=thresholds, pf=fa + miss, miss_rate=miss,
                    false_alarm_rate=fa)
+
+
+def durations(table: np.ndarray, epoch_step: float) -> tuple[float, float]:
+    """A table's ok and decided counts times epoch_step, always as floats."""
+    ok, decided = (int(np.count_nonzero(table[c])) for c in ("ok", "decided"))
+    return ok * float(epoch_step), decided * float(epoch_step)
 
 
 def threshold_bounds(curve: PfCurve, target: float) -> tuple[float, float] | None:
@@ -189,22 +194,17 @@ def run_epoch(epoch: SampledSignal, code: np.ndarray, plan: FrequencyPlan,
 def acquisition_timeline(pass_epochs: Sequence[SampledSignal],
                          spec: IntegrationSpec, plan: FrequencyPlan,
                          threshold: float, results: list[AcqResult],
-                         epoch_step: float, code: np.ndarray | None = None,
-                         ) -> tuple[list[AcqResult], list[EpochLabel], TimelineSummary]:
+                         code: np.ndarray | None = None,
+                         ) -> tuple[list[AcqResult], list[EpochLabel], np.ndarray]:
     """Label one strategy's results, one per epoch of a pass (see run_span),
-    and summarize.  spec and threshold name the run that gave the results
-    and are not read; code is made from the first epoch's truth when None.
-
-    Success duration counts truth-correct epochs (the desk-scale analog of
-    Doppler-continuity checking); the threshold-based decided duration is
-    reported separately.  Durations are epoch counts times the pass's
-    epoch_step, as floats whatever its JSON type.
-    """
+    into a table: a structured array of COLUMNS with a row per epoch, its
+    decided and ok 0 or 1 (ok the desk-scale analog of Doppler-continuity
+    checking).  threshold names the run that gave the results and is not
+    read; code is made from the first epoch's truth when None."""
     if code is None:
         code = generate_code(pass_epochs[0].truth.prn_id)
     labels = label_epochs(results, pass_epochs, plan, code)
-    summary = TimelineSummary(
-        success_s=sum(1 for l in labels if l.estimate_ok) * float(epoch_step),
-        decided_s=sum(1 for r in results if r.decided) * float(epoch_step),
-    )
-    return results, labels, summary
+    rows = [(l.t, spec.strategy.value, spec.total_ms, float(r.doppler_hat),
+             r.code_phase_hat, float(r.mtsmr), float(r.mtmr), int(r.decided),
+             int(l.estimate_ok)) for r, l in zip(results, labels)]
+    return results, labels, np.rec.fromrecords(rows, names=COLUMNS)

@@ -54,7 +54,8 @@ def span_error(strategy: Strategy, total_ms) -> str | None:
     """Why strategy is undefined over total_ms 1 ms units, or None if it is
     defined there.  This is the one span-validity rule: specs, integrators
     and configs all ask it."""
-    if not isinstance(total_ms, (int, np.integer)) or total_ms < 1:
+    if (isinstance(total_ms, bool)
+            or not isinstance(total_ms, (int, np.integer)) or total_ms < 1):
         return (f"a span must be a whole number of at least one 1 ms unit, "
                 f"got {total_ms!r}")
     if strategy is Strategy.DIFFERENTIAL and total_ms < 2:

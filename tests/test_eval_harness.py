@@ -4,6 +4,7 @@ import concurrent.futures
 import contextlib
 import dataclasses
 import functools
+import math
 import os
 import threading
 import tracemalloc
@@ -17,11 +18,11 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from leoacq import acq_core, eval_harness
 from leoacq.acq_core import code_spectrum, make_plan
-from leoacq.detector import AcqResult, RowSearch, acquire
-from leoacq.eval_harness import (EpochLabel, PfCurve, acquisition_timeline,
-                                 cyclic_distance, label_epochs, pf_sweep,
-                                 run_epoch, run_span, threshold_bounds,
-                                 truth_code_phase)
+from leoacq.detector import AcqResult, RowSearch, acquire, decide
+from leoacq.eval_harness import (COLUMNS, EpochLabel, PfCurve,
+                                 acquisition_timeline, cyclic_distance,
+                                 durations, label_epochs, pf_sweep, run_epoch,
+                                 run_span, threshold_bounds, truth_code_phase)
 from leoacq.integrators import (IntegrationSpec, Strategy, integrate,
                                 span_error)
 from leoacq.prn_code import CHIP_RATE, generate_code, samples_per_code
@@ -600,26 +601,22 @@ class TestRunSpan:
 
 
 class TestPfSweep:
+    # pf_sweep takes a table's mtsmr and ok columns
     def test_all_correct_and_confident(self):
-        results = [_result(ratio=10.0)] * 8
-        labels = [EpochLabel(0.0, 0.0, True)] * 8
-        curve = pf_sweep(results, labels, [1.0, 5.0, 10.0, 10.5])
+        curve = pf_sweep([10.0] * 8, [1] * 8, [1.0, 5.0, 10.0, 10.5])
         assert np.array_equal(curve.pf, [0.0, 0.0, 0.0, 1.0])
         assert np.array_equal(curve.false_alarm_rate, [0.0, 0.0, 0.0, 0.0])
         assert np.array_equal(curve.miss_rate, [0.0, 0.0, 0.0, 1.0])
 
     def test_all_wrong_and_confident(self):
-        results = [_result(ratio=10.0)] * 8
-        labels = [EpochLabel(0.0, 0.0, False)] * 8
-        curve = pf_sweep(results, labels, [1.0, 10.0, 10.5])
+        curve = pf_sweep([10.0] * 8, [0] * 8, [1.0, 10.0, 10.5])
         assert np.array_equal(curve.pf, [1.0, 1.0, 0.0])
 
     def test_monotone_components(self):
         rng = np.random.default_rng(3)
-        results = [_result(ratio=float(r)) for r in rng.uniform(1, 6, 50)]
-        labels = [EpochLabel(0.0, 0.0, bool(b))
-                  for b in rng.random(50) < 0.6]
-        curve = pf_sweep(results, labels, np.linspace(1.0, 6.0, 21))
+        mtsmr = rng.uniform(1, 6, 50)
+        ok = (rng.random(50) < 0.6).astype(int)
+        curve = pf_sweep(mtsmr, ok, np.linspace(1.0, 6.0, 21))
         assert np.all(np.diff(curve.false_alarm_rate) <= 0)
         assert np.all(np.diff(curve.miss_rate) >= 0)
         assert curve.pf == pytest.approx(curve.miss_rate + curve.false_alarm_rate)
@@ -654,12 +651,11 @@ class TestThresholdBounds:
 _flat_scenario = functools.partial(flat_scenario, doppler=300.0)
 
 
-def _timeline(epochs, spec, epoch_step=1.0, plan=PLAN1, threshold=2.5):
+def _timeline(epochs, spec, plan=PLAN1, threshold=2.5):
     """run_span over the epochs, then acquisition_timeline on its results."""
     code = generate_code(epochs[0].truth.prn_id)
     results = [r for (r,) in run_span(epochs, code, plan, [spec], threshold)]
-    return acquisition_timeline(epochs, spec, plan, threshold, results,
-                                epoch_step)
+    return acquisition_timeline(epochs, spec, plan, threshold, results)
 
 
 class TestTimeline:
@@ -667,11 +663,28 @@ class TestTimeline:
         epochs = list(synthesize_pass_signal(
             _flat_scenario(5), fast_params(cn0=50.0, duration=5e-3, seed=2)))
         spec = IntegrationSpec(Strategy.NON_COHERENT, total_ms=5)
-        results, labels, summary = _timeline(epochs, spec)
-        assert len(results) == 5
+        results, labels, table = _timeline(epochs, spec)
+        assert len(results) == len(table) == 5
         assert all(l.estimate_ok for l in labels)
-        assert summary.success_s == 5.0
-        assert summary.decided_s == 5.0
+        assert durations(table, 1.0) == (5.0, 5.0)
+
+    def test_table_holds_each_epoch_by_name(self, code1):
+        epochs = list(synthesize_pass_signal(
+            _flat_scenario(3), fast_params(cn0=43.0, duration=2e-3, seed=7)))
+        spec = IntegrationSpec(Strategy.DIFFERENTIAL, total_ms=2)
+        results, labels, table = _timeline(epochs, spec)
+        assert table.dtype.names == COLUMNS
+        assert table["t_s"].tolist() == [l.t for l in labels] == [
+            e.t0 for e in epochs]
+        assert set(table["strategy"].tolist()) == {"differential"}
+        assert set(table["total_ms"].tolist()) == {2}
+        for name, field in [("doppler_hz", "doppler_hat"),
+                            ("code_phase_samples", "code_phase_hat"),
+                            ("mtsmr", "mtsmr"), ("mtmr", "mtmr"),
+                            ("decided", "decided")]:
+            assert table[name].tolist() == [getattr(r, field)
+                                            for r in results], name
+        assert table["ok"].tolist() == [l.estimate_ok for l in labels]
 
     def test_deterministic(self, code1):
         epochs = list(synthesize_pass_signal(
@@ -680,31 +693,70 @@ class TestTimeline:
         a = _timeline(epochs, spec)
         b = _timeline(epochs, spec)
         assert [r.mtsmr for r in a[0]] == [r.mtsmr for r in b[0]]
-        assert a[2] == b[2]
+        assert a[2].tolist() == b[2].tolist()
 
     def test_epoch_step_scales_durations(self, code1):
         epochs = list(synthesize_pass_signal(
             _flat_scenario(4, step=3.0), fast_params(cn0=None, duration=1e-3)))
         spec = IntegrationSpec(Strategy.COHERENT, total_ms=1)
+        _, _, table = _timeline(epochs, spec)
         for epoch_step in (3.0, 3):  # a JSON int step still gives floats
-            _, _, summary = _timeline(epochs, spec, epoch_step=epoch_step)
-            assert repr(summary.success_s) == repr(summary.decided_s) == "12.0"
+            success_s, decided_s = durations(table, epoch_step)
+            assert repr(success_s) == repr(decided_s) == "12.0"
 
     def test_one_epoch_counts_one_epoch_step(self, code1):
         epochs = list(synthesize_pass_signal(
             _flat_scenario(1), fast_params(cn0=None, duration=1e-3)))
         spec = IntegrationSpec(Strategy.COHERENT, total_ms=1)
-        _, _, summary = _timeline(epochs, spec, epoch_step=60.0)
-        assert summary.success_s == summary.decided_s == 60.0
+        _, _, table = _timeline(epochs, spec)
+        assert durations(table, 60.0) == (60.0, 60.0)
 
     def test_given_results_are_labelled_not_recomputed(self, code1, monkeypatch):
         epochs = list(synthesize_pass_signal(
             _flat_scenario(3), fast_params(cn0=50.0, duration=2e-3, seed=4)))
         spec = IntegrationSpec(Strategy.NON_COHERENT, total_ms=2)
-        expected = _timeline(epochs, spec)
+        results, labels, table = _timeline(epochs, spec)
         for name in ("run_span", "process_units", "integrate", "acquire"):
             monkeypatch.setattr(eval_harness, name, None)
-        assert acquisition_timeline(epochs, spec, PLAN1, 2.5, expected[0],
-                                    1.0) == expected
-        assert acquisition_timeline(epochs, spec, PLAN1, 2.5, expected[0],
-                                    1.0, code=code1) == expected
+        for code in (None, code1):
+            again = acquisition_timeline(epochs, spec, PLAN1, 2.5, results,
+                                         code=code)
+            assert again[:2] == (results, labels)
+            assert again[2].tolist() == table.tolist()
+
+
+# a table as acquisition_timeline makes it, from drawn columns
+_tables = st.integers(1, 40).flatmap(lambda n: st.tuples(
+    st.lists(st.one_of(st.floats(0.0, 10.0), st.sampled_from(
+        [math.inf, math.nan])), min_size=n, max_size=n),
+    st.lists(st.booleans(), min_size=n, max_size=n)))
+
+
+class TestTableReductions:
+    # pf_sweep and durations reduce a table's columns: each equals a
+    # brute-force count of decide and ok over its rows
+    @given(columns=_tables,
+           thresholds=st.lists(st.floats(0.5, 10.5), min_size=1,
+                               max_size=8).map(sorted),
+           threshold=st.floats(0.5, 10.5),
+           epoch_step=st.one_of(st.integers(1, 600), st.floats(0.5, 600.0)))
+    @settings(max_examples=200, deadline=None)
+    def test_reductions_equal_brute_force_counts(self, columns, thresholds,
+                                                 threshold, epoch_step):
+        mtsmr, ok = columns
+        rows = [(float(k), "coherent", 1, 0.0, 0, m, m, int(decide(m, threshold)),
+                 int(o)) for k, (m, o) in enumerate(zip(mtsmr, ok))]
+        table = np.rec.fromrecords(rows, names=COLUMNS)
+        curve = pf_sweep(table["mtsmr"], table["ok"], thresholds)
+        n = len(rows)
+        for k, thr in enumerate(thresholds):
+            fa = sum(1 for m, o in zip(mtsmr, ok) if decide(m, thr) and not o)
+            miss = sum(1 for m, o in zip(mtsmr, ok) if not decide(m, thr) and o)
+            assert curve.false_alarm_rate[k] == fa / n
+            assert curve.miss_rate[k] == miss / n
+            assert curve.pf[k] == fa / n + miss / n
+        step = float(epoch_step)
+        assert durations(table, epoch_step) == (
+            sum(1 for o in ok if o) * step,
+            sum(1 for m in mtsmr if decide(m, threshold)) * step)
+        assert all(type(d) is float for d in durations(table, epoch_step))

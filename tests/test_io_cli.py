@@ -1,6 +1,7 @@
 """Sample-file I/O, scenario config, and CLI tests."""
 
 import concurrent.futures
+import csv
 import json
 import math
 import os
@@ -20,7 +21,7 @@ from hypothesis.extra import numpy as hnp
 
 from leoacq import acq_core, eval_harness, io_cli, prn_code, signal_synth
 from leoacq.acq_core import make_plan
-from leoacq.eval_harness import run_span
+from leoacq.eval_harness import COLUMNS, run_span
 from leoacq.integrators import IntegrationSpec, Strategy
 from leoacq.io_cli import (_FORMATS, SampleFileError, SampleFileMeta,
                            ScenarioConfig, cli, pass_epochs, read_samples,
@@ -116,7 +117,9 @@ class TestSampleFiles:
         assert back.t0 == 8 / FS_FAST
 
     def test_unknown_format(self):
-        with pytest.raises(SampleFileError, match="unknown sample format"):
+        # the message names the config field, as every field rule's does
+        with pytest.raises(SampleFileError,
+                           match="^sample_format: unknown sample format"):
             SampleFileMeta(sample_rate=1e6, intermediate_freq=0.0, format="int4-real")
 
     def test_truncated_file_names_byte_offset(self, tmp_path):
@@ -401,6 +404,7 @@ class TestScenarioConfig:
         (dict(strategies=["coherent", "coherent"]), "strategies"),
         (dict(total_ms=[1, 1]), "total_ms"),
         (dict(total_ms=[5.0]), "total_ms"),
+        (dict(total_ms=[True]), "total_ms"),  # a bool is not a span
         (dict(total_ms=[0]), "total_ms"),
         (dict(strategies=[]), "strategies"),
         (dict(strategies=["differential"], total_ms=[1]), "total_ms"),
@@ -754,6 +758,7 @@ class TestCli:
         assert capsys.readouterr().err == \
             f"leoacq {command}: error: {rule.value}\n"
         assert "supported: " in str(rule.value)
+        assert str(rule.value).startswith("sample_format: ")
 
     def test_help_exits_zero(self, capsys):
         assert cli(["synth", "--help"]) == 0
@@ -941,9 +946,31 @@ class TestCli:
         out = tmp_path / "timeline.csv"
         assert cli(["acquire", "--samples", str(samples),
                     "--out", str(out)]) == 2
-        assert (f"{total} samples, {which} than the sidecar's {epochs} epochs "
-                f"of {spe} ({epochs * spe})") in capsys.readouterr().err
+        assert (f"{4 * total} bytes, {which} than the sidecar's {epochs} "
+                f"epochs of {spe} 4-byte samples ({4 * epochs * spe})"
+                ) in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("extra, which", [(1, "more"), (-1, "fewer")])
+    def test_acquire_byte_off_the_layout_exits_two(
+            self, strong_config, tmp_path, capsys, monkeypatch, extra, which):
+        # a byte more or fewer than the sidecar's epochs is a layout error,
+        # reported before any sample is read, whatever the file's last frame
+        samples = tmp_path / "pass.bin"
+        assert cli(["synth", "--config", strong_config,
+                    "--out", str(samples)]) == 0
+        data = samples.read_bytes()
+        samples.write_bytes(data + b"\x01" if extra > 0 else data[:-1])
+        capsys.readouterr()
+        calls = []
+        monkeypatch.setattr(io_cli, "read_samples",
+                            lambda *args, **kwargs: calls.append("read"))
+        assert cli(["acquire", "--samples", str(samples)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"leoacq acquire: error: {samples}: {len(data) + extra} "
+                       f"bytes, {which} than the sidecar's 3 epochs of 5115 "
+                       f"4-byte samples ({len(data)})\n")
+        assert len(data) == 3 * 5115 * 4 and calls == []
 
     @pytest.mark.parametrize("edit, field_name", [
         (lambda r: [], "not a JSON object"),
@@ -1150,6 +1177,61 @@ class TestCli:
         assert bounds.startswith("strategy,total_ms,lower,upper\n")
         assert (out_dir / "pf_curve_coherent_1ms.csv").exists()
         assert (out_dir / "pf_curve_noncoherent_5ms.csv").exists()
+
+    def test_results_csv_rebuilds_every_reduction(self, strong_config,
+                                                  tmp_path, capsys,
+                                                  monkeypatch):
+        # duration's rows and sweep's curves and bounds are reductions of
+        # the tables that sweep writes as results.csv: read back, with no
+        # correlation, they give every output byte for byte
+        def run(name):
+            out = tmp_path / name
+            assert cli(["sweep", "--config", strong_config,
+                        "--out-dir", str(out)]) == 0
+            assert cli(["duration", "--config", strong_config,
+                        "--out", str(out / "duration.csv")]) == 0
+            return {p.name: p.read_bytes() for p in out.iterdir()}
+
+        made = run("made")
+        with open(tmp_path / "made" / "results.csv", newline="") as f:
+            reader = csv.DictReader(f)
+            assert tuple(reader.fieldnames) == COLUMNS
+            rows = [tuple(_COLUMN_TYPES[c](row[c]) for c in COLUMNS)
+                    for row in reader]
+        combos = list(dict.fromkeys(row[1:3] for row in rows))
+        config = ScenarioConfig.from_file(strong_config)
+        assert combos == [(s.value, t) for s, t in config.run_combos()]
+        assert len(rows) == len(combos) * len(config.scenario().samples)
+        tables = [np.rec.fromrecords([r for r in rows if r[1:3] == combo],
+                                     names=COLUMNS) for combo in combos]
+
+        def correlate(*args, **kwargs):
+            raise AssertionError("the rebuild correlated an epoch")
+
+        monkeypatch.setattr(eval_harness, "process_units", correlate)
+        monkeypatch.setattr(io_cli, "_run_matrix", lambda *args: tables)
+        assert run("rebuilt") == made
+        assert sorted(made) == sorted(
+            ["results.csv", "duration.csv", "bounds.csv", "pf_curve.csv"]
+            + [f"pf_curve_{s}_{t}ms.csv" for s, t in combos])
+
+    def test_acquire_timeline_is_sweeps_table_of_its_combo(
+            self, strong_config, tmp_path, capsys):
+        # a float32 file holds the pass bit for bit, so acquire's timeline
+        # is the (noncoherent, 5 ms) table of sweep's results.csv
+        samples = str(tmp_path / "pass.bin")
+        assert cli(["synth", "--config", strong_config, "--out", samples]) == 0
+        out = tmp_path / "timeline.csv"
+        assert cli(["acquire", "--samples", samples, "--strategy",
+                    "noncoherent", "--total-ms", "5", "--out", str(out)]) == 0
+        assert cli(["sweep", "--config", strong_config,
+                    "--out-dir", str(tmp_path / "sweep")]) == 0
+        header, *rows = (tmp_path / "sweep" / "results.csv").read_text(
+            ).splitlines()
+        timeline = out.read_text().splitlines()
+        assert timeline == [header] + [r for r in rows
+                                       if ",noncoherent,5," in r]
+        assert len(timeline) == 4
 
     def test_duration_outputs(self, strong_config, tmp_path, capsys):
         out = tmp_path / "duration.csv"
@@ -1614,9 +1696,14 @@ def test_a_key_error_is_a_bug_not_a_data_error(strong_config, monkeypatch):
         cli(["pass", "--config", strong_config])
 
 
+# how results.csv's columns (eval_harness.COLUMNS) read back
+_COLUMN_TYPES = {"t_s": float, "strategy": str, "total_ms": int,
+                 "doppler_hz": float, "code_phase_samples": int,
+                 "mtsmr": float, "mtmr": float, "decided": int, "ok": int}
+
 # every scalar field -> its annotation: int, float, "float | None" or str
 _SCALAR_FIELDS = {f.name: f.type for f in fields(ScenarioConfig)
-                  if f.type != "list"}
+                  if f.type != "tuple"}
 # a short pass that loads in well under a millisecond
 _BASE = dict(elevation_mask=80.0, half_span=2000.0)
 
@@ -1672,3 +1759,16 @@ class TestOneValidationPath:
             with pytest.raises(FrozenInstanceError):
                 setattr(config, name, value)
         assert config == ScenarioConfig(**_BASE)
+        # the list fields are held as tuples, so no entry can change either
+        listed = ScenarioConfig(**_BASE, strategies=["coherent", "preguess"],
+                                total_ms=[1, 5], pf_thresholds=[1.0, 2.0, 0.5])
+        for name in ("strategies", "total_ms", "pf_thresholds"):
+            assert type(getattr(listed, name)) is tuple
+            with pytest.raises(AttributeError):
+                getattr(listed, name).append("bogus")
+        assert listed == replace(listed) == ScenarioConfig(
+            **_BASE, strategies=("coherent", "preguess"), total_ms=(1, 5),
+            pf_thresholds=(1.0, 2.0, 0.5))
+        assert hash(listed) == hash(replace(listed))
+        assert [(s.value, t) for s, t in listed.run_combos()] == [
+            ("coherent", 1), ("coherent", 5), ("preguess", 1), ("preguess", 5)]
