@@ -15,28 +15,28 @@ and the LO phase are computed in float64 and stored as complex64, and each
 unit is mixed, transformed and phase-rotated as complex64, so a grid costs
 half the bytes of a complex128 one.  float32 rounding is about 1e-7 of a
 cell's magnitude, far below the thermal noise in every cell at the weak
-signal levels this engine is for.  tests/test_acq_core.py holds a complex128
-reference engine and checks every grid against it within 1e-5 of the
-largest reference cell (TestSinglePrecision).
+signal levels this engine is for.  tests/conftest.py holds a complex128
+reference engine and the tests' comparators with it: grids within 1e-5 of
+the largest reference cell, the same acquisitions within 1e-5 relative.
 
 Blocks of units.  process_units correlates the units of a signal at once,
-one stage at a time over their (units, bins, n) block.  Each cell goes
-through the same ufuncs in the same order as in a per-unit loop, so the
-grids are bitwise that loop's.  Every Doppler row is independent until the
-detector, so the block may hold any run of a plan's rows.  The constants
-of a span are its caller's: eval_harness.run_span builds the code
-spectrum (code_spectrum) and one unit buffer once per span, and walks the
-plan in the row blocks of row_blocks in its outer loop.  For each block it
-builds the block's mixing rows (_mixing_table of its sub-plan, bitwise
-those rows of the whole plan's table), correlates each epoch of a chunk
-of epochs with them into a prefix of the buffer, and hands the filled
-buffer to integrators.integrate as it is, so it holds one row block's
-mixing rows at a time, not the whole plan's table.
+one stage at a time over their (units, bins, n) block: mixing, forward FFT,
+the product with the code spectrum and the row's LO phase (a constant of
+the row, applied before the linear inverse FFT), and inverse FFT.  Every
+Doppler row is independent until the detector, so the block may hold any
+run of a plan's rows.  The constants of a span are its caller's:
+eval_harness.run_span builds the code spectrum (code_spectrum) and one unit
+buffer once per span, and walks the plan in the row blocks of row_blocks in
+its outer loop.  For each block it builds the block's mixing rows
+(_mixing_table of its sub-plan, bitwise those rows of the whole plan's
+table), correlates each epoch of a chunk of epochs with them into a prefix
+of the buffer, and hands the filled buffer to integrators.integrate as it
+is, so it holds one row block's mixing rows at a time, not the whole table.
 
 Row bands.  The row-wise work of a block of at least _BAND_CELLS cells
 (all units together) is split into min(cores, steps) contiguous bands of
-Doppler rows (_row_bands): here the mixing product, the code-spectrum
-product and the LO rotation over steps of one row; in integrators, each
+Doppler rows (_row_bands): here the mixing product, and the code-spectrum
+product with the LO rotation, over steps of one row; in integrators, each
 strategy's walk over steps of one row slab.  The forward and inverse FFTs
 stay one 2-D scipy.fft call each on the calling thread (they thread
 themselves through workers=), so a tracer that wraps scipy.fft from
@@ -213,9 +213,9 @@ def process_units(signal: SampledSignal, spectrum: np.ndarray,
     (plan's (bins, n) complex64 mixing table) once per row block and chunk
     of epochs.  Samples of any float dtype are mixed the same way.  The
     stages run in out's memory: the mixing product, one forward FFT over
-    the count*bins rows, the code-spectrum product, one inverse FFT and the
-    rotation by the LO phase at each unit's start.  Grid m's values are the view out[m], valid only
-    until the next call with the same out.
+    the count*bins rows, the product with the code spectrum and the LO
+    phase at each unit's start, and one inverse FFT.  Grid m's values are
+    the view out[m], valid only until the next call with the same out.
     """
     n = len(spectrum)
     m_total = len(signal.samples) // n
@@ -251,15 +251,12 @@ def process_units(signal: SampledSignal, spectrum: np.ndarray,
 
     def correlate(band):
         np.multiply(flat[band], spectrum, out=flat[band], dtype=np.complex64)
-
-    def rotate(band):
         np.multiply(flat[band], lo[band], out=flat[band], dtype=np.complex64)
 
     _row_bands(mix, rows, out.size)
     _fft_into(scipy.fft.fft, flat)
     _row_bands(correlate, len(flat), flat.size)
     _fft_into(scipy.fft.ifft, flat)
-    _row_bands(rotate, len(flat), flat.size)
     return [CorrelationGrid(values=out[m]) for m in range(count)]
 
 

@@ -70,9 +70,9 @@ def cyclic_distance(a: float, b: float, n: int) -> float:
 def label_epochs(results: Sequence[AcqResult], epochs: Sequence[SampledSignal],
                  plan: FrequencyPlan, code: np.ndarray) -> list[EpochLabel]:
     """Label each epoch against its own SynthParams (doppler0, code_phase0,
-    intermediate_freq) and t0: the estimate is correct iff its Doppler is
-    within half a search bin of doppler0 and its code phase within one
-    sample of truth_code_phase, cyclically.
+    intermediate_freq) and t0: the estimate is correct iff its peak is
+    positive (MTSMR > 0, not NaN), its Doppler within half a search bin of
+    doppler0 and its code phase within one sample of truth_code_phase.
 
     Doppler is compared in make_plan's 500/T Hz bins, exactly at a tie (a
     truth half a bin from two bins is ok at both): d Hz is d * T / 500
@@ -91,7 +91,8 @@ def label_epochs(results: Sequence[AcqResult], epochs: Sequence[SampledSignal],
         dopp_ok = abs(est_bins - offset * span_ms / 500.0) <= 0.5
         code_ok = cyclic_distance(res.code_phase_hat, code_phase, n) <= 1.0
         labels.append(EpochLabel(t=epoch.t0, truth_doppler=truth.doppler0,
-                                 estimate_ok=bool(dopp_ok and code_ok)))
+                                 estimate_ok=bool(dopp_ok and code_ok
+                                                  and res.mtsmr > 0)))
     return labels
 
 

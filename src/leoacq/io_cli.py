@@ -131,20 +131,16 @@ def write_samples(signal: SampledSignal, path, meta: SampleFileMeta) -> int:
     others in float64.  Scaling by a power-of-two full scale, rounding to
     an integer and clipping are exact in either, so float32 samples give
     the same bytes and clip count as their float64 upcast, without a
-    float64 copy of each chunk.  The samples are checked (finite and real)
-    before the file is opened: on a validation error nothing is written
-    and an existing file is left as it was.
+    float64 copy of each chunk.  Complex samples are refused before the
+    file is opened; finite samples are the caller's (pass_epochs).
     """
     dtype, scale = _FORMATS[meta.format]
     x = np.asarray(signal.samples)
-    starts = range(0, len(x), _CHUNK_SAMPLES)
-    if not all(np.isfinite(x[i:i + _CHUNK_SAMPLES]).all() for i in starts):
-        raise ValueError("signal contains non-finite samples")
     if np.iscomplexobj(x):
         raise ValueError("complex samples cannot be written: formats are real")
     clipped = 0
     with open(path, "wb") as f:
-        for i in starts:
+        for i in range(0, len(x), _CHUNK_SAMPLES):
             chunk = x[i:i + _CHUNK_SAMPLES]
             chunk = chunk.astype(np.result_type(chunk.dtype, np.float32),
                                  copy=False)
@@ -382,7 +378,8 @@ def pass_epochs(config: ScenarioConfig) -> list[SampledSignal]:
     as complex64, which rounds them to float32 in the same way, so the
     grids, and the duration and sweep outputs, are bitwise those of the
     float64 epochs.  A written integer format can differ by one code where a
-    float64 sample lay within float32 resolution of a rounding tie.
+    float64 sample lay within float32 resolution of a rounding tie.  Samples
+    that overflow float32 are a data error, raised before any output.
     """
     t0s, truths = zip(*config.pass_truths())
     if len(truths) * config.samples_per_epoch > _MAX_PASS_SAMPLES:
@@ -399,8 +396,13 @@ def pass_epochs(config: ScenarioConfig) -> list[SampledSignal]:
             # samples keeps the last epoch's array until the next is made,
             # so the allocator reuses its heap instead of returning the
             # pages and faulting them in again every epoch
-            samples = signal_synth.synthesize(truths[k], code=code).samples
-            rows[k] = samples  # the one rounding to float32
+            with np.errstate(over="ignore", invalid="ignore"):
+                samples = signal_synth.synthesize(truths[k], code=code).samples
+                rows[k] = samples  # the one rounding to float32
+            if not np.isfinite(rows[k]).all():
+                raise ValueError(
+                    f"samples of the epoch at t={t0s[k]} s overflow float32: "
+                    f"amplitude {config.amplitude}, cn0 {config.cn0} dB-Hz")
 
     _row_bands(band, len(rows), rows.size)
     return [SampledSignal(samples=row, sample_rate=config.sample_rate,

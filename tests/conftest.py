@@ -12,14 +12,17 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import settings
 
 from leoacq import acq_core
-from leoacq.acq_core import (FrequencyPlan, _mixing_table, code_spectrum,
-                             make_plan, process_units)
-from leoacq.detector import RowSearch
+from leoacq.acq_core import (CorrelationGrid, FrequencyPlan, _mixing_table,
+                             code_spectrum, make_plan, process_units)
+from leoacq.detector import RowSearch, acquire
 from leoacq.geometry import PASS_COLUMNS, PassScenario
-from leoacq.prn_code import generate_code, samples_per_code
+from leoacq.integrators import integrate
+from leoacq.prn_code import (CHIP_RATE, generate_code, sample_code,
+                             samples_per_code)
 from leoacq.signal_synth import SampledSignal, SynthParams, synthesize
 
 # CPU speed on shared hosts drifts between runs, so per-example deadlines
@@ -127,6 +130,53 @@ def unit_block(signal, code, plan, **kwargs):
     block, as integrate takes them."""
     return np.stack([g.values
                      for g in correlate(signal, code, plan, **kwargs)])
+
+
+def reference_process_units(signal, code, plan):
+    """process_units in complex128: mixing table, code spectrum, FFTs and LO
+    phase all in double precision, one unit at a time.  The one oracle for
+    the single-precision engine, through the two comparators below."""
+    fs = signal.sample_rate
+    n = samples_per_code(len(code), fs)
+    freqs = plan.center + np.asarray(plan.bins)
+    table = np.exp(-2j * np.pi * np.outer(freqs, np.arange(n) / fs))
+    code_fft = np.conj(scipy.fft.fft(sample_code(code, fs)))
+    grids = []
+    for m in range(len(signal.samples) // n):
+        t0 = signal.t0 + m * n / fs
+        values = scipy.fft.fft(table * signal.samples[m * n:(m + 1) * n], axis=1)
+        values = scipy.fft.ifft(values * code_fft, axis=1)
+        values *= np.exp(-2j * np.pi * ((freqs * t0) % 1.0))[:, None]
+        grids.append(CorrelationGrid(values=values))
+    return grids
+
+
+def reference_acquisitions(signal, code, plan, specs, threshold):
+    """run_span's results for one epoch of a span's units, by the reference."""
+    units = np.stack([g.values
+                      for g in reference_process_units(signal, code, plan)])
+    l_spc = round(signal.sample_rate / CHIP_RATE)
+    return [acquire(fed_search(integrate(units, spec.strategy), l_spc, plan),
+                    threshold) for spec in specs]
+
+
+def assert_grids_match(got, ref):
+    """Each grid of got is within 1e-5 of the largest cell of ref's grid."""
+    for g, r in zip(got, ref, strict=True):
+        assert g.shape == r.shape and (
+            np.abs(g - r).max() <= 1e-5 * np.abs(r).max())
+
+
+def assert_acquires_as(got, want, threshold):
+    """got (the engine's AcqResult) acquires as want (the reference's): the
+    same peak bin, code sample and decision, MTSMR and MTMR within 1e-5
+    relative; the decision may flip if want's MTSMR is that near threshold."""
+    assert got.doppler_hat == want.doppler_hat
+    assert got.code_phase_hat == want.code_phase_hat
+    assert (got.mtsmr, got.mtmr) == pytest.approx((want.mtsmr, want.mtmr),
+                                                  rel=1e-5)
+    assert got.decided == want.decided or want.mtsmr == pytest.approx(
+        threshold, rel=1e-5)
 
 
 def fed_search(values, l_spc=1, plan=None) -> RowSearch:

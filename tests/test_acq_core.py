@@ -1,6 +1,7 @@
 """Parallel code-phase search tests."""
 
 import concurrent.futures
+import dataclasses
 import functools
 import threading
 import time
@@ -12,18 +13,19 @@ import scipy.fft
 from hypothesis import given, settings, strategies as st
 
 from leoacq import acq_core
-from leoacq.acq_core import (CorrelationGrid, FrequencyPlan, _mixing_table,
-                             _row_bands, band_scope, code_spectrum,
-                             make_plan, row_blocks, slab_rows)
-from leoacq.detector import acquire
+from leoacq.acq_core import (FrequencyPlan, _mixing_table, _row_bands,
+                             band_scope, code_spectrum, make_plan,
+                             row_blocks, slab_rows)
+from leoacq.detector import AcqResult, acquire
 from leoacq.integrators import Strategy, integrate, span_error
 from leoacq.prn_code import (CHIP_RATE, CODE_LENGTH, generate_code,
                              sample_code, samples_per_code)
 from leoacq.signal_synth import SampledSignal, noise_sigma
 
-from conftest import (FS_FAST, FIF_FAST, FS_FULL, FIF_FULL, correlate,
-                      fed_search, no_pool, plan_for, row_bands, synth_units,
-                      unit_block)
+from conftest import (FS_FAST, FIF_FAST, FS_FULL, FIF_FULL,
+                      assert_acquires_as, assert_grids_match, correlate,
+                      fed_search, no_pool, plan_for, reference_process_units,
+                      row_bands, synth_units, unit_block)
 
 
 class TestMakePlan:
@@ -51,49 +53,6 @@ class TestMakePlan:
 def _direct_circular_correlation(x_mixed, code_samples):
     n = len(code_samples)
     return np.array([np.dot(x_mixed, np.roll(code_samples, j)) for j in range(n)])
-
-
-def reference_process_units(signal, code, plan):
-    """process_units in complex128: mixing table, code spectrum, FFTs and LO
-    phase all in double precision.  The oracle for the single-precision
-    engine."""
-    fs = signal.sample_rate
-    n = samples_per_code(len(code), fs)
-    freqs = plan.center + np.asarray(plan.bins)
-    table = np.exp(-2j * np.pi * np.outer(freqs, np.arange(n) / fs))
-    code_fft = np.conj(scipy.fft.fft(sample_code(code, fs)))
-    grids = []
-    for m in range(len(signal.samples) // n):
-        t0 = signal.t0 + m * n / fs
-        values = scipy.fft.fft(table * signal.samples[m * n:(m + 1) * n], axis=1)
-        values = scipy.fft.ifft(values * code_fft, axis=1)
-        if t0 != 0.0:
-            values *= np.exp(-2j * np.pi * ((freqs * t0) % 1.0))[:, None]
-        grids.append(CorrelationGrid(values=values))
-    return grids
-
-
-def per_unit_process_units(signal, code, plan):
-    """The single-precision engine one unit at a time: each unit's
-    (bins, n) matrix mixed, transformed and rotated on its own.  The oracle
-    for process_units' block-wide stages, which must match it bitwise."""
-    fs = signal.sample_rate
-    n = samples_per_code(len(code), fs)
-    table = _mixing_table(plan, n, fs)
-    code_fft = code_spectrum(code, fs)
-    freqs = plan.center + np.asarray(plan.bins)
-    grids = []
-    for m in range(len(signal.samples) // n):
-        t0 = signal.t0 + m * n / fs
-        values = np.multiply(table, signal.samples[m * n:(m + 1) * n],
-                             dtype=np.complex64)
-        values = scipy.fft.fft(values, axis=1)
-        values *= code_fft
-        values = scipy.fft.ifft(values, axis=1)
-        lo = np.exp(-2j * np.pi * ((freqs * t0) % 1.0))
-        values *= lo.astype(np.complex64)[:, None]
-        grids.append(values)
-    return grids
 
 
 INPUT_DTYPES = [np.float64, np.float32, np.complex128, np.complex64]
@@ -308,8 +267,8 @@ class TestUnitBlock:
            t0=st.sampled_from([0.0, -1e-3, 1e-3, 137.25]),
            dtype=st.sampled_from(INPUT_DTYPES), bands=st.integers(1, 3),
            seed=st.integers(0, 2 ** 16))
-    def test_equals_the_per_unit_loop(self, code1, paper, units, n_bins, t0,
-                                      dtype, bands, seed):
+    def test_matches_the_reference(self, code1, paper, units, n_bins, t0,
+                                   dtype, bands, seed):
         fs, fif = (FS_FULL, FIF_FULL) if paper else (FS_FAST, FIF_FAST)
         sig, _ = synth_units(units, code1, d0=300.0, cn0=40.0, seed=seed,
                              fs=fs, fif=fif)
@@ -319,17 +278,16 @@ class TestUnitBlock:
                              bins=tuple(170.0 * (k - n_bins // 2)
                                         for k in range(n_bins)))
         with row_bands(bands):
-            got = correlate(sig, code1, plan)
-        want = per_unit_process_units(sig, code1, plan)
-        for g, w in zip(got, want, strict=True):
-            assert g.values.tobytes() == w.tobytes()
+            got = unit_block(sig, code1, plan)
+        assert_grids_match(got, [r.values for r in reference_process_units(
+            sig, code1, plan)])
 
     @settings(max_examples=30)
     @given(paper=st.booleans(), units=st.integers(1, 3),
            height=st.integers(1, 10), t0=st.sampled_from([0.0, 2.5]),
            seed=st.integers(0, 2 ** 16))
-    def test_row_blocks_equal_the_whole_plan(self, code1, paper, units,
-                                             height, t0, seed):
+    def test_row_blocks_give_the_reference(self, code1, paper, units,
+                                           height, t0, seed):
         # run_span's walk: sub-plans, rows of one table, and outs that are
         # prefixes of one flat buffer (the tail block shorter)
         fs, fif = (FS_FULL, FIF_FULL) if paper else (FS_FAST, FIF_FAST)
@@ -338,7 +296,8 @@ class TestUnitBlock:
                              fs=fs, fif=fif)
         sig.t0 = t0
         plan = make_plan(fif, 1e3, units)
-        whole = correlate(sig, code1, plan)
+        ref = np.stack([r.values
+                        for r in reference_process_units(sig, code1, plan)])
         table = _mixing_table(plan, n, fs)
         buffer = np.full(units * height * n, np.nan, np.complex64)
         bins = len(plan.bins)
@@ -347,9 +306,8 @@ class TestUnitBlock:
             out = buffer[:units * (b - a) * n].reshape(units, b - a, n)
             grids = correlate(sig, code1, sub_plan(plan, a, b), out=out,
                               table=table[a:b])
-            for g, w in zip(grids, whole, strict=True):
-                assert g.values.base is buffer
-                assert g.values.tobytes() == w.values[a:b].tobytes()
+            assert all(g.values.base is buffer for g in grids)
+            assert_grids_match([g.values for g in grids], ref[:, a:b])
 
     def test_grids_are_views_that_the_next_call_overwrites(self, code1):
         plan = plan_for(2)
@@ -488,13 +446,10 @@ class TestSinglePrecision:
         sig = SampledSignal(samples=sig.samples.astype(dtype), sample_rate=fs,
                             t0=t0)
         plan = make_plan(fif, 1e3, units)
-        got = correlate(sig, code1, plan)
-        ref = reference_process_units(sig, code1, plan)
-        assert len(got) == len(ref) == units
-        for g, r in zip(got, ref):
-            assert g.values.dtype == np.complex64
-            err = np.abs(g.values - r.values).max()
-            assert err <= 1e-5 * np.abs(r.values).max()
+        got = [g.values for g in correlate(sig, code1, plan)]
+        assert [g.dtype for g in got] == [np.complex64] * units
+        assert_grids_match(got, [r.values for r in reference_process_units(
+            sig, code1, plan)])
 
     def test_twenty_ms_paper_epoch_same_acquisitions(self, code1):
         # 15 Hz off a 25 Hz bin, mid-pass start time: every strategy finds
@@ -513,10 +468,7 @@ class TestSinglePrecision:
             b = acquire(fed_search(integrate(ref, strategy), l_spc=4,
                                    plan=plan))
             assert b.decided and abs(b.doppler_hat - 140.0) <= 12.5
-            assert (a.doppler_hat, a.code_phase_hat, a.decided) == (
-                b.doppler_hat, b.code_phase_hat, b.decided)
-            assert a.mtsmr == pytest.approx(b.mtsmr, rel=1e-5)
-            assert a.mtmr == pytest.approx(b.mtmr, rel=1e-5)
+            assert_acquires_as(a, b, threshold=2.5)
 
     @settings(max_examples=30)
     @given(paper=st.booleans(), units=st.integers(1, 5),
@@ -553,6 +505,44 @@ class TestSinglePrecision:
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0] = 0.0
         assert code_spectrum(code1, FS_FAST).dtype == np.complex64
+
+
+class TestComparators:
+    """The engine tests' comparators with the reference reject a moved peak,
+    indicators 1e-4 off and a flipped decision away from the threshold,
+    and pass rounding."""
+
+    WANT = AcqResult(doppler_hat=400.0, code_phase_hat=2847, mtsmr=4.0,
+                     mtmr=18.0, decided=True)
+
+    @pytest.mark.parametrize("change", [
+        dict(doppler_hat=425.0), dict(code_phase_hat=2846),
+        dict(mtsmr=4.0 * (1 + 1e-4)), dict(mtmr=18.0 * (1 - 1e-4)),
+        dict(decided=False)], ids=["bin", "code", "mtsmr", "mtmr", "decided"])
+    def test_acquisition_differences_fail(self, change):
+        with pytest.raises(AssertionError):
+            assert_acquires_as(dataclasses.replace(self.WANT, **change),
+                               self.WANT, threshold=2.5)
+
+    def test_rounding_passes(self):
+        assert_acquires_as(dataclasses.replace(
+            self.WANT, mtsmr=4.0 * (1 + 1e-6), mtmr=18.0 * (1 - 1e-6)),
+            self.WANT, threshold=2.5)
+        # an MTSMR within 1e-5 of the threshold may decide either way
+        near = dataclasses.replace(self.WANT, mtsmr=2.5 * (1 + 1e-6))
+        assert_acquires_as(dataclasses.replace(near, decided=False), near,
+                           threshold=2.5)
+
+    def test_grids_within_1e5_of_the_largest_cell(self):
+        rng = np.random.default_rng(5)
+        ref = rng.normal(size=(2, 3, 8)) + 1j * rng.normal(size=(2, 3, 8))
+        got = ref.astype(np.complex64)
+        assert_grids_match(got, ref)
+        got[1, 2, 5] += 2e-5 * np.abs(ref[1]).max()
+        with pytest.raises(AssertionError):
+            assert_grids_match(got, ref)
+        with pytest.raises(AssertionError):
+            assert_grids_match(ref[:, :2], ref)
 
 
 class TestMixingTable:

@@ -21,6 +21,7 @@ from hypothesis.extra import numpy as hnp
 
 from leoacq import acq_core, eval_harness, io_cli, prn_code, signal_synth
 from leoacq.acq_core import make_plan
+from leoacq.detector import AcqResult
 from leoacq.eval_harness import COLUMNS, run_span
 from leoacq.integrators import IntegrationSpec, Strategy
 from leoacq.io_cli import (_FORMATS, SampleFileError, SampleFileMeta,
@@ -31,8 +32,14 @@ from leoacq.prn_code import CHIP_RATE, generate_code
 from leoacq.signal_synth import (SampledSignal, SynthParams, synthesize,
                                  synthesize_pass_signal)
 
-from conftest import (FS_FAST, FIF_FAST, FS_FULL, FIF_FULL, block_rows,
-                      fast_params, no_pool, row_bands)
+from conftest import (FS_FAST, FIF_FAST, FS_FULL, FIF_FULL,
+                      assert_acquires_as, block_rows, fast_params, no_pool,
+                      row_bands)
+
+
+def _pop_result(row):
+    """Take the AcqResult out of a row of acquire's table, by column name."""
+    return AcqResult(*(float(row.pop(c)) for c in COLUMNS[3:8]))
 
 
 def _meta(fmt="float32-real", fs=FS_FAST):
@@ -151,16 +158,6 @@ class TestSampleFiles:
         for offset, count in [(0, 5), (6, None)]:
             back = read_samples(path, _meta(), offset=offset, count=count)
             assert np.isfinite(back.samples).all()
-
-    def test_nonfinite_rejected(self, tmp_path, monkeypatch):
-        # a NaN in the last chunk: nothing is written, the old file stays
-        monkeypatch.setattr(io_cli, "_CHUNK_SAMPLES", CHUNK)
-        path = tmp_path / "x.bin"
-        path.write_bytes(b"old bytes")
-        with pytest.raises(ValueError, match="non-finite"):
-            write_samples(_sig(np.r_[np.zeros(3 * CHUNK), np.nan]), path,
-                          _meta("int16-real"))
-        assert path.read_bytes() == b"old bytes"
 
 
 def _reference_write(signal, path, meta) -> int:
@@ -837,6 +834,23 @@ class TestCli:
         assert rows and all(r[5:] == ["nan", "nan", "0", "0"] for r in rows)
         assert "decided 0.0 s" in capsys.readouterr().err
 
+    def test_acquire_labels_no_all_zero_epoch_ok(self, tmp_path, capsys):
+        # int8 codes of 0.001-amplitude samples are all 0; the t = 20 s
+        # epoch's truth (-2000 Hz, sample 0) is where a zero grid peaks
+        config = tmp_path / "zero.json"
+        config.write_text(json.dumps(dict(
+            elevation_mask=80.0, half_span=2000.0, amplitude=0.001, cn0=None,
+            sample_format="int8-real")))
+        samples = str(tmp_path / "pass.bin")
+        assert cli(["synth", "--config", str(config), "--out", samples]) == 0
+        assert not np.fromfile(samples, dtype="<i1").any()
+        out_csv = tmp_path / "timeline.csv"
+        assert cli(["acquire", "--samples", samples, "--out", str(out_csv)]) == 0
+        rows = [*csv.DictReader(out_csv.read_text().splitlines())]
+        assert "20.0,coherent,1,-2000.0,0," in out_csv.read_text()
+        assert rows and all(r["ok"] == "0" for r in rows)
+        assert "success 0.0 s" in capsys.readouterr().err
+
     def test_acquire_noncoherent_decides_strong_epochs(self, strong_config,
                                                        tmp_path, capsys):
         samples = str(tmp_path / "pass.bin")
@@ -1302,7 +1316,7 @@ class TestCli:
         # chunks of 2 of the 3 epochs, with each block's mixing rows built
         # once per chunk; they leave the 1 ms plan (9 bins) whole, one
         # chunk of every epoch and one table.  The outputs are those of
-        # whole plans.
+        # whole plans, acquire's indicators within the comparator's bound.
         samples = str(tmp_path / "pass.bin")
         if command == "acquire":
             assert cli(["synth", "--config", strong_config,
@@ -1324,9 +1338,14 @@ class TestCli:
         monkeypatch.setattr(eval_harness, "_EPOCH_CHUNK", 2)
         with block_rows(16, 1023):
             assert cli(argv + [str(tmp_path / "blocks.csv")]) == 0
-        assert ((tmp_path / "blocks.csv").read_bytes()
-                == (tmp_path / "whole.csv").read_bytes())
         config = ScenarioConfig.from_file(strong_config)
+        got, want = ([*csv.DictReader((tmp_path / f).read_text().splitlines())]
+                     for f in ("blocks.csv", "whole.csv"))
+        for g, w in zip(got, want, strict=True):
+            if command == "acquire":
+                assert_acquires_as(_pop_result(g), _pop_result(w),
+                                   config.threshold)
+            assert g == w
         t0 = list(config.scenario().samples.t)
         assert len(t0) == 3
         heights = {1: [9], 5: [16, 16, 9]}
@@ -1772,3 +1791,23 @@ class TestOneValidationPath:
         assert hash(listed) == hash(replace(listed))
         assert [(s.value, t) for s, t in listed.run_combos()] == [
             ("coherent", 1), ("coherent", 5), ("preguess", 1), ("preguess", 5)]
+
+
+# An amplitude or a noise level beyond float32 is a data error where the
+# pass is rounded to float32 (pass_epochs): exit 2 naming the fields, no
+# RuntimeWarning (pytest turns one into an error) and no file written; an
+# existing file stays as it was.
+@pytest.mark.parametrize("field, value", [("amplitude", 1e39),
+                                          ("cn0", -800.0)])
+@pytest.mark.parametrize("command", ["synth", "duration"])
+def test_pass_beyond_float32_exits_two(tmp_path, capsys, field, value,
+                                       command):
+    config = tmp_path / "loud.json"
+    config.write_text(json.dumps({**_BASE, field: value}))
+    out = tmp_path / "out"
+    out.write_bytes(b"old bytes")
+    assert cli([command, "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "overflow float32" in err and "amplitude" in err and "cn0" in err
+    assert out.read_bytes() == b"old bytes"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["loud.json", "out"]
