@@ -17,7 +17,8 @@ units with every strategy at that span and feeds each strategy's rows to
 the detector's row search, block by block (see run_span); run_epoch calls
 it with one epoch and one strategy.  acquisition_timeline then labels the
 results it is given into a table of COLUMNS, a row per epoch, and acquires
-nothing itself; both products reduce its columns (pf_sweep, durations).
+nothing itself; both products reduce its columns (durations, and pf_sweep
+into a curve table whose fields are the columns of sweep's curve CSVs).
 """
 
 from __future__ import annotations
@@ -40,14 +41,6 @@ class EpochLabel:
     t: float
     truth_doppler: float
     estimate_ok: bool
-
-
-@dataclass
-class PfCurve:
-    thresholds: np.ndarray
-    pf: np.ndarray
-    miss_rate: np.ndarray
-    false_alarm_rate: np.ndarray
 
 
 # The per-epoch table's columns (acquisition_timeline), in the CSV's order
@@ -96,15 +89,16 @@ def label_epochs(results: Sequence[AcqResult], epochs: Sequence[SampledSignal],
     return labels
 
 
-def pf_sweep(mtsmr, ok, thresholds: Sequence[float]) -> PfCurve:
-    """Combined error rate (misses + false alarms) per ascending threshold."""
+def pf_sweep(mtsmr, ok, thresholds: Sequence[float]) -> np.ndarray:
+    """Combined error rate (misses + false alarms) per ascending threshold,
+    as a table with a row per threshold (threshold_bounds reads it)."""
     thresholds = np.asarray(thresholds, dtype=np.float64)
     decided = decide(np.asarray(mtsmr, dtype=np.float64), thresholds[:, None])
     ok = np.asarray(ok, dtype=bool)
     fa = np.count_nonzero(decided & ~ok, axis=1) / len(ok)
     miss = np.count_nonzero(~decided & ok, axis=1) / len(ok)
-    return PfCurve(thresholds=thresholds, pf=fa + miss, miss_rate=miss,
-                   false_alarm_rate=fa)
+    return np.rec.fromarrays([thresholds, fa + miss, miss, fa],
+                             names="threshold,pf,miss_rate,false_alarm_rate")
 
 
 def durations(table: np.ndarray, epoch_step: float) -> tuple[float, float]:
@@ -113,12 +107,10 @@ def durations(table: np.ndarray, epoch_step: float) -> tuple[float, float]:
     return ok * float(epoch_step), decided * float(epoch_step)
 
 
-def threshold_bounds(curve: PfCurve, target: float) -> tuple[float, float] | None:
-    """Smallest and largest threshold with pf <= target, or None."""
-    below = np.flatnonzero(curve.pf <= target)
-    if below.size == 0:
-        return None
-    return float(curve.thresholds[below[0]]), float(curve.thresholds[below[-1]])
+def threshold_bounds(curve: np.ndarray, target: float) -> tuple[float, float] | None:
+    """Smallest and largest threshold of a curve with pf <= target, or None."""
+    below = curve["threshold"][curve["pf"] <= target]
+    return (float(below[0]), float(below[-1])) if below.size else None
 
 
 # Epochs walked together when a plan has several row blocks.  The chunk

@@ -52,8 +52,8 @@ class Strategy(enum.Enum):
 
 def span_error(strategy: Strategy, total_ms) -> str | None:
     """Why strategy is undefined over total_ms 1 ms units, or None if it is
-    defined there.  This is the one span-validity rule: specs, integrators
-    and configs all ask it."""
+    defined there.  This is the one span-validity rule: specs and configs
+    ask it, and integrate trusts a checked spec's span."""
     if (isinstance(total_ms, bool)
             or not isinstance(total_ms, (int, np.integer)) or total_ms < 1):
         return (f"a span must be a whole number of at least one 1 ms unit, "
@@ -149,7 +149,6 @@ def integrate(units: np.ndarray, strategy: Strategy) -> np.ndarray:
     order, into strategy's (rows, n) float64 detection rows: the strategy's
     kernel maps each slab of whole rows of all units to its detection rows,
     in row bands gated on the cells of all units together."""
-    IntegrationSpec(strategy, len(units))  # raises if the span is undefined
     kernel = _KERNELS[strategy]
     _, bins, n = units.shape
     out = np.empty((bins, n))

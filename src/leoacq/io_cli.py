@@ -9,17 +9,17 @@ count) and each epoch's start time and SynthParams follow from that config
 (signal_synth.pass_params), which is enough to label acquisition results
 without re-synthesizing any samples.
 
-Validation.  Each input rule is checked once, where the input enters, and a
-violation is a data error (exit 2).  ScenarioConfig.__post_init__ holds
-every field rule, JSON types and finiteness too, however a config is made
-(from_file, directly or by replace); a checked config is frozen, its lists
-tuples.  from_file checks only what a file alone can get wrong: its JSON,
-an unknown key, a sidecar lacking a field (complete).  acquire replaces
-only a sidecar's strategies and total_ms, so it searches the sidecar's
-half_span at its threshold.  A sample file is checked by acquire's byte
-count and read_samples.  The engine modules trust their inputs and check
-only what no boundary sees, such as process_units' buffer shapes; the
-sampling rules (a sample per chip, real-IF) live in __post_init__.
+Validation.  Each input rule is checked once, where the input enters; a
+violation is a ValueError, a data error (exit 2).  ScenarioConfig.__post_init__
+holds every field rule, JSON types, finiteness, the sampling rules (a sample
+per chip, real-IF) and the samples' bound (sample_range) too, however a
+config is made (from_file, directly or by replace); a checked config is
+frozen, its lists tuples.  from_file checks only what a file alone can get
+wrong: its JSON, an unknown key, a sidecar lacking a field (complete).
+acquire replaces only a sidecar's strategies and total_ms, so it searches
+the sidecar's half_span at its threshold; it checks a sample file's size,
+and read_samples its float32 samples by the bound.  The engine modules
+trust their inputs and check only what no boundary sees (buffer shapes).
 
 Subcommands: synth, pass, acquire, sweep, duration.  acquire writes its
 per-epoch table (eval_harness.COLUMNS), sweep all its tables as results.csv,
@@ -53,10 +53,6 @@ from .eval_harness import (COLUMNS, acquisition_timeline, durations,
                            pf_sweep, run_span, threshold_bounds)
 
 
-class SampleFileError(Exception):
-    """A sample file or its format is unusable."""
-
-
 # format tag -> (little-endian dtype, integer full-scale or None)
 _FORMATS = {
     "int8-real": ("<i1", 128.0),
@@ -76,7 +72,7 @@ class SampleFileMeta:
 
     def __post_init__(self):
         if self.format not in _FORMATS:
-            raise SampleFileError(
+            raise ValueError(
                 f"sample_format: unknown sample format {self.format!r}; "
                 f"supported: {', '.join(sorted(_FORMATS))}")
 
@@ -86,19 +82,20 @@ class SampleFileMeta:
 
 
 def read_samples(path, meta: SampleFileMeta, offset: int = 0,
-                 count: int | None = None) -> SampledSignal:
+                 count: int | None = None,
+                 limit: float = math.inf) -> SampledSignal:
     """Read samples [offset, offset+count) from a binary sample file.
 
     Samples come back as float32, exactly: every int8 and int16 code is a
     float32, and dividing it by the power-of-two full scale only changes
-    its exponent.  A float32 file that holds NaN or an infinity in the
-    range is a data error.
+    its exponent.  A float32 file that holds NaN or a sample not below
+    limit in magnitude in the range is a data error.
     """
     dtype, scale = _FORMATS[meta.format]
     frame = meta.bytes_per_sample
     size = os.path.getsize(path)
     if size % frame != 0:
-        raise SampleFileError(
+        raise ValueError(
             f"{path}: file truncated at byte {size}: length is not a "
             f"multiple of the {frame}-byte sample frame "
             f"(last whole sample ends at byte {size - size % frame})")
@@ -106,13 +103,14 @@ def read_samples(path, meta: SampleFileMeta, offset: int = 0,
     if count is None:
         count = total - offset
     if offset < 0 or count < 0 or offset + count > total:
-        raise SampleFileError(
+        raise ValueError(
             f"{path}: read range [{offset}, {offset + count}) outside the "
             f"{total} samples in the file")
     raw = np.fromfile(path, dtype=dtype, count=count, offset=offset * frame)
-    if scale is None and not np.isfinite(raw).all():
-        bad = offset + int(np.argmin(np.isfinite(raw)))
-        raise SampleFileError(f"{path}: sample {bad} is not finite")
+    if scale is None and not (within := np.abs(raw) < limit).all():
+        bad = offset + int(np.argmin(within))
+        raise ValueError(f"{path}: sample {bad} is not finite, or reaches "
+                         f"{limit:.3g} in magnitude")
     vals = raw.astype(np.float32, copy=False)
     if scale is not None:
         vals /= scale
@@ -126,24 +124,17 @@ def write_samples(signal: SampledSignal, path, meta: SampleFileMeta) -> int:
 
     The samples are quantised and written _CHUNK_SAMPLES at a time, so the
     temporaries stay chunk-sized whatever the signal's length; each step is
-    elementwise, so the bytes equal a one-shot conversion.  Each chunk is
-    quantised in the samples' own precision: float32 samples in float32,
-    others in float64.  Scaling by a power-of-two full scale, rounding to
-    an integer and clipping are exact in either, so float32 samples give
-    the same bytes and clip count as their float64 upcast, without a
-    float64 copy of each chunk.  Complex samples are refused before the
-    file is opened; finite samples are the caller's (pass_epochs).
+    elementwise, so the bytes equal a one-shot conversion.  synth writes a
+    checked config's real float32 pass, quantised in float32: scaling by a
+    power-of-two full scale, rounding to an integer and clipping are exact,
+    so the bytes and clip count are those of the float64 upcast.
     """
     dtype, scale = _FORMATS[meta.format]
     x = np.asarray(signal.samples)
-    if np.iscomplexobj(x):
-        raise ValueError("complex samples cannot be written: formats are real")
     clipped = 0
     with open(path, "wb") as f:
         for i in range(0, len(x), _CHUNK_SAMPLES):
             chunk = x[i:i + _CHUNK_SAMPLES]
-            chunk = chunk.astype(np.result_type(chunk.dtype, np.float32),
-                                 copy=False)
             if scale is None:
                 out = chunk.astype(dtype)
             else:
@@ -255,6 +246,18 @@ class ScenarioConfig:
                              f"{CHIP_RATE!r} Hz, got {self.sample_rate!r}")
         if not self.threshold > 0:
             raise ValueError(f"threshold must be positive, got {self.threshold!r}")
+        # In log10: amplitude A, the noise sigma all epochs share (pass_params)
+        # and A + 13 sigma <= 14 max(A, sigma), topped by one sample in 1e38.
+        lo = hi = math.log10(self.amplitude)
+        if self.cn0 is not None:
+            sigma = lo + math.log10(self.sample_rate / 4) / 2 - self.cn0 / 20
+            lo, hi = min(lo, sigma), max(hi, sigma) + math.log10(14)
+        floor, ceiling = self.sample_range()
+        if not floor <= lo <= hi <= ceiling:
+            raise ValueError(
+                f"amplitude {self.amplitude!r}, cn0 {self.cn0!r}: samples of "
+                f"1e{lo:.1f}-1e{hi:.1f} would underflow or overflow float32 "
+                f"in a correlation outside 1e{floor:.1f}-1e{ceiling:.1f}")
         SampleFileMeta(self.sample_rate, self.intermediate_freq,
                        self.sample_format)  # validates the sample format
         geo = self.scenario().samples  # validates the geometry's fields
@@ -314,6 +317,17 @@ class ScenarioConfig:
         each epoch (eval_harness.run_span): duration and sweep synthesize,
         and acquire reads, only these samples of each epoch."""
         return max(self.total_ms) * samples_per_code(CODE_LENGTH, self.sample_rate)
+
+    def sample_range(self) -> tuple[float, float]:
+        """log10 of the least and most |sample| that the engine's float32
+        correlation of the longest span holds.  A cell sums n samples; its
+        square must not underflow, nor the sum of a two-cell product per unit
+        (pre-guess, differential) or the inverse FFT's n^3 sums overflow."""
+        n = math.log10(samples_per_code(CODE_LENGTH, self.sample_rate))
+        f32 = np.finfo(np.float32)
+        top = math.log10(f32.max)
+        return (math.log10(f32.tiny) / 2 - n,
+                min((top - math.log10(max(self.total_ms))) / 2 - n, top - 3 * n))
 
     def base_synth_params(self) -> SynthParams:
         return SynthParams(
@@ -378,8 +392,8 @@ def pass_epochs(config: ScenarioConfig) -> list[SampledSignal]:
     as complex64, which rounds them to float32 in the same way, so the
     grids, and the duration and sweep outputs, are bitwise those of the
     float64 epochs.  A written integer format can differ by one code where a
-    float64 sample lay within float32 resolution of a rounding tie.  Samples
-    that overflow float32 are a data error, raised before any output.
+    float64 sample lay within float32 resolution of a rounding tie.  The
+    config's sample_range keeps every sample and its correlation finite.
     """
     t0s, truths = zip(*config.pass_truths())
     if len(truths) * config.samples_per_epoch > _MAX_PASS_SAMPLES:
@@ -396,13 +410,8 @@ def pass_epochs(config: ScenarioConfig) -> list[SampledSignal]:
             # samples keeps the last epoch's array until the next is made,
             # so the allocator reuses its heap instead of returning the
             # pages and faulting them in again every epoch
-            with np.errstate(over="ignore", invalid="ignore"):
-                samples = signal_synth.synthesize(truths[k], code=code).samples
-                rows[k] = samples  # the one rounding to float32
-            if not np.isfinite(rows[k]).all():
-                raise ValueError(
-                    f"samples of the epoch at t={t0s[k]} s overflow float32: "
-                    f"amplitude {config.amplitude}, cn0 {config.cn0} dB-Hz")
+            samples = signal_synth.synthesize(truths[k], code=code).samples
+            rows[k] = samples  # the one rounding to float32
 
     _row_bands(band, len(rows), rows.size)
     return [SampledSignal(samples=row, sample_rate=config.sample_rate,
@@ -560,14 +569,15 @@ def _cmd_acquire(args) -> int:
     want = len(truths) * spe * frame
     if size != want:  # else epoch k would not start at sample k * spe
         which = "fewer" if size < want else "more"
-        raise SampleFileError(
+        raise ValueError(
             f"{args.samples}: {size} bytes, {which} than the sidecar's "
             f"{len(truths)} epochs of {spe} {frame}-byte samples ({want})")
     # Each epoch is read only as far as the span correlates.
-    count = config.span_samples()
+    count, limit = config.span_samples(), 10 ** config.sample_range()[1]
     epochs = []
     for k, (t0, truth) in enumerate(truths):
-        sig = read_samples(args.samples, meta, offset=k * spe, count=count)
+        sig = read_samples(args.samples, meta, offset=k * spe, count=count,
+                           limit=limit)
         sig.t0, sig.truth = t0, truth
         epochs.append(sig)
 
@@ -615,23 +625,21 @@ def _cmd_sweep(args) -> int:
         raise ValueError(
             f"--pf-target must be in (0, 1), got {args.pf_target}")
     config = _load_config(args)
-    os.makedirs(args.out_dir, exist_ok=True)
     thresholds = config.threshold_grid()
     tables = _run_matrix(config, _span_pass(config))
+    os.makedirs(args.out_dir, exist_ok=True)  # after the pass's data errors
     write_csv(os.path.join(args.out_dir, "results.csv"), ",".join(COLUMNS),
               np.concatenate(tables).tolist())
     bounds = []
     for table in tables:
         strategy, t_ms = table["strategy"][0], table["total_ms"][0]
         curve = pf_sweep(table["mtsmr"], table["ok"], thresholds)
-        rows = np.column_stack((curve.thresholds, curve.pf, curve.miss_rate,
-                                curve.false_alarm_rate)).tolist()
         names = [f"pf_curve_{strategy}_{t_ms}ms.csv"]
         if not bounds:
             names.append("pf_curve.csv")
         for name in names:
             write_csv(os.path.join(args.out_dir, name),
-                      "threshold,pf,miss_rate,false_alarm_rate", rows)
+                      ",".join(curve.dtype.names), curve.tolist())
         lower_upper = threshold_bounds(curve, args.pf_target) or ("none", "none")
         bounds.append([strategy, t_ms, *lower_upper])
     write_csv(os.path.join(args.out_dir, "bounds.csv"),
@@ -660,7 +668,7 @@ def cli(argv) -> int:
         return int(e.code or 0)
     try:
         return args.run(args)
-    except (SampleFileError, OSError, ValueError) as e:
+    except (OSError, ValueError) as e:
         print(f"leoacq {args.command}: error: {e}", file=sys.stderr)
         return 2
 

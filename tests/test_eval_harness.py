@@ -19,10 +19,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 from leoacq import acq_core, eval_harness
 from leoacq.acq_core import code_spectrum, make_plan
 from leoacq.detector import AcqResult, RowSearch, acquire, decide
-from leoacq.eval_harness import (COLUMNS, EpochLabel, PfCurve,
-                                 acquisition_timeline, cyclic_distance,
-                                 durations, label_epochs, pf_sweep, run_epoch,
-                                 run_span, threshold_bounds, truth_code_phase)
+from leoacq.eval_harness import (COLUMNS, EpochLabel, acquisition_timeline,
+                                 cyclic_distance, durations, label_epochs,
+                                 pf_sweep, run_epoch, run_span,
+                                 threshold_bounds, truth_code_phase)
 from leoacq.integrators import (IntegrationSpec, Strategy, integrate,
                                 span_error)
 from leoacq.prn_code import CHIP_RATE, generate_code, samples_per_code
@@ -625,24 +625,25 @@ class TestPfSweep:
         assert curve.pf == pytest.approx(curve.miss_rate + curve.false_alarm_rate)
 
 
+def _curve(thresholds, pf):
+    """A pf_sweep curve over thresholds, its pf column replaced by pf."""
+    curve = pf_sweep([1.0], [1], thresholds)
+    curve["pf"] = pf
+    return curve
+
+
 class TestThresholdBounds:
     def test_constructed_dip(self):
-        curve = PfCurve(thresholds=np.array([1.0, 2.0, 2.5, 3.0, 4.0]),
-                        pf=np.array([0.5, 0.05, 0.02, 0.08, 0.4]),
-                        miss_rate=np.zeros(5), false_alarm_rate=np.zeros(5))
+        curve = _curve([1.0, 2.0, 2.5, 3.0, 4.0], [0.5, 0.05, 0.02, 0.08, 0.4])
         assert threshold_bounds(curve, 0.10) == (2.0, 3.0)
 
     def test_never_below_target(self):
-        curve = PfCurve(thresholds=np.array([1.0, 2.0]),
-                        pf=np.array([0.5, 0.6]),
-                        miss_rate=np.zeros(2), false_alarm_rate=np.zeros(2))
+        curve = _curve([1.0, 2.0], [0.5, 0.6])
         assert threshold_bounds(curve, 0.10) is None
 
     def test_interval_nesting(self):
         rng = np.random.default_rng(5)
-        curve = PfCurve(thresholds=np.linspace(1, 6, 30),
-                        pf=rng.random(30) * 0.4,
-                        miss_rate=np.zeros(30), false_alarm_rate=np.zeros(30))
+        curve = _curve(np.linspace(1, 6, 30), rng.random(30) * 0.4)
         inner = threshold_bounds(curve, 0.10)
         outer = threshold_bounds(curve, 0.30)
         if inner is not None:
@@ -737,27 +738,39 @@ _tables = st.integers(1, 40).flatmap(lambda n: st.tuples(
 
 class TestTableReductions:
     # pf_sweep and durations reduce a table's columns: each equals a
-    # brute-force count of decide and ok over its rows
+    # brute-force count of decide and ok over its rows.  The curve is a
+    # table of the curve CSV's columns, and threshold_bounds on it equals a
+    # brute-force search of the brute-force pf.
     @given(columns=_tables,
            thresholds=st.lists(st.floats(0.5, 10.5), min_size=1,
                                max_size=8).map(sorted),
            threshold=st.floats(0.5, 10.5),
-           epoch_step=st.one_of(st.integers(1, 600), st.floats(0.5, 600.0)))
+           epoch_step=st.one_of(st.integers(1, 600), st.floats(0.5, 600.0)),
+           target=st.floats(0.0, 1.0))
     @settings(max_examples=200, deadline=None)
     def test_reductions_equal_brute_force_counts(self, columns, thresholds,
-                                                 threshold, epoch_step):
+                                                 threshold, epoch_step,
+                                                 target):
         mtsmr, ok = columns
         rows = [(float(k), "coherent", 1, 0.0, 0, m, m, int(decide(m, threshold)),
                  int(o)) for k, (m, o) in enumerate(zip(mtsmr, ok))]
         table = np.rec.fromrecords(rows, names=COLUMNS)
         curve = pf_sweep(table["mtsmr"], table["ok"], thresholds)
+        assert curve.dtype.names == ("threshold", "pf", "miss_rate",
+                                     "false_alarm_rate")
         n = len(rows)
+        below = []
         for k, thr in enumerate(thresholds):
             fa = sum(1 for m, o in zip(mtsmr, ok) if decide(m, thr) and not o)
             miss = sum(1 for m, o in zip(mtsmr, ok) if not decide(m, thr) and o)
-            assert curve.false_alarm_rate[k] == fa / n
-            assert curve.miss_rate[k] == miss / n
-            assert curve.pf[k] == fa / n + miss / n
+            assert curve["threshold"][k] == thr
+            assert curve["false_alarm_rate"][k] == fa / n
+            assert curve["miss_rate"][k] == miss / n
+            assert curve["pf"][k] == fa / n + miss / n
+            if fa / n + miss / n <= target:
+                below.append(thr)
+        assert threshold_bounds(curve, target) == (
+            (min(below), max(below)) if below else None)
         step = float(epoch_step)
         assert durations(table, epoch_step) == (
             sum(1 for o in ok if o) * step,

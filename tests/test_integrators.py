@@ -336,19 +336,22 @@ class TestInvariances:
 
 
 class TestErrors:
+    # the span rule is span_error's, and IntegrationSpec raises it;
+    # integrate trusts its caller's checked spec
     def test_empty(self):
+        assert "at least one" in span_error(Strategy.NON_COHERENT, 0)
         with pytest.raises(ValueError, match="at least one"):
-            integrate(np.empty((0, 2, 4), complex), Strategy.NON_COHERENT)
+            IntegrationSpec(Strategy.NON_COHERENT, total_ms=0)
 
     def test_differential_needs_two(self):
-        grids = grids_from_values([np.ones((2, 4))])
+        assert "at least two" in span_error(Strategy.DIFFERENTIAL, 1)
         with pytest.raises(ValueError, match="at least two"):
-            integrate(grids, Strategy.DIFFERENTIAL)
+            IntegrationSpec(Strategy.DIFFERENTIAL, total_ms=1)
 
     def test_alternate_half_bit_needs_multiple_of_20(self):
-        grids = grids_from_values([np.ones((2, 4))] * 10)
+        assert "multiple of 20" in span_error(Strategy.ALTERNATE_HALF_BIT, 10)
         with pytest.raises(ValueError, match="multiple of 20"):
-            integrate(grids, Strategy.ALTERNATE_HALF_BIT)
+            IntegrationSpec(Strategy.ALTERNATE_HALF_BIT, total_ms=10)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="multiple of 20"):
@@ -360,18 +363,16 @@ class TestErrors:
     @pytest.mark.parametrize("total_ms", range(42))
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_one_span_rule(self, strategy, total_ms):
-        # span_error, IntegrationSpec and the integrator agree.
-        def accepts(build):
-            try:
-                build()
-            except ValueError:
-                return False
-            return True
-
+        # span_error and IntegrationSpec agree, and a valid spec integrates
         valid = span_error(strategy, total_ms) is None
-        assert accepts(lambda: IntegrationSpec(strategy, total_ms)) == valid
+        try:
+            spec = IntegrationSpec(strategy, total_ms)
+        except ValueError:
+            assert not valid
+            return
+        assert valid
         grids = np.ones((total_ms, 2, 4), complex)
-        assert accepts(lambda: integrate(grids, strategy)) == valid
+        assert integrate(grids, spec.strategy).shape == (2, 4)
 
 
 class TestSynthesizedOrdering:

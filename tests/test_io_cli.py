@@ -24,10 +24,9 @@ from leoacq.acq_core import make_plan
 from leoacq.detector import AcqResult
 from leoacq.eval_harness import COLUMNS, run_span
 from leoacq.integrators import IntegrationSpec, Strategy
-from leoacq.io_cli import (_FORMATS, SampleFileError, SampleFileMeta,
-                           ScenarioConfig, cli, pass_epochs, read_samples,
-                           read_truth_sidecar, write_samples,
-                           write_truth_sidecar)
+from leoacq.io_cli import (_FORMATS, SampleFileMeta, ScenarioConfig, cli,
+                           pass_epochs, read_samples, read_truth_sidecar,
+                           write_samples, write_truth_sidecar)
 from leoacq.prn_code import CHIP_RATE, generate_code
 from leoacq.signal_synth import (SampledSignal, SynthParams, synthesize,
                                  synthesize_pass_signal)
@@ -106,15 +105,6 @@ class TestSampleFiles:
         assert path.stat().st_size == 0
         assert len(read_samples(path, _meta()).samples) == 0
 
-    def test_complex_to_real_format_rejected(self, tmp_path, monkeypatch):
-        # checked before the file is opened: an existing file keeps its bytes
-        monkeypatch.setattr(io_cli, "_CHUNK_SAMPLES", CHUNK)
-        path = tmp_path / "x.bin"
-        path.write_bytes(b"old bytes")
-        with pytest.raises(ValueError, match="complex"):
-            write_samples(_sig(np.full(3 * CHUNK + 1, 1j)), path, _meta())
-        assert path.read_bytes() == b"old bytes"
-
     def test_offset_and_count_read(self, tmp_path):
         vals = np.arange(32, dtype=np.float32).astype(np.float64)
         path = tmp_path / "f32.bin"
@@ -125,7 +115,7 @@ class TestSampleFiles:
 
     def test_unknown_format(self):
         # the message names the config field, as every field rule's does
-        with pytest.raises(SampleFileError,
+        with pytest.raises(ValueError,
                            match="^sample_format: unknown sample format"):
             SampleFileMeta(sample_rate=1e6, intermediate_freq=0.0, format="int4-real")
 
@@ -134,13 +124,13 @@ class TestSampleFiles:
         write_samples(_sig(np.zeros(16)), path, _meta())
         with open(path, "ab") as f:
             f.write(b"\x00")
-        with pytest.raises(SampleFileError, match="byte 65"):
+        with pytest.raises(ValueError, match="byte 65"):
             read_samples(path, _meta())
 
     def test_out_of_range_read(self, tmp_path):
         path = tmp_path / "f32.bin"
         write_samples(_sig(np.zeros(16)), path, _meta())
-        with pytest.raises(SampleFileError, match="outside"):
+        with pytest.raises(ValueError, match="outside"):
             read_samples(path, _meta(), offset=10, count=10)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -152,7 +142,7 @@ class TestSampleFiles:
         path = tmp_path / "x.bin"
         raw.tofile(path)
         for offset, count in [(0, None), (3, 4), (5, 1)]:
-            with pytest.raises(SampleFileError,
+            with pytest.raises(ValueError,
                                match=rf"x\.bin: sample 5 is not finite"):
                 read_samples(path, _meta(), offset=offset, count=count)
         for offset, count in [(0, 5), (6, None)]:
@@ -743,7 +733,7 @@ class TestCli:
     @pytest.mark.parametrize("command", ["duration", "synth"])
     def test_unknown_format_has_one_message(self, strong_config, tmp_path,
                                             capsys, command):
-        with pytest.raises(SampleFileError) as rule:
+        with pytest.raises(ValueError) as rule:
             SampleFileMeta(FS_FAST, FIF_FAST, format="int4-real")
         config = tmp_path / "bad.json"
         config.write_text(json.dumps({
@@ -863,12 +853,14 @@ class TestCli:
                 out_csv.read_text().strip().split("\n")[1:]]
         assert all(r[7] == "1" for r in rows)
 
+    # a sample of 1e36 is finite, but its correlation overflows float32
+    @pytest.mark.parametrize("bad", [np.nan, 1e36])
     def test_acquire_nonfinite_sample_exits_two(self, strong_config, tmp_path,
-                                                capsys):
+                                                capsys, bad):
         samples = str(tmp_path / "pass.bin")
         assert cli(["synth", "--config", strong_config, "--out", samples]) == 0
         raw = np.fromfile(samples, dtype="<f4")
-        raw[5] = np.nan
+        raw[5] = bad
         raw.tofile(samples)
         capsys.readouterr()
         out = tmp_path / "t.csv"
@@ -892,10 +884,10 @@ class TestCli:
         counts, timelines = [], []
         read = io_cli.read_samples
         for whole_epochs in (False, True):
-            def recorded(path, meta, offset, count):
+            def recorded(path, meta, offset, count, **kwargs):
                 counts.append(count)
                 return read(path, meta, offset=offset,
-                            count=5115 if whole_epochs else count)
+                            count=5115 if whole_epochs else count, **kwargs)
 
             monkeypatch.setattr(io_cli, "read_samples", recorded)
             out = tmp_path / f"timeline{whole_epochs}.csv"
@@ -1028,7 +1020,7 @@ class TestCli:
                     "--out", str(samples)]) == 0
         sidecar = Path(str(samples) + ".truth")
         sidecar.write_text(json.dumps(edit(json.loads(sidecar.read_text()))))
-        with pytest.raises((ValueError, SampleFileError), match=field_name):
+        with pytest.raises(ValueError, match=field_name):
             read_truth_sidecar(sidecar)
         capsys.readouterr()
         calls = []
@@ -1793,17 +1785,23 @@ class TestOneValidationPath:
             ("coherent", 1), ("coherent", 5), ("preguess", 1), ("preguess", 5)]
 
 
-# An amplitude or a noise level beyond float32 is a data error where the
-# pass is rounded to float32 (pass_epochs): exit 2 naming the fields, no
+# Samples beyond what float32 and the engine's float32 correlation hold are
+# a data error when the config loads: exit 2 naming the fields, no
 # RuntimeWarning (pytest turns one into an error) and no file written; an
-# existing file stays as it was.
-@pytest.mark.parametrize("field, value", [("amplitude", 1e39),
-                                          ("cn0", -800.0)])
+# existing file stays as it was.  Unchecked, 1e39 overflowed the float32
+# pass; 1e36 fitted it but overflowed the FFT, and 1e17 differential's sum
+# of cell products, each exiting 0 with wrong rows; cn0 -5000 and 5000 were
+# a ZeroDivisionError and an OverflowError in noise_sigma.
+@pytest.mark.parametrize("overrides", [
+    dict(amplitude=1e39), dict(cn0=-800.0), dict(amplitude=1e36),
+    dict(amplitude=1e17, strategies=["differential"], total_ms=[2]),
+    dict(cn0=-5000.0), dict(cn0=5000.0)],
+    ids=["amplitude-1e+39", "cn0--800.0", "amplitude-1e36",
+         "amplitude-1e17-differential", "cn0--5000", "cn0-5000"])
 @pytest.mark.parametrize("command", ["synth", "duration"])
-def test_pass_beyond_float32_exits_two(tmp_path, capsys, field, value,
-                                       command):
+def test_pass_beyond_float32_exits_two(tmp_path, capsys, overrides, command):
     config = tmp_path / "loud.json"
-    config.write_text(json.dumps({**_BASE, field: value}))
+    config.write_text(json.dumps({**_BASE, **overrides}))
     out = tmp_path / "out"
     out.write_bytes(b"old bytes")
     assert cli([command, "--config", str(config), "--out", str(out)]) == 2
@@ -1811,3 +1809,38 @@ def test_pass_beyond_float32_exits_two(tmp_path, capsys, field, value,
     assert "overflow float32" in err and "amplitude" in err and "cn0" in err
     assert out.read_bytes() == b"old bytes"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["loud.json", "out"]
+
+
+# The bound's edges run: the same duration rows as at amplitude 1, with no
+# RuntimeWarning, from an amplitude just inside either end.
+@pytest.mark.parametrize("amplitude", [2.5e14, 1.2e-22])
+def test_pass_within_the_bound_runs(tmp_path, amplitude):
+    rows = []
+    for a in (1.0, amplitude):
+        config, out = tmp_path / "cfg.json", tmp_path / f"{a}.csv"
+        config.write_text(json.dumps({
+            **_BASE, "amplitude": a, "total_ms": [2],
+            "strategies": ["differential", "preguess", "noncoherent"]}))
+        assert cli(["duration", "--config", str(config), "--out", str(out)]) == 0
+        rows.append(out.read_text())
+    assert rows[0] == rows[1]
+
+
+# sweep makes its --out-dir only after the pass: a data error leaves none,
+# found at load (the 1e39 config) or in the pass
+@pytest.mark.parametrize("where", ["load", "pass"])
+def test_sweep_data_error_leaves_no_out_dir(tmp_path, capsys, monkeypatch,
+                                            where):
+    def pass_epochs(config):
+        raise ValueError("a data error in the pass")
+
+    if where == "pass":
+        monkeypatch.setattr(io_cli, "pass_epochs", pass_epochs)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(
+        {**_BASE, **({"amplitude": 1e39} if where == "load" else {})}))
+    out_dir = tmp_path / "sweep"
+    assert cli(["sweep", "--config", str(config),
+                "--out-dir", str(out_dir)]) == 2
+    assert "error" in capsys.readouterr().err
+    assert not out_dir.exists()
