@@ -21,12 +21,14 @@ epoch's searches each row block as it is integrated and acquires an epoch
 once its last block is fed).  Per block it adds the block's sum to a
 running total and takes the block's first maximum, kept only if strictly
 greater than the one before: ties break to the lowest bin, then sample.
-It copies the peak's row and its neighbour rows, and each block's last row
-in case the next block starts with the peak.  acquire reads the peak and
-both indicators off a search fed every row.  The peak and MTSMR do not
-depend on the blocks; MTMR's total is summed block by block, so a grid fed
-in several blocks gives an MTMR within 1e-12 relative of the one-block
-value (tests/test_detector.py::TestRowSearch).
+It keeps the maximum of the peak's row outside the window, the window's
+cells of the rows around the peak (what MTMR subtracts from the total) and
+each block's last row in case the next block starts with the peak: one row
+and at most 3 x (2 l_spc + 1) cells.  acquire reads the peak and both
+indicators off a search fed every row.  The peak and MTSMR do not depend on
+the blocks; MTMR's total is summed block by block, so a grid fed in several
+blocks gives an MTMR within 1e-12 relative of the one-block value
+(tests/test_detector.py::TestRowSearch).
 """
 
 from __future__ import annotations
@@ -55,7 +57,8 @@ class AcqResult:
 class RowSearch:
     """Peak and indicator reductions of one detection grid over plan, fed
     its rows in order by add; the indicators exclude l_spc code samples
-    around the peak (a config's sample-per-chip rule leaves cells outside)."""
+    around the peak (a config's sample-per-chip rule leaves cells outside).
+    It holds only what they read: one row and a few cells (Row blocks)."""
 
     def __init__(self, plan: FrequencyPlan, l_spc: int):
         self.plan = plan
@@ -63,21 +66,25 @@ class RowSearch:
         self.rows = 0         # rows fed so far
         self.total = 0.0      # sum of every cell fed
         self._at = None       # (bin, sample, value) of the first maximum
-        self._near = []       # rows max(0, bin - 1) to bin + 1, as fed
-        self._last = None     # the last row fed
+        self._side = None     # max of the peak's row outside the window or 0
+        self._cells = []      # window cells of rows max(0, bin - 1) to bin + 1
+        self._last = None     # the last row fed, the row before the next block
 
     def add(self, block: np.ndarray) -> None:
         """Feed the grid's next rows, a non-empty (rows, n) array; numpy's
         argmax rejects an empty one."""
-        a = self.rows
-        if self._at is not None and self._at[0] == a - 1:
-            self._near.append(block[0].copy())  # the row after the peak
+        a, n = self.rows, block.shape[1]
+        window = np.arange(-self.l_spc, self.l_spc + 1)
+        if self._at is not None and self._at[0] == a - 1:  # peak's next row
+            self._cells.append(block[0, np.unique((window + self._at[1]) % n)])
         self.total += float(np.sum(block))
-        r, j = divmod(int(np.argmax(block)), block.shape[1])  # C order
+        r, j = divmod(int(np.argmax(block)), n)  # C order
         if self._at is None or block[r, j] > self._at[2]:
             self._at = (a + r, j, float(block[r, j]))
-            before = [self._last] if r == 0 and a > 0 else []
-            self._near = before + list(block[max(0, r - 1):r + 2].copy())
+            cols = np.unique((window + j) % n)
+            before = [self._last[cols]] if r == 0 and a > 0 else []
+            self._cells = before + list(block[max(0, r - 1):r + 2, cols])
+            self._side = float(np.max(np.delete(block[r], cols), initial=0.0))
         self._last = block[-1].copy()
         self.rows = a + len(block)
 
@@ -89,19 +96,12 @@ class RowSearch:
         return self._at
 
     def mtsmr(self) -> float:
-        (i, j, r_max), l_spc = self.peak(), self.l_spc
-        row = self._near[i - max(0, i - 1)]
-        outside = np.delete(row, (np.arange(-l_spc, l_spc + 1) + j) % len(row))
-        return _ratio(r_max, float(np.max(outside)))
+        return _ratio(self.peak()[2], self._side)
 
     def mtmr(self) -> float:
-        i, j, r_max = self.peak()
-        near = np.array(self._near)
-        n = near.shape[1]
-        col_idx = np.unique((np.arange(-self.l_spc, self.l_spc + 1) + j) % n)
-        n_kept = len(self.plan.bins) * n - len(near) * len(col_idx)
-        rect = near[np.ix_(np.arange(len(near)), col_idx)]
-        return _ratio(r_max, (self.total - float(np.sum(rect))) / n_kept)
+        r_max, cells = self.peak()[2], np.array(self._cells)
+        n_kept = len(self.plan.bins) * len(self._last) - cells.size
+        return _ratio(r_max, (self.total - float(np.sum(cells))) / n_kept)
 
 
 def _ratio(top: float, base: float) -> float:

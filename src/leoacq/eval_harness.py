@@ -115,7 +115,7 @@ def threshold_bounds(curve: np.ndarray, target: float) -> tuple[float, float] | 
 
 # Epochs walked together when a plan has several row blocks.  The chunk
 # bounds the live search state at _EPOCH_CHUNK x len(specs) RowSearches of
-# up to 4 rows each, and each chunk builds the plan's mixing rows once more:
+# one row and a few cells each, and each chunk builds the mixing rows again:
 # a whole table costs about 1/16 of one epoch's correlation CPU (401 x 4092
 # paper-profile rows), so over 8 epochs the rebuild stays under 1%.
 _EPOCH_CHUNK = 8
@@ -174,7 +174,7 @@ def run_span(epochs: Sequence[SampledSignal], code: np.ndarray,
                     if b == len(plan.bins):  # the epoch's last block
                         results.append([acquire(search, threshold=threshold)
                                         for search in searches[k]])
-                        searches[k] = None  # frees the rows they copied
+                        searches[k] = None  # frees the rows they hold
     return results
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from leoacq.detector import RowSearch, acquire, decide
+from leoacq.detector import RowSearch, _ratio, acquire, decide
 from leoacq.integrators import Strategy, integrate
 from leoacq.signal_synth import SampledSignal, noise_sigma
 
@@ -242,6 +242,62 @@ def whole_grid_mtmr(v, at, l_spc):
     return r_max / (kept_sum / n_kept)
 
 
+# The RowSearch before it kept only the window's cells: it copies the
+# peak's row, its neighbour rows and each block's last row.  Kept as the
+# bitwise reference for the cell-keeping search.
+class RowHoldingSearch:
+    def __init__(self, plan, l_spc):
+        self.plan, self.l_spc = plan, l_spc
+        self.rows, self.total, self._at, self._near = 0, 0.0, None, []
+        self._last = None
+
+    def add(self, block):
+        a = self.rows
+        if self._at is not None and self._at[0] == a - 1:
+            self._near.append(block[0].copy())  # the row after the peak
+        self.total += float(np.sum(block))
+        r, j = divmod(int(np.argmax(block)), block.shape[1])
+        if self._at is None or block[r, j] > self._at[2]:
+            self._at = (a + r, j, float(block[r, j]))
+            before = [self._last] if r == 0 and a > 0 else []
+            self._near = before + list(block[max(0, r - 1):r + 2].copy())
+        self._last = block[-1].copy()
+        self.rows = a + len(block)
+
+    def peak(self):
+        assert self.rows == len(self.plan.bins)
+        return self._at
+
+    def mtsmr(self):
+        (i, j, r_max), l_spc = self.peak(), self.l_spc
+        row = self._near[i - max(0, i - 1)]
+        outside = np.delete(row, (np.arange(-l_spc, l_spc + 1) + j) % len(row))
+        return _ratio(r_max, float(np.max(outside)))
+
+    def mtmr(self):
+        i, j, r_max = self.peak()
+        near = np.array(self._near)
+        n = near.shape[1]
+        col_idx = np.unique((np.arange(-self.l_spc, self.l_spc + 1) + j) % n)
+        n_kept = len(self.plan.bins) * n - len(near) * len(col_idx)
+        rect = near[np.ix_(np.arange(len(near)), col_idx)]
+        return _ratio(r_max, (self.total - float(np.sum(rect))) / n_kept)
+
+
+def fed_in_blocks(search, v, edges):
+    """search fed the rows of grid v cut at the sorted row edges."""
+    for a, b in zip(edges, edges[1:]):
+        search.add(v[a:b])
+    return search
+
+
+def held_bytes(search):
+    """Bytes of the arrays a search holds in its fields or their lists."""
+    fields = [f if isinstance(f, list) else [f] for f in vars(search).values()]
+    return sum(a.nbytes for f in fields for a in f
+               if isinstance(a, np.ndarray))
+
+
 class TestRowSearch:
     # 6 bins cut into rows 0-2 and 3-5, or into 1-row blocks: the peak on a
     # block's first row, on its last row, and on the plan's first and last
@@ -268,9 +324,12 @@ class TestRowSearch:
             v[peak_row % bins, rng.integers(n)] = 2.0 * v.max()
         v.flat[rng.integers(v.size, size=ties)] = v.max()  # forced ties
         edges = sorted({c for c in cuts if c < bins} | {0, bins})
-        search = RowSearch(dummy_plan(bins), l_spc)
-        for a, b in zip(edges, edges[1:]):
-            search.add(v[a:b])
+        search = fed_in_blocks(RowSearch(dummy_plan(bins), l_spc), v, edges)
+        ref = fed_in_blocks(RowHoldingSearch(dummy_plan(bins), l_spc), v,
+                            edges)
+        # bitwise the row-holding search's, for the same cuts
+        assert (search.peak(), search.mtsmr(), search.mtmr()) == (
+            ref.peak(), ref.mtsmr(), ref.mtmr())
         at = whole_grid_peak(v)
         if peak_row is not None and ties == 0:
             assert at[0] == peak_row % bins
@@ -293,13 +352,16 @@ class TestRowSearch:
         assert (res.doppler_hat, res.code_phase_hat) == (500.0, 7)
         assert (res.mtsmr, res.mtmr, res.decided) == (5.0, 5.0, True)
 
-    def test_keeps_only_the_rows_near_the_peak(self):
-        v = np.arange(40.0).reshape(8, 5)[::-1].copy()  # peak at (0, 4)
-        search = RowSearch(dummy_plan(8), 1)
-        for a in range(0, 8, 2):
-            search.add(v[a:a + 2])
-        assert [row.tolist() for row in search._near] == v[:2].tolist()
-        assert search._last.tolist() == v[7].tolist()
+    # 8 bins in blocks of 4 rows: the peak on both plan edges and on a
+    # block's last and first row
+    @pytest.mark.parametrize("peak_row", [0, 3, 4, 7])
+    def test_holds_one_row_and_the_window_cells(self, peak_row):
+        n, l_spc = 64, 2
+        v = np.random.default_rng(peak_row).exponential(size=(8, n))
+        v[peak_row, 5] = 2.0 * v.max()
+        search = fed_in_blocks(RowSearch(dummy_plan(8), l_spc), v, [0, 4, 8])
+        assert search.peak()[0] == peak_row
+        assert held_bytes(search) <= (n + 3 * (2 * l_spc + 1)) * 8
 
     def test_all_rows_must_be_fed(self):
         search = RowSearch(dummy_plan(4), 1)

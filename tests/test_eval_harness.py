@@ -498,20 +498,21 @@ class TestRunSpan:
 
     @staticmethod
     @functools.cache
-    def _paper_span(cores, epochs=1):
+    def _paper_span(cores, epochs=1, half_span=5e3):
         """`epochs` epochs of paper_block's shape (20 units of 401 x 4092,
-        five strategies) through run_span, banded for `cores` cores (None:
-        the host's own count), once per count: its tracemalloc peak, the
-        worker pools it made, the threads that outlived it and the rows of
-        each mixing table it built."""
+        five strategies; fewer bins for a smaller half_span) through
+        run_span, banded for `cores` cores (None: the host's own count),
+        once per count: its tracemalloc peak, the worker pools it made, the
+        threads that outlived it and the rows of each mixing table it
+        built."""
         code1 = generate_code(1)
         signals = []
         for k in range(epochs):
-            sig, _ = synth_units(20, code1, d0=1200.0, cn0=45.0, fs=FS_FULL,
-                                 fif=FIF_FULL, seed=k)
+            sig, _ = synth_units(20, code1, d0=min(1200.0, half_span / 2),
+                                 cn0=45.0, fs=FS_FULL, fif=FIF_FULL, seed=k)
             sig.t0 = 40.0 + 20.0 * k
             signals.append(sig)
-        plan = make_plan(FIF_FULL, 5e3, 20)
+        plan = make_plan(FIF_FULL, half_span, 20)
         specs = [IntegrationSpec(s, 20) for s in Strategy]
         pools, table_rows = [], []
         pool = concurrent.futures.ThreadPoolExecutor
@@ -565,16 +566,29 @@ class TestRunSpan:
     def test_paper_span_holds_one_block_of_the_table(self):
         # paper_block's span, 3 epochs over 401 bins in blocks of 16 rows
         # and a 1-row tail, holds the 10 MiB unit buffer, one block's
-        # 0.5 MiB of mixing rows, the chunk's 15 searches of 4 rows (1.9 MiB)
-        # and 4 MiB for the rest: a block table's complex128 build
+        # 0.5 MiB of mixing rows, a row for each of the chunk's 15 searches
+        # (0.5 MiB) and 4 MiB for the rest: a block table's complex128 build
         # temporaries and the rows in flight (2.3 MiB measured).  The whole
         # plan's 12.5 MiB table would not fit, and no table has more than
         # one block's rows.
         peak, _, _, table_rows = self._paper_span(None, epochs=3)
         row = 4092 * 8  # bytes of a complex64 or float64 row
-        buffer, table, searches = 20 * 16 * row, 16 * row, 3 * 5 * 4 * row
+        buffer, table, searches = 20 * 16 * row, 16 * row, 3 * 5 * row
         assert peak < buffer + table + searches + (4 << 20)
         assert table_rows == [16] * 25 + [1]
+
+    def test_paper_chunk_holds_one_row_a_search(self):
+        # one whole chunk, 8 epochs x 5 strategies, over +/-1 kHz (81 bins
+        # in blocks of 16 rows and a 1-row tail) holds the 10 MiB unit
+        # buffer, one block's 0.5 MiB of mixing rows, a row for each of the
+        # chunk's 40 searches (1.25 MiB) and the same 4 MiB for the rest
+        # (2.3 MiB measured).  40 searches of 4 rows (5 MiB) would not fit.
+        peak, _, _, table_rows = self._paper_span(
+            None, epochs=eval_harness._EPOCH_CHUNK, half_span=1e3)
+        row = 4092 * 8  # bytes of a complex64 or float64 row
+        buffer, table, searches = 20 * 16 * row, 16 * row, 8 * 5 * row
+        assert peak < buffer + table + searches + (4 << 20)
+        assert table_rows == [16] * 5 + [1]
 
     @pytest.mark.parametrize("cores", [None, 2, 8, 64])
     def test_paper_span_makes_one_pool(self, cores):
