@@ -33,20 +33,22 @@ table), correlates each epoch of a chunk of epochs with them into a prefix
 of the buffer, and hands the filled buffer to integrators.integrate as it
 is, so it holds one row block's mixing rows at a time, not the whole table.
 
-Row bands.  The row-wise work of a block of at least _BAND_CELLS cells
-(all units together) is split into min(cores, steps) contiguous bands of
-Doppler rows (_row_bands): here the mixing product, and the code-spectrum
-product with the LO rotation, over steps of one row; in integrators, each
-strategy's walk over steps of one row slab.  The forward and inverse FFTs
-stay one 2-D scipy.fft call each on the calling thread (they thread
-themselves through workers=), so a tracer that wraps scipy.fft from
-outside sees every call nested in its process_units call, with bins x
-units rows each way.  io_cli.pass_epochs synthesizes a pass in the same
-bands, over rows of epochs: each epoch's samples depend only on its own
-SynthParams (its noise seed and data bits), so a band may synthesize its
-epochs on any thread.  Bands write disjoint rows, so results do not
-depend on the band count.  The bands of every call inside one band_scope
-run on its one worker pool; a call outside any opens its own.
+Row bands.  The row-wise work of a call of at least _BAND_CELLS cells
+(all units together), the least work worth a band, is split into
+min(cores, steps) contiguous bands of Doppler rows (_row_bands): here the
+mixing product, and the code-spectrum product with the LO rotation, over
+steps of one row; in integrators, each strategy's walk over steps of one
+row slab.  A row block holds two bands' worth (row_blocks), so every whole
+block of a longer plan bands.  The forward and inverse FFTs stay one 2-D
+scipy.fft call each on the calling thread (they thread themselves through
+workers=), so a tracer that wraps scipy.fft from outside sees every call
+nested in its process_units call, with bins x units rows each way.
+io_cli.pass_epochs synthesizes a pass in the same bands, over rows of
+epochs: each epoch's samples depend only on its own SynthParams (its
+noise seed and data bits), so a band may synthesize its epochs on any
+thread.  Bands write disjoint rows, so results do not depend on the band
+count.  The bands of every call inside one band_scope run on its one
+worker pool; a call outside any opens its own.
 """
 
 from __future__ import annotations
@@ -67,9 +69,12 @@ from .signal_synth import SampledSignal
 
 _FFT_WORKERS = -1  # all cores; per-row transforms, deterministic
 
-# A block of unit grids of at least this many cells is worked on in row
-# bands; the fast profile's blocks up to 5 ms (5 x 201 x 1023) stay under.
-_BAND_CELLS = 1 << 20
+# The least row work worth a band, in cells of all units together: on a
+# 2-vCPU host a banded call costs about 40 us more than an unbanded one,
+# and the fast profile's 5 ms block of 5 x 201 x 1023 cells (twice this)
+# takes 0.9-3.8 ms a strategy to integrate.  A row block holds two bands'
+# worth (row_blocks), so this one constant sizes blocks and gates bands.
+_BAND_CELLS = 1 << 19
 
 # Cells per row slab: 256 kB of complex64 per unit, so an integrator's
 # working set stays in cache instead of sweeping whole grids once per unit.
@@ -83,11 +88,12 @@ def slab_rows(n: int) -> int:
 
 def row_blocks(bins: int, units: int, n: int) -> list[tuple[int, int]]:
     """The row blocks [a, b) that walk a plan of bins rows of units x n
-    cells, in order: the fewest whole row slabs that reach _BAND_CELLS,
-    then any shorter tail; a smaller plan is one block.  The height does
+    cells, in order: the fewest whole row slabs that hold two bands' worth
+    (2 * _BAND_CELLS cells), then any shorter tail; a smaller plan is one
+    block.  A block bands iff it holds one band's worth.  The height does
     not depend on the core count, so neither does a block's memory."""
     slab = slab_rows(n)
-    height = min(bins, -(-_BAND_CELLS // (units * n * slab)) * slab)
+    height = min(bins, -(-2 * _BAND_CELLS // (units * n * slab)) * slab)
     return [(a, min(a + height, bins)) for a in range(0, bins, height)]
 
 

@@ -148,7 +148,8 @@ def integrate(units: np.ndarray, strategy: Strategy) -> np.ndarray:
     """Combine the (count, rows, n) complex block of unit grids, in unit
     order, into strategy's (rows, n) float64 detection rows: the strategy's
     kernel maps each slab of whole rows of all units to its detection rows,
-    in row bands gated on the cells of all units together."""
+    in row bands when all units together hold a band's worth of cells
+    (acq_core._BAND_CELLS; every whole row block of a plan does)."""
     kernel = _KERNELS[strategy]
     _, bins, n = units.shape
     out = np.empty((bins, n))

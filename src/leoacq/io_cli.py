@@ -382,11 +382,17 @@ def pass_epochs(config: ScenarioConfig) -> list[SampledSignal]:
     contiguous stream in epoch order.
 
     The rows are synthesized in the row bands of acq_core._row_bands, on
-    its gate: a pass of at least _BAND_CELLS samples gets one band of
-    epochs per core, each band writing only its own rows.  An epoch's
-    samples depend on its own SynthParams alone (its seed, its data bits;
-    see signal_synth.pass_params), so whatever the band count each row is
-    bitwise the serial pass's epoch (synthesize_pass_signal) in float32.
+    its gate: a pass of at least _BAND_CELLS samples gets a band of epochs
+    per core, each band writing only its own rows.  A band synthesizes its
+    epochs one at a time in scratch of five 8-byte arrays of an epoch's
+    length (synthesize's three float64 buffers and int64 code index, and
+    the samples it holds until the next epoch), so the bands are capped,
+    through _row_bands' align, at as many as keep that scratch within half
+    the stored pass, about one band per 20 epochs, whatever the core count.
+    An epoch's samples depend on its own SynthParams alone (its seed, its
+    data bits; see signal_synth.pass_params), so whatever the band count
+    each row is bitwise the serial pass's epoch (synthesize_pass_signal)
+    in float32.
 
     The rounding costs acquisition nothing: process_units mixes real samples
     as complex64, which rounds them to float32 in the same way, so the
@@ -413,7 +419,9 @@ def pass_epochs(config: ScenarioConfig) -> list[SampledSignal]:
             samples = signal_synth.synthesize(truths[k], code=code).samples
             rows[k] = samples  # the one rounding to float32
 
-    _row_bands(band, len(rows), rows.size)
+    scratch = 5 * 8 * config.samples_per_epoch  # bytes a band holds
+    most = max(1, rows.nbytes // 2 // scratch)  # bands within the budget
+    _row_bands(band, len(rows), rows.size, align=-(-len(rows) // most))
     return [SampledSignal(samples=row, sample_rate=config.sample_rate,
                           t0=t0, truth=truth)
             for row, t0, truth in zip(rows, t0s, truths)]

@@ -5,6 +5,7 @@ Monte-Carlo tests quick; the paper-profile 4 samples/chip defaults are
 exercised where accuracy claims demand them.
 """
 
+import concurrent.futures
 import contextlib
 import os
 import threading
@@ -61,6 +62,20 @@ def no_pool(*args, **kwargs):
     """A concurrent.futures.ThreadPoolExecutor for code that must start no
     worker thread."""
     raise AssertionError("the engine started worker threads")
+
+
+def counted_pools(monkeypatch):
+    """Record the arguments of every ThreadPoolExecutor made."""
+    pools = []
+    pool = concurrent.futures.ThreadPoolExecutor
+
+    def counted_pool(*args, **kwargs):
+        pools.append(args)
+        return pool(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                        counted_pool)
+    return pools
 
 
 @contextlib.contextmanager

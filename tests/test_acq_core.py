@@ -24,8 +24,9 @@ from leoacq.signal_synth import SampledSignal, noise_sigma
 
 from conftest import (FS_FAST, FIF_FAST, FS_FULL, FIF_FULL,
                       assert_acquires_as, assert_grids_match, correlate,
-                      fed_search, no_pool, plan_for, reference_process_units,
-                      row_bands, synth_units, unit_block)
+                      counted_pools, fed_search, no_pool, plan_for,
+                      reference_process_units, row_bands, synth_units,
+                      unit_block)
 
 
 class TestMakePlan:
@@ -689,19 +690,21 @@ class TestRowBands:
             integrate(block, Strategy.COHERENT)
         assert pools
 
-    # fast_sweep's largest grids (5 ms, +/-10 kHz) and the 1 ms ones
+    # fast_sweep's grids over +/-10 kHz: a 5 ms block (5 x 201 x 1023
+    # cells) holds a band's worth, so it bands; a 1 ms block does not
     @pytest.mark.parametrize("total_ms", [5, 1])
-    def test_fast_profile_starts_no_thread(self, code1, monkeypatch, total_ms):
+    def test_fast_profile_bands_only_5_ms(self, code1, monkeypatch,
+                                          total_ms):
         sig, _ = synth_units(total_ms, code1, cn0=45.0)
         sig.t0 = 20.0
         plan = make_plan(FIF_FAST, 10e3, total_ms)
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
-                            no_pool)
-        with row_bands(8, gate=acq_core._BAND_CELLS):
+        made = counted_pools(monkeypatch)
+        with row_bands(8, gate=acq_core._BAND_CELLS), band_scope():
             units = unit_block(sig, code1, plan)
             for strategy in Strategy:
                 if span_error(strategy, total_ms) is None:
                     integrate(units, strategy)
+        assert made == ([(7,)] if total_ms == 5 else [])
         assert units[0].size == len(plan.bins) * 1023
 
     def test_unknown_core_count_runs_serially(self, code1, monkeypatch):
@@ -721,25 +724,11 @@ class TestRowBands:
         assert det.tobytes() == want_det.tobytes()
 
 
-def _counted_pools(monkeypatch):
-    """Record the arguments of every ThreadPoolExecutor made."""
-    pools = []
-    pool = concurrent.futures.ThreadPoolExecutor
-
-    def counted_pool(*args, **kwargs):
-        pools.append(args)
-        return pool(*args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
-                        counted_pool)
-    return pools
-
-
 class TestBandScope:
     """The banded calls of one band_scope share one worker pool."""
 
     def test_calls_in_a_scope_share_one_pool(self, monkeypatch):
-        pools = _counted_pools(monkeypatch)
+        pools = counted_pools(monkeypatch)
         threads = set(threading.enumerate())
         calls = []
         with row_bands(3), band_scope():
@@ -750,7 +739,7 @@ class TestBandScope:
         assert set(threading.enumerate()) == threads  # workers joined
 
     def test_each_call_outside_a_scope_has_its_own(self, monkeypatch):
-        pools = _counted_pools(monkeypatch)
+        pools = counted_pools(monkeypatch)
         with row_bands(2):
             _row_bands(lambda band: None, 4, 4)
             _row_bands(lambda band: None, 4, 4)
@@ -760,9 +749,21 @@ class TestBandScope:
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
                             no_pool)
         calls = []
-        with row_bands(4, gate=100), band_scope():
-            _row_bands(calls.append, 9, 99)
-        assert calls == [slice(0, 9)]
+        with row_bands(4, gate=acq_core._BAND_CELLS), band_scope():
+            for cells in (1, 41 * 1023, acq_core._BAND_CELLS - 1):
+                _row_bands(calls.append, 9, cells)
+        assert calls == [slice(0, 9)] * 3
+
+    @pytest.mark.parametrize("under", [1, 0])
+    def test_a_call_bands_from_the_gate_on(self, monkeypatch, under):
+        # one cell under the gate is one band on the calling thread; at the
+        # gate the rows split into a band per core
+        pools = counted_pools(monkeypatch)
+        calls = []
+        with row_bands(4, gate=acq_core._BAND_CELLS):
+            _row_bands(calls.append, 9, acq_core._BAND_CELLS - under)
+        assert pools == ([] if under else [(3,)])
+        assert len(calls) == (1 if under else 4)
 
     @pytest.mark.parametrize("failing", [0, 1])
     def test_a_failing_band_raises_after_every_band_ends(self, failing):
@@ -800,9 +801,10 @@ class TestRowBlocks:
         height = blocks[0][1]
         assert all(b - a == height for a, b in blocks[:-1])
         assert 0 < blocks[-1][1] - blocks[-1][0] <= height
-        # the fewest whole slabs that reach the gate, or the whole plan
+        # the fewest whole slabs that hold two bands' worth, or the whole
+        # plan; so every whole block of a longer plan holds a band's worth
         assert blocks == [(0, bins)] or (
-            height % slab == 0 and height * units * n >= gate
+            height % slab == 0 and height * units * n >= 2 * gate
             > (height - slab) * units * n)
         cuts = []
         with row_bands(cores, gate=gate), band_scope():
@@ -812,12 +814,16 @@ class TestRowBlocks:
                 cuts.append(sorted((s.start, s.stop) for s in found))
         for (a, b), bands in zip(blocks, cuts):
             assert all(start % slab == 0 for start, _ in bands)
+            # a block bands iff it holds a band's worth: then one band per
+            # core while each gets a slab step, a whole slab or the block's
+            # last one (a whole slab, on every block but a tail)
             if (b - a) * units * n < gate:
                 assert bands == [(0, b - a)]
-            elif b - a == height < bins:
-                # one band per core while each gets a whole slab
-                assert len(bands) == min(cores, height // slab)
-                assert all(stop - start >= slab for start, stop in bands)
+            else:
+                last = (b - a - 1) % slab + 1
+                assert len(bands) == min(cores, -(-(b - a) // slab))
+                assert all(stop - start >= (slab if stop < b - a else last)
+                           for start, stop in bands)
 
     def test_paper_block_shape(self):
         # 20 units of 401 x 4092: 25 blocks of two 8-row slabs (10 MiB of

@@ -29,8 +29,8 @@ from leoacq.prn_code import CHIP_RATE, generate_code, samples_per_code
 from leoacq.signal_synth import SampledSignal, synthesize_pass_signal
 
 from conftest import (FS_FAST, FIF_FAST, FS_FULL, FIF_FULL,
-                      assert_acquires_as, block_rows, fast_params,
-                      flat_scenario, full_params, no_pool, plan_for,
+                      assert_acquires_as, block_rows, counted_pools,
+                      fast_params, flat_scenario, full_params, plan_for,
                       reference_acquisitions, row_bands, synth_units)
 
 
@@ -481,20 +481,26 @@ class TestRunSpan:
                      make_plan(FIF_FAST, 1e3, 5), specs, 2.5)
         assert len(earlier) == 2 * len(specs) * (1 if height is None else 3)
 
+    # fast_sweep's spans over the default +/-10 kHz: 201 bins; a 5 ms
+    # block (5 x 201 x 1023 cells) holds a band's worth, a 1 ms one not
     @pytest.mark.parametrize("total_ms", [1, 5])
-    def test_fast_profile_spans_are_one_block_and_one_band(
+    def test_fast_profile_spans_are_one_block_banded_at_5_ms(
             self, code1, monkeypatch, total_ms):
-        # fast_sweep's spans over the default +/-10 kHz: 201 bins at 5 ms
         calls = self._record(monkeypatch)
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
-                            no_pool)
         plan = make_plan(FIF_FAST, 10e3, total_ms)
         specs = [IntegrationSpec(s, total_ms) for s in Strategy
                  if span_error(s, total_ms) is None]
-        with row_bands(8, gate=acq_core._BAND_CELLS):
-            run_span(_span_epochs(2, cn0=45.0), code1, plan, specs, 2.5)
-        assert [c[1] for c in calls] == [plan, plan]
+        epochs = _span_epochs(2, cn0=45.0)
+        with row_bands(1, gate=acq_core._BAND_CELLS):
+            want = run_span(epochs, code1, plan, specs, 2.5)
+        made = counted_pools(monkeypatch)
+        with row_bands(2, gate=acq_core._BAND_CELLS):
+            got = run_span(epochs, code1, plan, specs, 2.5)
+        assert [c[1] for c in calls] == [plan] * 4  # one block each time
         assert calls[0][3].shape == (total_ms, len(plan.bins), 1023)
+        # two bands on two cores: a one-worker pool
+        assert made == ([(1,)] if total_ms == 5 else [])
+        assert repr(got) == repr(want)  # bitwise the one-core results
 
     @staticmethod
     @functools.cache

@@ -547,14 +547,16 @@ def _config_with(path, data_bits) -> ScenarioConfig:
 
 
 class TestPassWrite:
-    # The 3 noisy epochs of strong_config in 1, 2 or 3 row bands: each band
-    # must draw every epoch's noise and bits from that epoch's own streams
-    # and write only its own rows.
+    # strong_config's pass at a 0.2 s epoch step, 75 noisy epochs (enough
+    # for 3 synthesis bands, one per 20 epochs at the most), in 1, 2 or 3
+    # row bands: each band must draw every epoch's noise and bits from that
+    # epoch's own streams and write only its own rows.
     @pytest.mark.parametrize("data_bits", ["ones", "random"])
     @pytest.mark.parametrize("cores", [1, 2, 3])
     def test_pass_epochs_are_rows_of_one_array(self, strong_config,
                                                monkeypatch, cores, data_bits):
-        config = _config_with(strong_config, data_bits)
+        config = replace(_config_with(strong_config, data_bits),
+                         epoch_step=0.2)
         want = list(synthesize_pass_signal(
             config.scenario(), config.base_synth_params(),
             random_bits=data_bits == "random"))
@@ -565,15 +567,15 @@ class TestPassWrite:
             threads.add(threading.get_ident())
             # Later epochs return sooner, so a band that wrote a row past
             # its own would write it after the band that owns it.
-            time.sleep(0.005 * (len(want) - (params.seed ^ config.seed)))
+            time.sleep(2e-4 * (len(want) - (params.seed ^ config.seed)))
             return synthesize(params, **kwargs)
 
         monkeypatch.setattr(signal_synth, "synthesize", recorded)
         with row_bands(cores):
             epochs = pass_epochs(config)
-        assert (len(threads) > 1) == (cores > 1)
+        assert len(threads) == cores
         rows = epochs[0].samples.base
-        assert rows.shape == (len(want), len(want[0].samples))
+        assert rows.shape == (75, len(want[0].samples))
         assert rows.dtype == np.float32
         assert rows.flags.c_contiguous
         for k, (got, ref) in enumerate(zip(epochs, want)):
@@ -705,18 +707,51 @@ class TestWriteMemory:
         # chunk; a float64 pass alone is twice pass_bytes
         assert peak < 1.5 * pass_bytes
 
-    def test_synthesis_scratch_per_band(self, tmp_path):
+    def test_many_cores_keep_the_synthesis_within_budget(self, tmp_path,
+                                                         monkeypatch):
+        # On 64 cores the 53-epoch pass gets 2 synthesis bands, not 53, so
+        # their scratch stays within half the stored pass
+        config = ScenarioConfig.from_file(self._config(tmp_path))
+        pass_bytes = (len(config.scenario().samples)
+                      * config.samples_per_epoch * 4)
+        threads = set()
+        synthesize = signal_synth.synthesize
+
+        def recorded(params, **kwargs):
+            threads.add(threading.get_ident())
+            return synthesize(params, **kwargs)
+
+        monkeypatch.setattr(signal_synth, "synthesize", recorded)
+        with row_bands(64):
+            epochs, peak = _traced_peak(pass_epochs, config)
+        assert peak < 1.5 * pass_bytes
+        assert len(epochs) == 53 and len(threads) == 2
+
+    def test_synthesis_scratch_per_band(self, tmp_path, monkeypatch):
         # Each band of pass_epochs synthesizes its epochs one at a time in
         # float64 scratch: three float64 buffers, the int64 code index and
         # the held samples, about 40 B a sample of one epoch.  So the peak
-        # grows with the band count; this bounds the growth until streaming
-        # synthesis (ROADMAP item 3) removes it.
-        config = ScenarioConfig.from_file(self._config(tmp_path))
-        epoch = round(config.duration * config.sample_rate)
+        # grows with the band count, which pass_epochs caps at about one
+        # band per 20 epochs; this bounds the growth per band.  At a 5 s
+        # step the pass has enough epochs for 4 capped bands.
+        config = replace(ScenarioConfig.from_file(self._config(tmp_path)),
+                         epoch_step=5.0)
+        epoch = config.samples_per_epoch
+        threads = {}
+        synthesize = signal_synth.synthesize
+
+        def recorded(params, **kwargs):
+            threads[bands].add(threading.get_ident())
+            return synthesize(params, **kwargs)
+
+        monkeypatch.setattr(signal_synth, "synthesize", recorded)
         peaks = {}
         for bands in (1, 2, 4):
+            threads[bands] = set()
             with row_bands(bands):
-                _, peaks[bands] = _traced_peak(pass_epochs, config)
+                epochs, peaks[bands] = _traced_peak(pass_epochs, config)
+        assert len(epochs) >= 80
+        assert {k: len(v) for k, v in threads.items()} == {1: 1, 2: 2, 4: 4}
         for bands in (2, 4):
             assert peaks[bands] - peaks[1] <= (bands - 1) * 48 * epoch
 
